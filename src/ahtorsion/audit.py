@@ -42,7 +42,6 @@ from .multilinear import (
 from .scalars import ONE, ZERO, Fraction, Scalar, format_scalar
 from .structure import (
     AlmostHermitianStructure,
-    StructureError,
     build_structure,
     transform_form,
 )
@@ -1143,14 +1142,17 @@ def run_suite(
     b = Bundle(analysis)
     results = []
     for ident, desc, guard, fn in CHECKS:
-        reason = guard(b)
-        if reason is not None:
-            results.append(IdentityCheck(ident, desc, "skip", reason))
-            continue
+        # The audit reports every identity: an exception from one check
+        # (guard included) is that check's failure, not the suite's.
         try:
+            reason = guard(b)
+            if reason is not None:
+                results.append(IdentityCheck(ident, desc, "skip", reason))
+                continue
             witness = fn(b)
-        except StructureError as exc:
-            results.append(IdentityCheck(ident, desc, "fail", f"error: {exc}"))
+        except Exception as exc:
+            detail = f"error: {type(exc).__name__}: {exc}"
+            results.append(IdentityCheck(ident, desc, "fail", detail))
             continue
         if witness is None:
             results.append(IdentityCheck(ident, desc, "pass"))

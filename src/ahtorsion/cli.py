@@ -391,6 +391,8 @@ def report_data(analysis: Analysis, audit: AuditReport) -> dict:
             ],
         },
     }
+    if gh.special_unlisted:
+        data["classification"]["special_parameters_unlisted"] = list(gh.special_unlisted)
     if analysis.su is not None:
         su = analysis.su
         data["su_refinement"] = {
@@ -417,6 +419,11 @@ def report_text(analysis: Analysis, audit: AuditReport) -> str:
     ]
     for value, members in sorted(gh.special_parameters.items()):
         lines.append(f"  degenerates at {value}: {', '.join(members)} vanish")
+    if gh.special_unlisted:
+        lines.append(
+            f"  special values not listed for {', '.join(gh.special_unlisted)}:"
+            " norm has more than one parameter"
+        )
     lines.append(f"theta = {format_form(analysis.theta)}")
     lines.append(f"d omega = {format_form(analysis.domega)}")
     lines.append(f"d theta = {format_form(analysis.dtheta.dtheta)}")

@@ -178,6 +178,8 @@ class GHClass:
     nonzero: Tuple[str, ...]
     label: str
     special_parameters: Dict[str, List[Fraction]]
+    # components whose norm has several parameters, so no values were listed
+    special_unlisted: Tuple[str, ...] = ()
 
 
 _NAMED = {
@@ -200,17 +202,23 @@ def classify(dec: TorsionDecomposition) -> GHClass:
             label += " (Hermitian)"
     # Parameter values at which a nonzero component degenerates: roots of the
     # squared-norm polynomials.  Only rational roots can occur for a sum of
-    # squares with rational data, so the exact listing is complete.
+    # squares with rational data, so the exact listing is complete.  Root
+    # listing is univariate: a norm in several parameters is named in
+    # ``special_unlisted`` instead.
     special: Dict[str, List[Fraction]] = {}
+    unlisted: List[str] = []
     for name, norm in dec.norms.items():
         if norm.is_zero():
+            continue
+        if len(norm.parameters()) > 1:
+            unlisted.append(name)
             continue
         roots = rational_roots(norm)
         if roots:
             for r in roots:
                 special.setdefault(format_scalar(Scalar.rational(r)), []).append(name)
     merged = {k: sorted(v) for k, v in special.items()}
-    return GHClass(nonzero, label, merged)
+    return GHClass(nonzero, label, merged, tuple(sorted(unlisted)))
 
 
 # -- U(n)-splits of 2-forms and bilinear forms ------------------------------

@@ -3,6 +3,13 @@
 A Scalar is a polynomial in declared parameters whose coefficients live in
 Q(sqrt(d)) for a single square-free d >= 0 (d = 0 means plain rationals).
 All arithmetic is exact; equality is decidable by canonical form.
+
+Coefficients are stored as integers over one common denominator, as in
+FLINT's ``fmpq_poly``: each monomial maps to a pair (a, b) of integers
+meaning (a + b*sqrt(d)) / den, with one positive integer ``den`` shared by
+all monomials.  Each ring operation works on the integers and normalises
+its result once, so ``Fraction`` objects appear only at the public edges
+(``terms``, ``constant_pair``, ``as_fraction`` and the literal grammar).
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Union
 
 Monomial = tuple  # tuple of (name, exponent) pairs, sorted by name, exponent > 0
@@ -59,32 +67,50 @@ def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
 class Scalar:
     """Element of Q(sqrt(d))[parameters], stored canonically.
 
-    ``terms`` maps a monomial to a pair (p, q) of Fractions meaning
-    p + q*sqrt(d).  No (0, 0) pair is stored, and a scalar whose terms are
-    all rational carries d = 0.
+    Internally ``_num`` maps a monomial to a pair (a, b) of integers and
+    ``_den`` is a positive integer; the coefficient of the monomial is
+    (a + b*sqrt(d)) / _den.  The canonical form stores no (0, 0) pair, has
+    gcd(_den, every a and b) = 1 (so zero is ``{}`` over 1), and carries
+    d = 0 when every b is 0.  A parameter-free scalar has the single key ().
+
+    ``Scalar(terms, d)`` validates its input: ``terms`` maps monomials to
+    (p, q) pairs of rationals meaning p + q*sqrt(d).  The ``terms``
+    property gives the same read-only view back, with Fractions.
     """
 
-    __slots__ = ("d", "terms")
+    __slots__ = ("d", "_num", "_den")
 
-    def __init__(self, terms: Optional[Mapping[Monomial, tuple]] = None, d: int = 0):
+    def __new__(cls, terms: Optional[Mapping[Monomial, tuple]] = None, d: int = 0):
         if not is_square_free(d) and d != 0:
             raise ScalarError(f"extension {d} is not square-free")
-        canon: dict = {}
+        pairs: dict = {}
         if terms:
             for mono, (p, q) in terms.items():
                 p = Fraction(p)
                 q = Fraction(q)
                 if d == 0 and q != 0:
                     raise ScalarError("sqrt coefficient present without an extension")
-                if p != 0 or q != 0:
-                    canon[tuple(mono)] = (p, q)
-        if all(q == 0 for (_, q) in canon.values()):
-            d = 0
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "terms", canon)
+                pairs[tuple(mono)] = (p, q)
+        den = math.lcm(*(c.denominator for pq in pairs.values() for c in pq))
+        return _canonical(
+            {
+                m: (p.numerator * (den // p.denominator), q.numerator * (den // q.denominator))
+                for m, (p, q) in pairs.items()
+            },
+            den,
+            d,
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
+
+    @property
+    def terms(self) -> Mapping[Monomial, tuple]:
+        """Read-only view: monomial -> (p, q) Fractions meaning p + q*sqrt(d)."""
+        den = self._den
+        return MappingProxyType(
+            {m: (Fraction(a, den), Fraction(b, den)) for m, (a, b) in self._num.items()}
+        )
 
     # -- constructors -------------------------------------------------
 
@@ -92,34 +118,34 @@ class Scalar:
     def rational(cls, value: RatLike) -> "Scalar":
         v = Fraction(value)
         if v == 0:
-            return cls()
-        return cls({(): (v, Fraction(0))})
+            return ZERO
+        return _make({(): (v.numerator, 0)}, v.denominator, 0)
 
     @classmethod
     def root(cls, d: int, coeff: RatLike = 1) -> "Scalar":
         c = Fraction(coeff)
         if c == 0:
-            return cls()
+            return ZERO
         return cls({(): (Fraction(0), c)}, d=d)
 
     @classmethod
     def parameter(cls, name: str) -> "Scalar":
-        return cls({((name, 1),): (Fraction(1), Fraction(0))})
+        return _make({((name, 1),): (1, 0)}, 1, 0)
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def is_constant(self) -> bool:
-        return all(m == () for m in self.terms)
+        return self._num.keys() <= {()}
 
     def is_rational(self) -> bool:
         return self.is_constant() and self.d == 0
 
     def parameters(self) -> set:
         names = set()
-        for mono in self.terms:
+        for mono in self._num:
             for n, _ in mono:
                 names.add(n)
         return names
@@ -127,15 +153,15 @@ class Scalar:
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ScalarError(f"not a plain rational: {self}")
-        if not self.terms:
-            return Fraction(0)
-        return self.terms[()][0]
+        a, _ = self._num.get((), (0, 0))
+        return Fraction(a, self._den)
 
     def constant_pair(self) -> tuple:
         """The (p, q) pair of a parameter-free scalar."""
         if not self.is_constant():
             raise ScalarError(f"not parameter-free: {self}")
-        return self.terms.get((), (Fraction(0), Fraction(0)))
+        a, b = self._num.get((), (0, 0))
+        return Fraction(a, self._den), Fraction(b, self._den)
 
     # -- ring operations -----------------------------------------------
 
@@ -148,44 +174,55 @@ class Scalar:
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other) -> "Scalar":
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d = _join_d(self.d, other.d)
-        out: dict = {m: pq for m, pq in self.terms.items()}
-        for m, (p, q) in other.terms.items():
-            p0, q0 = out.get(m, (Fraction(0), Fraction(0)))
-            out[m] = (p0 + p, q0 + q)
-        return Scalar(out, d=d)
+        if type(other) is not Scalar:
+            other = Scalar._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not other._num:
+            return self
+        if not self._num:
+            return other
+        d = self.d if self.d == other.d else _join_d(self.d, other.d)
+        return _sum(self, other, 1, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar({m: (-p, -q) for m, (p, q) in self.terms.items()}, d=self.d)
+        return _make({m: (-a, -b) for m, (a, b) in self._num.items()}, self._den, self.d)
 
     def __sub__(self, other) -> "Scalar":
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not Scalar:
+            other = Scalar._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not other._num:
+            return self
+        if not self._num:
+            return -other
+        d = self.d if self.d == other.d else _join_d(self.d, other.d)
+        return _sum(self, other, -1, d)
 
     def __rsub__(self, other) -> "Scalar":
-        return Scalar._coerce(other) + (-self)
+        return Scalar._coerce(other) - self
 
     def __mul__(self, other) -> "Scalar":
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d = _join_d(self.d, other.d)
+        if type(other) is not Scalar:
+            other = Scalar._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        n1, n2 = self._num, other._num
+        if not n1 or not n2:
+            return ZERO
+        d = self.d if self.d == other.d else _join_d(self.d, other.d)
         out: dict = {}
-        for m1, (p1, q1) in self.terms.items():
-            for m2, (p2, q2) in other.terms.items():
-                m = _mul_monomials(m1, m2)
-                p = p1 * p2 + d * q1 * q2
-                q = p1 * q2 + q1 * p2
-                p0, q0 = out.get(m, (Fraction(0), Fraction(0)))
-                out[m] = (p0 + p, q0 + q)
-        return Scalar(out, d=d)
+        for m1, (a1, b1) in n1.items():
+            for m2, (a2, b2) in n2.items():
+                m = m2 if not m1 else m1 if not m2 else _mul_monomials(m1, m2)
+                a = a1 * a2 + d * b1 * b2
+                b = a1 * b2 + b1 * a2
+                x = out.get(m)
+                out[m] = (a, b) if x is None else (x[0] + a, x[1] + b)
+        return _canonical(out, self._den * other._den, d)
 
     __rmul__ = __mul__
 
@@ -201,30 +238,27 @@ class Scalar:
             raise ScalarError("non-constant divisor")
         if c.is_zero():
             raise ZeroDivisionError("division by zero scalar")
-        p, q = c.constant_pair()
         d = _join_d(self.d, c.d)
-        if q == 0:
-            inv = Scalar({(): (1 / p, Fraction(0))})
-        else:
-            norm = p * p - d * q * q
-            if norm == 0:
-                raise ZeroDivisionError("division by zero scalar")
-            inv = Scalar({(): (p / norm, -q / norm)}, d=d)
-        return self * inv
+        # 1 / ((a + b*sqrt(d)) / den) = den * (a - b*sqrt(d)) / (a^2 - d*b^2)
+        a, b = c._num[()]
+        norm = a * a - d * b * b
+        if norm == 0:
+            raise ZeroDivisionError("division by zero scalar")
+        k = c._den if norm > 0 else -c._den
+        return self * _canonical({(): (k * a, -k * b)}, abs(norm), c.d)
 
     def __eq__(self, other) -> bool:
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.terms != other.terms:
-            return False
-        return self.d == other.d or self.is_zero()
+        if type(other) is not Scalar:
+            other = Scalar._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self.d == other.d and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash((self.d, frozenset(self.terms.items())))
+        return hash((self.d, self._den, frozenset(self._num.items())))
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self._num)
 
     # -- evaluation ------------------------------------------------------
 
@@ -232,18 +266,14 @@ class Scalar:
         missing = self.parameters() - set(bindings)
         if missing:
             raise ScalarError(f"unbound parameters: {sorted(missing)}")
-        out = Scalar()
-        for mono, (p, q) in self.terms.items():
+        p = q = Fraction(0)
+        for mono, (a, b) in self._num.items():
             factor = Fraction(1)
             for name, e in mono:
                 factor *= Fraction(bindings[name]) ** e
-            out = out + Scalar({(): (p * factor, q * factor)}, d=self.d)
-        return out
-
-    def substitute_sqrt(self) -> float:
-        """Float value of a parameter-free scalar (debugging aid only)."""
-        p, q = self.constant_pair()
-        return float(p) + float(q) * math.sqrt(self.d)
+            p += a * factor
+            q += b * factor
+        return Scalar({(): (p / self._den, q / self._den)}, d=self.d)
 
     # -- presentation ------------------------------------------------------
 
@@ -254,7 +284,67 @@ class Scalar:
         return format_scalar(self)
 
 
-ZERO = Scalar()
+_new_scalar = object.__new__
+_set = object.__setattr__
+
+
+def _make(num: dict, den: int, d: int) -> Scalar:
+    """Trusted constructor: ``num`` over ``den`` is already canonical."""
+    s = _new_scalar(Scalar)
+    _set(s, "_num", num)
+    _set(s, "_den", den)
+    _set(s, "d", d)
+    return s
+
+
+def _canonical(num: dict, den: int, d: int) -> Scalar:
+    """Normalise integer pairs over ``den`` > 0 and wrap them without re-validation.
+
+    Drops (0, 0) pairs, divides by gcd(den, every a and b), and sets d = 0
+    when no sqrt coefficient is left.
+    """
+    out = {}
+    g = den
+    root = False
+    for m, ab in num.items():
+        a, b = ab
+        if b:
+            root = True
+        elif not a:
+            continue
+        out[m] = ab
+        if g != 1:
+            g = math.gcd(g, a, b)
+    if not out:
+        return ZERO
+    if g != 1:
+        den //= g
+        out = {m: (a // g, b // g) for m, (a, b) in out.items()}
+    return _make(out, den, d if root else 0)
+
+
+def _sum(x: Scalar, y: Scalar, sign: int, d: int) -> Scalar:
+    """x + sign*y for nonzero x, y over the joined extension d."""
+    dx, dy = x._den, y._den
+    if dx == dy:
+        out = dict(x._num)
+        fy = sign
+    else:
+        g = math.gcd(dx, dy)
+        fx = dy // g
+        fy = sign * (dx // g)
+        dx *= fx
+        out = {m: (a * fx, b * fx) for m, (a, b) in x._num.items()}
+    for m, (a, b) in y._num.items():
+        z = out.get(m)
+        if z is None:
+            out[m] = (a * fy, b * fy)
+        else:
+            out[m] = (z[0] + a * fy, z[1] + b * fy)
+    return _canonical(out, dx, d)
+
+
+ZERO = _make({}, 1, 0)
 ONE = Scalar.rational(1)
 
 
@@ -469,12 +559,12 @@ def format_scalar(s: Scalar) -> str:
     if s.is_zero():
         return "0"
     pieces = []
-    for mono in sorted(s.terms, key=lambda m: (len(m), m)):
-        p, q = s.terms[mono]
-        if p != 0:
-            pieces.append((p < 0, _format_term(p, False, mono)))
-        if q != 0:
-            pieces.append((q < 0, _format_term(q, True, mono)))
+    for mono in sorted(s._num, key=lambda m: (len(m), m)):
+        a, b = s._num[mono]
+        if a:
+            pieces.append((a < 0, _format_term(Fraction(a, s._den), False, mono)))
+        if b:
+            pieces.append((b < 0, _format_term(Fraction(b, s._den), True, mono)))
     out = ("-" if pieces[0][0] else "") + pieces[0][1]
     for neg, text in pieces[1:]:
         out += (" - " if neg else " + ") + text
@@ -484,27 +574,24 @@ def format_scalar(s: Scalar) -> str:
 # -- univariate root listing ---------------------------------------------------
 
 
-def _rational_roots_of(coeffs: dict) -> set:
-    """Rational roots of sum(coeffs[e] * x^e) with Fraction coefficients."""
+def _rational_roots_of(coeffs: dict) -> Optional[set]:
+    """Rational roots of sum(coeffs[e] * x^e) with integer coefficients."""
     coeffs = {e: c for e, c in coeffs.items() if c != 0}
     if not coeffs:
         return None  # identically zero: every value is a root
+    # Dividing out the content keeps the candidate divisor lists short.
+    g = math.gcd(*coeffs.values())
+    coeffs = {e: c // g for e, c in coeffs.items()}
     roots = set()
     low = min(coeffs)
     if low > 0:
         roots.add(Fraction(0))
         coeffs = {e - low: c for e, c in coeffs.items()}
-    if max(coeffs) == 0:
+    deg = max(coeffs)
+    if deg == 0:
         return roots
-    lcm = 1
-    for c in coeffs.values():
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = {e: int(c * lcm) for e, c in coeffs.items()}
-    deg = max(ints)
-    a0 = abs(ints.get(0, 0))
-    an = abs(ints[deg])
-    if a0 == 0:  # pragma: no cover - stripped above
-        return roots
+    a0 = abs(coeffs[0])
+    an = abs(coeffs[deg])
 
     def divisors(m: int):
         out = []
@@ -519,7 +606,7 @@ def _rational_roots_of(coeffs: dict) -> set:
     for pnum in divisors(a0):
         for pden in divisors(an):
             for cand in (Fraction(pnum, pden), Fraction(-pnum, pden)):
-                if sum(c * cand**e for e, c in ints.items()) == 0:
+                if sum(c * cand**e for e, c in coeffs.items()) == 0:
                     roots.add(cand)
     return roots
 
@@ -537,13 +624,14 @@ def rational_roots(s: Scalar) -> Optional[set]:
         return None
     if not names:
         return set()
-    (name,) = names
+    # One parameter: each monomial is a distinct power of it.  The common
+    # denominator does not move the roots, so the integer numerators serve.
     p_poly: dict = {}
     q_poly: dict = {}
-    for mono, (p, q) in s.terms.items():
+    for mono, (a, b) in s._num.items():
         e = mono[0][1] if mono else 0
-        p_poly[e] = p_poly.get(e, Fraction(0)) + p
-        q_poly[e] = q_poly.get(e, Fraction(0)) + q
+        p_poly[e] = a
+        q_poly[e] = b
     rp = _rational_roots_of(p_poly)
     rq = _rational_roots_of(q_poly)
     if rp is None:

@@ -79,6 +79,24 @@ class TestReporting:
         assert rep.failures[-1].identifier == "XX"
         assert rep.failures[-1].detail == "forced witness"
 
+    def test_unexpected_exception_fails_one_check_only(self, monkeypatch):
+        S = get("example-5.1").build()
+        before = run_suite(S).checks
+
+        def explode(b):
+            raise ZeroDivisionError("forced")
+
+        checks = list(audit.CHECKS)
+        pos = 5
+        ident, desc, _guard, _fn = checks[pos]
+        checks[pos] = (ident, desc, audit._always, explode)
+        monkeypatch.setattr(audit, "CHECKS", checks)
+        after = run_suite(S).checks
+        assert len(after) == len(before) == 39
+        assert after[pos].status == "fail"
+        assert after[pos].detail == "error: ZeroDivisionError: forced"
+        assert after[:pos] + after[pos + 1 :] == before[:pos] + before[pos + 1 :]
+
     def test_counts_add_up(self):
         rep = run_suite(get("example-5.4").build())
         counts = rep.counts()

@@ -179,6 +179,30 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "broken.json FAIL" in out
 
+    def test_two_parameter_file_analyzes_and_audits_ok(self, tmp_path, capsys):
+        path = tmp_path / "two-parameter.json"
+        path.write_text(
+            json.dumps(
+                minimal_file(
+                    parameters=["p", "q"],
+                    brackets=[
+                        {"i": 1, "j": 4, "coeffs": {"1": "-p"}},
+                        {"i": 2, "j": 4, "coeffs": {"2": "-q"}},
+                        {"i": 3, "j": 4, "coeffs": {"3": "-1"}},
+                    ],
+                )
+            )
+        )
+        assert main(["analyze", str(path), "--report", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        classification = data["classification"]
+        assert classification["special_parameters"] == {}
+        assert classification["special_parameters_unlisted"] == ["W2", "W4"]
+        assert main(["analyze", str(path), "--report", "text"]) == 0
+        assert "special values not listed for W2, W4" in capsys.readouterr().out
+        assert main(["audit", str(path)]) == 0
+        assert "test: ok" in capsys.readouterr().out
+
     def test_batch_empty_directory(self, tmp_path, capsys):
         assert main(["batch", str(tmp_path)]) == 1
 

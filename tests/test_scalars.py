@@ -1,5 +1,6 @@
 """Ring axioms, literal grammar, and root handling of the scalar type."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,126 @@ class TestRingAxioms:
     def test_division_inverts_constant_multiplication(self, a):
         c = Scalar.rational(Fraction(3, 7)) + Scalar.root(3, Fraction(1, 2))
         assert (a * c).divide_by_constant(c) == a
+
+
+# -- reference model: a scalar as a dict monomial -> (p, q) of Fractions.  The
+# integer representation must agree with it operation by operation, including
+# the canonical ``terms`` view.
+
+MONOMIALS = [(), (("q", 1),), (("q", 2),), (("p", 1),), (("p", 1), ("q", 1))]
+
+
+def model_canon(terms):
+    return {m: pq for m, pq in terms.items() if pq != (0, 0)}
+
+
+def model_d(terms, d):
+    return d if any(q != 0 for _, q in terms.values()) else 0
+
+
+def model_add(x, y, sign=1):
+    out = dict(x)
+    for m, (p, q) in y.items():
+        p0, q0 = out.get(m, (Fraction(0), Fraction(0)))
+        out[m] = (p0 + sign * p, q0 + sign * q)
+    return model_canon(out)
+
+
+def model_mul(x, y, d):
+    out = {}
+    for m1, (p1, q1) in x.items():
+        for m2, (p2, q2) in y.items():
+            m = tuple(sorted((Counter(dict(m1)) + Counter(dict(m2))).items()))
+            p0, q0 = out.get(m, (Fraction(0), Fraction(0)))
+            out[m] = (p0 + p1 * p2 + d * q1 * q2, q0 + p1 * q2 + q1 * p2)
+    return model_canon(out)
+
+
+def model_inverse(c, d):
+    p, q = c.get((), (Fraction(0), Fraction(0)))
+    norm = p * p - d * q * q
+    return {(): (p / norm, -q / norm)}
+
+
+@st.composite
+def term_dicts(draw, d):
+    """(terms, d) with zero pairs allowed; d = 0 forces every q to 0."""
+    use_root = d and draw(st.booleans())
+    terms = {}
+    for mono in draw(st.lists(st.sampled_from(MONOMIALS), max_size=4, unique=True)):
+        q = draw(fractions) if use_root else Fraction(0)
+        terms[mono] = (draw(fractions), q)
+    return terms, (d if use_root else 0)
+
+
+class TestIntegerRepresentation:
+    @given(term_dicts(3), term_dicts(3), term_dicts(3))
+    def test_operations_match_fraction_pair_model(self, x, y, c):
+        (tx, dx), (ty, dy), (tc, dc) = x, y, c
+        a, b = Scalar(tx, d=dx), Scalar(ty, d=dy)
+        d = max(dx, dy)
+        mx, my = model_canon(tx), model_canon(ty)
+        assert dict(a.terms) == mx and a.d == model_d(mx, dx)
+        expected = {
+            "+": model_add(mx, my),
+            "-": model_add(mx, my, -1),
+            "*": model_mul(mx, my, d),
+        }
+        got = {"+": a + b, "-": a - b, "*": a * b}
+        for op, want in expected.items():
+            assert dict(got[op].terms) == want, op
+            assert got[op].d == model_d(want, d), op
+            assert got[op] == Scalar(want, d=d) and hash(got[op]) == hash(Scalar(want, d=d))
+        divisor = Scalar({(): tc.get((), (Fraction(1), Fraction(0)))}, d=dc)
+        if not divisor.is_zero():
+            dd = max(dx, dc)
+            want = model_mul(mx, model_inverse(dict(divisor.terms), dd), dd)
+            quotient = a / divisor
+            assert dict(quotient.terms) == want
+            assert quotient.d == model_d(want, dd)
+
+    def test_same_value_by_different_routes(self):
+        half = Scalar.rational(Fraction(1, 2))
+        r = Scalar.root(3)
+        routes = [
+            half * 2,
+            half + half,
+            Scalar({(): (Fraction(3, 3), 0)}),
+            (r * r) / 3,
+            (r + half) - r + half,
+            parse_scalar("2/2"),
+            ONE.divide_by_constant(ONE),
+        ]
+        for s in routes:
+            assert s.terms == ONE.terms
+            assert s == ONE and hash(s) == hash(ONE)
+            assert s.d == 0
+        assert (r * r).d == 0
+
+    def test_zero_is_equal_whatever_its_extension(self):
+        zeros = [
+            Scalar.root(3) - Scalar.root(3),
+            Scalar.root(5) + Scalar.root(5, -1),
+            Scalar({(): (0, 0)}, d=3),
+            Scalar.root(3) * ZERO,
+            Scalar.parameter("q") - Scalar.parameter("q"),
+        ]
+        for z in zeros:
+            assert z == ZERO and hash(z) == hash(ZERO)
+            assert z.is_zero() and not z and z.d == 0
+            assert dict(z.terms) == {}
+
+    def test_root_listing_ignores_common_factors(self):
+        q = Scalar.parameter("q")
+        poly = (q - 2) * (q + Scalar.rational(Fraction(1, 3)))
+        for factor in (Scalar.rational(Fraction(7, 5)), Scalar.root(3, 4) + 6):
+            assert rational_roots(poly * factor) == {Fraction(2), Fraction(-1, 3)}
+
+    def test_terms_is_read_only(self):
+        s = Scalar.root(3, Fraction(1, 2)) + Scalar.parameter("q")
+        with pytest.raises(TypeError):
+            s.terms[()] = (Fraction(1), Fraction(0))
+        assert s.terms[()] == (Fraction(0), Fraction(1, 2))
 
 
 class TestExtension:
