@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction as PyFraction
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -142,11 +143,12 @@ class Bundle:
         self.jth_form = S.J_oneform(self.theta)
         self.jth = [self.jth_form.coeffs.get((t,), ZERO) for t in range(d)]
         mc = analysis.minimal
-        self.Dxi = mc.covariant_derivative(self.xi)
         self.Dxi1 = mc.covariant_derivative(dec.xi1)
         self.Dxi2 = mc.covariant_derivative(dec.xi2)
         self.Dxi3 = mc.covariant_derivative(dec.xi3)
         self.Dxi4 = mc.covariant_derivative(dec.xi4)
+        # D is linear and split_torsion asserts xi = xi1 + xi2 + xi3 + xi4
+        self.Dxi = self.Dxi1 + self.Dxi2 + self.Dxi3 + self.Dxi4
         self.Dth = analysis.nabla.covariant_derivative(self.theta.to_tensor())
         self.omega_t = S.omega.to_tensor()
         curv = analysis.curvature
@@ -159,48 +161,59 @@ class Bundle:
         self.r_min = curv.minimal.r
         self.rho_min = curv.minimal.rho
 
-    # contraction shapes shared by several identities
+    # contraction shapes shared by several identities, each the whole (j, k) tensor
 
-    def pairJ(self, a: Tensor, b: Tensor, j: int, k: int) -> Scalar:
-        """<a_{e_j} e_i, b_{e_k} J e_i> summed over i."""
-        acc = ZERO
-        for (x, i, m), v in a.coeffs.items():
-            if x != j:
-                continue
-            for l in range(self.dim):
-                w = self.S.J[l][i]
-                if w.is_zero():
-                    continue
-                u = b(k, l, m)
-                if not u.is_zero():
-                    acc = acc + v * w * u
-        return acc
+    def pairJ(self, a: Tensor, b: Tensor) -> Tensor:
+        """(j, k) -> <a_{e_j} e_i, b_{e_k} J e_i> summed over i."""
+        return _pair_xi(a, b, 1, self.S.J)
 
-    def pairE(self, a: Tensor, b: Tensor, j: int, k: int) -> Scalar:
-        """<a_{e_i} X, b_{e_i} Y> at X = e_j, Y = e_k."""
-        acc = ZERO
-        for (i, x, m), v in a.coeffs.items():
-            if x != j:
-                continue
-            w = b(i, k, m)
-            if not w.is_zero():
-                acc = acc + v * w
-        return acc
+    def pairE(self, a: Tensor, b: Tensor) -> Tensor:
+        """(j, k) -> <a_{e_i} e_j, b_{e_i} e_k> summed over i."""
+        return _pair_xi(a, b, 0)
 
-    def pairE_J(self, a: Tensor, b: Tensor, j: int, k: int) -> Scalar:
-        """<a_{e_i} X, b_{J e_i} Y>."""
-        acc = ZERO
-        for (i, x, m), v in a.coeffs.items():
-            if x != j:
+    def pairE_J(self, a: Tensor, b: Tensor) -> Tensor:
+        """(j, k) -> <a_{e_i} e_j, b_{J e_i} e_k> summed over i."""
+        return _pair_xi(a, b, 0, self.S.J)
+
+    @cached_property
+    def curvature_gap(self) -> Tensor:
+        """F_ackl for a < c: the torsion side of Rm - Rm^{U(n)} in R3.3 and E3.1.
+
+        F = (D xi)_ackl - (D xi)_cakl + <xi_{xi_a e_c - xi_c e_a} e_k, e_l>
+            - <[xi_a, xi_c] e_k, e_l>,
+
+        built from stored entries only, once per bundle.
+        """
+        xi = self.xi
+        acc: Dict[Tuple[int, ...], Scalar] = {}
+
+        def add(key, p):
+            acc[key] = acc[key] + p if key in acc else p
+
+        for (a, c, k, l), v in self.Dxi.coeffs.items():
+            if a < c:
+                add((a, c, k, l), v)
+            elif c < a:
+                add((c, a, k, l), -v)
+        # xi_a e_c - xi_c e_a = sum_m w_m e_m: a stored xi_pqm with p != q adds
+        # to w for the pair (p, q), negated when p > q
+        by_first = xi.group_by(0)
+        for (p, q, m), v in xi.coeffs.items():
+            if p == q:
                 continue
-            for l in range(self.dim):
-                w = self.S.J[l][i]
-                if w.is_zero():
-                    continue
-                u = b(l, k, m)
-                if not u.is_zero():
-                    acc = acc + v * w * u
-        return acc
+            pair, w = ((p, q), v) if p < q else ((q, p), -v)
+            for (_, k, l), u in by_first.get((m,), ()):
+                add(pair + (k, l), w * u)
+        # <xi_q xi_p e_k, e_l> = sum_m xi_pkm xi_qml enters [xi_a, xi_c] with a
+        # plus sign for (a, c) = (q, p) and a minus sign for (a, c) = (p, q)
+        by_mid = xi.group_by(1)
+        for (p, k, m), v in xi.coeffs.items():
+            for (q, _, l), u in by_mid.get((m,), ()):
+                if q < p:
+                    add((q, p, k, l), -(v * u))
+                elif p < q:
+                    add((p, q, k, l), v * u)
+        return Tensor(self.dim, 4, acc)
 
     def theta_sym_hessian(self, j: int, k: int) -> Scalar:
         """Symmetrized anti-invariant Hessian combination of theta."""
@@ -239,24 +252,27 @@ class Bundle:
         return sp.skew_anti_part + sp.skew_invariant_part
 
     def torsion_trace_rhs(self) -> Tensor:
-        """The torsion-side tensor whose traces reproduce Ric - Ric*."""
-        d = self.dim
-        xi = self.xi
+        """The torsion-side tensor whose traces reproduce Ric - Ric*:
 
-        def rhs(j, k):
-            v = R(-2) * _div_trace(self.Dxi, j, k, d)
-            v = v + R(2) * sum((self.Dxi(j, i, k, i) for i in range(d)), ZERO)
-            for i in range(d):
-                for m in range(d):
-                    a = xi(i, j, m)
-                    if not a.is_zero():
-                        v = v - R(2) * a * xi(m, k, i)
-                    b = xi(j, i, m)
-                    if not b.is_zero():
-                        v = v + R(2) * b * xi(m, k, i)
-            return v
+        2 sum_i (-(D xi)_ijki + (D xi)_jiki) + 2 sum_{i,m} (-xi_ijm + xi_jim) xi_mki.
+        """
+        acc: Dict[Tuple[int, int], Scalar] = {}
 
-        return _tensor_from(rhs, d)
+        def add(key, p):
+            acc[key] = acc[key] + p if key in acc else p
+
+        for (a, b, c, e), v in self.Dxi.coeffs.items():
+            if e == a:
+                add((b, c), -v)
+            if e == b:
+                add((a, c), v)
+        by_ends = self.xi.group_by(0, 2)
+        for (p, q, m), v in self.xi.coeffs.items():
+            for (_, k, _), u in by_ends.get((m, p), ()):
+                add((q, k), -(v * u))
+            for (_, k, _), u in by_ends.get((m, q), ()):
+                add((p, k), v * u)
+        return Tensor(self.dim, 2, acc).scaled(R(2))
 
 
 # -- framework checks ---------------------------------------------------------
@@ -361,11 +377,7 @@ def check_f6(b: Bundle) -> Optional[str]:
     if lhs != rhs:
         return "squared norm of the Lee component is off"
     # trace of xi against its J-twist versus the signed norm sum
-    q = _tensor_from(lambda j, k: b.pairJ(b.xi, b.xi, j, k), b.dim)
-    qw = sum(
-        (q(j, k) * b.omega_t(j, k) for j in range(b.dim) for k in range(b.dim)),
-        ZERO,
-    )
+    qw = b.pairJ(b.xi, b.xi).inner(b.omega_t)
     signed = (
         b.norms["W1"] + b.norms["W2"] - b.norms["W3"] - b.norms["W4"]
     )
@@ -387,8 +399,7 @@ def check_f7(b: Bundle) -> Optional[str]:
         return f"omega-trace part of d theta: {w}"
     trace = Form(b.dim, 1)
     two = R(Fraction(2, b.n - 1))
-    for k in range(b.dim):
-        acc = sum((b.xi(i, i, k) for i in range(b.dim)), ZERO)
+    for k, acc in enumerate(contract_trace_vector(b.xi)):
         if not acc.is_zero():
             trace.coeffs[(k,)] = two * acc
     return _witness(trace - b.theta)
@@ -411,11 +422,13 @@ def check_l31b(b: Bundle) -> Optional[str]:
     S, d, n = b.S, b.dim, b.n
     coef = R(Fraction(n - 2, n - 1))
     dv = [b.A.minimal.derive_vector(j, b.xi4vec) for j in range(d)]
+    p12 = _pair_xi(b.xi1, b.xi2)
+    div3 = _div_trace(b.Dxi3)
 
     def rhs(j, k):
         v = -coef * dv[j][k] + coef * dv[k][j]
-        v = v - R(2) * _div_trace(b.Dxi3, j, k, d)
-        v = v + R(2) * _div_trace(b.Dxi3, k, j, d)
+        v = v - R(2) * div3(j, k)
+        v = v + R(2) * div3(k, j)
         t1 = ZERO
         t2 = ZERO
         for a in range(d):
@@ -427,8 +440,8 @@ def check_l31b(b: Bundle) -> Optional[str]:
                 if not wa_k.is_zero() and not S.J[m][j].is_zero():
                     t2 = t2 + wa_k * dv[a][m] * S.J[m][j]
         v = v - coef * t1 + coef * t2
-        v = v - R(3) * _pair_xi(b.xi1, b.xi2, j, k, d)
-        v = v + R(3) * _pair_xi(b.xi1, b.xi2, k, j, d)
+        v = v - R(3) * p12(j, k)
+        v = v + R(3) * p12(k, j)
         return v
 
     return _witness(_tensor_from(rhs, d))
@@ -437,33 +450,28 @@ def check_l31b(b: Bundle) -> Optional[str]:
 def check_l31c(b: Bundle) -> Optional[str]:
     d, n = b.dim, b.n
     v4 = b.xi4vec
+    p31 = _pair_xi(b.xi3, b.xi1)
+    p32 = _pair_xi(b.xi3, b.xi2)
+    ts1 = _trace_slot(b.Dxi1)
+    ts3 = _trace_slot(b.Dxi3)
+    ts4 = _trace_slot(b.Dxi4)
+    v4_xi1 = _xi_at_vector(b.xi1, v4)
+    v4_xi2 = _xi_at_vector(b.xi2, v4)
+    v4_xi3 = _xi_at_vector(b.xi3, v4)
 
     def rhs(j, k):
-        v = R(3) * _trace_slot(b.Dxi1, j, k, d)
-        v = v - _trace_slot(b.Dxi3, j, k, d)
-        v = v + R(n - 2) * _trace_slot(b.Dxi4, j, k, d)
-        v = v - _pair_xi(b.xi3, b.xi1, j, k, d) + _pair_xi(b.xi3, b.xi1, k, j, d)
-        v = v + R(Fraction(1, 2)) * _pair_xi(b.xi3, b.xi2, j, k, d)
-        v = v - R(Fraction(1, 2)) * _pair_xi(b.xi3, b.xi2, k, j, d)
-        v = v - R(Fraction(n - 5, n - 1)) * _xi_at_vector(b.xi1, v4, j, k)
-        v = v - R(Fraction(n - 2, n - 1)) * _xi_at_vector(b.xi2, v4, j, k)
-        v = v + _xi_at_vector(b.xi3, v4, j, k)
+        v = R(3) * ts1(j, k)
+        v = v - ts3(j, k)
+        v = v + R(n - 2) * ts4(j, k)
+        v = v - p31(j, k) + p31(k, j)
+        v = v + R(Fraction(1, 2)) * p32(j, k)
+        v = v - R(Fraction(1, 2)) * p32(k, j)
+        v = v - R(Fraction(n - 5, n - 1)) * v4_xi1(j, k)
+        v = v - R(Fraction(n - 2, n - 1)) * v4_xi2(j, k)
+        v = v + v4_xi3(j, k)
         return v
 
     return _witness(_tensor_from(rhs, d))
-
-
-def _endo_on_omega(b: Bundle, E: Callable[[int, int], Scalar], x: int, y: int) -> Scalar:
-    """(E omega)(e_x, e_y) for an endomorphism given by E(k, l) = <E e_k, e_l>."""
-    acc = ZERO
-    for l in range(b.dim):
-        v = E(x, l)
-        if not v.is_zero():
-            acc = acc - v * b.omega_t(l, y)
-        w = E(y, l)
-        if not w.is_zero():
-            acc = acc - b.omega_t(x, l) * w
-    return acc
 
 
 _PAIRS4 = [
@@ -475,37 +483,25 @@ _PAIRS4 = [
 
 def check_e31(b: Bundle) -> Optional[str]:
     """Second exterior derivative of omega expanded through the torsion."""
-    d = b.dim
-    xi = b.xi
-    for quad in itertools.combinations(range(d), 4):
+    # G_acxy = (F_ac omega)(e_x, e_y) = -sum_l F_acxl w_ly - sum_l w_xl F_acyl for
+    # the endomorphisms F_ac = F(a, c, ., .) of the curvature gap, scattered
+    # from its stored entries
+    G: Dict[Tuple[int, ...], Scalar] = {}
+    by_row = b.omega_t.group_by(0)
+    by_col = b.omega_t.group_by(1)
+    for (a, c, k, l), v in b.curvature_gap.coeffs.items():
+        for (_, y), w in by_row.get((l,), ()):
+            key = (a, c, k, y)
+            G[key] = G[key] - v * w if key in G else -(v * w)
+        for (x, _), w in by_col.get((l,), ()):
+            key = (a, c, x, k)
+            G[key] = G[key] - w * v if key in G else -(w * v)
+    for quad in itertools.combinations(range(b.dim), 4):
         acc = ZERO
         for a, bb, ci, di, sg in _PAIRS4:
-            Xa, Xb, Xc, Xd = quad[a], quad[bb], quad[ci], quad[di]
-
-            def e_deriv(k, l):
-                return b.Dxi(Xa, Xb, k, l) - b.Dxi(Xb, Xa, k, l)
-
-            def e_inner(k, l):
-                v = ZERO
-                for m in range(d):
-                    w = xi(Xa, Xb, m) - xi(Xb, Xa, m)
-                    if not w.is_zero():
-                        v = v + w * xi(m, k, l)
-                return v
-
-            def e_comm(k, l):
-                v = ZERO
-                for m in range(d):
-                    v = v + xi(Xb, k, m) * xi(Xa, m, l)
-                    v = v - xi(Xa, k, m) * xi(Xb, m, l)
-                return v
-
-            term = (
-                _endo_on_omega(b, e_deriv, Xc, Xd)
-                + _endo_on_omega(b, e_inner, Xc, Xd)
-                - _endo_on_omega(b, e_comm, Xc, Xd)
-            )
-            acc = acc + (term if sg == 1 else -term)
+            term = G.get((quad[a], quad[bb], quad[ci], quad[di]))
+            if term is not None:
+                acc = acc + term if sg == 1 else acc - term
         if not acc.is_zero():
             return f"quadruple {tuple(q + 1 for q in quad)}: {format_scalar(acc)}"
     return None
@@ -513,28 +509,15 @@ def check_e31(b: Bundle) -> Optional[str]:
 
 def check_r33(b: Bundle) -> Optional[str]:
     """Curvature of the two connections differs by the torsion terms."""
-    d = b.dim
-    Rm = b.curv.Rm
-    RmU = b.curv.minimal.Rm
-    xi = b.xi
-    for a in range(d):
-        for c in range(a + 1, d):
-            for k in range(d):
-                for l in range(d):
-                    v = Rm(a, c, k, l) - RmU(a, c, k, l)
-                    v = v - b.Dxi(a, c, k, l) + b.Dxi(c, a, k, l)
-                    for m in range(d):
-                        w = xi(a, c, m) - xi(c, a, m)
-                        if not w.is_zero():
-                            v = v - w * xi(m, k, l)
-                        v = v + xi(c, k, m) * xi(a, m, l)
-                        v = v - xi(a, k, m) * xi(c, m, l)
-                    if not v.is_zero():
-                        return (
-                            f"entry ({a + 1},{c + 1},{k + 1},{l + 1}): "
-                            + format_scalar(v)
-                        )
-    return None
+
+    def upper(t: Tensor) -> Tensor:
+        return Tensor(b.dim, 4, {k: v for k, v in t.coeffs.items() if k[0] < k[1]})
+
+    res = upper(b.curv.Rm) - upper(b.curv.minimal.Rm) - b.curvature_gap
+    if res.is_zero():
+        return None
+    a, c, k, l = min(res.coeffs)
+    return f"entry ({a + 1},{c + 1},{k + 1},{l + 1}): " + format_scalar(res(a, c, k, l))
 
 
 def check_p34r(b: Bundle) -> Optional[str]:
@@ -605,19 +588,23 @@ def check_e41(b: Bundle) -> Optional[str]:
 def check_e42(b: Bundle) -> Optional[str]:
     d, n = b.dim, b.n
     half = R(Fraction(1, 2))
+    p11 = _pair_xi(b.xi1, b.xi1)
+    p12 = _pair_xi(b.xi1, b.xi2)
+    e22 = b.pairE(b.xi2, b.xi2)
+    div3 = _div_trace(b.Dxi3)
 
     def rhs(j, k):
-        v = R(-2) * _div_trace(b.Dxi3, j, k, d)
+        v = R(-2) * div3(j, k)
         v = v - R(Fraction(n - 2, 2)) * b.theta_hessian_mixed(j, k)
         if j == k:
             v = v + half * (b.dstar_theta + R(Fraction(2 * n - 3, 2)) * b.tn)
-        v = v + R(4) * _pair_xi(b.xi1, b.xi1, j, k, d)
-        v = v - R(2) * b.pairE(b.xi2, b.xi2, j, k)
+        v = v + R(4) * p11(j, k)
+        v = v - R(2) * e22(j, k)
         v = v - R(Fraction(n - 2, 4)) * (
             b.th[j] * b.th[k] + b.jth[j] * b.jth[k]
         )
-        v = v - R(2) * _pair_xi(b.xi1, b.xi2, j, k, d)
-        v = v + _pair_xi(b.xi1, b.xi2, k, j, d)
+        v = v - R(2) * p12(j, k)
+        v = v + p12(k, j)
         v = v + R(n - 2) * sum(
             (b.th[t] * b.xi3(j, k, t) for t in range(d)), ZERO
         )
@@ -641,16 +628,22 @@ def check_l41(b: Bundle) -> Optional[str]:
 
 def check_e44(b: Bundle) -> Optional[str]:
     d, n = b.dim, b.n
+    p13 = _pair_xi(b.xi1, b.xi3)
+    p23 = _pair_xi(b.xi2, b.xi3)
+    th_xi1 = _xi_at_vector(b.xi1, b.th)
+    th_xi2 = _xi_at_vector(b.xi2, b.th)
+    ts1 = _trace_slot(b.Dxi1)
+    ts2 = _trace_slot(b.Dxi2)
 
     def rhs(j, k):
-        v = R(2) * _trace_slot(b.Dxi1, j, k, d)
-        v = v - _trace_slot(b.Dxi2, j, k, d)
+        v = R(2) * ts1(j, k)
+        v = v - ts2(j, k)
         v = v + R(Fraction(n - 1, 2)) * b.dtheta_lam20(j, k)
-        v = v + _pair_xi(b.xi1, b.xi3, j, k, d) - _pair_xi(b.xi1, b.xi3, k, j, d)
-        v = v - R(n - 3) * _xi_at_vector(b.xi1, b.th, j, k)
-        v = v - R(Fraction(1, 2)) * _pair_xi(b.xi2, b.xi3, j, k, d)
-        v = v + R(Fraction(1, 2)) * _pair_xi(b.xi2, b.xi3, k, j, d)
-        v = v + R(Fraction(n, 2)) * _xi_at_vector(b.xi2, b.th, j, k)
+        v = v + p13(j, k) - p13(k, j)
+        v = v - R(n - 3) * th_xi1(j, k)
+        v = v - R(Fraction(1, 2)) * p23(j, k)
+        v = v + R(Fraction(1, 2)) * p23(k, j)
+        v = v + R(Fraction(n, 2)) * th_xi2(j, k)
         return v
 
     return _witness(b.ric_star_skew() - _tensor_from(rhs, d))
@@ -658,15 +651,21 @@ def check_e44(b: Bundle) -> Optional[str]:
 
 def check_e45(b: Bundle) -> Optional[str]:
     d, n = b.dim, b.n
+    th_xi1 = _xi_at_vector(b.xi1, b.th)
+    th_xi2 = _xi_at_vector(b.xi2, b.th)
+    th_xi3 = _xi_at_vector(b.xi3, b.th)
+    ts1 = _trace_slot(b.Dxi1)
+    ts2 = _trace_slot(b.Dxi2)
+    ts3 = _trace_slot(b.Dxi3)
 
     def rhs(j, k):
-        v = -_trace_slot(b.Dxi1, j, k, d)
-        v = v - _trace_slot(b.Dxi2, j, k, d)
-        v = v + _trace_slot(b.Dxi3, j, k, d)
+        v = -ts1(j, k)
+        v = v - ts2(j, k)
+        v = v + ts3(j, k)
         v = v + R(Fraction(1, 2)) * b.dtheta_lam20(j, k)
-        v = v + R(Fraction(n - 3, 2)) * _xi_at_vector(b.xi1, b.th, j, k)
-        v = v + R(Fraction(n, 2)) * _xi_at_vector(b.xi2, b.th, j, k)
-        v = v - R(Fraction(n - 1, 2)) * _xi_at_vector(b.xi3, b.th, j, k)
+        v = v + R(Fraction(n - 3, 2)) * th_xi1(j, k)
+        v = v + R(Fraction(n, 2)) * th_xi2(j, k)
+        v = v - R(Fraction(n - 1, 2)) * th_xi3(j, k)
         return v
 
     return _witness(b.ric_star_skew() - _tensor_from(rhs, d))
@@ -684,9 +683,10 @@ def check_p44(b: Bundle) -> Optional[str]:
     if b.n == 2:
         # closed form valid in dimension four
         d = b.dim
+        div2 = _div_trace(b.Dxi2)
 
         def rhs(j, k):
-            v = -_div_trace(b.Dxi2, j, k, d) - _div_trace(b.Dxi2, k, j, d)
+            v = -div2(j, k) - div2(k, j)
             v = v - R(Fraction(1, 4)) * (
                 b.theta_sym_hessian(j, k)
                 + b.th[j] * b.th[k]
@@ -700,11 +700,13 @@ def check_p44(b: Bundle) -> Optional[str]:
 
 def check_p43i(b: Bundle) -> Optional[str]:
     d, n = b.dim, b.n
+    th_xi2 = _xi_at_vector(b.xi2, b.th)
+    ts2 = _trace_slot(b.Dxi2)
 
     def rhs(j, k):
-        v = -_trace_slot(b.Dxi2, j, k, d)
+        v = -ts2(j, k)
         v = v + R(Fraction(n + 1, 6)) * b.dtheta_lam20(j, k)
-        v = v + R(Fraction(n, 2)) * _xi_at_vector(b.xi2, b.th, j, k)
+        v = v + R(Fraction(n, 2)) * th_xi2(j, k)
         return v
 
     return _witness(b.ric_star_skew() - _tensor_from(rhs, d))
@@ -722,11 +724,13 @@ def check_p43ia(b: Bundle) -> Optional[str]:
 
 def check_p43ib(b: Bundle) -> Optional[str]:
     d = b.dim
+    th_xi2 = _xi_at_vector(b.xi2, b.th)
+    ts2 = _trace_slot(b.Dxi2)
 
     def rhs(j, k):
-        v = -_trace_slot(b.Dxi2, j, k, d)
+        v = -ts2(j, k)
         v = v + R(Fraction(1, 2)) * b.dtheta_lam20(j, k)
-        v = v + _xi_at_vector(b.xi2, b.th, j, k)
+        v = v + th_xi2(j, k)
         return v
 
     return _witness(b.ric_star_skew() - _tensor_from(rhs, d))
@@ -740,10 +744,12 @@ def check_p43iia(b: Bundle) -> Optional[str]:
         return w
     if b.n > 2:
         d, n = b.dim, b.n
+        th_xi3 = _xi_at_vector(b.xi3, b.th)
+        ts3 = _trace_slot(b.Dxi3)
 
         def rhs(j, k):
-            v = _trace_slot(b.Dxi3, j, k, d)
-            v = v - R(Fraction(n - 1, 2)) * _xi_at_vector(b.xi3, b.th, j, k)
+            v = ts3(j, k)
+            v = v - R(Fraction(n - 1, 2)) * th_xi3(j, k)
             return v
 
         t = _tensor_from(rhs, d).scaled(R(Fraction(n - 1, n - 2)))
@@ -783,25 +789,23 @@ def check_p46ii(b: Bundle) -> Optional[str]:
     if w is not None:
         return f"the two Ricci forms disagree: {w}"
     rmin_t = b.r_min.to_tensor()
-    res = _tensor_from(
-        lambda j, k: r_t(j, k) - rmin_t(j, k) - b.pairJ(b.xi, b.xi, j, k), d
-    )
-    w = _witness(res)
+    w = _witness(r_t - rmin_t - b.pairJ(b.xi, b.xi))
     if w is not None:
         return f"transfer to the minimal connection: {w}"
     parts = [b.xi1, b.xi2, b.xi3]
+    diag = [b.pairJ(a, a) for a in parts]
+    cross = [b.pairJ(parts[x], parts[y]) for x in range(3) for y in range(x + 1, 3)]
 
     def rhs(j, k):
         v = rmin_t(j, k)
-        for a in parts:
-            v = v + b.pairJ(a, a, j, k)
+        for a, q in zip(parts, diag):
+            v = v + q(j, k)
             v = v - sum(
                 (b.jth[t] * (a(j, k, t) - a(k, j, t)) for t in range(d)), ZERO
             )
-        for x in range(3):
-            for y in range(x + 1, 3):
-                v = v + b.pairJ(parts[x], parts[y], j, k)
-                v = v - b.pairJ(parts[x], parts[y], k, j)
+        for q in cross:
+            v = v + q(j, k)
+            v = v - q(k, j)
         v = v - R(Fraction(1, 4)) * b.tn * b.omega_t(j, k)
         v = v - R(Fraction(1, 4)) * (b.th[j] * b.jth[k] - b.jth[j] * b.th[k])
         return v
@@ -818,24 +822,21 @@ def check_p46iii(b: Bundle) -> Optional[str]:
     S = b.S
     rho11 = b.lam11_part(b.curv.rho).to_tensor()
     rhomin_t = b.rho_min.to_tensor()
-    res = _tensor_from(
-        lambda j, k: rho11(j, k) - rhomin_t(j, k) - b.pairE_J(b.xi, b.xi, j, k),
-        d,
-    )
-    w = _witness(res)
+    w = _witness(rho11 - rhomin_t - b.pairE_J(b.xi, b.xi))
     if w is not None:
         return f"transfer to the minimal connection: {w}"
     parts = [b.xi1, b.xi2, b.xi3]
+    diag = [b.pairE_J(a, a) for a in parts]
+    cross = [b.pairE_J(parts[x], parts[y]) for x in range(3) for y in range(x + 1, 3)]
 
     def rhs(j, k):
         v = rhomin_t(j, k)
-        for a in parts:
-            v = v + b.pairE_J(a, a, j, k)
+        for q in diag:
+            v = v + q(j, k)
         v = v - R(Fraction(1, 8)) * b.tn * b.omega_t(j, k)
-        for x in range(3):
-            for y in range(x + 1, 3):
-                v = v + b.pairE_J(parts[x], parts[y], j, k)
-                v = v - b.pairE_J(parts[x], parts[y], k, j)
+        for q in cross:
+            v = v + q(j, k)
+            v = v - q(k, j)
         v = v - R(Fraction(1, 2)) * sum(
             (b.jth[t] * (b.xi3(j, k, t) - b.xi3(k, j, t)) for t in range(d)),
             ZERO,
@@ -873,17 +874,17 @@ def check_p48ii(b: Bundle) -> Optional[str]:
     rho11 = b.lam11_part(b.curv.rho).to_tensor()
     dJth11 = b.lam11_part(dJth).to_tensor()
     rho_chern = cc.rho.to_tensor()
+    e33 = b.pairE_J(b.xi3, b.xi3)
+    j33 = b.pairJ(b.xi3, b.xi3)
 
-    def div_j(j, k):
-        acc = ZERO
-        for i in range(d):
-            for l in range(d):
-                w = S.J[l][i]
-                if not w.is_zero():
-                    u = b.Dxi3(i, j, k, l)
-                    if not u.is_zero():
-                        acc = acc + w * u
-        return acc
+    # (j, k) -> sum_{i,l} J_li (D xi3)_ijkl, from the stored derivative entries
+    acc: Dict[Tuple[int, int], Scalar] = {}
+    for (i, j, k, l), u in b.Dxi3.coeffs.items():
+        w = S.J[l][i]
+        if not w.is_zero():
+            p = w * u
+            acc[(j, k)] = acc[(j, k)] + p if (j, k) in acc else p
+    div_j = Tensor(d, 2, acc)
 
     def rhs(j, k):
         v = rho11(j, k)
@@ -896,8 +897,8 @@ def check_p48ii(b: Bundle) -> Optional[str]:
             (b.jth[t] * (b.xi3(j, k, t) - b.xi3(k, j, t)) for t in range(d)),
             ZERO,
         )
-        v = v - R(2) * b.pairE_J(b.xi3, b.xi3, j, k)
-        v = v + b.pairJ(b.xi3, b.xi3, j, k)
+        v = v - R(2) * e33(j, k)
+        v = v + j33(j, k)
         return v
 
     return _witness(_tensor_from(lambda j, k: rho_chern(j, k) - rhs(j, k), d))
@@ -909,24 +910,30 @@ def check_p410(b: Bundle) -> Optional[str]:
     comb = b.curv.comb_split
     lhs = (comb.trace_part + comb.sym_invariant_part).scaled(R(Fraction(1, 2)))
     rmin11 = b.lam11_part(b.r_min).to_tensor()
+    p11 = _pair_xi(b.xi1, b.xi1)
+    p22 = _pair_xi(b.xi2, b.xi2)
+    p33 = _pair_xi(b.xi3, b.xi3)
+    p12 = _pair_xi(b.xi1, b.xi2)
+    e22 = b.pairE(b.xi2, b.xi2)
+    div3 = _div_trace(b.Dxi3)
 
     def rhs(j, k):
         v = R(-2) * sum((rmin11(j, m) * S.J[m][k] for m in range(d)), ZERO)
-        v = v - _div_trace(b.Dxi3, j, k, d)
+        v = v - div3(j, k)
         v = v - R(Fraction(n - 2, 4)) * b.theta_hessian_mixed(j, k)
         if j == k:
             v = v + R(Fraction(1, 4)) * (
                 b.dstar_theta + R(Fraction(2 * n - 7, 2)) * b.tn
             )
-        v = v + R(4) * _pair_xi(b.xi1, b.xi1, j, k, d)
-        v = v + R(2) * _pair_xi(b.xi2, b.xi2, j, k, d)
-        v = v - b.pairE(b.xi2, b.xi2, j, k)
-        v = v - R(2) * _pair_xi(b.xi3, b.xi3, j, k, d)
+        v = v + R(4) * p11(j, k)
+        v = v + R(2) * p22(j, k)
+        v = v - e22(j, k)
+        v = v - R(2) * p33(j, k)
         v = v - R(Fraction(n - 6, 8)) * (
             b.th[j] * b.th[k] + b.jth[j] * b.jth[k]
         )
-        v = v + _pair_xi(b.xi1, b.xi2, j, k, d)
-        v = v + R(Fraction(5, 2)) * _pair_xi(b.xi1, b.xi2, k, j, d)
+        v = v + p12(j, k)
+        v = v + R(Fraction(5, 2)) * p12(k, j)
         v = v + R(Fraction(n - 6, 2)) * sum(
             (b.th[t] * b.xi3(j, k, t) for t in range(d)), ZERO
         )

@@ -38,12 +38,12 @@ from .structure import (
     AlmostHermitianStructure,
     Connection,
     StructureError,
-    attach_su_data,
     chern_connection,
     intrinsic_torsion,
     levi_civita,
     minimal_connection,
     nijenhuis,
+    su_partner,
 )
 
 
@@ -55,23 +55,37 @@ def riemann(L: LieAlgebra, conn: Connection) -> Tensor:
     """Rm_ijkl = <R(e_i, e_j) e_k, e_l> for an invariant metric connection.
 
     On invariant fields R(X, Y) = D_[X,Y] - [D_X, D_Y] reduces to structure
-    constants against connection coefficients.  The skew symmetries in both
+    constants against connection coefficients:
+
+        Rm_ijkl = sum_m c^m_ij Gamma_mkl - Gamma_jkm Gamma_iml + Gamma_ikm Gamma_jml,
+
+    scattered from the stored Gamma entries.  The skew symmetries in both
     index pairs are asserted; they are cheap and catch bad input connections.
     """
     n = L.dim
-    Rm = Tensor(n, 4)
+    by_first = conn.gamma.group_by(0)
+    by_head = conn.gamma.group_by(0, 1)
+    coeffs: Dict[Tuple[int, ...], Scalar] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            br = L.bracket(i, j)
-            for k in range(n):
-                for l in range(n):
-                    acc = sum((v * conn.g(m, k, l) for m, v in br.items()), ZERO)
-                    for m in range(n):
-                        acc = acc - conn.g(j, k, m) * conn.g(i, m, l)
-                        acc = acc + conn.g(i, k, m) * conn.g(j, m, l)
-                    if not acc.is_zero():
-                        Rm.set((i, j, k, l), acc)
-                        Rm.set((j, i, k, l), -acc)
+            acc: Dict[Tuple[int, int], Scalar] = {}
+            for m, c in L.bracket(i, j).items():
+                for (_, k, l), g in by_first.get((m,), ()):
+                    p = c * g
+                    acc[(k, l)] = acc[(k, l)] + p if (k, l) in acc else p
+            for (_, k, m), g in by_first.get((j,), ()):
+                for (_, _, l), h in by_head.get((i, m), ()):
+                    p = g * h
+                    acc[(k, l)] = acc[(k, l)] - p if (k, l) in acc else -p
+            for (_, k, m), g in by_first.get((i,), ()):
+                for (_, _, l), h in by_head.get((j, m), ()):
+                    p = g * h
+                    acc[(k, l)] = acc[(k, l)] + p if (k, l) in acc else p
+            for (k, l), v in acc.items():
+                if not v.is_zero():
+                    coeffs[(i, j, k, l)] = v
+                    coeffs[(j, i, k, l)] = -v
+    Rm = Tensor(n, 4, coeffs)
     if not Rm.is_antisymmetric_pair(2, 3):
         raise CurvatureError("curvature of a metric connection must be skew in (k, l)")
     if conn.kind == "levi_civita":
@@ -92,13 +106,8 @@ def riemann(L: LieAlgebra, conn: Connection) -> Tensor:
 def ricci_pair(S: AlmostHermitianStructure, Rm: Tensor) -> Tuple[Tensor, Tensor]:
     """(Ric, Ric*) with Ric*(X, Y) = <R(X, e_i) JY, Je_i>."""
     dim = S.L.dim
-    ric = Tensor(dim, 2)
+    ric = Rm.contract(1, 3)
     star = Tensor(dim, 2)
-    for j in range(dim):
-        for k in range(dim):
-            a = sum((Rm(j, i, k, i) for i in range(dim)), ZERO)
-            if not a.is_zero():
-                ric.set((j, k), a)
     # Ric* scattered from the stored curvature entries
     for (j, i, m, l), v in Rm.coeffs.items():
         for k in range(dim):
@@ -149,10 +158,6 @@ def evaluate_on_J(S: AlmostHermitianStructure, b: Tensor) -> Tensor:
             if not w.is_zero():
                 out.add_to((j, k), v * w)
     return out
-
-
-def form_to_tensor(alpha: Form) -> Tensor:
-    return alpha.to_tensor()
 
 
 @dataclass
@@ -232,14 +237,6 @@ def scalar_curvatures_from_torsion(
         - n3
     )
     return s, s_star
-
-
-def chern_ricci_forms(
-    S: AlmostHermitianStructure, chern: Optional[ConnectionCurvature]
-) -> Tuple[Form, Form]:
-    if chern is None:
-        raise CurvatureError("Chern connection not unitary")
-    return chern.rho, chern.r
 
 
 def curvature_report(
@@ -322,8 +319,9 @@ def su_refinement(
     available.
     """
     n = S.n
+    psi_plus, psi_minus = S.psi_plus, S.psi_minus
     auto = False
-    if S.psi_plus is None:
+    if psi_plus is None:
         if n != 3:
             return None
         domega = exterior_derivative(S.L, S.omega)
@@ -336,10 +334,9 @@ def su_refinement(
         # d omega = 3 w1+ psi+ + ... with |psi+|^2 = 4, so |pure| = 6 w1+
         w1p = norm * Scalar.rational(Fraction(1, 6))
         psi_plus = pure.scaled(ONE / (Scalar.rational(3) * w1p))
-        attach_su_data(S, psi_plus)
+        # validated and carried in the refinement only: S is left untouched
+        psi_minus = su_partner(S, psi_plus)
         auto = True
-    psi_plus = S.psi_plus
-    psi_minus = S.psi_minus
     assert psi_plus is not None and psi_minus is not None
 
     if n == 3:

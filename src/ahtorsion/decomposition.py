@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .multilinear import Form, Tensor, codifferential, exterior_derivative, form_inner
+from .multilinear import Form, Matrix, Tensor, codifferential, exterior_derivative, form_inner
 from .scalars import ONE, ZERO, Fraction, Scalar, format_scalar, rational_roots
 from .structure import AlmostHermitianStructure, Connection, StructureError
 
@@ -41,8 +41,7 @@ def lee_form(S: AlmostHermitianStructure, xi: Tensor) -> Form:
     two = Scalar.rational(Fraction(2, n - 1))
     dim = S.L.dim
     trace = Form(dim, 1)
-    for k in range(dim):
-        acc = sum((xi(i, i, k) for i in range(dim)), ZERO)
+    for k, acc in enumerate(contract_trace_vector(xi)):
         if not acc.is_zero():
             trace.coeffs[(k,)] = two * acc
     if theta != trace:
@@ -98,15 +97,13 @@ def _xi4_tensor(S: AlmostHermitianStructure, theta: Form) -> Tensor:
 
 
 def _cyclic_part(t: Tensor) -> Tensor:
+    """1/3 (t_ijk + t_jki + t_kij); each stored t_abc lands at abc, cab and bca."""
     third = Scalar.rational(Fraction(1, 3))
-    out = Tensor(t.dim, 3)
-    for i in range(t.dim):
-        for j in range(t.dim):
-            for k in range(t.dim):
-                v = t(i, j, k) + t(j, k, i) + t(k, i, j)
-                if not v.is_zero():
-                    out.set((i, j, k), third * v)
-    return out
+    acc: Dict[Tuple[int, int, int], Scalar] = {}
+    for (a, b, c), v in t.coeffs.items():
+        for key in ((a, b, c), (c, a, b), (b, c, a)):
+            acc[key] = acc[key] + v if key in acc else v
+    return Tensor(t.dim, 3, {key: third * v for key, v in acc.items() if not v.is_zero()})
 
 
 @dataclass
@@ -289,31 +286,13 @@ def split_bilinear(S: AlmostHermitianStructure, b: Tensor) -> BilinearSplit:
     return BilinearSplit(trace_part, sym_inv0, sym_anti, skew_inv, skew_anti)
 
 
-def split_symmetric(
-    S: AlmostHermitianStructure, b: Tensor
-) -> Tuple[Tensor, Tensor, Tensor]:
-    """(trace part, J-invariant traceless part, J-anti-invariant part)."""
-    if b != b.transpose((1, 0)):
-        raise DecompositionError("split_symmetric expects a symmetric tensor")
-    full = split_bilinear(S, b)
-    return full.trace_part, full.sym_invariant_part, full.sym_anti_part
-
-
-def two_form_to_bilinear(alpha: Form) -> Tensor:
-    return alpha.to_tensor()
-
-
 # -- dtheta and the three displayed component identities ---------------------
 
 
 def contract_trace_vector(xi_part: Tensor) -> List[Scalar]:
     """sum_i xi_{e_i} e_i as a component vector."""
-    dim = xi_part.dim
-    return [sum((xi_part(i, i, k) for i in range(dim)), ZERO) for k in range(dim)]
-
-
-def pair_vectors(u: List[Scalar], v: List[Scalar]) -> Scalar:
-    return sum((a * b for a, b in zip(u, v)), ZERO)
+    trace = xi_part.contract(0, 1)
+    return [trace.coeffs.get((k,), ZERO) for k in range(xi_part.dim)]
 
 
 @dataclass
@@ -325,34 +304,49 @@ class DThetaReport:
     lambda20_residual: Optional[Tensor]
 
 
-def _div_trace(Dxi: Tensor, j: int, k: int, dim: int) -> Scalar:
-    """sum_i <(nabla^{U(n)}_{e_i} xi_part)_X Y, e_i> at X = e_j, Y = e_k."""
-    return sum((Dxi(i, j, k, i) for i in range(dim)), ZERO)
+def _div_trace(Dxi: Tensor) -> Tensor:
+    """(j, k) -> sum_i <(nabla^{U(n)}_{e_i} xi_part)_{e_j} e_k, e_i>."""
+    return Dxi.contract(0, 3)
 
 
-def _trace_slot(Dxi: Tensor, j: int, k: int, dim: int) -> Scalar:
-    """sum_i <(nabla^{U(n)}_{e_i} xi_part)_{e_i} X, Y> at X = e_j, Y = e_k."""
-    return sum((Dxi(i, i, j, k) for i in range(dim)), ZERO)
+def _trace_slot(Dxi: Tensor) -> Tensor:
+    """(j, k) -> sum_i <(nabla^{U(n)}_{e_i} xi_part)_{e_i} e_j, e_k>."""
+    return Dxi.contract(0, 1)
 
 
-def _pair_xi(a: Tensor, b: Tensor, j: int, k: int, dim: int) -> Scalar:
-    """<a_X e_i, b_Y e_i> summed over i, at X = e_j, Y = e_k."""
-    acc = ZERO
-    for (x, i, m), v in a.coeffs.items():
-        if x != j:
-            continue
-        w = b(k, i, m)
-        if not w.is_zero():
-            acc = acc + v * w
-    return acc
+def _pair_xi(a: Tensor, b: Tensor, slot: int = 1, J: Optional[Matrix] = None) -> Tensor:
+    """(j, k) -> a and b contracted on ``slot`` and on their last slot.
+
+    ``slot`` is 0 or 1; the other of the first two slots carries j in a and k
+    in b.  With the default slot this is <a_{e_j} e_i, b_{e_k} e_i> summed
+    over i, with slot 0 it is <a_{e_i} e_j, b_{e_i} e_k>.  Given ``J``, the
+    contracted index of b is J e_i instead of e_i.
+    """
+    free = 1 - slot
+    by_pair = b.group_by(slot, 2)
+    acc: Dict[Tuple[int, int], Scalar] = {}
+    for idx, v in a.coeffs.items():
+        i, j, m = idx[slot], idx[free], idx[2]
+        if J is None:
+            targets = [(i, v)]
+        else:
+            targets = [(l, v * J[l][i]) for l in range(a.dim) if not J[l][i].is_zero()]
+        for l, vw in targets:
+            for kidx, u in by_pair.get((l, m), ()):
+                key = (j, kidx[free])
+                p = vw * u
+                acc[key] = acc[key] + p if key in acc else p
+    return Tensor(a.dim, 2, acc)
 
 
-def _xi_at_vector(xi_part: Tensor, vec: List[Scalar], j: int, k: int) -> Scalar:
-    """<xi_part_{vec} e_j, e_k>."""
-    return sum(
-        (vec[t] * xi_part(t, j, k) for t in range(len(vec)) if not vec[t].is_zero()),
-        ZERO,
-    )
+def _xi_at_vector(xi_part: Tensor, vec: List[Scalar]) -> Tensor:
+    """(j, k) -> <xi_part_{vec} e_j, e_k>."""
+    acc: Dict[Tuple[int, int], Scalar] = {}
+    for (t, j, k), v in xi_part.coeffs.items():
+        if not vec[t].is_zero():
+            p = vec[t] * v
+            acc[(j, k)] = acc[(j, k)] + p if (j, k) in acc else p
+    return Tensor(xi_part.dim, 2, acc)
 
 
 def dtheta_report(
@@ -382,6 +376,14 @@ def dtheta_report(
     Dxi3 = minimal.covariant_derivative(dec.xi3)
 
     half_nm2 = Scalar.rational(Fraction(n - 2, 2))
+    p12 = _pair_xi(dec.xi1, dec.xi2)
+    p31 = _pair_xi(dec.xi3, dec.xi1)
+    p32 = _pair_xi(dec.xi3, dec.xi2)
+    div3 = _div_trace(Dxi3)
+    ts1 = _trace_slot(Dxi1)
+    ts3 = _trace_slot(Dxi3)
+    th1 = _xi_at_vector(dec.xi1, theta_sharp)
+    th3 = _xi_at_vector(dec.xi3, theta_sharp)
     lam0_res = Tensor(dim, 2)
     lam20_res = Tensor(dim, 2)
     lam0_t = split.lambda0_part.to_tensor()
@@ -389,7 +391,7 @@ def dtheta_report(
     for j in range(dim):
         for k in range(dim):
             # [lambda_0^{1,1}] identity of the dtheta proposition
-            rhs = -_div_trace(Dxi3, j, k, dim) + _div_trace(Dxi3, k, j, dim)
+            rhs = -div3(j, k) + div3(k, j)
             xi3_jk = sum(
                 (
                     (dec.xi3(j, k, t) - dec.xi3(k, j, t)) * theta_sharp[t]
@@ -398,29 +400,25 @@ def dtheta_report(
                 ZERO,
             )
             rhs = rhs + half_nm2 * xi3_jk
-            cross = _pair_xi(dec.xi1, dec.xi2, j, k, dim)
-            cross_rev = _pair_xi(dec.xi1, dec.xi2, k, j, dim)
-            rhs = rhs + Scalar.rational(Fraction(-3, 2)) * cross
-            rhs = rhs + Scalar.rational(Fraction(3, 2)) * cross_rev
+            rhs = rhs + Scalar.rational(Fraction(-3, 2)) * p12(j, k)
+            rhs = rhs + Scalar.rational(Fraction(3, 2)) * p12(k, j)
             v = half_nm2 * lam0_t(j, k) - rhs
             if not v.is_zero():
                 lam0_res.set((j, k), v)
 
             # [[lambda^{2,0}]] identity
             rhs2 = (
-                Scalar.rational(-3) * _trace_slot(Dxi1, j, k, dim)
-                + _trace_slot(Dxi3, j, k, dim)
-                + _pair_xi(dec.xi3, dec.xi1, j, k, dim)
-                - _pair_xi(dec.xi3, dec.xi1, k, j, dim)
-                - Scalar.rational(Fraction(1, 2)) * _pair_xi(dec.xi3, dec.xi2, j, k, dim)
-                + Scalar.rational(Fraction(1, 2)) * _pair_xi(dec.xi3, dec.xi2, k, j, dim)
+                Scalar.rational(-3) * ts1(j, k)
+                + ts3(j, k)
+                + p31(j, k)
+                - p31(k, j)
+                - Scalar.rational(Fraction(1, 2)) * p32(j, k)
+                + Scalar.rational(Fraction(1, 2)) * p32(k, j)
             )
             rhs2 = rhs2 + Scalar.rational(
                 Fraction(3 * (n - 3), 2)
-            ) * _xi_at_vector(dec.xi1, theta_sharp, j, k)
-            rhs2 = rhs2 - Scalar.rational(Fraction(n - 1, 2)) * _xi_at_vector(
-                dec.xi3, theta_sharp, j, k
-            )
+            ) * th1(j, k)
+            rhs2 = rhs2 - Scalar.rational(Fraction(n - 1, 2)) * th3(j, k)
             v2 = half_nm2 * lam20_t(j, k) - rhs2
             if not v2.is_zero():
                 lam20_res.set((j, k), v2)

@@ -2,7 +2,14 @@
 
 Everything is expressed in a fixed basis that is declared orthonormal for the
 metric; forms are stored on strictly increasing index tuples and tensors as
-dense maps from index tuples to Scalars.  Indices are 0-based internally.
+sparse maps from index tuples to their nonzero Scalars (the stored entries).
+Indices are 0-based internally.
+
+Kernels that contract tensors iterate stored entries only: they never sweep
+the full index cube reading absent entries.  Each scatters its products into
+a dict keyed by output index and builds one result at the end; where it joins
+two tensors on a slot, it first groups one operand's entries by that slot
+(``Tensor.group_by``).
 """
 
 from __future__ import annotations
@@ -251,14 +258,6 @@ class Form:
                 coeffs[perm] = val if perm_sign_of(key, perm) == 1 else -val
         return Tensor(self.dim, self.degree, coeffs)
 
-    def evaluate_parameters(self, bindings) -> "Form":
-        f = Form(self.dim, self.degree)
-        for k, v in self.coeffs.items():
-            ev = v.evaluate(bindings)
-            if not ev.is_zero():
-                f.coeffs[k] = ev
-        return f
-
     def __repr__(self) -> str:
         from .render import format_form
 
@@ -272,7 +271,11 @@ def perm_sign_of(base: Sequence[int], perm: Sequence[int]) -> int:
 
 
 class Tensor:
-    """Dense covariant tensor over the fixed orthonormal basis."""
+    """Covariant tensor over the fixed orthonormal basis, stored sparsely.
+
+    ``coeffs`` holds only the nonzero entries; an absent index tuple reads as
+    zero.
+    """
 
     def __init__(self, dim: int, rank: int, coeffs: Optional[Dict[Tuple[int, ...], Scalar]] = None):
         self.dim = dim
@@ -297,22 +300,33 @@ class Tensor:
     def add_to(self, indices: Tuple[int, ...], value: Scalar):
         self.set(indices, self(*indices) + value)
 
+    def group_by(self, *slots: int) -> Dict[Tuple[int, ...], List[Tuple[Tuple[int, ...], Scalar]]]:
+        """Stored entries (index, value) keyed by their indices in ``slots``."""
+        out: Dict[Tuple[int, ...], List[Tuple[Tuple[int, ...], Scalar]]] = {}
+        for k, v in self.coeffs.items():
+            out.setdefault(tuple(k[s] for s in slots), []).append((k, v))
+        return out
+
     def _check_like(self, other: "Tensor"):
         if self.dim != other.dim or self.rank != other.rank:
             raise GeometryError("rank mismatch")
 
     def __add__(self, other: "Tensor") -> "Tensor":
         self._check_like(other)
-        t = Tensor(self.dim, self.rank, dict(self.coeffs))
+        acc = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            t.add_to(k, v)
-        return t
+            acc[k] = acc[k] + v if k in acc else v
+        return Tensor(self.dim, self.rank, acc)
 
     def __neg__(self) -> "Tensor":
         return Tensor(self.dim, self.rank, {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other: "Tensor") -> "Tensor":
-        return self + (-other)
+        self._check_like(other)
+        acc = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            acc[k] = acc[k] - v if k in acc else -v
+        return Tensor(self.dim, self.rank, acc)
 
     def scaled(self, s) -> "Tensor":
         s = s if isinstance(s, Scalar) else Scalar.rational(s)
@@ -343,17 +357,16 @@ class Tensor:
         if not (0 <= slot_a < r and 0 <= slot_b < r) or slot_a == slot_b:
             raise GeometryError(f"invalid contraction slots ({slot_a}, {slot_b})")
         a, b = min(slot_a, slot_b), max(slot_a, slot_b)
-        out = Tensor(self.dim, r - 2)
+        acc: Dict[Tuple[int, ...], Scalar] = {}
         for k, v in self.coeffs.items():
-            if k[a] != k[b]:
-                continue
-            rest = k[:a] + k[a + 1 : b] + k[b + 1 :]
-            out.add_to(rest, v)
-        return out
+            if k[a] == k[b]:
+                rest = k[:a] + k[a + 1 : b] + k[b + 1 :]
+                acc[rest] = acc[rest] + v if rest in acc else v
+        return Tensor(self.dim, r - 2, acc)
 
     def apply_J(self, slot: int, J: "Matrix") -> "Tensor":
         """The J_(i) operator: (J_(i) t)(..., X_i, ...) = -t(..., J X_i, ...)."""
-        out = Tensor(self.dim, self.rank)
+        acc: Dict[Tuple[int, ...], Scalar] = {}
         for k, v in self.coeffs.items():
             m = k[slot]
             # t has index m in this slot; J X with X = e_j hits m with weight J[m][j]
@@ -362,8 +375,9 @@ class Tensor:
                 if w.is_zero():
                     continue
                 idx = k[:slot] + (j,) + k[slot + 1 :]
-                out.add_to(idx, -(w * v))
-        return out
+                p = w * v
+                acc[idx] = acc[idx] - p if idx in acc else -p
+        return Tensor(self.dim, self.rank, acc)
 
     def transpose(self, perm: Sequence[int]) -> "Tensor":
         """Reorder slots: result(i_perm[0], ..., i_perm[r-1]) = self(i_0, ..., i_{r-1})."""
@@ -374,14 +388,6 @@ class Tensor:
                 idx[dst] = k[src]
             out.add_to(tuple(idx), v)
         return out
-
-    def is_symmetric_pair(self, a: int, b: int) -> bool:
-        for k, v in self.coeffs.items():
-            kk = list(k)
-            kk[a], kk[b] = kk[b], kk[a]
-            if self(*kk) != v:
-                return False
-        return True
 
     def is_antisymmetric_pair(self, a: int, b: int) -> bool:
         for k, v in self.coeffs.items():
@@ -401,14 +407,6 @@ class Tensor:
             if w is not None:
                 acc = acc + v * w
         return acc
-
-    def evaluate_parameters(self, bindings) -> "Tensor":
-        t = Tensor(self.dim, self.rank)
-        for k, v in self.coeffs.items():
-            ev = v.evaluate(bindings)
-            if not ev.is_zero():
-                t.coeffs[k] = ev
-        return t
 
     def antisymmetrize_to_form(self) -> Form:
         """Project a fully antisymmetric tensor back onto its form; exact check."""
@@ -435,19 +433,6 @@ Matrix = List[List[Scalar]]
 
 def identity_matrix(dim: int) -> Matrix:
     return [[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(n)), ZERO) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def mat_vec(a: Matrix, v: Sequence[Scalar]) -> List[Scalar]:
-    n = len(a)
-    return [sum((a[i][k] * v[k] for k in range(n)), ZERO) for i in range(n)]
 
 
 def mat_inverse(a: Matrix) -> Matrix:
@@ -546,18 +531,6 @@ def codifferential(L: LieAlgebra, alpha: Form, vol: Form) -> Form:
     if alpha.degree == 0:
         raise GeometryError("codifferential needs degree >= 1")
     return -hodge_star(exterior_derivative(L, hodge_star(alpha, vol)), vol)
-
-
-def flat(vector: Sequence[Scalar]) -> Form:
-    """Musical flat; the basis is orthonormal, so components carry over."""
-    dim = len(vector)
-    return Form(dim, 1, {(i,): v for i, v in enumerate(vector) if not v.is_zero()})
-
-
-def sharp(alpha: Form) -> List[Scalar]:
-    if alpha.degree != 1:
-        raise GeometryError("sharp expects a 1-form")
-    return [alpha.coeffs.get((i,), ZERO) for i in range(alpha.dim)]
 
 
 def gram_schmidt(G: Matrix, ambient_d: int = 0) -> Matrix:

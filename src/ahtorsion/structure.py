@@ -204,12 +204,13 @@ def build_structure(
 
     S = AlmostHermitianStructure(L, omega, J, vol, name=name)
     if psi_plus is not None:
-        attach_su_data(S, psi_plus)
+        S.psi_minus = su_partner(S, psi_plus)
+        S.psi_plus = psi_plus
     return S
 
 
-def attach_su_data(S: AlmostHermitianStructure, psi_plus: Form):
-    """Validate a complex volume form psi_+ + i psi_- with psi_- = J_(1) psi_+."""
+def su_partner(S: AlmostHermitianStructure, psi_plus: Form) -> Form:
+    """psi_- = J_(1) psi_+, once psi_+ + i psi_- is validated as a complex volume form."""
     n = S.n
     if psi_plus.degree != n:
         raise StructureError(f"psi_plus must have degree {n}")
@@ -229,8 +230,7 @@ def attach_su_data(S: AlmostHermitianStructure, psi_plus: Form):
             raise StructureError("psi fails the volume relation -1/4 psi+ ^ psi- = Vol")
     else:
         raise StructureError("SU data is supported for n = 2 and n = 3 only")
-    S.psi_plus = psi_plus
-    S.psi_minus = psi_minus
+    return psi_minus
 
 
 class Connection:
@@ -242,9 +242,6 @@ class Connection:
         self.dim = dim
         self.gamma = gamma
         self.kind = kind
-
-    def g(self, i: int, j: int, k: int) -> Scalar:
-        return self.gamma(i, j, k)
 
     def is_metric(self) -> bool:
         return self.gamma.is_antisymmetric_pair(1, 2)
@@ -276,35 +273,35 @@ class Connection:
 
     def covariant_derivative(self, t: Tensor) -> Tensor:
         """(Dt)_{i, j_1..j_s} for an invariant covariant tensor (constant components)."""
-        # (Dt)_{i,K} = -sum_a sum_m Gamma_{i, K_a, m} t_{K[a -> m]}, scattered from
-        # each stored entry of t.
-        out = Tensor(self.dim, t.rank + 1)
-        for i in range(self.dim):
-            for idx, v in t.coeffs.items():
-                for slot in range(t.rank):
-                    m = idx[slot]
-                    for j in range(self.dim):
-                        g = self.gamma(i, j, m)
-                        if g.is_zero():
-                            continue
-                        target = idx[:slot] + (j,) + idx[slot + 1 :]
-                        out.add_to((i,) + target, -(g * v))
-        return out
+        # (Dt)_{i,K} = -sum_a sum_j Gamma_{i, K_a, j} t_{K[a -> j]}, scattered from
+        # each stored entry of t against the Gamma entries ending in its index.
+        by_last = self.gamma.group_by(2)
+        acc: Dict[Tuple[int, ...], Scalar] = {}
+        for idx, v in t.coeffs.items():
+            for slot, m in enumerate(idx):
+                for (i, j, _), g in by_last.get((m,), ()):
+                    key = (i,) + idx[:slot] + (j,) + idx[slot + 1 :]
+                    p = g * v
+                    acc[key] = acc[key] - p if key in acc else -p
+        return Tensor(self.dim, t.rank + 1, acc)
 
     def derive_endomorphism(self, A: Matrix) -> List[Matrix]:
         """(D_{e_i} A)^k_j for an invariant endomorphism; list indexed by i."""
+        # (D_i A)^k_j = sum_m A^m_j Gamma_imk - Gamma_ijm A^k_m, scattered from
+        # the stored Gamma entries.
         n = self.dim
-        result = []
-        for i in range(n):
-            mat: Matrix = [[ZERO] * n for _ in range(n)]
+        result: List[Matrix] = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        for (i, a, b), g in self.gamma.coeffs.items():
+            mat = result[i]
+            row = mat[b]
             for j in range(n):
-                for k in range(n):
-                    acc = ZERO
-                    for m in range(n):
-                        acc = acc + A[m][j] * self.gamma(i, m, k)
-                        acc = acc - self.gamma(i, j, m) * A[k][m]
-                    mat[k][j] = acc
-            result.append(mat)
+                w = A[a][j]
+                if not w.is_zero():
+                    row[j] = row[j] + w * g
+            for k in range(n):
+                w = A[k][b]
+                if not w.is_zero():
+                    mat[k][a] = mat[k][a] - g * w
         return result
 
 
@@ -334,13 +331,14 @@ def levi_civita(S: AlmostHermitianStructure) -> Connection:
     2 Gamma_ijk = c_ijk - c_jki + c_kij with c_ijk = <[e_i, e_j], e_k>."""
     n = S.L.dim
     half = Scalar.rational(Fraction(1, 2))
-    gamma = Tensor(n, 3)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                v = S.L.c(i, j, k) - S.L.c(j, k, i) + S.L.c(k, i, j)
-                if not v.is_zero():
-                    gamma.set((i, j, k), half * v)
+    acc: Dict[Tuple[int, int, int], Scalar] = {}
+    # each structure constant c_pqr = v lands in Gamma_pqr, Gamma_rpq and Gamma_qrp
+    for p in range(n):
+        for q in range(n):
+            for r, v in S.L.bracket(p, q).items():
+                for key, w in (((p, q, r), v), ((r, p, q), -v), ((q, r, p), v)):
+                    acc[key] = acc[key] + w if key in acc else w
+    gamma = Tensor(n, 3, {key: half * v for key, v in acc.items() if not v.is_zero()})
     conn = Connection(n, gamma, kind="levi_civita")
     if not conn.is_metric():
         raise StructureError("Levi-Civita output is not metric")  # pragma: no cover
@@ -356,34 +354,44 @@ def intrinsic_torsion(S: AlmostHermitianStructure, nabla: Connection) -> Tensor:
     n = S.L.dim
     dJ = nabla.derive_endomorphism(S.J)
     half = Scalar.rational(Fraction(-1, 2))
-    xi = Tensor(n, 3)
-    for i in range(n):
-        A = dJ[i]
-        for j in range(n):
-            for k in range(n):
-                acc = ZERO
-                for m in range(n):
-                    if not A[m][j].is_zero() and not S.J[k][m].is_zero():
-                        acc = acc + S.J[k][m] * A[m][j]
-                if not acc.is_zero():
-                    xi.set((i, j, k), half * acc)
-    return xi
+    acc: Dict[Tuple[int, int, int], Scalar] = {}
+    for i, A in enumerate(dJ):
+        for m, row in enumerate(A):
+            for j, a in enumerate(row):
+                if a.is_zero():
+                    continue
+                for k in range(n):
+                    w = S.J[k][m]
+                    if not w.is_zero():
+                        key = (i, j, k)
+                        p = w * a
+                        acc[key] = acc[key] + p if key in acc else p
+    return Tensor(n, 3, {key: half * v for key, v in acc.items() if not v.is_zero()})
 
 
 def check_torsion_tensor(S: AlmostHermitianStructure, xi: Tensor) -> Optional[str]:
     """Both membership invariants of an intrinsic-torsion tensor; None when fine."""
     if not xi.is_antisymmetric_pair(1, 2):
         return "xi_ijk is not antisymmetric in the last two slots"
-    # J xi_X Y + xi_X (JY) = 0  <=>  sum_m xi_ijm J_km + xi_imk J_mj = 0
+    # J xi_X Y + xi_X (JY) = 0  <=>  sum_m xi_ijm J_km + J_mj xi_imk = 0, scattered
+    # from each stored entry xi_iab as the first term (j = a) and the second (k = b)
     n = S.L.dim
-    for i in range(n):
+    acc: Dict[Tuple[int, int, int], Scalar] = {}
+    for (i, a, b), v in xi.coeffs.items():
+        for k in range(n):
+            w = S.J[k][b]
+            if not w.is_zero():
+                key = (i, a, k)
+                p = v * w
+                acc[key] = acc[key] + p if key in acc else p
         for j in range(n):
-            for k in range(n):
-                acc = ZERO
-                for m in range(n):
-                    acc = acc + xi(i, j, m) * S.J[k][m] + S.J[m][j] * xi(i, m, k)
-                if not acc.is_zero():
-                    return "xi does not anticommute with J in the target slot"
+            w = S.J[a][j]
+            if not w.is_zero():
+                key = (i, j, b)
+                p = w * v
+                acc[key] = acc[key] + p if key in acc else p
+    if any(not v.is_zero() for v in acc.values()):
+        return "xi does not anticommute with J in the target slot"
     return None
 
 
@@ -404,14 +412,12 @@ def chern_connection(
 ) -> Tuple[Connection, bool]:
     """Chern connection nabla + xi^h; flag says whether it is a U(n)-connection."""
     n = S.L.dim
-    xih = Tensor(n, 3)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                v = xi(i, j, k) + xi(j, i, k) - xi(k, i, j)
-                if not v.is_zero():
-                    xih.set((i, j, k), v)
-    conn = Connection(n, nabla.gamma + xih, kind="chern")
+    # xi^h_ijk = xi_ijk + xi_jik - xi_kij; each stored xi_abc = v lands in three places
+    acc: Dict[Tuple[int, int, int], Scalar] = {}
+    for (a, b, c), v in xi.coeffs.items():
+        for key, w in (((a, b, c), v), ((b, a, c), v), ((b, c, a), -v)):
+            acc[key] = acc[key] + w if key in acc else w
+    conn = Connection(n, nabla.gamma + Tensor(n, 3, acc), kind="chern")
     dJ = conn.derive_endomorphism(S.J)
     is_unitary = all(
         all(all(entry.is_zero() for entry in row) for row in mat) for mat in dJ
