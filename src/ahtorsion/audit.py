@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction as PyFraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .curvature import Analysis, analyze, evaluate_on_J
 from .decomposition import (
@@ -40,7 +40,7 @@ from .multilinear import (
     form_inner,
     identity_matrix,
 )
-from .scalars import ONE, ZERO, Fraction, Scalar, format_scalar
+from .scalars import ONE, ZERO, Fraction, RatLike, Scalar, format_scalar
 from .structure import (
     AlmostHermitianStructure,
     build_structure,
@@ -111,21 +111,38 @@ def _merge(*objs) -> Optional[str]:
     return None
 
 
-def _tensor_from(fun: Callable[[int, int], Scalar], dim: int) -> Tensor:
-    out = Tensor(dim, 2)
-    for j in range(dim):
-        for k in range(dim):
-            v = fun(j, k)
-            if not v.is_zero():
-                out.set((j, k), v)
-    return out
+def _combine(*terms: Tuple[Union[Scalar, RatLike], Tensor]) -> Tensor:
+    """The sum of c * t over (coefficient, rank-2 tensor) terms.
+
+    Each coefficient becomes a Scalar once per term, not once per entry, and
+    every product scatters into one dict.
+    """
+    acc: Dict[Tuple[int, ...], Scalar] = {}
+    for c, t in terms:
+        c = c if isinstance(c, Scalar) else R(c)
+        unit = c == ONE
+        for k, v in t.coeffs.items():
+            p = v if unit else c * v
+            acc[k] = acc[k] + p if k in acc else p
+    return Tensor(terms[0][1].dim, 2, acc)
+
+
+def _outer(u: Form, v: Form) -> Tensor:
+    """(j, k) -> u_j v_k for two 1-forms."""
+    return u.to_tensor().tensor(v.to_tensor())
 
 
 # -- the evaluation bundle ----------------------------------------------------
 
 
 class Bundle:
-    """Everything the checks contract against, computed once per structure."""
+    """Everything the checks contract against, computed once per structure.
+
+    The checks combine whole tensors: each side of an identity is one linear
+    combination of rank-2 tensors built from these fields (``_combine``).
+    Terms derived from ``Dxi`` or ``Dth`` are built on first use, so a field
+    corrupted before a check reads it reaches that check.
+    """
 
     def __init__(self, analysis: Analysis):
         self.A = analysis
@@ -151,6 +168,7 @@ class Bundle:
         self.Dxi = self.Dxi1 + self.Dxi2 + self.Dxi3 + self.Dxi4
         self.Dth = analysis.nabla.covariant_derivative(self.theta.to_tensor())
         self.omega_t = S.omega.to_tensor()
+        self.g = Tensor(d, 2, {(i, i): ONE for i in range(d)})
         curv = analysis.curvature
         self.curv = curv
         self.dstar_theta = curv.dstar_theta
@@ -215,33 +233,26 @@ class Bundle:
                     add((p, q, k, l), v * u)
         return Tensor(self.dim, 4, acc)
 
-    def theta_sym_hessian(self, j: int, k: int) -> Scalar:
-        """Symmetrized anti-invariant Hessian combination of theta."""
-        S, d = self.S, self.dim
-        acc = self.Dth(j, k) + self.Dth(k, j)
-        for a in range(d):
-            wa_j = S.J[a][j]
-            wa_k = S.J[a][k]
-            for c in range(d):
-                if not wa_j.is_zero() and not S.J[c][k].is_zero():
-                    acc = acc - wa_j * S.J[c][k] * self.Dth(a, c)
-                if not wa_k.is_zero() and not S.J[c][j].is_zero():
-                    acc = acc - wa_k * S.J[c][j] * self.Dth(a, c)
-        return acc
+    @cached_property
+    def dth_mixed(self) -> Tensor:
+        """(nabla_X theta)(Y) + (nabla_JX theta)(JY): Dth + Dth(J., J.)."""
+        return self.Dth + self.S.rotate_bilinear(self.Dth)
 
-    def theta_hessian_mixed(self, j: int, k: int) -> Scalar:
-        """(nabla_X theta)(Y) + (nabla_JX theta)(JY) at X = e_j, Y = e_k."""
-        S, d = self.S, self.dim
-        acc = self.Dth(j, k)
-        for a in range(d):
-            wa = S.J[a][j]
-            if wa.is_zero():
-                continue
-            for b in range(d):
-                wb = S.J[b][k]
-                if not wb.is_zero():
-                    acc = acc + wa * wb * self.Dth(a, b)
-        return acc
+    @cached_property
+    def dth_sym_anti(self) -> Tensor:
+        """H + H^T for the anti-invariant Hessian part H = Dth - Dth(J., J.)."""
+        h = self.Dth - self.S.rotate_bilinear(self.Dth)
+        return h + h.transpose((1, 0))
+
+    @cached_property
+    def Dxi4vec(self) -> Tensor:
+        """(j, m) -> the e_m component of D_{e_j} of the Lee-part trace vector."""
+        mc = self.A.minimal
+        return Tensor(self.dim, 2, {
+            (j, m): x
+            for j in range(self.dim)
+            for m, x in enumerate(mc.derive_vector(j, self.xi4vec))
+        })
 
     def lam11_part(self, alpha: Form) -> Form:
         sp = split_two_form(self.S, alpha)
@@ -409,69 +420,39 @@ def check_f7(b: Bundle) -> Optional[str]:
 
 
 def check_l31a(b: Bundle) -> Optional[str]:
-    acc = ZERO
-    for j in range(b.dim):
-        dv = b.A.minimal.derive_vector(j, b.xi4vec)
-        for m in range(b.dim):
-            if not dv[m].is_zero() and not b.S.J[m][j].is_zero():
-                acc = acc + dv[m] * b.S.J[m][j]
-    return _witness(acc)
+    J = b.S.J
+    return _witness(sum((v * J[m][j] for (j, m), v in b.Dxi4vec.coeffs.items()), ZERO))
 
 
 def check_l31b(b: Bundle) -> Optional[str]:
-    S, d, n = b.S, b.dim, b.n
-    coef = R(Fraction(n - 2, n - 1))
-    dv = [b.A.minimal.derive_vector(j, b.xi4vec) for j in range(d)]
-    p12 = _pair_xi(b.xi1, b.xi2)
-    div3 = _div_trace(b.Dxi3)
-
-    def rhs(j, k):
-        v = -coef * dv[j][k] + coef * dv[k][j]
-        v = v - R(2) * div3(j, k)
-        v = v + R(2) * div3(k, j)
-        t1 = ZERO
-        t2 = ZERO
-        for a in range(d):
-            wa_j = S.J[a][j]
-            wa_k = S.J[a][k]
-            for m in range(d):
-                if not wa_j.is_zero() and not S.J[m][k].is_zero():
-                    t1 = t1 + wa_j * dv[a][m] * S.J[m][k]
-                if not wa_k.is_zero() and not S.J[m][j].is_zero():
-                    t2 = t2 + wa_k * dv[a][m] * S.J[m][j]
-        v = v - coef * t1 + coef * t2
-        v = v - R(3) * p12(j, k)
-        v = v + R(3) * p12(k, j)
-        return v
-
-    return _witness(_tensor_from(rhs, d))
+    # the right side is A - A^T
+    coef = Fraction(b.n - 2, b.n - 1)
+    a = _combine(
+        (-coef, b.Dxi4vec),
+        (-2, _div_trace(b.Dxi3)),
+        (-coef, b.S.rotate_bilinear(b.Dxi4vec)),
+        (-3, _pair_xi(b.xi1, b.xi2)),
+    )
+    return _witness(a - a.transpose((1, 0)))
 
 
 def check_l31c(b: Bundle) -> Optional[str]:
-    d, n = b.dim, b.n
-    v4 = b.xi4vec
+    n, v4 = b.n, b.xi4vec
     p31 = _pair_xi(b.xi3, b.xi1)
     p32 = _pair_xi(b.xi3, b.xi2)
-    ts1 = _trace_slot(b.Dxi1)
-    ts3 = _trace_slot(b.Dxi3)
-    ts4 = _trace_slot(b.Dxi4)
-    v4_xi1 = _xi_at_vector(b.xi1, v4)
-    v4_xi2 = _xi_at_vector(b.xi2, v4)
-    v4_xi3 = _xi_at_vector(b.xi3, v4)
-
-    def rhs(j, k):
-        v = R(3) * ts1(j, k)
-        v = v - ts3(j, k)
-        v = v + R(n - 2) * ts4(j, k)
-        v = v - p31(j, k) + p31(k, j)
-        v = v + R(Fraction(1, 2)) * p32(j, k)
-        v = v - R(Fraction(1, 2)) * p32(k, j)
-        v = v - R(Fraction(n - 5, n - 1)) * v4_xi1(j, k)
-        v = v - R(Fraction(n - 2, n - 1)) * v4_xi2(j, k)
-        v = v + v4_xi3(j, k)
-        return v
-
-    return _witness(_tensor_from(rhs, d))
+    rhs = _combine(
+        (3, _trace_slot(b.Dxi1)),
+        (-1, _trace_slot(b.Dxi3)),
+        (n - 2, _trace_slot(b.Dxi4)),
+        (-1, p31),
+        (1, p31.transpose((1, 0))),
+        (Fraction(1, 2), p32),
+        (Fraction(-1, 2), p32.transpose((1, 0))),
+        (-Fraction(n - 5, n - 1), _xi_at_vector(b.xi1, v4)),
+        (-Fraction(n - 2, n - 1), _xi_at_vector(b.xi2, v4)),
+        (1, _xi_at_vector(b.xi3, v4)),
+    )
+    return _witness(rhs)
 
 
 _PAIRS4 = [
@@ -586,33 +567,22 @@ def check_e41(b: Bundle) -> Optional[str]:
 
 
 def check_e42(b: Bundle) -> Optional[str]:
-    d, n = b.dim, b.n
-    half = R(Fraction(1, 2))
-    p11 = _pair_xi(b.xi1, b.xi1)
+    n = b.n
     p12 = _pair_xi(b.xi1, b.xi2)
-    e22 = b.pairE(b.xi2, b.xi2)
-    div3 = _div_trace(b.Dxi3)
-
-    def rhs(j, k):
-        v = R(-2) * div3(j, k)
-        v = v - R(Fraction(n - 2, 2)) * b.theta_hessian_mixed(j, k)
-        if j == k:
-            v = v + half * (b.dstar_theta + R(Fraction(2 * n - 3, 2)) * b.tn)
-        v = v + R(4) * p11(j, k)
-        v = v - R(2) * e22(j, k)
-        v = v - R(Fraction(n - 2, 4)) * (
-            b.th[j] * b.th[k] + b.jth[j] * b.jth[k]
-        )
-        v = v - R(2) * p12(j, k)
-        v = v + p12(k, j)
-        v = v + R(n - 2) * sum(
-            (b.th[t] * b.xi3(j, k, t) for t in range(d)), ZERO
-        )
-        return v
-
+    rhs = _combine(
+        (-2, _div_trace(b.Dxi3)),
+        (-Fraction(n - 2, 2), b.dth_mixed),
+        (R(Fraction(1, 2)) * (b.dstar_theta + R(Fraction(2 * n - 3, 2)) * b.tn), b.g),
+        (4, _pair_xi(b.xi1, b.xi1)),
+        (-2, b.pairE(b.xi2, b.xi2)),
+        (-Fraction(n - 2, 4), _outer(b.theta, b.theta)),
+        (-Fraction(n - 2, 4), _outer(b.jth_form, b.jth_form)),
+        (-2, p12),
+        (1, p12.transpose((1, 0))),
+        (n - 2, _xi_at_vector(b.xi3, b.th, 2)),
+    )
     sp = b.curv.diff_split
-    lhs = sp.trace_part + sp.sym_invariant_part
-    return _witness(lhs - _tensor_from(rhs, d))
+    return _witness(sp.trace_part + sp.sym_invariant_part - rhs)
 
 
 def check_l41(b: Bundle) -> Optional[str]:
@@ -627,48 +597,35 @@ def check_l41(b: Bundle) -> Optional[str]:
 
 
 def check_e44(b: Bundle) -> Optional[str]:
-    d, n = b.dim, b.n
+    n = b.n
     p13 = _pair_xi(b.xi1, b.xi3)
     p23 = _pair_xi(b.xi2, b.xi3)
-    th_xi1 = _xi_at_vector(b.xi1, b.th)
-    th_xi2 = _xi_at_vector(b.xi2, b.th)
-    ts1 = _trace_slot(b.Dxi1)
-    ts2 = _trace_slot(b.Dxi2)
-
-    def rhs(j, k):
-        v = R(2) * ts1(j, k)
-        v = v - ts2(j, k)
-        v = v + R(Fraction(n - 1, 2)) * b.dtheta_lam20(j, k)
-        v = v + p13(j, k) - p13(k, j)
-        v = v - R(n - 3) * th_xi1(j, k)
-        v = v - R(Fraction(1, 2)) * p23(j, k)
-        v = v + R(Fraction(1, 2)) * p23(k, j)
-        v = v + R(Fraction(n, 2)) * th_xi2(j, k)
-        return v
-
-    return _witness(b.ric_star_skew() - _tensor_from(rhs, d))
+    rhs = _combine(
+        (2, _trace_slot(b.Dxi1)),
+        (-1, _trace_slot(b.Dxi2)),
+        (Fraction(n - 1, 2), b.dtheta_lam20),
+        (1, p13),
+        (-1, p13.transpose((1, 0))),
+        (-(n - 3), _xi_at_vector(b.xi1, b.th)),
+        (Fraction(-1, 2), p23),
+        (Fraction(1, 2), p23.transpose((1, 0))),
+        (Fraction(n, 2), _xi_at_vector(b.xi2, b.th)),
+    )
+    return _witness(b.ric_star_skew() - rhs)
 
 
 def check_e45(b: Bundle) -> Optional[str]:
-    d, n = b.dim, b.n
-    th_xi1 = _xi_at_vector(b.xi1, b.th)
-    th_xi2 = _xi_at_vector(b.xi2, b.th)
-    th_xi3 = _xi_at_vector(b.xi3, b.th)
-    ts1 = _trace_slot(b.Dxi1)
-    ts2 = _trace_slot(b.Dxi2)
-    ts3 = _trace_slot(b.Dxi3)
-
-    def rhs(j, k):
-        v = -ts1(j, k)
-        v = v - ts2(j, k)
-        v = v + ts3(j, k)
-        v = v + R(Fraction(1, 2)) * b.dtheta_lam20(j, k)
-        v = v + R(Fraction(n - 3, 2)) * th_xi1(j, k)
-        v = v + R(Fraction(n, 2)) * th_xi2(j, k)
-        v = v - R(Fraction(n - 1, 2)) * th_xi3(j, k)
-        return v
-
-    return _witness(b.ric_star_skew() - _tensor_from(rhs, d))
+    n = b.n
+    rhs = _combine(
+        (-1, _trace_slot(b.Dxi1)),
+        (-1, _trace_slot(b.Dxi2)),
+        (1, _trace_slot(b.Dxi3)),
+        (Fraction(1, 2), b.dtheta_lam20),
+        (Fraction(n - 3, 2), _xi_at_vector(b.xi1, b.th)),
+        (Fraction(n, 2), _xi_at_vector(b.xi2, b.th)),
+        (-Fraction(n - 1, 2), _xi_at_vector(b.xi3, b.th)),
+    )
+    return _witness(b.ric_star_skew() - rhs)
 
 
 def check_sigma(b: Bundle) -> Optional[str]:
@@ -682,34 +639,26 @@ def check_p44(b: Bundle) -> Optional[str]:
     """Class-restricted form of the anti-invariant Ricci identity."""
     if b.n == 2:
         # closed form valid in dimension four
-        d = b.dim
         div2 = _div_trace(b.Dxi2)
-
-        def rhs(j, k):
-            v = -div2(j, k) - div2(k, j)
-            v = v - R(Fraction(1, 4)) * (
-                b.theta_sym_hessian(j, k)
-                + b.th[j] * b.th[k]
-                - b.jth[j] * b.jth[k]
-            )
-            return v
-
-        return _witness(b.curv.diff_split.sym_anti_part - _tensor_from(rhs, d))
+        rhs = _combine(
+            (-1, div2),
+            (-1, div2.transpose((1, 0))),
+            (Fraction(-1, 4), b.dth_sym_anti),
+            (Fraction(-1, 4), _outer(b.theta, b.theta)),
+            (Fraction(1, 4), _outer(b.jth_form, b.jth_form)),
+        )
+        return _witness(b.curv.diff_split.sym_anti_part - rhs)
     return check_sigma(b)
 
 
 def check_p43i(b: Bundle) -> Optional[str]:
-    d, n = b.dim, b.n
-    th_xi2 = _xi_at_vector(b.xi2, b.th)
-    ts2 = _trace_slot(b.Dxi2)
-
-    def rhs(j, k):
-        v = -ts2(j, k)
-        v = v + R(Fraction(n + 1, 6)) * b.dtheta_lam20(j, k)
-        v = v + R(Fraction(n, 2)) * th_xi2(j, k)
-        return v
-
-    return _witness(b.ric_star_skew() - _tensor_from(rhs, d))
+    n = b.n
+    rhs = _combine(
+        (-1, _trace_slot(b.Dxi2)),
+        (Fraction(n + 1, 6), b.dtheta_lam20),
+        (Fraction(n, 2), _xi_at_vector(b.xi2, b.th)),
+    )
+    return _witness(b.ric_star_skew() - rhs)
 
 
 def check_p43ia(b: Bundle) -> Optional[str]:
@@ -723,17 +672,12 @@ def check_p43ia(b: Bundle) -> Optional[str]:
 
 
 def check_p43ib(b: Bundle) -> Optional[str]:
-    d = b.dim
-    th_xi2 = _xi_at_vector(b.xi2, b.th)
-    ts2 = _trace_slot(b.Dxi2)
-
-    def rhs(j, k):
-        v = -ts2(j, k)
-        v = v + R(Fraction(1, 2)) * b.dtheta_lam20(j, k)
-        v = v + th_xi2(j, k)
-        return v
-
-    return _witness(b.ric_star_skew() - _tensor_from(rhs, d))
+    rhs = _combine(
+        (-1, _trace_slot(b.Dxi2)),
+        (Fraction(1, 2), b.dtheta_lam20),
+        (1, _xi_at_vector(b.xi2, b.th)),
+    )
+    return _witness(b.ric_star_skew() - rhs)
 
 
 def check_p43iia(b: Bundle) -> Optional[str]:
@@ -743,16 +687,11 @@ def check_p43iia(b: Bundle) -> Optional[str]:
     if w is not None:
         return w
     if b.n > 2:
-        d, n = b.dim, b.n
-        th_xi3 = _xi_at_vector(b.xi3, b.th)
-        ts3 = _trace_slot(b.Dxi3)
-
-        def rhs(j, k):
-            v = ts3(j, k)
-            v = v - R(Fraction(n - 1, 2)) * th_xi3(j, k)
-            return v
-
-        t = _tensor_from(rhs, d).scaled(R(Fraction(n - 1, n - 2)))
+        n = b.n
+        t = _combine(
+            (1, _trace_slot(b.Dxi3)),
+            (-Fraction(n - 1, 2), _xi_at_vector(b.xi3, b.th)),
+        ).scaled(R(Fraction(n - 1, n - 2)))
         return _witness(b.ric_star_skew() - t)
     return None
 
@@ -777,9 +716,7 @@ def check_p46i(b: Bundle) -> Optional[str]:
 
 
 def check_p46ii(b: Bundle) -> Optional[str]:
-    d = b.dim
-    S = b.S
-    ricstar_J = evaluate_on_J(S, b.curv.ric_star)
+    ricstar_J = evaluate_on_J(b.S, b.curv.ric_star)
     rho_t = b.curv.rho.to_tensor()
     r_t = b.curv.r.to_tensor()
     w = _witness(ricstar_J - rho_t)
@@ -793,61 +730,46 @@ def check_p46ii(b: Bundle) -> Optional[str]:
     if w is not None:
         return f"transfer to the minimal connection: {w}"
     parts = [b.xi1, b.xi2, b.xi3]
-    diag = [b.pairJ(a, a) for a in parts]
-    cross = [b.pairJ(parts[x], parts[y]) for x in range(3) for y in range(x + 1, 3)]
-
-    def rhs(j, k):
-        v = rmin_t(j, k)
-        for a, q in zip(parts, diag):
-            v = v + q(j, k)
-            v = v - sum(
-                (b.jth[t] * (a(j, k, t) - a(k, j, t)) for t in range(d)), ZERO
-            )
-        for q in cross:
-            v = v + q(j, k)
-            v = v - q(k, j)
-        v = v - R(Fraction(1, 4)) * b.tn * b.omega_t(j, k)
-        v = v - R(Fraction(1, 4)) * (b.th[j] * b.jth[k] - b.jth[j] * b.th[k])
-        return v
-
-    res = _tensor_from(lambda j, k: r_t(j, k) - rhs(j, k), d)
-    w = _witness(res)
+    terms = [(1, rmin_t)]
+    for a in parts:
+        x = _xi_at_vector(a, b.jth, 2)
+        terms += [(1, b.pairJ(a, a)), (-1, x), (1, x.transpose((1, 0)))]
+    for a, c in itertools.combinations(parts, 2):
+        q = b.pairJ(a, c)
+        terms += [(1, q), (-1, q.transpose((1, 0)))]
+    tj = _outer(b.theta, b.jth_form)
+    terms += [
+        (R(Fraction(-1, 4)) * b.tn, b.omega_t),
+        (Fraction(-1, 4), tj),
+        (Fraction(1, 4), tj.transpose((1, 0))),
+    ]
+    w = _witness(r_t - _combine(*terms))
     if w is not None:
         return f"componentwise expansion: {w}"
     return None
 
 
 def check_p46iii(b: Bundle) -> Optional[str]:
-    d = b.dim
-    S = b.S
     rho11 = b.lam11_part(b.curv.rho).to_tensor()
     rhomin_t = b.rho_min.to_tensor()
     w = _witness(rho11 - rhomin_t - b.pairE_J(b.xi, b.xi))
     if w is not None:
         return f"transfer to the minimal connection: {w}"
     parts = [b.xi1, b.xi2, b.xi3]
-    diag = [b.pairE_J(a, a) for a in parts]
-    cross = [b.pairE_J(parts[x], parts[y]) for x in range(3) for y in range(x + 1, 3)]
-
-    def rhs(j, k):
-        v = rhomin_t(j, k)
-        for q in diag:
-            v = v + q(j, k)
-        v = v - R(Fraction(1, 8)) * b.tn * b.omega_t(j, k)
-        for q in cross:
-            v = v + q(j, k)
-            v = v - q(k, j)
-        v = v - R(Fraction(1, 2)) * sum(
-            (b.jth[t] * (b.xi3(j, k, t) - b.xi3(k, j, t)) for t in range(d)),
-            ZERO,
-        )
-        v = v + R(Fraction(b.n - 2, 8)) * (
-            b.th[j] * b.jth[k] - b.jth[j] * b.th[k]
-        )
-        return v
-
-    res = _tensor_from(lambda j, k: rho11(j, k) - rhs(j, k), d)
-    w = _witness(res)
+    terms = [(1, rhomin_t)] + [(1, b.pairE_J(a, a)) for a in parts]
+    terms.append((R(Fraction(-1, 8)) * b.tn, b.omega_t))
+    for a, c in itertools.combinations(parts, 2):
+        q = b.pairE_J(a, c)
+        terms += [(1, q), (-1, q.transpose((1, 0)))]
+    x3 = _xi_at_vector(b.xi3, b.jth, 2)
+    tj = _outer(b.theta, b.jth_form)
+    terms += [
+        (Fraction(-1, 2), x3),
+        (Fraction(1, 2), x3.transpose((1, 0))),
+        (Fraction(b.n - 2, 8), tj),
+        (-Fraction(b.n - 2, 8), tj.transpose((1, 0))),
+    ]
+    w = _witness(rho11 - _combine(*terms))
     if w is not None:
         return f"componentwise expansion: {w}"
     return None
@@ -874,8 +796,6 @@ def check_p48ii(b: Bundle) -> Optional[str]:
     rho11 = b.lam11_part(b.curv.rho).to_tensor()
     dJth11 = b.lam11_part(dJth).to_tensor()
     rho_chern = cc.rho.to_tensor()
-    e33 = b.pairE_J(b.xi3, b.xi3)
-    j33 = b.pairJ(b.xi3, b.xi3)
 
     # (j, k) -> sum_{i,l} J_li (D xi3)_ijkl, from the stored derivative entries
     acc: Dict[Tuple[int, int], Scalar] = {}
@@ -885,62 +805,49 @@ def check_p48ii(b: Bundle) -> Optional[str]:
             p = w * u
             acc[(j, k)] = acc[(j, k)] + p if (j, k) in acc else p
     div_j = Tensor(d, 2, acc)
-
-    def rhs(j, k):
-        v = rho11(j, k)
-        v = v - div_j(j, k) + div_j(k, j)
-        v = v - R(Fraction(1, 2)) * dJth11(j, k)
-        v = v + R(Fraction(1, 2)) * b.dstar_theta * b.omega_t(j, k)
-        v = v + R(Fraction(2 * n - 1, 4)) * b.tn * b.omega_t(j, k)
-        v = v + R(Fraction(1, 4)) * (b.th[j] * b.jth[k] - b.jth[j] * b.th[k])
-        v = v + R(Fraction(n, 2)) * sum(
-            (b.jth[t] * (b.xi3(j, k, t) - b.xi3(k, j, t)) for t in range(d)),
-            ZERO,
-        )
-        v = v - R(2) * e33(j, k)
-        v = v + j33(j, k)
-        return v
-
-    return _witness(_tensor_from(lambda j, k: rho_chern(j, k) - rhs(j, k), d))
+    tj = _outer(b.theta, b.jth_form)
+    x3 = _xi_at_vector(b.xi3, b.jth, 2)
+    rhs = _combine(
+        (1, rho11),
+        (-1, div_j),
+        (1, div_j.transpose((1, 0))),
+        (Fraction(-1, 2), dJth11),
+        (R(Fraction(1, 2)) * b.dstar_theta, b.omega_t),
+        (R(Fraction(2 * n - 1, 4)) * b.tn, b.omega_t),
+        (Fraction(1, 4), tj),
+        (Fraction(-1, 4), tj.transpose((1, 0))),
+        (Fraction(n, 2), x3),
+        (-Fraction(n, 2), x3.transpose((1, 0))),
+        (-2, b.pairE_J(b.xi3, b.xi3)),
+        (1, b.pairJ(b.xi3, b.xi3)),
+    )
+    return _witness(rho_chern - rhs)
 
 
 def check_p410(b: Bundle) -> Optional[str]:
-    d, n = b.dim, b.n
-    S = b.S
+    n = b.n
     comb = b.curv.comb_split
     lhs = (comb.trace_part + comb.sym_invariant_part).scaled(R(Fraction(1, 2)))
     rmin11 = b.lam11_part(b.r_min).to_tensor()
-    p11 = _pair_xi(b.xi1, b.xi1)
-    p22 = _pair_xi(b.xi2, b.xi2)
-    p33 = _pair_xi(b.xi3, b.xi3)
     p12 = _pair_xi(b.xi1, b.xi2)
-    e22 = b.pairE(b.xi2, b.xi2)
-    div3 = _div_trace(b.Dxi3)
-
-    def rhs(j, k):
-        v = R(-2) * sum((rmin11(j, m) * S.J[m][k] for m in range(d)), ZERO)
-        v = v - div3(j, k)
-        v = v - R(Fraction(n - 2, 4)) * b.theta_hessian_mixed(j, k)
-        if j == k:
-            v = v + R(Fraction(1, 4)) * (
-                b.dstar_theta + R(Fraction(2 * n - 7, 2)) * b.tn
-            )
-        v = v + R(4) * p11(j, k)
-        v = v + R(2) * p22(j, k)
-        v = v - e22(j, k)
-        v = v - R(2) * p33(j, k)
-        v = v - R(Fraction(n - 6, 8)) * (
-            b.th[j] * b.th[k] + b.jth[j] * b.jth[k]
-        )
-        v = v + p12(j, k)
-        v = v + R(Fraction(5, 2)) * p12(k, j)
-        v = v + R(Fraction(n - 6, 2)) * sum(
-            (b.th[t] * b.xi3(j, k, t) for t in range(d)), ZERO
-        )
-        v = v - R(2) * sum((b.th[t] * b.xi3(k, j, t) for t in range(d)), ZERO)
-        return v
-
-    return _witness(lhs - _tensor_from(rhs, d))
+    x3 = _xi_at_vector(b.xi3, b.th, 2)
+    rhs = _combine(
+        (-2, evaluate_on_J(b.S, rmin11)),
+        (-1, _div_trace(b.Dxi3)),
+        (-Fraction(n - 2, 4), b.dth_mixed),
+        (R(Fraction(1, 4)) * (b.dstar_theta + R(Fraction(2 * n - 7, 2)) * b.tn), b.g),
+        (4, _pair_xi(b.xi1, b.xi1)),
+        (2, _pair_xi(b.xi2, b.xi2)),
+        (-1, b.pairE(b.xi2, b.xi2)),
+        (-2, _pair_xi(b.xi3, b.xi3)),
+        (-Fraction(n - 6, 8), _outer(b.theta, b.theta)),
+        (-Fraction(n - 6, 8), _outer(b.jth_form, b.jth_form)),
+        (1, p12),
+        (Fraction(5, 2), p12.transpose((1, 0))),
+        (Fraction(n - 6, 2), x3),
+        (-2, x3.transpose((1, 0))),
+    )
+    return _witness(lhs - rhs)
 
 
 def check_c411(b: Bundle) -> Optional[str]:
@@ -1067,13 +974,6 @@ def _needs_no_w3_n2(b: Bundle) -> Optional[str]:
     return None
 
 
-def _needs_hermitian_n3(b: Bundle) -> Optional[str]:
-    msg = _needs_hermitian(b)
-    if msg:
-        return msg
-    return None
-
-
 def _needs_hermitian_n2(b: Bundle) -> Optional[str]:
     msg = _needs_hermitian(b)
     if msg:
@@ -1122,7 +1022,7 @@ CHECKS: List[Tuple[str, str, Callable, Callable]] = [
     ("P4.3i", "anti-invariant star-Ricci without the third component", _needs_no_w3, check_p43i),
     ("P4.3ia", "anti-invariant star-Ricci for the cyclic-plus-Lee class", _needs_w1w4_any, check_p43ia),
     ("P4.3ib", "anti-invariant star-Ricci in dimension four", _needs_no_w3_n2, check_p43ib),
-    ("P4.3iia", "anti-invariant star-Ricci for integrable structures", _needs_hermitian_n3, check_p43iia),
+    ("P4.3iia", "anti-invariant star-Ricci for integrable structures", _needs_hermitian, check_p43iia),
     ("P4.3iib", "traceless invariant Ricci difference vanishes for integrable surfaces", _needs_hermitian_n2, check_p43iib),
     ("P4.4", "symmetric anti-invariant Ricci for the one-extra-component classes (corrected)", _needs_class_p44, check_p44),
     ("P4.6i", "unitary connections: invariant first Ricci form, closed second", _always, check_p46i),

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 from . import catalog
 from .audit import AuditReport, random_suite, run_suite
 from .curvature import Analysis, analyze
-from .multilinear import Form, LieAlgebra, Matrix, Tensor
+from .multilinear import Form, GeometryError, LieAlgebra, Matrix, Tensor, sort_with_sign
 from .render import format_bilinear, format_form, format_torsion
 from .scalars import ScalarError, Scalar, format_scalar, parse_scalar
 from .structure import AlmostHermitianStructure, StructureError, build_structure
@@ -152,27 +152,15 @@ def structure_from_data(data: dict, source: str = "<data>") -> AlmostHermitianSt
             if len(set(raw)) != degree:
                 raise FileFormatError(f"{ctx}: repeated index")
             v = _scalar(entry.get("c"), ctx, d, params)
-            sign, key = _sort_sign(raw)
+            key, sign = sort_with_sign(raw)
             if key in psi_plus.coeffs:
                 raise FileFormatError(f"{ctx}: duplicate entry")
             psi_plus.coeffs[key] = v if sign == 1 else -v
 
     try:
         return build_structure(L, omega, metric=metric, psi_plus=psi_plus, name=name)
-    except (StructureError, ScalarError) as exc:
+    except (GeometryError, ScalarError) as exc:
         raise FileFormatError(f"{source}: {exc}") from exc
-
-
-def _sort_sign(indices: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
-    order = sorted(indices)
-    perm = list(indices)
-    sign = 1
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                perm[a], perm[b] = perm[b], perm[a]
-                sign = -sign
-    return sign, tuple(order)
 
 
 def load_structure(path: str) -> AlmostHermitianStructure:
@@ -548,7 +536,7 @@ def _batch_one(path: str) -> Tuple[str, bool, str]:
         analysis = analyze(S)
         audit = run_suite(S, analysis)
         return path, audit.ok, report_text(analysis, audit)
-    except (FileFormatError, StructureError, ScalarError) as exc:
+    except (FileFormatError, GeometryError, ScalarError) as exc:
         return path, False, f"error: {exc}\n"
 
 

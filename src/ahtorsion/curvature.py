@@ -8,7 +8,7 @@ Chern) are handled by the same routines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .decomposition import (
@@ -21,8 +21,6 @@ from .decomposition import (
     lee_form,
     split_bilinear,
     split_torsion,
-    split_two_form,
-    TwoFormSplit,
 )
 from .multilinear import (
     Form,
@@ -150,14 +148,13 @@ def transposed_ricci_form(S: AlmostHermitianStructure, Rm: Tensor) -> Form:
 
 def evaluate_on_J(S: AlmostHermitianStructure, b: Tensor) -> Tensor:
     """(X, Y) -> b(X, JY)."""
-    dim = S.L.dim
-    out = Tensor(dim, 2)
+    acc: Dict[Tuple[int, int], Scalar] = {}
     for (j, m), v in b.coeffs.items():
-        for k in range(dim):
-            w = S.J[m][k]
+        for k, w in enumerate(S.J[m]):
             if not w.is_zero():
-                out.add_to((j, k), v * w)
-    return out
+                p = v * w
+                acc[(j, k)] = acc[(j, k)] + p if (j, k) in acc else p
+    return Tensor(b.dim, 2, acc)
 
 
 @dataclass

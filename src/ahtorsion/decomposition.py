@@ -339,13 +339,19 @@ def _pair_xi(a: Tensor, b: Tensor, slot: int = 1, J: Optional[Matrix] = None) ->
     return Tensor(a.dim, 2, acc)
 
 
-def _xi_at_vector(xi_part: Tensor, vec: List[Scalar]) -> Tensor:
-    """(j, k) -> <xi_part_{vec} e_j, e_k>."""
-    acc: Dict[Tuple[int, int], Scalar] = {}
-    for (t, j, k), v in xi_part.coeffs.items():
+def _xi_at_vector(xi_part: Tensor, vec: List[Scalar], slot: int = 0) -> Tensor:
+    """(j, k) -> xi_part with ``vec`` in ``slot`` and j, k in the other two.
+
+    With the default slot this is <xi_part_{vec} e_j, e_k>; with slot 2 it is
+    <xi_part_{e_j} e_k, vec>.
+    """
+    acc: Dict[Tuple[int, ...], Scalar] = {}
+    for idx, v in xi_part.coeffs.items():
+        t = idx[slot]
         if not vec[t].is_zero():
+            key = idx[:slot] + idx[slot + 1 :]
             p = vec[t] * v
-            acc[(j, k)] = acc[(j, k)] + p if (j, k) in acc else p
+            acc[key] = acc[key] + p if key in acc else p
     return Tensor(xi_part.dim, 2, acc)
 
 

@@ -345,11 +345,11 @@ class Tensor:
     def tensor(self, other: "Tensor") -> "Tensor":
         if self.dim != other.dim:
             raise GeometryError("dimension mismatch in tensor product")
-        out = Tensor(self.dim, self.rank + other.rank)
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                out.add_to(k1 + k2, v1 * v2)
-        return out
+        return Tensor(self.dim, self.rank + other.rank, {
+            k1 + k2: v1 * v2
+            for k1, v1 in self.coeffs.items()
+            for k2, v2 in other.coeffs.items()
+        })
 
     def contract(self, slot_a: int, slot_b: int) -> "Tensor":
         """Metric trace over two slots (orthonormal frame: equal indices)."""
@@ -381,13 +381,12 @@ class Tensor:
 
     def transpose(self, perm: Sequence[int]) -> "Tensor":
         """Reorder slots: result(i_perm[0], ..., i_perm[r-1]) = self(i_0, ..., i_{r-1})."""
-        out = Tensor(self.dim, self.rank)
-        for k, v in self.coeffs.items():
-            idx = [0] * self.rank
-            for src, dst in enumerate(perm):
-                idx[dst] = k[src]
-            out.add_to(tuple(idx), v)
-        return out
+        # a slot permutation maps distinct index tuples to distinct ones
+        inv = [0] * self.rank
+        for src, dst in enumerate(perm):
+            inv[dst] = src
+        return Tensor(self.dim, self.rank,
+                      {tuple(k[s] for s in inv): v for k, v in self.coeffs.items()})
 
     def is_antisymmetric_pair(self, a: int, b: int) -> bool:
         for k, v in self.coeffs.items():

@@ -16,8 +16,6 @@ from .multilinear import (
     LieAlgebra,
     Matrix,
     Tensor,
-    exterior_derivative,
-    identity_matrix,
     mat_inverse,
     gram_schmidt,
     sort_with_sign,

@@ -206,6 +206,36 @@ class TestCommands:
     def test_batch_empty_directory(self, tmp_path, capsys):
         assert main(["batch", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize(
+        "metric, message",
+        [
+            ([["q", "0", "0", "0"], ["0", "1", "0", "0"],
+              ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+             "metric matrix must be parameter-free"),
+            ([["1", "1", "0", "0"], ["1", "1", "0", "0"],
+              ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+             "metric is degenerate"),
+        ],
+        ids=["parametric", "degenerate"],
+    )
+    def test_rejected_metric_is_a_file_error(self, tmp_path, capsys, metric, message):
+        path = tmp_path / "bad-metric.json"
+        path.write_text(json.dumps(minimal_file(parameters=["q"], metric=metric)))
+        with pytest.raises(FileFormatError, match=message):
+            load_structure(str(path))
+        for command in ("analyze", "audit"):
+            assert main([command, str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"{path}: {message}\n"
+            assert "Traceback" not in captured.out + captured.err
+
+        # one bad file leaves the reports of the others in the directory
+        (tmp_path / "flat-kaehler-torus.json").write_text(emit_structure_file("flat-kaehler-torus"))
+        assert main(["batch", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert f"== {path} FAIL ==\nerror: {path}: {message}\n" in out
+        assert "flat-kaehler-torus.json ok ==" in out
+
 
 class TestDefinitions:
     def test_every_catalog_entry_has_a_definition(self):
