@@ -19,10 +19,11 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction as PyFraction
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .curvature import Analysis, analyze, evaluate_on_J
 from .decomposition import (
+    _combine,
     _div_trace,
     _pair_xi,
     _trace_slot,
@@ -40,10 +41,11 @@ from .multilinear import (
     form_inner,
     identity_matrix,
 )
-from .scalars import ONE, ZERO, Fraction, RatLike, Scalar, format_scalar
+from .scalars import ONE, ZERO, Fraction, Scalar, format_scalar
 from .structure import (
     AlmostHermitianStructure,
     build_structure,
+    check_torsion_tensor,
     transform_form,
 )
 
@@ -111,22 +113,6 @@ def _merge(*objs) -> Optional[str]:
     return None
 
 
-def _combine(*terms: Tuple[Union[Scalar, RatLike], Tensor]) -> Tensor:
-    """The sum of c * t over (coefficient, rank-2 tensor) terms.
-
-    Each coefficient becomes a Scalar once per term, not once per entry, and
-    every product scatters into one dict.
-    """
-    acc: Dict[Tuple[int, ...], Scalar] = {}
-    for c, t in terms:
-        c = c if isinstance(c, Scalar) else R(c)
-        unit = c == ONE
-        for k, v in t.coeffs.items():
-            p = v if unit else c * v
-            acc[k] = acc[k] + p if k in acc else p
-    return Tensor(terms[0][1].dim, 2, acc)
-
-
 def _outer(u: Form, v: Form) -> Tensor:
     """(j, k) -> u_j v_k for two 1-forms."""
     return u.to_tensor().tensor(v.to_tensor())
@@ -140,7 +126,8 @@ class Bundle:
 
     The checks combine whole tensors: each side of an identity is one linear
     combination of rank-2 tensors built from these fields (``_combine``).
-    Terms derived from ``Dxi`` or ``Dth`` are built on first use, so a field
+    Terms derived from ``Dxi``, ``Dth`` or ``jth_form`` and the
+    [lambda^{1,1}] parts of 2-forms are built on first use, so a field
     corrupted before a check reads it reaches that check.
     """
 
@@ -164,7 +151,7 @@ class Bundle:
         self.Dxi2 = mc.covariant_derivative(dec.xi2)
         self.Dxi3 = mc.covariant_derivative(dec.xi3)
         self.Dxi4 = mc.covariant_derivative(dec.xi4)
-        # D is linear and split_torsion asserts xi = xi1 + xi2 + xi3 + xi4
+        # D is linear and xi = xi1 + xi2 + xi3 + xi4 (checked by F6)
         self.Dxi = self.Dxi1 + self.Dxi2 + self.Dxi3 + self.Dxi4
         self.Dth = analysis.nabla.covariant_derivative(self.theta.to_tensor())
         self.omega_t = S.omega.to_tensor()
@@ -254,9 +241,28 @@ class Bundle:
             for m, x in enumerate(mc.derive_vector(j, self.xi4vec))
         })
 
-    def lam11_part(self, alpha: Form) -> Form:
-        sp = split_two_form(self.S, alpha)
-        return sp.r_omega_part + sp.lambda0_part
+    def _lam11(self, alpha: Form) -> Form:
+        """The [lambda^{1,1}] part (alpha + alpha(J., J.)) / 2 of a 2-form."""
+        return (alpha + self.S.rotate_two_form(alpha)).scaled(R(Fraction(1, 2)))
+
+    @cached_property
+    def dJth(self) -> Form:
+        return exterior_derivative(self.S.L, self.jth_form)
+
+    @cached_property
+    def dJth11(self) -> Form:
+        """[lambda^{1,1}] part of d(J theta)."""
+        return self._lam11(self.dJth)
+
+    @cached_property
+    def rho11(self) -> Form:
+        """[lambda^{1,1}] part of the Levi-Civita first Ricci form."""
+        return self._lam11(self.curv.rho)
+
+    @cached_property
+    def rmin11(self) -> Form:
+        """[lambda^{1,1}] part of the minimal connection's second Ricci form."""
+        return self._lam11(self.r_min)
 
     def ric_star_skew(self) -> Tensor:
         sp = self.curv.ric_star_split
@@ -290,24 +296,16 @@ class Bundle:
 
 
 def check_f1(b: Bundle) -> Optional[str]:
-    """Algebra and almost complex structure validity."""
+    """omega and J agree, and omega is J-invariant.
+
+    build_structure owns the Jacobi identity and J^2 = -Id = -J^T J.
+    """
     S = b.S
-    ok, witness = S.L.jacobi_check()
-    if not ok:
-        return f"Jacobi fails at {witness}"
-    d = b.dim
-    for i in range(d):
-        for j in range(d):
-            sq = sum((S.J[i][m] * S.J[m][j] for m in range(d)), ZERO)
-            want = R(-1) if i == j else ZERO
-            if sq != want:
-                return f"J^2 entry ({i + 1},{j + 1})"
-            orto = sum((S.J[m][i] * S.J[m][j] for m in range(d)), ZERO)
-            want = ONE if i == j else ZERO
-            if orto != want:
-                return f"J orthogonality entry ({i + 1},{j + 1})"
-            if S.omega(i, j) != S.J[i][j]:
-                return f"omega/J mismatch at ({i + 1},{j + 1})"
+    J = Tensor(b.dim, 2, {(i, j): v for i, row in enumerate(S.J) for j, v in enumerate(row)})
+    mismatch = S.omega.to_tensor() - J
+    if not mismatch.is_zero():
+        i, j = min(mismatch.coeffs)
+        return f"omega/J mismatch at ({i + 1},{j + 1})"
     rotated = S.rotate_two_form(S.omega)
     return _witness(rotated - S.omega)
 
@@ -343,8 +341,6 @@ def check_f4(b: Bundle) -> Optional[str]:
     """Intrinsic torsion invariants and its connection difference."""
     if not b.xi.is_antisymmetric_pair(1, 2):
         return "xi not skew in the last two slots"
-    from .structure import check_torsion_tensor
-
     msg = check_torsion_tensor(b.S, b.xi)
     if msg is not None:
         return msg
@@ -379,10 +375,16 @@ def check_f6(b: Bundle) -> Optional[str]:
     if w is not None:
         return f"components do not sum to xi: {w}"
     parts = [b.xi1, b.xi2, b.xi3, b.xi4]
+    for k, part in enumerate(parts):
+        msg = check_torsion_tensor(b.S, part)
+        if msg is not None:
+            return f"component W{k + 1}: {msg}"
     for x in range(4):
         for y in range(x + 1, 4):
             if not parts[x].inner(parts[y]).is_zero():
                 return f"components {x + 1} and {y + 1} not orthogonal"
+    if b.n == 2 and (not b.xi1.is_zero() or not b.xi3.is_zero()):
+        return "W1 and W3 must vanish in dimension four"
     lhs = b.norms["W4"]
     rhs = R(Fraction(b.n - 1, 2)) * b.tn
     if lhs != rhs:
@@ -405,9 +407,7 @@ def check_f7(b: Bundle) -> Optional[str]:
     w = _witness(exterior_derivative(b.S.L, b.A.dtheta.dtheta))
     if w is not None:
         return f"d(d theta) != 0: {w}"
-    w = _witness(b.A.dtheta.split.r_omega_part)
-    if w is not None:
-        return f"omega-trace part of d theta: {w}"
+    # the torsion-trace route to theta: sum_i (xi_{e_i} e_i)^flat = ((n-1)/2) theta
     trace = Form(b.dim, 1)
     two = R(Fraction(2, b.n - 1))
     for k, acc in enumerate(contract_trace_vector(b.xi)):
@@ -750,7 +750,7 @@ def check_p46ii(b: Bundle) -> Optional[str]:
 
 
 def check_p46iii(b: Bundle) -> Optional[str]:
-    rho11 = b.lam11_part(b.curv.rho).to_tensor()
+    rho11 = b.rho11.to_tensor()
     rhomin_t = b.rho_min.to_tensor()
     w = _witness(rho11 - rhomin_t - b.pairE_J(b.xi, b.xi))
     if w is not None:
@@ -777,24 +777,18 @@ def check_p46iii(b: Bundle) -> Optional[str]:
 
 def check_p48i(b: Bundle) -> Optional[str]:
     cc = b.curv.chern
-    dJth = exterior_derivative(b.S.L, b.jth_form)
-    w = _witness(cc.r - b.r_min - dJth.scaled(R(Fraction(b.n - 1, 2))))
+    w = _witness(cc.r - b.r_min - b.dJth.scaled(R(Fraction(b.n - 1, 2))))
     if w is not None:
         return w
-    return _witness(
-        cc.r
-        - b.lam11_part(b.r_min)
-        - b.lam11_part(dJth).scaled(R(Fraction(b.n - 1, 2)))
-    )
+    return _witness(cc.r - b.rmin11 - b.dJth11.scaled(R(Fraction(b.n - 1, 2))))
 
 
 def check_p48ii(b: Bundle) -> Optional[str]:
     d, n = b.dim, b.n
     S = b.S
     cc = b.curv.chern
-    dJth = exterior_derivative(S.L, b.jth_form)
-    rho11 = b.lam11_part(b.curv.rho).to_tensor()
-    dJth11 = b.lam11_part(dJth).to_tensor()
+    rho11 = b.rho11.to_tensor()
+    dJth11 = b.dJth11.to_tensor()
     rho_chern = cc.rho.to_tensor()
 
     # (j, k) -> sum_{i,l} J_li (D xi3)_ijkl, from the stored derivative entries
@@ -828,7 +822,7 @@ def check_p410(b: Bundle) -> Optional[str]:
     n = b.n
     comb = b.curv.comb_split
     lhs = (comb.trace_part + comb.sym_invariant_part).scaled(R(Fraction(1, 2)))
-    rmin11 = b.lam11_part(b.r_min).to_tensor()
+    rmin11 = b.rmin11.to_tensor()
     p12 = _pair_xi(b.xi1, b.xi2)
     x3 = _xi_at_vector(b.xi3, b.th, 2)
     rhs = _combine(

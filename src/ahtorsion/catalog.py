@@ -1,175 +1,327 @@
-"""Built-in example structures.
+"""Structure files and the built-in example structures.
 
-Each entry rebuilds its structure from scratch so callers can mutate the
-result freely.  The two solvable surfaces and the nilmanifold carry the full
-golden data used in the tests; the torus and the twisted product of two round
-3-spheres cover the extreme classes (Kaehler and nearly Kaehler).
+A structure file is a JSON object naming a Lie algebra with an invariant
+metric and Kaehler form; the catalog documents below are complete examples of
+the grammar.  All scalar values are exact literals in the grammar of the
+scalars module, never floats, and indices are 1-based.
+
+Each catalog entry is one such document, and ``build()`` parses it afresh, so
+callers can mutate the result freely.  The two solvable surfaces and the
+nilmanifold carry the full golden data used in the tests; the torus and the
+twisted product of two round 3-spheres cover the extreme classes (Kaehler and
+nearly Kaehler).
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .multilinear import Form, LieAlgebra, Matrix
-from .scalars import Fraction, ONE, Scalar, ZERO
-from .structure import AlmostHermitianStructure, build_structure
-
-R = Scalar.rational
+from .multilinear import Form, GeometryError, LieAlgebra, Matrix, sort_with_sign
+from .scalars import Scalar, ScalarError, parse_scalar
+from .structure import AlmostHermitianStructure, StructureError, build_structure
 
 
-def _form(dim: int, entries: List[Tuple[Tuple[int, ...], Scalar]]) -> Form:
-    """Form from 1-based index tuples."""
-    degree = len(entries[0][0])
-    return Form(
-        dim, degree, {tuple(i - 1 for i in idx): c for idx, c in entries}
-    )
+class FileFormatError(ValueError):
+    """A structure file that does not follow the grammar."""
+
+
+# -- structure files -----------------------------------------------------------
+
+
+def _scalar(value, ctx: str, d: int, params, parsed: Dict[str, Scalar]) -> Scalar:
+    """Parse a literal once per document: ``parsed`` maps each literal seen to its
+    Scalar, which is immutable and so safe to share."""
+    if not isinstance(value, str):
+        raise FileFormatError(f"{ctx}: scalar values must be literal strings")
+    s = parsed.get(value)
+    if s is None:
+        try:
+            s = parsed[value] = parse_scalar(value, d=d, parameters=params)
+        except ScalarError as exc:
+            raise FileFormatError(f"{ctx}: {exc}") from exc
+    return s
+
+
+def _index(value, ctx: str, dim: int) -> int:
+    if not isinstance(value, int) or not 1 <= value <= dim:
+        raise FileFormatError(f"{ctx}: index {value!r} is not in 1..{dim}")
+    return value - 1
+
+
+def structure_from_data(data: dict, source: str = "<data>") -> AlmostHermitianStructure:
+    """Validate and build a structure from decoded structure-file JSON."""
+    if not isinstance(data, dict):
+        raise FileFormatError(f"{source}: top level must be a JSON object")
+    dim = data.get("dimension")
+    if not isinstance(dim, int) or dim < 4 or dim % 2:
+        raise FileFormatError(f"{source}: dimension must be an even integer >= 4")
+    name = data.get("name", source)
+    params = tuple(data.get("parameters", ()))
+    if not all(isinstance(p, str) for p in params):
+        raise FileFormatError(f"{source}: parameters must be a list of names")
+    d = data.get("sqrt_extension", 0)
+    if not isinstance(d, int) or d < 0:
+        raise FileFormatError(f"{source}: sqrt_extension must be a nonnegative integer")
+    parsed: Dict[str, Scalar] = {}
+
+    brackets: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
+    for pos, entry in enumerate(data.get("brackets", [])):
+        ctx = f"{source}: brackets[{pos}]"
+        if not isinstance(entry, dict):
+            raise FileFormatError(f"{ctx}: expected an object")
+        i = _index(entry.get("i"), ctx, dim)
+        j = _index(entry.get("j"), ctx, dim)
+        if i >= j:
+            raise FileFormatError(f"{ctx}: requires i < j (state each bracket once)")
+        if (i, j) in brackets:
+            raise FileFormatError(f"{ctx}: duplicate bracket ({i + 1},{j + 1})")
+        coeffs = entry.get("coeffs")
+        if not isinstance(coeffs, dict) or not coeffs:
+            raise FileFormatError(f"{ctx}: coeffs must be a nonempty object")
+        row: Dict[int, Scalar] = {}
+        for key, lit in coeffs.items():
+            try:
+                k = int(key)
+            except ValueError:
+                raise FileFormatError(f"{ctx}: coefficient key {key!r} is not an index")
+            k = _index(k, ctx, dim)
+            row[k] = _scalar(lit, ctx, d, params, parsed)
+        brackets[(i, j)] = row
+    try:
+        L = LieAlgebra(dim, brackets, parameters=params, extension_d=d)
+    except (StructureError, ScalarError, ValueError) as exc:
+        raise FileFormatError(f"{source}: {exc}") from exc
+
+    entries = data.get("kaehler_form")
+    if not isinstance(entries, list) or not entries:
+        raise FileFormatError(f"{source}: kaehler_form must be a nonempty list")
+    omega = Form(dim, 2)
+    for pos, entry in enumerate(entries):
+        ctx = f"{source}: kaehler_form[{pos}]"
+        if not isinstance(entry, dict):
+            raise FileFormatError(f"{ctx}: expected an object")
+        i = _index(entry.get("i"), ctx, dim)
+        j = _index(entry.get("j"), ctx, dim)
+        if i == j:
+            raise FileFormatError(f"{ctx}: repeated index {i + 1}")
+        v = _scalar(entry.get("c"), ctx, d, params, parsed)
+        key, sign = (i, j), v
+        if i > j:
+            key, sign = (j, i), -v
+        if key in omega.coeffs:
+            raise FileFormatError(f"{ctx}: duplicate entry for e^{key[0]+1}{key[1]+1}")
+        omega.coeffs[key] = sign
+
+    metric_data = data.get("metric", "identity")
+    metric: Optional[Matrix] = None
+    if metric_data != "identity":
+        if (
+            not isinstance(metric_data, list)
+            or len(metric_data) != dim
+            or any(not isinstance(row, list) or len(row) != dim for row in metric_data)
+        ):
+            raise FileFormatError(
+                f"{source}: metric must be \"identity\" or a {dim}x{dim} matrix"
+            )
+        metric = [
+            [
+                _scalar(metric_data[i][j], f"{source}: metric[{i}][{j}]", d, params, parsed)
+                for j in range(dim)
+            ]
+            for i in range(dim)
+        ]
+        for i in range(dim):
+            for j in range(dim):
+                if metric[i][j] != metric[j][i]:
+                    raise FileFormatError(f"{source}: metric is not symmetric")
+
+    psi_plus = None
+    cv = data.get("complex_volume")
+    if cv is not None:
+        if not isinstance(cv, dict) or "psi_plus" not in cv:
+            raise FileFormatError(f"{source}: complex_volume must hold psi_plus")
+        degree = dim // 2
+        psi_plus = Form(dim, degree)
+        for pos, entry in enumerate(cv["psi_plus"]):
+            ctx = f"{source}: complex_volume.psi_plus[{pos}]"
+            idx = entry.get("indices") if isinstance(entry, dict) else None
+            if not isinstance(idx, list) or len(idx) != degree:
+                raise FileFormatError(f"{ctx}: indices must list {degree} entries")
+            raw = tuple(_index(k, ctx, dim) for k in idx)
+            if len(set(raw)) != degree:
+                raise FileFormatError(f"{ctx}: repeated index")
+            v = _scalar(entry.get("c"), ctx, d, params, parsed)
+            key, sign = sort_with_sign(raw)
+            if key in psi_plus.coeffs:
+                raise FileFormatError(f"{ctx}: duplicate entry")
+            psi_plus.coeffs[key] = v if sign == 1 else -v
+
+    # build_structure checks the Jacobi identity before it changes frame, so a
+    # witness names the file's own indices
+    try:
+        return build_structure(L, omega, metric=metric, psi_plus=psi_plus, name=name)
+    except (GeometryError, ScalarError) as exc:
+        raise FileFormatError(f"{source}: {exc}") from exc
+
+
+def load_structure(path: str) -> AlmostHermitianStructure:
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(
+            f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
+        ) from exc
+    return structure_from_data(data, source=path)
+
+
+# -- the catalog -----------------------------------------------------------------
 
 
 @dataclass
 class CatalogEntry:
-    name: str
     description: str
-    build: Callable[[], AlmostHermitianStructure]
+    document: dict  # a structure file, decoded
 
+    @property
+    def name(self) -> str:
+        return self.document["name"]
 
-def _solvable_surface() -> AlmostHermitianStructure:
-    L = LieAlgebra(
-        4,
-        {
-            (0, 3): {0: R(-1)},
-            (1, 3): {2: R(-1)},
-            (2, 3): {2: R(-1)},
-        },
-    )
-    omega = _form(4, [((3, 1), ONE), ((4, 2), ONE)])
-    psi_plus = _form(4, [((1, 2), ONE), ((4, 3), ONE)])
-    return build_structure(L, omega, psi_plus=psi_plus, name="example-5.1")
-
-
-def _inoue_surface() -> AlmostHermitianStructure:
-    q = Scalar.parameter("q")
-    L = LieAlgebra(
-        4,
-        {
-            (1, 2): {0: R(-1)},
-            (1, 3): {1: R(-1)},
-            (2, 3): {0: -q, 2: ONE},
-        },
-        parameters=("q",),
-    )
-    omega = _form(4, [((2, 1), ONE), ((4, 3), ONE)])
-    psi_plus = _form(4, [((1, 3), ONE), ((2, 4), R(-1))])
-    return build_structure(L, omega, psi_plus=psi_plus, name="example-5.2")
-
-
-def _hermitian_nilmanifold() -> AlmostHermitianStructure:
-    r3 = Scalar.root(3)
-    half = R(Fraction(1, 2))
-    L = LieAlgebra(
-        6,
-        {
-            (0, 1): {4: R(-1)},
-            (0, 3): {5: R(-1)},
-            (1, 2): {5: R(-1)},
-        },
-        extension_d=3,
-    )
-    omega = _form(
-        6,
-        [
-            ((6, 5), ONE),
-            ((3, 1), -half),
-            ((4, 1), r3 * half),
-            ((4, 2), half),
-            ((3, 2), r3 * half),
-        ],
-    )
-    psi_plus = _form(
-        6,
-        [
-            ((1, 2, 5), ONE),
-            ((3, 4, 5), ONE),
-            ((1, 4, 6), -half),
-            ((2, 3, 6), -half),
-            ((2, 4, 6), r3 * half),
-            ((1, 3, 6), -(r3 * half)),
-        ],
-    )
-    return build_structure(L, omega, psi_plus=psi_plus, name="example-5.4")
-
-
-def _flat_torus() -> AlmostHermitianStructure:
-    L = LieAlgebra(4, {})
-    omega = _form(4, [((1, 2), ONE), ((3, 4), ONE)])
-    psi_plus = _form(4, [((1, 3), ONE), ((4, 2), ONE)])
-    return build_structure(L, omega, psi_plus=psi_plus, name="flat-kaehler-torus")
-
-
-def _nearly_kaehler_s3s3() -> AlmostHermitianStructure:
-    """su(2) + su(2) with the twisted metric and canonical J.
-
-    Basis (X1, X2, X3, Y1, Y2, Y3); the metric pairs X_i with Y_i through
-    the off-diagonal block -1/2, and J X_i = (X_i + 2 Y_i)/sqrt(3).
-    """
-    r3 = Scalar.root(3)
-    brackets: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-    for base in (0, 3):
-        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            brackets[(base + i, base + j)] = {base + k: ONE}
-    L = LieAlgebra(6, brackets, extension_d=3)
-    G: Matrix = [[ZERO] * 6 for _ in range(6)]
-    mh = R(Fraction(-1, 2))
-    for i in range(3):
-        G[i][i] = ONE
-        G[3 + i][3 + i] = ONE
-        G[i][3 + i] = mh
-        G[3 + i][i] = mh
-    # omega(U, V) = <U, JV> in the (X, Y) basis
-    J6: List[List[Scalar]] = [[ZERO] * 6 for _ in range(6)]
-    inv3 = ONE / r3
-    for i in range(3):
-        J6[i][i] = inv3
-        J6[3 + i][i] = R(2) * inv3
-        J6[i][3 + i] = R(-2) * inv3
-        J6[3 + i][3 + i] = -inv3
-    coeffs = {}
-    for a in range(6):
-        for b in range(a + 1, 6):
-            acc = ZERO
-            for m in range(6):
-                acc = acc + G[a][m] * J6[m][b]
-            if not acc.is_zero():
-                coeffs[(a, b)] = acc
-    omega = Form(6, 2, coeffs)
-    return build_structure(L, omega, metric=G, name="nearly-kaehler-s3s3")
+    def build(self) -> AlmostHermitianStructure:
+        """A freshly built structure, parsed from the entry's document."""
+        return structure_from_data(self.document, source=self.name)
 
 
 ENTRIES: List[CatalogEntry] = [
     CatalogEntry(
-        "example-5.1",
         "solvable 4-dimensional Lie algebra, locally conformal Kaehler (W4)",
-        _solvable_surface,
+        {
+            "name": "example-5.1",
+            "dimension": 4,
+            "brackets": [
+                {"i": 1, "j": 4, "coeffs": {"1": "-1"}},
+                {"i": 2, "j": 4, "coeffs": {"3": "-1"}},
+                {"i": 3, "j": 4, "coeffs": {"3": "-1"}},
+            ],
+            "kaehler_form": [
+                {"i": 3, "j": 1, "c": "1"},
+                {"i": 4, "j": 2, "c": "1"},
+            ],
+            "complex_volume": {
+                "psi_plus": [
+                    {"indices": [1, 2], "c": "1"},
+                    {"indices": [4, 3], "c": "1"},
+                ]
+            },
+        },
     ),
     CatalogEntry(
-        "example-5.2",
         "Inoue-surface algebra with parameter q, Hermitian of type W4",
-        _inoue_surface,
+        {
+            "name": "example-5.2",
+            "dimension": 4,
+            "parameters": ["q"],
+            "brackets": [
+                {"i": 2, "j": 3, "coeffs": {"1": "-1"}},
+                {"i": 2, "j": 4, "coeffs": {"2": "-1"}},
+                {"i": 3, "j": 4, "coeffs": {"1": "-q", "3": "1"}},
+            ],
+            "kaehler_form": [
+                {"i": 2, "j": 1, "c": "1"},
+                {"i": 4, "j": 3, "c": "1"},
+            ],
+            "complex_volume": {
+                "psi_plus": [
+                    {"indices": [1, 3], "c": "1"},
+                    {"indices": [2, 4], "c": "-1"},
+                ]
+            },
+        },
     ),
     CatalogEntry(
-        "example-5.4",
         "6-dimensional nilmanifold algebra, Hermitian of type W3 + W4",
-        _hermitian_nilmanifold,
+        {
+            "name": "example-5.4",
+            "dimension": 6,
+            "sqrt_extension": 3,
+            "brackets": [
+                {"i": 1, "j": 2, "coeffs": {"5": "-1"}},
+                {"i": 1, "j": 4, "coeffs": {"6": "-1"}},
+                {"i": 2, "j": 3, "coeffs": {"6": "-1"}},
+            ],
+            "kaehler_form": [
+                {"i": 6, "j": 5, "c": "1"},
+                {"i": 3, "j": 1, "c": "-1/2"},
+                {"i": 4, "j": 1, "c": "1/2*r"},
+                {"i": 4, "j": 2, "c": "1/2"},
+                {"i": 3, "j": 2, "c": "1/2*r"},
+            ],
+            "complex_volume": {
+                "psi_plus": [
+                    {"indices": [1, 2, 5], "c": "1"},
+                    {"indices": [3, 4, 5], "c": "1"},
+                    {"indices": [1, 4, 6], "c": "-1/2"},
+                    {"indices": [2, 3, 6], "c": "-1/2"},
+                    {"indices": [2, 4, 6], "c": "1/2*r"},
+                    {"indices": [1, 3, 6], "c": "-1/2*r"},
+                ]
+            },
+        },
     ),
     CatalogEntry(
-        "flat-kaehler-torus",
         "abelian algebra with the standard Kaehler structure",
-        _flat_torus,
+        {
+            "name": "flat-kaehler-torus",
+            "dimension": 4,
+            "brackets": [],
+            "kaehler_form": [
+                {"i": 1, "j": 2, "c": "1"},
+                {"i": 3, "j": 4, "c": "1"},
+            ],
+            "complex_volume": {
+                "psi_plus": [
+                    {"indices": [1, 3], "c": "1"},
+                    {"indices": [4, 2], "c": "1"},
+                ]
+            },
+        },
     ),
+    # su(2) + su(2) with the twisted metric and canonical J.  Basis (X1, X2,
+    # X3, Y1, Y2, Y3): the metric pairs X_i with Y_i through the off-diagonal
+    # block -1/2, and J X_i = (X_i + 2 Y_i)/sqrt(3), so omega(U, V) = <U, JV>
+    # gives omega(X_i, Y_i) = -sqrt(3)/2.
     CatalogEntry(
-        "nearly-kaehler-s3s3",
         "su(2) + su(2) with the canonical nearly Kaehler structure (W1)",
-        _nearly_kaehler_s3s3,
+        {
+            "name": "nearly-kaehler-s3s3",
+            "dimension": 6,
+            "sqrt_extension": 3,
+            "brackets": [
+                {"i": 1, "j": 2, "coeffs": {"3": "1"}},
+                {"i": 2, "j": 3, "coeffs": {"1": "1"}},
+                {"i": 1, "j": 3, "coeffs": {"2": "-1"}},
+                {"i": 4, "j": 5, "coeffs": {"6": "1"}},
+                {"i": 5, "j": 6, "coeffs": {"4": "1"}},
+                {"i": 4, "j": 6, "coeffs": {"5": "-1"}},
+            ],
+            "metric": [
+                ["1", "0", "0", "-1/2", "0", "0"],
+                ["0", "1", "0", "0", "-1/2", "0"],
+                ["0", "0", "1", "0", "0", "-1/2"],
+                ["-1/2", "0", "0", "1", "0", "0"],
+                ["0", "-1/2", "0", "0", "1", "0"],
+                ["0", "0", "-1/2", "0", "0", "1"],
+            ],
+            "kaehler_form": [
+                {"i": 1, "j": 4, "c": "-1/2*r"},
+                {"i": 2, "j": 5, "c": "-1/2*r"},
+                {"i": 3, "j": 6, "c": "-1/2*r"},
+            ],
+        },
     ),
 ]
 

@@ -1,10 +1,9 @@
-"""Command line interface: structure files, reports, and batch runs.
+"""Command line interface: reports, audits and batch runs over structure files.
 
-A structure file is a JSON object naming a Lie algebra with an invariant
-metric and Kaehler form; see DEFINITIONS below for complete examples of the
-grammar.  All scalar values are exact literals in the grammar of the scalars
-module, never floats.  The process exits nonzero exactly when a file fails to
-parse or an identity audit fails.
+The structure-file grammar and the catalog documents, which are complete
+examples of it, live in the catalog module.  The process exits nonzero
+exactly when a file fails to parse, a report cannot be written, or an
+identity audit fails.
 """
 
 from __future__ import annotations
@@ -14,283 +13,16 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import catalog
 from .audit import AuditReport, random_suite, run_suite
+from .catalog import FileFormatError, load_structure
 from .curvature import Analysis, analyze
-from .multilinear import Form, GeometryError, LieAlgebra, Matrix, Tensor, sort_with_sign
+from .multilinear import Form, GeometryError, Tensor
 from .render import format_bilinear, format_form, format_torsion
-from .scalars import ScalarError, Scalar, format_scalar, parse_scalar
-from .structure import AlmostHermitianStructure, StructureError, build_structure
-
-
-class FileFormatError(ValueError):
-    """A structure file that does not follow the grammar."""
-
-
-# -- structure files -----------------------------------------------------------
-
-
-def _scalar(value, ctx: str, d: int, params) -> Scalar:
-    if not isinstance(value, str):
-        raise FileFormatError(f"{ctx}: scalar values must be literal strings")
-    try:
-        return parse_scalar(value, d=d, parameters=params)
-    except ScalarError as exc:
-        raise FileFormatError(f"{ctx}: {exc}") from exc
-
-
-def _index(value, ctx: str, dim: int) -> int:
-    if not isinstance(value, int) or not 1 <= value <= dim:
-        raise FileFormatError(f"{ctx}: index {value!r} is not in 1..{dim}")
-    return value - 1
-
-
-def structure_from_data(data: dict, source: str = "<data>") -> AlmostHermitianStructure:
-    """Validate and build a structure from decoded structure-file JSON."""
-    if not isinstance(data, dict):
-        raise FileFormatError(f"{source}: top level must be a JSON object")
-    dim = data.get("dimension")
-    if not isinstance(dim, int) or dim < 4 or dim % 2:
-        raise FileFormatError(f"{source}: dimension must be an even integer >= 4")
-    name = data.get("name", source)
-    params = tuple(data.get("parameters", ()))
-    if not all(isinstance(p, str) for p in params):
-        raise FileFormatError(f"{source}: parameters must be a list of names")
-    d = data.get("sqrt_extension", 0)
-    if not isinstance(d, int) or d < 0:
-        raise FileFormatError(f"{source}: sqrt_extension must be a nonnegative integer")
-
-    brackets: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-    for pos, entry in enumerate(data.get("brackets", [])):
-        ctx = f"{source}: brackets[{pos}]"
-        if not isinstance(entry, dict):
-            raise FileFormatError(f"{ctx}: expected an object")
-        i = _index(entry.get("i"), ctx, dim)
-        j = _index(entry.get("j"), ctx, dim)
-        if i >= j:
-            raise FileFormatError(f"{ctx}: requires i < j (state each bracket once)")
-        if (i, j) in brackets:
-            raise FileFormatError(f"{ctx}: duplicate bracket ({i + 1},{j + 1})")
-        coeffs = entry.get("coeffs")
-        if not isinstance(coeffs, dict) or not coeffs:
-            raise FileFormatError(f"{ctx}: coeffs must be a nonempty object")
-        row: Dict[int, Scalar] = {}
-        for key, lit in coeffs.items():
-            try:
-                k = int(key)
-            except ValueError:
-                raise FileFormatError(f"{ctx}: coefficient key {key!r} is not an index")
-            k = _index(k, ctx, dim)
-            row[k] = _scalar(lit, ctx, d, params)
-        brackets[(i, j)] = row
-    try:
-        L = LieAlgebra(dim, brackets, parameters=params, extension_d=d)
-    except (StructureError, ScalarError, ValueError) as exc:
-        raise FileFormatError(f"{source}: {exc}") from exc
-    ok, witness = L.jacobi_check()
-    if not ok:
-        raise FileFormatError(f"{source}: Jacobi identity fails at {witness}")
-
-    entries = data.get("kaehler_form")
-    if not isinstance(entries, list) or not entries:
-        raise FileFormatError(f"{source}: kaehler_form must be a nonempty list")
-    omega = Form(dim, 2)
-    for pos, entry in enumerate(entries):
-        ctx = f"{source}: kaehler_form[{pos}]"
-        if not isinstance(entry, dict):
-            raise FileFormatError(f"{ctx}: expected an object")
-        i = _index(entry.get("i"), ctx, dim)
-        j = _index(entry.get("j"), ctx, dim)
-        if i == j:
-            raise FileFormatError(f"{ctx}: repeated index {i + 1}")
-        v = _scalar(entry.get("c"), ctx, d, params)
-        key, sign = (i, j), v
-        if i > j:
-            key, sign = (j, i), -v
-        if key in omega.coeffs:
-            raise FileFormatError(f"{ctx}: duplicate entry for e^{key[0]+1}{key[1]+1}")
-        omega.coeffs[key] = sign
-
-    metric_data = data.get("metric", "identity")
-    metric: Optional[Matrix] = None
-    if metric_data != "identity":
-        if (
-            not isinstance(metric_data, list)
-            or len(metric_data) != dim
-            or any(not isinstance(row, list) or len(row) != dim for row in metric_data)
-        ):
-            raise FileFormatError(
-                f"{source}: metric must be \"identity\" or a {dim}x{dim} matrix"
-            )
-        metric = [
-            [
-                _scalar(metric_data[i][j], f"{source}: metric[{i}][{j}]", d, params)
-                for j in range(dim)
-            ]
-            for i in range(dim)
-        ]
-        for i in range(dim):
-            for j in range(dim):
-                if metric[i][j] != metric[j][i]:
-                    raise FileFormatError(f"{source}: metric is not symmetric")
-
-    psi_plus = None
-    cv = data.get("complex_volume")
-    if cv is not None:
-        if not isinstance(cv, dict) or "psi_plus" not in cv:
-            raise FileFormatError(f"{source}: complex_volume must hold psi_plus")
-        degree = dim // 2
-        psi_plus = Form(dim, degree)
-        for pos, entry in enumerate(cv["psi_plus"]):
-            ctx = f"{source}: complex_volume.psi_plus[{pos}]"
-            idx = entry.get("indices") if isinstance(entry, dict) else None
-            if not isinstance(idx, list) or len(idx) != degree:
-                raise FileFormatError(f"{ctx}: indices must list {degree} entries")
-            raw = tuple(_index(k, ctx, dim) for k in idx)
-            if len(set(raw)) != degree:
-                raise FileFormatError(f"{ctx}: repeated index")
-            v = _scalar(entry.get("c"), ctx, d, params)
-            key, sign = sort_with_sign(raw)
-            if key in psi_plus.coeffs:
-                raise FileFormatError(f"{ctx}: duplicate entry")
-            psi_plus.coeffs[key] = v if sign == 1 else -v
-
-    try:
-        return build_structure(L, omega, metric=metric, psi_plus=psi_plus, name=name)
-    except (GeometryError, ScalarError) as exc:
-        raise FileFormatError(f"{source}: {exc}") from exc
-
-
-def load_structure(path: str) -> AlmostHermitianStructure:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(
-            f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
-        ) from exc
-    return structure_from_data(data, source=path)
-
-
-# -- catalog definitions in the file grammar ------------------------------------
-
-DEFINITIONS: Dict[str, dict] = {
-    "example-5.1": {
-        "name": "example-5.1",
-        "dimension": 4,
-        "brackets": [
-            {"i": 1, "j": 4, "coeffs": {"1": "-1"}},
-            {"i": 2, "j": 4, "coeffs": {"3": "-1"}},
-            {"i": 3, "j": 4, "coeffs": {"3": "-1"}},
-        ],
-        "kaehler_form": [
-            {"i": 3, "j": 1, "c": "1"},
-            {"i": 4, "j": 2, "c": "1"},
-        ],
-        "complex_volume": {
-            "psi_plus": [
-                {"indices": [1, 2], "c": "1"},
-                {"indices": [4, 3], "c": "1"},
-            ]
-        },
-    },
-    "example-5.2": {
-        "name": "example-5.2",
-        "dimension": 4,
-        "parameters": ["q"],
-        "brackets": [
-            {"i": 2, "j": 3, "coeffs": {"1": "-1"}},
-            {"i": 2, "j": 4, "coeffs": {"2": "-1"}},
-            {"i": 3, "j": 4, "coeffs": {"1": "-q", "3": "1"}},
-        ],
-        "kaehler_form": [
-            {"i": 2, "j": 1, "c": "1"},
-            {"i": 4, "j": 3, "c": "1"},
-        ],
-        "complex_volume": {
-            "psi_plus": [
-                {"indices": [1, 3], "c": "1"},
-                {"indices": [2, 4], "c": "-1"},
-            ]
-        },
-    },
-    "example-5.4": {
-        "name": "example-5.4",
-        "dimension": 6,
-        "sqrt_extension": 3,
-        "brackets": [
-            {"i": 1, "j": 2, "coeffs": {"5": "-1"}},
-            {"i": 1, "j": 4, "coeffs": {"6": "-1"}},
-            {"i": 2, "j": 3, "coeffs": {"6": "-1"}},
-        ],
-        "kaehler_form": [
-            {"i": 6, "j": 5, "c": "1"},
-            {"i": 3, "j": 1, "c": "-1/2"},
-            {"i": 4, "j": 1, "c": "1/2*r"},
-            {"i": 4, "j": 2, "c": "1/2"},
-            {"i": 3, "j": 2, "c": "1/2*r"},
-        ],
-        "complex_volume": {
-            "psi_plus": [
-                {"indices": [1, 2, 5], "c": "1"},
-                {"indices": [3, 4, 5], "c": "1"},
-                {"indices": [1, 4, 6], "c": "-1/2"},
-                {"indices": [2, 3, 6], "c": "-1/2"},
-                {"indices": [2, 4, 6], "c": "1/2*r"},
-                {"indices": [1, 3, 6], "c": "-1/2*r"},
-            ]
-        },
-    },
-    "flat-kaehler-torus": {
-        "name": "flat-kaehler-torus",
-        "dimension": 4,
-        "brackets": [],
-        "kaehler_form": [
-            {"i": 1, "j": 2, "c": "1"},
-            {"i": 3, "j": 4, "c": "1"},
-        ],
-        "complex_volume": {
-            "psi_plus": [
-                {"indices": [1, 3], "c": "1"},
-                {"indices": [4, 2], "c": "1"},
-            ]
-        },
-    },
-    "nearly-kaehler-s3s3": {
-        "name": "nearly-kaehler-s3s3",
-        "dimension": 6,
-        "sqrt_extension": 3,
-        "brackets": [
-            {"i": 1, "j": 2, "coeffs": {"3": "1"}},
-            {"i": 2, "j": 3, "coeffs": {"1": "1"}},
-            {"i": 1, "j": 3, "coeffs": {"2": "-1"}},
-            {"i": 4, "j": 5, "coeffs": {"6": "1"}},
-            {"i": 5, "j": 6, "coeffs": {"4": "1"}},
-            {"i": 4, "j": 6, "coeffs": {"5": "-1"}},
-        ],
-        "metric": [
-            ["1", "0", "0", "-1/2", "0", "0"],
-            ["0", "1", "0", "0", "-1/2", "0"],
-            ["0", "0", "1", "0", "0", "-1/2"],
-            ["-1/2", "0", "0", "1", "0", "0"],
-            ["0", "-1/2", "0", "0", "1", "0"],
-            ["0", "0", "-1/2", "0", "0", "1"],
-        ],
-        "kaehler_form": [
-            {"i": 1, "j": 4, "c": "-1/2*r"},
-            {"i": 2, "j": 5, "c": "-1/2*r"},
-            {"i": 3, "j": 6, "c": "-1/2*r"},
-        ],
-    },
-}
-
-
-def emit_structure_file(name: str) -> str:
-    return json.dumps(DEFINITIONS[name], indent=2) + "\n"
+from .scalars import ScalarError, format_scalar
+from .structure import AlmostHermitianStructure
 
 
 # -- reports --------------------------------------------------------------------
@@ -485,7 +217,11 @@ def cmd_analyze(args) -> int:
             docs.append(report_text(analysis, audit))
     out = "\n".join(docs) + ("\n" if args.report == "json" else "")
     if args.out:
-        Path(args.out).write_text(out)
+        try:
+            Path(args.out).write_text(out)
+        except OSError as exc:
+            print(f"{args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(out)
     return status

@@ -383,7 +383,7 @@ def analyze(S: AlmostHermitianStructure) -> Analysis:
     """Everything the reports and the identity audit need, computed once."""
     nabla = levi_civita(S)
     xi = intrinsic_torsion(S, nabla)
-    theta = lee_form(S, xi)
+    theta = lee_form(S)
     dec = split_torsion(S, xi, theta)
     minimal = minimal_connection(S, nabla, xi)
     gh = classify(dec)

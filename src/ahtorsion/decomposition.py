@@ -1,19 +1,19 @@
 """Type decomposition of the intrinsic torsion and U(n)-splits of small tensors.
 
 Everything here is linear algebra over the exact scalar ring: eigenspace
-projections for the four torsion classes, the Lee form by two independent
-routes, and the J-eigenspace splits of 2-forms and bilinear forms that the
-curvature identities are phrased in.
+projections for the four torsion classes, the Lee form, and the J-eigenspace
+splits of 2-forms and bilinear forms that the curvature identities are
+phrased in.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .multilinear import Form, Matrix, Tensor, codifferential, exterior_derivative, form_inner
-from .scalars import ONE, ZERO, Fraction, Scalar, format_scalar, rational_roots
+from .scalars import ONE, ZERO, Fraction, RatLike, Scalar, format_scalar, rational_roots
 from .structure import AlmostHermitianStructure, Connection, StructureError
 
 
@@ -24,33 +24,18 @@ class DecompositionError(StructureError):
 # -- Lee form ---------------------------------------------------------------
 
 
-def lee_form(S: AlmostHermitianStructure, xi: Tensor) -> Form:
-    """theta = -(1/(n-1)) J d*omega, cross-checked against the torsion trace.
+def lee_form(S: AlmostHermitianStructure) -> Form:
+    """theta = -(1/(n-1)) J d*omega.
 
-    The trace route uses sum_i (xi_{e_i} e_i)^flat = ((n-1)/2) theta.  Both
-    routes must agree exactly; a mismatch means a sign convention is broken
-    somewhere upstream, which is worth a hard stop rather than bad output.
+    The audit's F7 checks it against the second route through the torsion
+    trace, sum_i (xi_{e_i} e_i)^flat = ((n-1)/2) theta.
     """
     n = S.n
     if n < 2:
         raise DecompositionError("the Lee form needs dimension at least 4")
     dstar = codifferential(S.L, S.omega, S.vol)
     inv = Scalar.rational(Fraction(-1, n - 1))
-    theta = S.J_oneform(dstar).scaled(inv)
-
-    two = Scalar.rational(Fraction(2, n - 1))
-    dim = S.L.dim
-    trace = Form(dim, 1)
-    for k, acc in enumerate(contract_trace_vector(xi)):
-        if not acc.is_zero():
-            trace.coeffs[(k,)] = two * acc
-    if theta != trace:
-        raise DecompositionError(
-            "Lee form routes disagree: "
-            f"codifferential gives {sorted(theta.coeffs.items())}, "
-            f"torsion trace gives {sorted(trace.coeffs.items())}"
-        )
-    return theta
+    return S.J_oneform(dstar).scaled(inv)
 
 
 # -- Gray-Hervella split ----------------------------------------------------
@@ -122,9 +107,12 @@ class TorsionDecomposition:
 def split_torsion(
     S: AlmostHermitianStructure, xi: Tensor, theta: Form
 ) -> TorsionDecomposition:
-    """Split xi into the four irreducible pieces and verify the split."""
-    from .structure import check_torsion_tensor
+    """Split xi into the four irreducible pieces.
 
+    The audit's F6 checks the split: the pieces sum to xi, each is an
+    intrinsic-torsion tensor, they are pairwise orthogonal, and W1 and W3
+    vanish in dimension four.
+    """
     half = Scalar.rational(Fraction(1, 2))
     t_xi = _t_involution(S, xi)
     plus = (xi + t_xi).scaled(half)
@@ -134,40 +122,9 @@ def split_torsion(
     xi3 = plus - xi4
     xi1 = _cyclic_part(minus)
     xi2 = minus - xi1
-
-    dec = TorsionDecomposition(
-        xi1,
-        xi2,
-        xi3,
-        xi4,
-        theta,
-        norms={
-            "W1": xi1.inner(xi1),
-            "W2": xi2.inner(xi2),
-            "W3": xi3.inner(xi3),
-            "W4": xi4.inner(xi4),
-        },
-    )
-
-    # Structural checks: reconstruction, membership, pairwise orthogonality,
-    # and the degenerate classes in dimension four.
-    if xi1 + xi2 + xi3 + xi4 != xi:
-        raise DecompositionError("torsion components do not sum back to xi")
-    for label, part in dec.parts():
-        msg = check_torsion_tensor(S, part)
-        if msg is not None:
-            raise DecompositionError(f"component {label}: {msg}")
-    labelled = dec.parts()
-    for a in range(4):
-        for b in range(a + 1, 4):
-            if not labelled[a][1].inner(labelled[b][1]).is_zero():
-                raise DecompositionError(
-                    f"components {labelled[a][0]} and {labelled[b][0]} "
-                    "are not orthogonal"
-                )
-    if S.n == 2 and (not xi1.is_zero() or not xi3.is_zero()):
-        raise DecompositionError("W1 and W3 must vanish in dimension four")
-    return dec
+    norms = {label: part.inner(part)
+             for label, part in (("W1", xi1), ("W2", xi2), ("W3", xi3), ("W4", xi4))}
+    return TorsionDecomposition(xi1, xi2, xi3, xi4, theta, norms)
 
 
 @dataclass
@@ -304,6 +261,22 @@ class DThetaReport:
     lambda20_residual: Optional[Tensor]
 
 
+def _combine(*terms: Tuple[Union[Scalar, RatLike], Tensor]) -> Tensor:
+    """The sum of c * t over (coefficient, rank-2 tensor) terms.
+
+    Each coefficient becomes a Scalar once per term, not once per entry, and
+    every product scatters into one dict.
+    """
+    acc: Dict[Tuple[int, ...], Scalar] = {}
+    for c, t in terms:
+        c = c if isinstance(c, Scalar) else Scalar.rational(c)
+        unit = c == ONE
+        for k, v in t.coeffs.items():
+            p = v if unit else c * v
+            acc[k] = acc[k] + p if k in acc else p
+    return Tensor(terms[0][1].dim, 2, acc)
+
+
 def _div_trace(Dxi: Tensor) -> Tensor:
     """(j, k) -> sum_i <(nabla^{U(n)}_{e_i} xi_part)_{e_j} e_k, e_i>."""
     return Dxi.contract(0, 3)
@@ -363,80 +336,48 @@ def dtheta_report(
 ) -> DThetaReport:
     """Components of dtheta and the two torsion-side expressions for them.
 
-    The R-omega component must vanish on every structure; this is asserted
-    here, in the pipeline, not only in tests.  For n = 2 the two displayed
-    right sides carry the factor (n-2)/2 = 0 and the report flags them
-    trivial instead of dividing by zero.
+    The R-omega component vanishes on every structure; the audit's P3.4R
+    checks it.  For n = 2 the two displayed right sides carry the factor
+    (n-2)/2 = 0 and the report flags them trivial instead of dividing by zero.
     """
-    dim = S.L.dim
     n = S.n
     dtheta = exterior_derivative(S.L, theta)
     split = split_two_form(S, dtheta)
-    if not split.r_omega_part.is_zero():
-        raise DecompositionError(
-            "the R omega component of dtheta must vanish identically"
-        )
+    if n == 2:
+        return DThetaReport(dtheta, split, True, None, None)
 
-    theta_sharp = [theta.coeffs.get((k,), ZERO) for k in range(dim)]
+    theta_sharp = [theta.coeffs.get((k,), ZERO) for k in range(S.L.dim)]
     Dxi1 = minimal.covariant_derivative(dec.xi1)
     Dxi3 = minimal.covariant_derivative(dec.xi3)
-
-    half_nm2 = Scalar.rational(Fraction(n - 2, 2))
+    half_nm2 = Fraction(n - 2, 2)
+    div3 = _div_trace(Dxi3)
     p12 = _pair_xi(dec.xi1, dec.xi2)
     p31 = _pair_xi(dec.xi3, dec.xi1)
     p32 = _pair_xi(dec.xi3, dec.xi2)
-    div3 = _div_trace(Dxi3)
-    ts1 = _trace_slot(Dxi1)
-    ts3 = _trace_slot(Dxi3)
-    th1 = _xi_at_vector(dec.xi1, theta_sharp)
-    th3 = _xi_at_vector(dec.xi3, theta_sharp)
-    lam0_res = Tensor(dim, 2)
-    lam20_res = Tensor(dim, 2)
-    lam0_t = split.lambda0_part.to_tensor()
-    lam20_t = split.lambda20_part.to_tensor()
-    for j in range(dim):
-        for k in range(dim):
-            # [lambda_0^{1,1}] identity of the dtheta proposition
-            rhs = -div3(j, k) + div3(k, j)
-            xi3_jk = sum(
-                (
-                    (dec.xi3(j, k, t) - dec.xi3(k, j, t)) * theta_sharp[t]
-                    for t in range(dim)
-                ),
-                ZERO,
-            )
-            rhs = rhs + half_nm2 * xi3_jk
-            rhs = rhs + Scalar.rational(Fraction(-3, 2)) * p12(j, k)
-            rhs = rhs + Scalar.rational(Fraction(3, 2)) * p12(k, j)
-            v = half_nm2 * lam0_t(j, k) - rhs
-            if not v.is_zero():
-                lam0_res.set((j, k), v)
-
-            # [[lambda^{2,0}]] identity
-            rhs2 = (
-                Scalar.rational(-3) * ts1(j, k)
-                + ts3(j, k)
-                + p31(j, k)
-                - p31(k, j)
-                - Scalar.rational(Fraction(1, 2)) * p32(j, k)
-                + Scalar.rational(Fraction(1, 2)) * p32(k, j)
-            )
-            rhs2 = rhs2 + Scalar.rational(
-                Fraction(3 * (n - 3), 2)
-            ) * th1(j, k)
-            rhs2 = rhs2 - Scalar.rational(Fraction(n - 1, 2)) * th3(j, k)
-            v2 = half_nm2 * lam20_t(j, k) - rhs2
-            if not v2.is_zero():
-                lam20_res.set((j, k), v2)
-
-    trivial = n == 2
-    return DThetaReport(
-        dtheta,
-        split,
-        trivial,
-        None if trivial else lam0_res,
-        None if trivial else lam20_res,
+    x3 = _xi_at_vector(dec.xi3, theta_sharp, 2)
+    # [lambda_0^{1,1}] identity of the dtheta proposition, as left side - right side
+    lam0_res = _combine(
+        (half_nm2, split.lambda0_part.to_tensor()),
+        (1, div3),
+        (-1, div3.transpose((1, 0))),
+        (-half_nm2, x3),
+        (half_nm2, x3.transpose((1, 0))),
+        (Fraction(3, 2), p12),
+        (Fraction(-3, 2), p12.transpose((1, 0))),
     )
+    # [[lambda^{2,0}]] identity
+    lam20_res = _combine(
+        (half_nm2, split.lambda20_part.to_tensor()),
+        (3, _trace_slot(Dxi1)),
+        (-1, _trace_slot(Dxi3)),
+        (-1, p31),
+        (1, p31.transpose((1, 0))),
+        (Fraction(1, 2), p32),
+        (Fraction(-1, 2), p32.transpose((1, 0))),
+        (-Fraction(3 * (n - 3), 2), _xi_at_vector(dec.xi1, theta_sharp)),
+        (Fraction(n - 1, 2), _xi_at_vector(dec.xi3, theta_sharp)),
+    )
+    return DThetaReport(dtheta, split, False, lam0_res, lam20_res)
 
 
 # -- characterization helpers ------------------------------------------------

@@ -389,10 +389,13 @@ class Tensor:
                       {tuple(k[s] for s in inv): v for k, v in self.coeffs.items()})
 
     def is_antisymmetric_pair(self, a: int, b: int) -> bool:
-        for k, v in self.coeffs.items():
-            kk = list(k)
-            kk[a], kk[b] = kk[b], kk[a]
-            if self(*kk) != -v:
+        """Whether swapping slots a and b negates the tensor: each stored entry
+        and the one at its swapped index must sum to zero."""
+        a, b = min(a, b), max(a, b)
+        coeffs = self.coeffs
+        for k, v in coeffs.items():
+            w = coeffs.get(k[:a] + (k[b],) + k[a + 1 : b] + (k[a],) + k[b + 1 :])
+            if w is None or not (v + w).is_zero():
                 return False
         return True
 

@@ -157,42 +157,42 @@ def build_structure(
 
     ``metric`` is None for the identity (the basis is declared orthonormal);
     otherwise it is orthonormalized exactly and every piece of data is
-    rewritten in the new frame.
+    rewritten in the new frame.  The Jacobi identity is checked first, in the
+    basis given, so its witness names the caller's (1-based) indices.
     """
     n2 = L.dim
+    ok, witness = L.jacobi_check()
+    if not ok:
+        raise StructureError(
+            f"Jacobi identity fails at indices {tuple(i + 1 for i in witness)}"
+        )
     if metric is not None:
         P = gram_schmidt(metric, L.extension_d)
         L = transform_algebra(L, P)
         omega = transform_form(omega, P)
         if psi_plus is not None:
             psi_plus = transform_form(psi_plus, P)
-    ok, witness = L.jacobi_check()
-    if not ok:
-        raise StructureError(f"Jacobi identity fails at indices {witness}")
 
     # J recovered by raising: in the orthonormal frame J^i_j = omega(e_i, e_j)
-    J: Matrix = [[omega(i, j) for j in range(n2)] for i in range(n2)]
+    J: Matrix = [[ZERO] * n2 for _ in range(n2)]
+    for (i, j), v in omega.coeffs.items():
+        J[i][j] = v
+        J[j][i] = -v
 
-    # J^2 = -Id
-    for i in range(n2):
-        for j in range(n2):
-            acc = ZERO
-            for m in range(n2):
-                acc = acc + J[i][m] * J[m][j]
-            want = Scalar.rational(-1) if i == j else ZERO
-            if acc != want:
-                raise StructureError(
-                    "omega does not define an almost complex structure (J^2 != -Id)"
-                )
-    # <JX, JY> = <X, Y>, i.e. J^T J = Id
-    for i in range(n2):
-        for j in range(n2):
-            acc = ZERO
-            for m in range(n2):
-                acc = acc + J[m][i] * J[m][j]
-            want = ONE if i == j else ZERO
-            if acc != want:
-                raise StructureError("J is not metric-compatible (<JX,JY> != <X,Y>)")
+    # J^2 = -Id, scattered from the stored entries.  J is skew (J^T = -J), so
+    # J^T J = -J^2 and this one test also gives <JX, JY> = <X, Y>.
+    rows = [[(m, v) for m, v in enumerate(row) if not v.is_zero()] for row in J]
+    minus_one = -ONE
+    for i, row in enumerate(rows):
+        acc: Dict[int, Scalar] = {}
+        for m, a in row:
+            for j, b in rows[m]:
+                p = a * b
+                acc[j] = acc[j] + p if j in acc else p
+        if any(not v.is_zero() for j, v in acc.items() if j != i) or acc.get(i) != minus_one:
+            raise StructureError(
+                "omega does not define an almost complex structure (J^2 != -Id)"
+            )
 
     n = n2 // 2
     vol = kaehler_volume(omega, n)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ahtorsion import audit
+from ahtorsion import audit, curvature, decomposition
 from ahtorsion.audit import (
     AuditReport,
     IdentityCheck,
@@ -15,6 +15,9 @@ from ahtorsion.audit import (
     run_suite,
 )
 from ahtorsion.catalog import ENTRIES, get
+from ahtorsion.curvature import analyze
+from ahtorsion.decomposition import TwoFormSplit
+from ahtorsion.multilinear import Form, Tensor
 from ahtorsion.scalars import ONE, Scalar, ZERO
 
 R = Scalar.rational
@@ -107,3 +110,47 @@ class TestReporting:
         assert isinstance(rep, AuditReport)
         assert all(isinstance(c, IdentityCheck) for c in rep.checks)
         assert all(c.status in ("pass", "fail", "skip") for c in rep.checks)
+
+
+class TestCheckOwners:
+    """The pipeline computes; the audit alone verifies these invariants."""
+
+    def test_f6_reports_a_component_outside_its_class(self):
+        b = audit.Bundle(analyze(get("example-5.1").build()))
+        assert audit.check_f6(b) is None
+        # skew in the last two slots but not anticommuting with J, added to
+        # xi and xi2 alike so that the components still sum to xi
+        delta = Tensor(4, 3, {(0, 0, 1): ONE, (0, 1, 0): -ONE})
+        b.xi, b.xi2 = b.xi + delta, b.xi2 + delta
+        assert audit.check_f6(b) == (
+            "component W2: xi does not anticommute with J in the target slot"
+        )
+
+    def test_f6_reports_w3_in_dimension_four(self):
+        b = audit.Bundle(analyze(get("example-5.1").build()))
+        b.xi3, b.xi4 = b.xi3 + b.xi4, Tensor(4, 3)
+        assert audit.check_f6(b) == "W1 and W3 must vanish in dimension four"
+
+    def test_p34r_alone_reports_an_omega_trace_in_dtheta(self, monkeypatch):
+        real = decomposition.split_two_form
+
+        def with_trace(S, alpha):
+            sp = real(S, alpha)
+            return TwoFormSplit(sp.r_omega_part + S.omega, sp.lambda0_part, sp.lambda20_part)
+
+        S = get("example-5.1").build()
+        monkeypatch.setattr(decomposition, "split_two_form", with_trace)
+        A = analyze(S)
+        monkeypatch.undo()
+        rep = run_suite(S, A)
+        assert [(c.identifier, c.detail) for c in rep.failures] == [
+            ("P3.4R", "coefficient (1, 3): -1")
+        ]
+
+    def test_f7_reports_a_lee_form_off_the_torsion_trace(self, monkeypatch):
+        real = curvature.lee_form
+        monkeypatch.setattr(curvature, "lee_form", lambda S: real(S) + Form.basis(4, (0,)))
+        S = get("example-5.1").build()
+        rep = run_suite(S, analyze(S))
+        f7 = next(c for c in rep.checks if c.identifier == "F7")
+        assert (f7.status, f7.detail) == ("fail", "coefficient (1,): -1")

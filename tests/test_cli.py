@@ -1,19 +1,15 @@
 """Structure files, report emission, and the command line entry points."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from ahtorsion.catalog import ENTRIES, get
-from ahtorsion.cli import (
-    DEFINITIONS,
-    FileFormatError,
-    emit_structure_file,
-    load_structure,
-    main,
-    structure_from_data,
-)
+from ahtorsion.catalog import ENTRIES, get, structure_from_data
+from ahtorsion.cli import FileFormatError, load_structure, main
 from ahtorsion.scalars import parse_scalar
+
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "catalog"
 
 
 def minimal_file(**overrides):
@@ -30,23 +26,11 @@ def minimal_file(**overrides):
     return data
 
 
-class TestParsing:
-    @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.name)
-    def test_parse_emit_identity_on_catalog(self, entry):
-        built = entry.build()
-        parsed = structure_from_data(
-            json.loads(emit_structure_file(entry.name)), source=entry.name
-        )
-        assert parsed.L._brackets == built.L._brackets
-        assert parsed.L.extension_d == built.L.extension_d
-        assert parsed.L.parameters == built.L.parameters
-        assert parsed.omega == built.omega
-        assert parsed.J == built.J
-        assert parsed.vol == built.vol
-        assert parsed.psi_plus == built.psi_plus
-        assert parsed.psi_minus == built.psi_minus
-        assert parsed.name == built.name
+def structure_file(name: str) -> str:
+    return json.dumps(get(name).document, indent=2) + "\n"
 
+
+class TestParsing:
     def test_minimal_file_builds_flat_torus(self):
         S = structure_from_data(minimal_file())
         assert S.L.dim == 4 and S.n == 2
@@ -79,6 +63,23 @@ class TestParsing:
         )
         with pytest.raises(FileFormatError, match="Jacobi"):
             structure_from_data(bad)
+
+    def test_jacobi_witness_names_the_file_indices_under_a_metric(self):
+        # [e1, e2] = e1 and [e1, e3] = e4 fail Jacobi on (e1, e2, e3) in the e4
+        # component.  The metric's orthonormal frame has f4 = e4 - e1, where
+        # the first failing component would be f1; the witness stays in the
+        # file's basis.
+        bad = minimal_file(
+            brackets=[
+                {"i": 1, "j": 2, "coeffs": {"1": "1"}},
+                {"i": 1, "j": 3, "coeffs": {"4": "1"}},
+            ],
+            metric=[["1", "0", "0", "1"], ["0", "1", "0", "0"],
+                    ["0", "0", "1", "0"], ["1", "0", "0", "2"]],
+        )
+        with pytest.raises(FileFormatError) as info:
+            structure_from_data(bad, source="bad.json")
+        assert str(info.value) == "bad.json: Jacobi identity fails at indices (1, 2, 3, 4)"
 
     def test_duplicate_bracket_rejected(self):
         bad = minimal_file(
@@ -131,7 +132,7 @@ class TestCommands:
 
     def test_analyze_file_target(self, tmp_path, capsys):
         path = tmp_path / "example-5.4.json"
-        path.write_text(emit_structure_file("example-5.4"))
+        path.write_text(structure_file("example-5.4"))
         assert main(["analyze", str(path), "--report", "text"]) == 0
         out = capsys.readouterr().out
         assert "theta = -(1/2*r)*e^5" in out
@@ -153,6 +154,22 @@ class TestCommands:
         data = json.loads(target.read_text())
         assert data["classification"]["label"] == "Kaehler"
 
+    def test_unwritable_out_file_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        code = main(
+            ["analyze", "--catalog", "flat-kaehler-torus", "--report", "json", "--out", str(target)]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"{target}: No such file or directory\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.name)
+    def test_json_report_matches_the_golden_bytes(self, entry, tmp_path):
+        target = tmp_path / "report.json"
+        assert main(["analyze", "--catalog", entry.name, "--report", "json", "--out", str(target)]) == 0
+        assert target.read_bytes() == (GOLDEN / f"{entry.name}.json").read_bytes()
+
     def test_analyze_broken_file_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{")
@@ -169,7 +186,7 @@ class TestCommands:
 
     def test_batch_reports_per_file_and_exit_status(self, tmp_path, capsys):
         for name in ("example-5.1", "flat-kaehler-torus"):
-            (tmp_path / f"{name}.json").write_text(emit_structure_file(name))
+            (tmp_path / f"{name}.json").write_text(structure_file(name))
         assert main(["batch", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert out.count("ok ==") == 2
@@ -230,7 +247,7 @@ class TestCommands:
             assert "Traceback" not in captured.out + captured.err
 
         # one bad file leaves the reports of the others in the directory
-        (tmp_path / "flat-kaehler-torus.json").write_text(emit_structure_file("flat-kaehler-torus"))
+        (tmp_path / "flat-kaehler-torus.json").write_text(structure_file("flat-kaehler-torus"))
         assert main(["batch", str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert f"== {path} FAIL ==\nerror: {path}: {message}\n" in out
@@ -238,9 +255,11 @@ class TestCommands:
 
 
 class TestDefinitions:
-    def test_every_catalog_entry_has_a_definition(self):
-        assert set(DEFINITIONS) == {e.name for e in ENTRIES}
-
     def test_definitions_are_valid_json_documents(self):
-        for name in DEFINITIONS:
-            json.loads(emit_structure_file(name))
+        for entry in ENTRIES:
+            assert json.loads(structure_file(entry.name)) == entry.document
+
+    def test_build_returns_a_fresh_structure(self):
+        entry = get("example-5.1")
+        entry.build().omega.coeffs.clear()
+        assert not entry.build().omega.is_zero()

@@ -26,7 +26,7 @@ def analysis(request):
 
 class TestLeeForm:
     def test_routes_agree_by_construction(self, analysis):
-        # lee_form raises when the codifferential and trace routes split
+        # the audit's F7 fails when the codifferential and trace routes split
         S = analysis.structure
         dim = S.L.dim
         two = R(Fraction(2, S.n - 1))

@@ -19,10 +19,15 @@ from pathlib import Path
 import pytest
 
 from ahtorsion import audit
-from ahtorsion.catalog import ENTRIES, get
-from ahtorsion.cli import structure_from_data
+from ahtorsion.catalog import ENTRIES, get, structure_from_data
 from ahtorsion.curvature import analyze
-from ahtorsion.decomposition import _div_trace, _pair_xi, _trace_slot, _xi_at_vector
+from ahtorsion.decomposition import (
+    _div_trace,
+    _pair_xi,
+    _trace_slot,
+    _xi_at_vector,
+    split_two_form,
+)
 from ahtorsion.multilinear import Tensor, exterior_derivative
 from ahtorsion.scalars import ZERO, Fraction, Scalar
 
@@ -43,6 +48,12 @@ def _tensor_from(fun, dim: int) -> Tensor:
             if not v.is_zero():
                 out.set((j, k), v)
     return out
+
+
+def lam11(b, alpha):
+    """The [lambda^{1,1}] part of a 2-form through the three-piece split."""
+    sp = split_two_form(b.S, alpha)
+    return sp.r_omega_part + sp.lambda0_part
 
 
 def theta_sym_hessian(b, j, k):
@@ -281,7 +292,7 @@ def ref_p46ii(b):
 
 def ref_p46iii(b):
     d = b.dim
-    rho11 = b.lam11_part(b.curv.rho).to_tensor()
+    rho11 = lam11(b, b.curv.rho).to_tensor()
     rhomin_t = b.rho_min.to_tensor()
     parts = [b.xi1, b.xi2, b.xi3]
     diag = [b.pairE_J(a, a) for a in parts]
@@ -309,8 +320,8 @@ def ref_p48ii(b):
     S = b.S
     cc = b.curv.chern
     dJth = exterior_derivative(S.L, b.jth_form)
-    rho11 = b.lam11_part(b.curv.rho).to_tensor()
-    dJth11 = b.lam11_part(dJth).to_tensor()
+    rho11 = lam11(b, b.curv.rho).to_tensor()
+    dJth11 = lam11(b, dJth).to_tensor()
     rho_chern = cc.rho.to_tensor()
     e33 = b.pairE_J(b.xi3, b.xi3)
     j33 = b.pairJ(b.xi3, b.xi3)
@@ -343,7 +354,7 @@ def ref_p410(b):
     S = b.S
     comb = b.curv.comb_split
     lhs = (comb.trace_part + comb.sym_invariant_part).scaled(R(Fraction(1, 2)))
-    rmin11 = b.lam11_part(b.r_min).to_tensor()
+    rmin11 = lam11(b, b.r_min).to_tensor()
     p11 = _pair_xi(b.xi1, b.xi1)
     p22 = _pair_xi(b.xi2, b.xi2)
     p33 = _pair_xi(b.xi3, b.xi3)

@@ -19,8 +19,8 @@ from pathlib import Path
 import pytest
 
 from ahtorsion import audit
-from ahtorsion.catalog import ENTRIES, get
-from ahtorsion.cli import report_data, structure_from_data
+from ahtorsion.catalog import ENTRIES, get, structure_from_data
+from ahtorsion.cli import report_data
 from ahtorsion.curvature import analyze, riemann
 from ahtorsion.decomposition import _div_trace, _pair_xi, _trace_slot, _xi_at_vector
 from ahtorsion.multilinear import Tensor
