@@ -41,7 +41,7 @@ from .multilinear import (
     form_inner,
     identity_matrix,
 )
-from .scalars import ONE, ZERO, Fraction, Scalar, format_scalar
+from .scalars import HALF, ONE, ZERO, Accumulator, Fraction, Scalar, format_scalar
 from .structure import (
     AlmostHermitianStructure,
     build_structure,
@@ -152,7 +152,7 @@ class Bundle:
         self.Dxi3 = mc.covariant_derivative(dec.xi3)
         self.Dxi4 = mc.covariant_derivative(dec.xi4)
         # D is linear and xi = xi1 + xi2 + xi3 + xi4 (checked by F6)
-        self.Dxi = self.Dxi1 + self.Dxi2 + self.Dxi3 + self.Dxi4
+        self.Dxi = _combine((1, self.Dxi1), (1, self.Dxi2), (1, self.Dxi3), (1, self.Dxi4))
         self.Dth = analysis.nabla.covariant_derivative(self.theta.to_tensor())
         self.omega_t = S.omega.to_tensor()
         self.g = Tensor(d, 2, {(i, i): ONE for i in range(d)})
@@ -190,35 +190,32 @@ class Bundle:
         built from stored entries only, once per bundle.
         """
         xi = self.xi
-        acc: Dict[Tuple[int, ...], Scalar] = {}
-
-        def add(key, p):
-            acc[key] = acc[key] + p if key in acc else p
-
+        acc = Accumulator()
+        add = acc.add
         for (a, c, k, l), v in self.Dxi.coeffs.items():
             if a < c:
                 add((a, c, k, l), v)
             elif c < a:
-                add((c, a, k, l), -v)
+                add((c, a, k, l), v, sign=-1)
         # xi_a e_c - xi_c e_a = sum_m w_m e_m: a stored xi_pqm with p != q adds
         # to w for the pair (p, q), negated when p > q
         by_first = xi.group_by(0)
         for (p, q, m), v in xi.coeffs.items():
             if p == q:
                 continue
-            pair, w = ((p, q), v) if p < q else ((q, p), -v)
+            pair, sign = ((p, q), 1) if p < q else ((q, p), -1)
             for (_, k, l), u in by_first.get((m,), ()):
-                add(pair + (k, l), w * u)
+                add(pair + (k, l), v, u, sign)
         # <xi_q xi_p e_k, e_l> = sum_m xi_pkm xi_qml enters [xi_a, xi_c] with a
         # plus sign for (a, c) = (q, p) and a minus sign for (a, c) = (p, q)
         by_mid = xi.group_by(1)
         for (p, k, m), v in xi.coeffs.items():
             for (q, _, l), u in by_mid.get((m,), ()):
                 if q < p:
-                    add((q, p, k, l), -(v * u))
+                    add((q, p, k, l), v, u, -1)
                 elif p < q:
-                    add((p, q, k, l), v * u)
-        return Tensor(self.dim, 4, acc)
+                    add((p, q, k, l), v, u)
+        return Tensor(self.dim, 4, acc.result())
 
     @cached_property
     def dth_mixed(self) -> Tensor:
@@ -243,7 +240,7 @@ class Bundle:
 
     def _lam11(self, alpha: Form) -> Form:
         """The [lambda^{1,1}] part (alpha + alpha(J., J.)) / 2 of a 2-form."""
-        return (alpha + self.S.rotate_two_form(alpha)).scaled(R(Fraction(1, 2)))
+        return (alpha + self.S.rotate_two_form(alpha)).scaled(HALF)
 
     @cached_property
     def dJth(self) -> Form:
@@ -273,23 +270,22 @@ class Bundle:
 
         2 sum_i (-(D xi)_ijki + (D xi)_jiki) + 2 sum_{i,m} (-xi_ijm + xi_jim) xi_mki.
         """
-        acc: Dict[Tuple[int, int], Scalar] = {}
-
-        def add(key, p):
-            acc[key] = acc[key] + p if key in acc else p
-
+        two = R(2)
+        acc = Accumulator()
+        add = acc.add
         for (a, b, c, e), v in self.Dxi.coeffs.items():
             if e == a:
-                add((b, c), -v)
+                add((b, c), two, v, -1)
             if e == b:
-                add((a, c), v)
+                add((a, c), two, v)
         by_ends = self.xi.group_by(0, 2)
         for (p, q, m), v in self.xi.coeffs.items():
+            v2 = two * v
             for (_, k, _), u in by_ends.get((m, p), ()):
-                add((q, k), -(v * u))
+                add((q, k), v2, u, -1)
             for (_, k, _), u in by_ends.get((m, q), ()):
-                add((p, k), v * u)
-        return Tensor(self.dim, 2, acc).scaled(R(2))
+                add((p, k), v2, u)
+        return Tensor(self.dim, 2, acc.result())
 
 
 # -- framework checks ---------------------------------------------------------
@@ -311,14 +307,22 @@ def check_f1(b: Bundle) -> Optional[str]:
 
 
 def check_f2(b: Bundle) -> Optional[str]:
-    """Levi-Civita connection invariants."""
+    """Levi-Civita connection invariants, its curvature's pair symmetry and
+    first Bianchi identity Rm_ijkl + Rm_jkil + Rm_kijl = 0."""
     conn = b.A.nabla
     if not conn.is_metric():
         return "not metric"
     if not conn.torsion(b.S.L).is_zero():
         return "not torsion-free"
     Rm = b.curv.Rm
-    return _witness(Rm - Rm.transpose((2, 3, 0, 1)))
+    w = _witness(Rm - Rm.transpose((2, 3, 0, 1)))
+    if w is not None:
+        return w
+    # a stored Rm_abcl also enters the cyclic sum at (c, a, b, l) and (b, c, a, l)
+    w = _witness(_combine(
+        (1, Rm), (1, Rm.transpose((1, 2, 0, 3))), (1, Rm.transpose((2, 0, 1, 3)))
+    ))
+    return None if w is None else f"first Bianchi identity: {w}"
 
 
 def check_f3(b: Bundle) -> Optional[str]:
@@ -421,7 +425,10 @@ def check_f7(b: Bundle) -> Optional[str]:
 
 def check_l31a(b: Bundle) -> Optional[str]:
     J = b.S.J
-    return _witness(sum((v * J[m][j] for (j, m), v in b.Dxi4vec.coeffs.items()), ZERO))
+    acc = Accumulator()
+    for (j, m), v in b.Dxi4vec.coeffs.items():
+        acc.add((), v, J[m][j])
+    return _witness(acc.result().get((), ZERO))
 
 
 def check_l31b(b: Bundle) -> Optional[str]:
@@ -467,24 +474,24 @@ def check_e31(b: Bundle) -> Optional[str]:
     # G_acxy = (F_ac omega)(e_x, e_y) = -sum_l F_acxl w_ly - sum_l w_xl F_acyl for
     # the endomorphisms F_ac = F(a, c, ., .) of the curvature gap, scattered
     # from its stored entries
-    G: Dict[Tuple[int, ...], Scalar] = {}
+    acc = Accumulator()
     by_row = b.omega_t.group_by(0)
     by_col = b.omega_t.group_by(1)
     for (a, c, k, l), v in b.curvature_gap.coeffs.items():
         for (_, y), w in by_row.get((l,), ()):
-            key = (a, c, k, y)
-            G[key] = G[key] - v * w if key in G else -(v * w)
+            acc.add((a, c, k, y), v, w, -1)
         for (x, _), w in by_col.get((l,), ()):
-            key = (a, c, x, k)
-            G[key] = G[key] - w * v if key in G else -(w * v)
+            acc.add((a, c, x, k), w, v, -1)
+    G = acc.result()
     for quad in itertools.combinations(range(b.dim), 4):
-        acc = ZERO
+        total = Accumulator()
         for a, bb, ci, di, sg in _PAIRS4:
             term = G.get((quad[a], quad[bb], quad[ci], quad[di]))
             if term is not None:
-                acc = acc + term if sg == 1 else acc - term
-        if not acc.is_zero():
-            return f"quadruple {tuple(q + 1 for q in quad)}: {format_scalar(acc)}"
+                total.add(quad, term, sign=sg)
+        value = total.result()
+        if value:
+            return f"quadruple {tuple(q + 1 for q in quad)}: {format_scalar(value[quad])}"
     return None
 
 
@@ -506,11 +513,38 @@ def check_p34r(b: Bundle) -> Optional[str]:
 
 
 def check_p34h(b: Bundle) -> Optional[str]:
-    return _witness(b.A.dtheta.lambda0_residual)
+    # the [lambda_0^{1,1}] identity of the dtheta proposition, left side - right side
+    half_nm2 = Fraction(b.n - 2, 2)
+    div3 = _div_trace(b.Dxi3)
+    x3 = _xi_at_vector(b.xi3, b.th, 2)
+    p12 = _pair_xi(b.xi1, b.xi2)
+    return _witness(_combine(
+        (half_nm2, b.A.dtheta.split.lambda0_part.to_tensor()),
+        (1, div3),
+        (-1, div3.transpose((1, 0))),
+        (-half_nm2, x3),
+        (half_nm2, x3.transpose((1, 0))),
+        (Fraction(3, 2), p12),
+        (Fraction(-3, 2), p12.transpose((1, 0))),
+    ))
 
 
 def check_p34s(b: Bundle) -> Optional[str]:
-    return _witness(b.A.dtheta.lambda20_residual)
+    # the [[lambda^{2,0}]] identity, left side - right side
+    n = b.n
+    p31 = _pair_xi(b.xi3, b.xi1)
+    p32 = _pair_xi(b.xi3, b.xi2)
+    return _witness(_combine(
+        (Fraction(n - 2, 2), b.A.dtheta.split.lambda20_part.to_tensor()),
+        (3, _trace_slot(b.Dxi1)),
+        (-1, _trace_slot(b.Dxi3)),
+        (-1, p31),
+        (1, p31.transpose((1, 0))),
+        (Fraction(1, 2), p32),
+        (Fraction(-1, 2), p32.transpose((1, 0))),
+        (-Fraction(3 * (n - 3), 2), _xi_at_vector(b.xi1, b.th)),
+        (Fraction(n - 1, 2), _xi_at_vector(b.xi3, b.th)),
+    ))
 
 
 def check_p36i(b: Bundle) -> Optional[str]:
@@ -792,13 +826,10 @@ def check_p48ii(b: Bundle) -> Optional[str]:
     rho_chern = cc.rho.to_tensor()
 
     # (j, k) -> sum_{i,l} J_li (D xi3)_ijkl, from the stored derivative entries
-    acc: Dict[Tuple[int, int], Scalar] = {}
+    acc = Accumulator()
     for (i, j, k, l), u in b.Dxi3.coeffs.items():
-        w = S.J[l][i]
-        if not w.is_zero():
-            p = w * u
-            acc[(j, k)] = acc[(j, k)] + p if (j, k) in acc else p
-    div_j = Tensor(d, 2, acc)
+        acc.add((j, k), S.J[l][i], u)
+    div_j = Tensor(d, 2, acc.result())
     tj = _outer(b.theta, b.jth_form)
     x3 = _xi_at_vector(b.xi3, b.jth, 2)
     rhs = _combine(

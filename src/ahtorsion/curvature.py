@@ -16,6 +16,7 @@ from .decomposition import (
     DThetaReport,
     GHClass,
     TorsionDecomposition,
+    _combine,
     classify,
     dtheta_report,
     lee_form,
@@ -25,13 +26,15 @@ from .decomposition import (
 from .multilinear import (
     Form,
     LieAlgebra,
+    Matrix,
     Tensor,
+    _stored_rows,
     codifferential,
     exterior_derivative,
     form_inner,
     hodge_star,
 )
-from .scalars import ONE, ZERO, Fraction, Scalar, scalar_sqrt
+from .scalars import HALF, ONE, ZERO, Accumulator, Fraction, Scalar, scalar_sqrt
 from .structure import (
     AlmostHermitianStructure,
     Connection,
@@ -49,6 +52,9 @@ class CurvatureError(StructureError):
     pass
 
 
+_MINUS_HALF = -HALF
+
+
 def riemann(L: LieAlgebra, conn: Connection) -> Tensor:
     """Rm_ijkl = <R(e_i, e_j) e_k, e_l> for an invariant metric connection.
 
@@ -57,104 +63,79 @@ def riemann(L: LieAlgebra, conn: Connection) -> Tensor:
 
         Rm_ijkl = sum_m c^m_ij Gamma_mkl - Gamma_jkm Gamma_iml + Gamma_ikm Gamma_jml,
 
-    scattered from the stored Gamma entries.  The skew symmetries in both
-    index pairs are asserted; they are cheap and catch bad input connections.
+    scattered from the stored Gamma entries.  The skew symmetry in (k, l) is
+    asserted: it is cheap and catches bad input connections.  The audit's F2
+    owns the Levi-Civita pair symmetry and first Bianchi identity.
     """
     n = L.dim
     by_first = conn.gamma.group_by(0)
     by_head = conn.gamma.group_by(0, 1)
-    coeffs: Dict[Tuple[int, ...], Scalar] = {}
+    acc = Accumulator()
+    add = acc.add
     for i in range(n):
         for j in range(i + 1, n):
-            acc: Dict[Tuple[int, int], Scalar] = {}
             for m, c in L.bracket(i, j).items():
                 for (_, k, l), g in by_first.get((m,), ()):
-                    p = c * g
-                    acc[(k, l)] = acc[(k, l)] + p if (k, l) in acc else p
+                    add((i, j, k, l), c, g)
             for (_, k, m), g in by_first.get((j,), ()):
                 for (_, _, l), h in by_head.get((i, m), ()):
-                    p = g * h
-                    acc[(k, l)] = acc[(k, l)] - p if (k, l) in acc else -p
+                    add((i, j, k, l), g, h, -1)
             for (_, k, m), g in by_first.get((i,), ()):
                 for (_, _, l), h in by_head.get((j, m), ()):
-                    p = g * h
-                    acc[(k, l)] = acc[(k, l)] + p if (k, l) in acc else p
-            for (k, l), v in acc.items():
-                if not v.is_zero():
-                    coeffs[(i, j, k, l)] = v
-                    coeffs[(j, i, k, l)] = -v
+                    add((i, j, k, l), g, h)
+    coeffs = acc.result()
+    coeffs.update({(j, i, k, l): -v for (i, j, k, l), v in coeffs.items()})
     Rm = Tensor(n, 4, coeffs)
     if not Rm.is_antisymmetric_pair(2, 3):
         raise CurvatureError("curvature of a metric connection must be skew in (k, l)")
-    if conn.kind == "levi_civita":
-        if Rm != Rm.transpose((2, 3, 0, 1)):
-            raise CurvatureError("Levi-Civita curvature lost pair symmetry")
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    for l in range(n):
-                        v = Rm(i, j, k, l) + Rm(j, k, i, l) + Rm(k, i, j, l)
-                        if not v.is_zero():
-                            raise CurvatureError(
-                                "Levi-Civita curvature fails the first Bianchi identity"
-                            )
     return Rm
 
 
+def _trace_J(Rm: Tensor, M: Matrix, a: int, b: int) -> Tensor:
+    """(p, q) -> sum_{x, y} M_yx Rm(...), with x in slot a, y in slot b and
+    p, q in the other two slots, in order."""
+    p, q = (s for s in range(4) if s not in (a, b))
+    acc = Accumulator()
+    for idx, v in Rm.coeffs.items():
+        acc.add((idx[p], idx[q]), M[idx[b]][idx[a]], v)
+    return Tensor(Rm.dim, 2, acc.result())
+
+
 def ricci_pair(S: AlmostHermitianStructure, Rm: Tensor) -> Tuple[Tensor, Tensor]:
-    """(Ric, Ric*) with Ric*(X, Y) = <R(X, e_i) JY, Je_i>."""
-    dim = S.L.dim
-    ric = Rm.contract(1, 3)
-    star = Tensor(dim, 2)
-    # Ric* scattered from the stored curvature entries
-    for (j, i, m, l), v in Rm.coeffs.items():
-        for k in range(dim):
-            w = S.J[m][k]
-            if w.is_zero():
-                continue
-            u = S.J[l][i]
-            if not u.is_zero():
-                star.add_to((j, k), v * w * u)
-    return ric, star
+    """(Ric, Ric*) with Ric*(X, Y) = <R(X, e_i) JY, Je_i>.
+
+    Ric*_jk = sum_{i,l,m} Rm_jiml J_li J_mk: the (i, l) trace first, then J
+    on the last slot.
+    """
+    return Rm.contract(1, 3), evaluate_on_J(S, _trace_J(Rm, S.J, 1, 3))
 
 
 def trace(b: Tensor) -> Scalar:
     return sum((b(i, i) for i in range(b.dim)), ZERO)
 
 
+def _minus_half_J(S: AlmostHermitianStructure) -> Matrix:
+    return [[_MINUS_HALF * w for w in row] for row in S.J]
+
+
 def ricci_form(S: AlmostHermitianStructure, Rm: Tensor) -> Form:
-    """rho_D(X, Y) = -1/2 <R_D(e_i, Je_i) X, Y>."""
-    dim = S.L.dim
-    half = Scalar.rational(Fraction(-1, 2))
-    out = Tensor(dim, 2)
-    for (i, m, j, k), v in Rm.coeffs.items():
-        w = S.J[m][i]
-        if not w.is_zero():
-            out.add_to((j, k), half * w * v)
-    return out.antisymmetrize_to_form()
+    """rho_D(X, Y) = -1/2 <R_D(e_i, Je_i) X, Y> = -1/2 sum J_mi Rm_imjk."""
+    return _trace_J(Rm, _minus_half_J(S), 0, 1).antisymmetrize_to_form()
 
 
 def transposed_ricci_form(S: AlmostHermitianStructure, Rm: Tensor) -> Form:
-    """r_D(X, Y) = -1/2 <R_D(X, Y) e_i, Je_i>."""
-    dim = S.L.dim
-    half = Scalar.rational(Fraction(-1, 2))
-    out = Tensor(dim, 2)
-    for (j, k, i, m), v in Rm.coeffs.items():
-        w = S.J[m][i]
-        if not w.is_zero():
-            out.add_to((j, k), half * w * v)
-    return out.antisymmetrize_to_form()
+    """r_D(X, Y) = -1/2 <R_D(X, Y) e_i, Je_i> = -1/2 sum J_mi Rm_jkim."""
+    return _trace_J(Rm, _minus_half_J(S), 2, 3).antisymmetrize_to_form()
 
 
 def evaluate_on_J(S: AlmostHermitianStructure, b: Tensor) -> Tensor:
     """(X, Y) -> b(X, JY)."""
-    acc: Dict[Tuple[int, int], Scalar] = {}
+    rows = _stored_rows(S.J)
+    acc = Accumulator()
     for (j, m), v in b.coeffs.items():
-        for k, w in enumerate(S.J[m]):
-            if not w.is_zero():
-                p = v * w
-                acc[(j, k)] = acc[(j, k)] + p if (j, k) in acc else p
-    return Tensor(b.dim, 2, acc)
+        for k, w in rows[m]:
+            acc.add((j, k), v, w)
+    return Tensor(b.dim, 2, acc.result())
 
 
 @dataclass
@@ -289,10 +270,11 @@ def three_form_pure_part(S: AlmostHermitianStructure, alpha: Form) -> Form:
     if alpha.degree != 3:
         raise CurvatureError("pure-part projection expects a 3-form")
     t = alpha.to_tensor()
-    acc = t
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        acc = acc - t.apply_J(a, S.J).apply_J(b, S.J)
-    return acc.scaled(Scalar.rational(Fraction(1, 4))).antisymmetrize_to_form()
+    quarter = Scalar.rational(Fraction(1, 4))
+    terms = [(quarter, t)] + [
+        (-quarter, t.apply_J(a, S.J).apply_J(b, S.J)) for a, b in ((0, 1), (0, 2), (1, 2))
+    ]
+    return _combine(*terms).antisymmetrize_to_form()
 
 
 @dataclass
@@ -387,7 +369,7 @@ def analyze(S: AlmostHermitianStructure) -> Analysis:
     dec = split_torsion(S, xi, theta)
     minimal = minimal_connection(S, nabla, xi)
     gh = classify(dec)
-    rep = dtheta_report(S, theta, dec, minimal)
+    rep = dtheta_report(S, theta)
     domega = exterior_derivative(S.L, S.omega)
     w4_part = theta.wedge(S.omega)
     domega_split = {"W4": w4_part, "rest": domega - w4_part}

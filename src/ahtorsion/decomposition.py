@@ -8,13 +8,21 @@ phrased in.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from .multilinear import Form, Matrix, Tensor, codifferential, exterior_derivative, form_inner
-from .scalars import ONE, ZERO, Fraction, RatLike, Scalar, format_scalar, rational_roots
-from .structure import AlmostHermitianStructure, Connection, StructureError
+from .multilinear import (
+    Form, Matrix, Tensor, _stored_rows, codifferential, exterior_derivative, form_inner,
+    sort_with_sign,
+)
+from .scalars import (
+    HALF, ZERO, Accumulator, Fraction, RatLike, Scalar, format_scalar, rational_roots,
+)
+from .structure import AlmostHermitianStructure, StructureError
+
+_MINUS_HALF = -HALF
+_THIRD = Scalar.rational(Fraction(1, 3))
+_QUARTER = Scalar.rational(Fraction(1, 4))
 
 
 class DecompositionError(StructureError):
@@ -42,53 +50,43 @@ def lee_form(S: AlmostHermitianStructure) -> Form:
 
 
 def _t_involution(S: AlmostHermitianStructure, xi: Tensor) -> Tensor:
-    """(T xi)_X Y = -J xi_{JX} Y; the +1 eigenspace is the Hermitian half."""
-    dim = S.L.dim
-    out = Tensor(dim, 3)
-    for (l, j, m), v in xi.coeffs.items():
-        for i in range(dim):
-            a = S.J[l][i]
-            if a.is_zero():
-                continue
-            for k in range(dim):
-                b = S.J[m][k]
-                if not b.is_zero():
-                    out.add_to((i, j, k), a * b * v)
-    return out
+    """(T xi)_X Y = -J xi_{JX} Y; the +1 eigenspace is the Hermitian half.
+
+    (T xi)_ijk = sum_{l,m} J_li J_mk xi_ljm, which is J_(1) J_(3) xi.
+    """
+    return xi.apply_J(0, S.J).apply_J(2, S.J)
 
 
 def _xi4_tensor(S: AlmostHermitianStructure, theta: Form) -> Tensor:
     """Closed-form W4 component:
 
-    4 xi_(4)X Y = <X,Y> theta# - theta(Y) X - <JX,Y> J theta# + (J theta)(Y) JX.
+    4 xi_(4)X Y = <X,Y> theta# - theta(Y) X - <JX,Y> J theta# + (J theta)(Y) JX,
+
+    scattered from the stored entries of theta, J theta and J.
     """
-    dim = S.L.dim
-    th = [theta.coeffs.get((k,), ZERO) for k in range(dim)]
-    jth_form = S.J_oneform(theta)
-    jth = [jth_form.coeffs.get((k,), ZERO) for k in range(dim)]
-    quarter = Scalar.rational(Fraction(1, 4))
-    out = Tensor(dim, 3)
-    for i in range(dim):
-        for j in range(dim):
-            gij = ONE if i == j else ZERO
-            kij = S.J[j][i]  # <J e_i, e_j>
-            for k in range(dim):
-                gik = ONE if i == k else ZERO
-                kik = S.J[k][i]
-                v = gij * th[k] - th[j] * gik - kij * jth[k] + jth[j] * kik
-                if not v.is_zero():
-                    out.set((i, j, k), quarter * v)
-    return out
+    th = [(k, _QUARTER * v) for (k,), v in theta.coeffs.items()]
+    jth = [(k, _QUARTER * v) for (k,), v in S.J_oneform(theta).coeffs.items()]
+    acc = Accumulator()
+    for i in range(S.L.dim):
+        for k, t in th:
+            acc.add((i, i, k), t)
+            acc.add((i, k, i), t, sign=-1)
+    for j, row in enumerate(_stored_rows(S.J)):
+        for i, w in row:  # w = J_ji = <J e_i, e_j>
+            for k, t in jth:
+                acc.add((i, j, k), w, t, -1)
+                acc.add((i, k, j), t, w)
+    return Tensor(S.L.dim, 3, acc.result())
 
 
 def _cyclic_part(t: Tensor) -> Tensor:
     """1/3 (t_ijk + t_jki + t_kij); each stored t_abc lands at abc, cab and bca."""
-    third = Scalar.rational(Fraction(1, 3))
-    acc: Dict[Tuple[int, int, int], Scalar] = {}
+    acc = Accumulator()
     for (a, b, c), v in t.coeffs.items():
-        for key in ((a, b, c), (c, a, b), (b, c, a)):
-            acc[key] = acc[key] + v if key in acc else v
-    return Tensor(t.dim, 3, {key: third * v for key, v in acc.items() if not v.is_zero()})
+        acc.add((a, b, c), _THIRD, v)
+        acc.add((c, a, b), _THIRD, v)
+        acc.add((b, c, a), _THIRD, v)
+    return Tensor(t.dim, 3, acc.result())
 
 
 @dataclass
@@ -113,13 +111,12 @@ def split_torsion(
     intrinsic-torsion tensor, they are pairwise orthogonal, and W1 and W3
     vanish in dimension four.
     """
-    half = Scalar.rational(Fraction(1, 2))
     t_xi = _t_involution(S, xi)
-    plus = (xi + t_xi).scaled(half)
-    minus = (xi - t_xi).scaled(half)
-
     xi4 = _xi4_tensor(S, theta)
-    xi3 = plus - xi4
+    # xi3 is the Hermitian half (xi + T xi) / 2 less xi4; xi1 and xi2 split
+    # the other half
+    xi3 = _combine((HALF, xi), (HALF, t_xi), (-1, xi4))
+    minus = _combine((HALF, xi), (_MINUS_HALF, t_xi))
     xi1 = _cyclic_part(minus)
     xi2 = minus - xi1
     norms = {label: part.inner(part)
@@ -195,10 +192,9 @@ class TwoFormSplit:
 def split_two_form(S: AlmostHermitianStructure, alpha: Form) -> TwoFormSplit:
     if alpha.degree != 2:
         raise DecompositionError("split_two_form expects a 2-form")
-    half = Scalar.rational(Fraction(1, 2))
     rotated = S.rotate_two_form(alpha)
-    invariant = (alpha + rotated).scaled(half)
-    anti = (alpha - rotated).scaled(half)
+    invariant = (alpha + rotated).scaled(HALF)
+    anti = (alpha - rotated).scaled(HALF)
     trace = form_inner(alpha, S.omega) * Scalar.rational(Fraction(1, S.n))
     r_part = S.omega.scaled(trace)
     lam0 = invariant - r_part
@@ -221,14 +217,13 @@ def split_bilinear(S: AlmostHermitianStructure, b: Tensor) -> BilinearSplit:
     if b.rank != 2:
         raise DecompositionError("split_bilinear expects a rank-2 tensor")
     dim = S.L.dim
-    half = Scalar.rational(Fraction(1, 2))
     flipped = b.transpose((1, 0))
-    sym = (b + flipped).scaled(half)
-    skew = (b - flipped).scaled(half)
+    sym = _combine((HALF, b), (HALF, flipped))
+    skew = _combine((HALF, b), (_MINUS_HALF, flipped))
 
     sym_rot = S.rotate_bilinear(sym)
-    sym_inv = (sym + sym_rot).scaled(half)
-    sym_anti = (sym - sym_rot).scaled(half)
+    sym_inv = _combine((HALF, sym), (HALF, sym_rot))
+    sym_anti = _combine((HALF, sym), (_MINUS_HALF, sym_rot))
     tr = sum((sym_inv(i, i) for i in range(dim)), ZERO)
     trace_part = Tensor(dim, 2)
     coeff = tr * Scalar.rational(Fraction(1, dim))
@@ -238,8 +233,8 @@ def split_bilinear(S: AlmostHermitianStructure, b: Tensor) -> BilinearSplit:
     sym_inv0 = sym_inv - trace_part
 
     skew_rot = S.rotate_bilinear(skew)
-    skew_inv = (skew + skew_rot).scaled(half)
-    skew_anti = (skew - skew_rot).scaled(half)
+    skew_inv = _combine((HALF, skew), (HALF, skew_rot))
+    skew_anti = _combine((HALF, skew), (_MINUS_HALF, skew_rot))
     return BilinearSplit(trace_part, sym_inv0, sym_anti, skew_inv, skew_anti)
 
 
@@ -257,24 +252,27 @@ class DThetaReport:
     dtheta: Form
     split: TwoFormSplit
     trivial_at_n2: bool
-    lambda0_residual: Optional[Tensor]
-    lambda20_residual: Optional[Tensor]
 
 
 def _combine(*terms: Tuple[Union[Scalar, RatLike], Tensor]) -> Tensor:
-    """The sum of c * t over (coefficient, rank-2 tensor) terms.
+    """The sum of c * t over (coefficient, tensor) terms of one rank.
 
-    Each coefficient becomes a Scalar once per term, not once per entry, and
-    every product scatters into one dict.
+    Each coefficient becomes a Scalar once per term, not once per entry; a
+    coefficient of 1 or -1 adds the entries as they are.
     """
-    acc: Dict[Tuple[int, ...], Scalar] = {}
+    acc = Accumulator()
+    add = acc.add
     for c, t in terms:
-        c = c if isinstance(c, Scalar) else Scalar.rational(c)
-        unit = c == ONE
+        if type(c) is not Scalar:
+            if c == 1 or c == -1:
+                sign = int(c)
+                for k, v in t.coeffs.items():
+                    add(k, v, sign=sign)
+                continue
+            c = Scalar.rational(c)
         for k, v in t.coeffs.items():
-            p = v if unit else c * v
-            acc[k] = acc[k] + p if k in acc else p
-    return Tensor(terms[0][1].dim, 2, acc)
+            add(k, c, v)
+    return Tensor(terms[0][1].dim, terms[0][1].rank, acc.result())
 
 
 def _div_trace(Dxi: Tensor) -> Tensor:
@@ -297,19 +295,19 @@ def _pair_xi(a: Tensor, b: Tensor, slot: int = 1, J: Optional[Matrix] = None) ->
     """
     free = 1 - slot
     by_pair = b.group_by(slot, 2)
-    acc: Dict[Tuple[int, int], Scalar] = {}
+    cols = None if J is None else _stored_rows(list(zip(*J)))
+    acc = Accumulator()
+    add = acc.add
     for idx, v in a.coeffs.items():
         i, j, m = idx[slot], idx[free], idx[2]
         if J is None:
             targets = [(i, v)]
         else:
-            targets = [(l, v * J[l][i]) for l in range(a.dim) if not J[l][i].is_zero()]
+            targets = [(l, v * w) for l, w in cols[i]]
         for l, vw in targets:
             for kidx, u in by_pair.get((l, m), ()):
-                key = (j, kidx[free])
-                p = vw * u
-                acc[key] = acc[key] + p if key in acc else p
-    return Tensor(a.dim, 2, acc)
+                add((j, kidx[free]), vw, u)
+    return Tensor(a.dim, 2, acc.result())
 
 
 def _xi_at_vector(xi_part: Tensor, vec: List[Scalar], slot: int = 0) -> Tensor:
@@ -318,84 +316,41 @@ def _xi_at_vector(xi_part: Tensor, vec: List[Scalar], slot: int = 0) -> Tensor:
     With the default slot this is <xi_part_{vec} e_j, e_k>; with slot 2 it is
     <xi_part_{e_j} e_k, vec>.
     """
-    acc: Dict[Tuple[int, ...], Scalar] = {}
+    acc = Accumulator()
     for idx, v in xi_part.coeffs.items():
-        t = idx[slot]
-        if not vec[t].is_zero():
-            key = idx[:slot] + idx[slot + 1 :]
-            p = vec[t] * v
-            acc[key] = acc[key] + p if key in acc else p
-    return Tensor(xi_part.dim, 2, acc)
+        acc.add(idx[:slot] + idx[slot + 1 :], vec[idx[slot]], v)
+    return Tensor(xi_part.dim, 2, acc.result())
 
 
-def dtheta_report(
-    S: AlmostHermitianStructure,
-    theta: Form,
-    dec: TorsionDecomposition,
-    minimal: Connection,
-) -> DThetaReport:
-    """Components of dtheta and the two torsion-side expressions for them.
+def dtheta_report(S: AlmostHermitianStructure, theta: Form) -> DThetaReport:
+    """dtheta and its U(n)-split.
 
-    The R-omega component vanishes on every structure; the audit's P3.4R
-    checks it.  For n = 2 the two displayed right sides carry the factor
-    (n-2)/2 = 0 and the report flags them trivial instead of dividing by zero.
+    The audit checks the displayed identities: P3.4R that the R-omega
+    component vanishes, P3.4H and P3.4S the torsion-side expressions for the
+    other two.  For n = 2 those carry the factor (n-2)/2 = 0 on both sides,
+    and the report flags them trivial.
     """
-    n = S.n
     dtheta = exterior_derivative(S.L, theta)
-    split = split_two_form(S, dtheta)
-    if n == 2:
-        return DThetaReport(dtheta, split, True, None, None)
-
-    theta_sharp = [theta.coeffs.get((k,), ZERO) for k in range(S.L.dim)]
-    Dxi1 = minimal.covariant_derivative(dec.xi1)
-    Dxi3 = minimal.covariant_derivative(dec.xi3)
-    half_nm2 = Fraction(n - 2, 2)
-    div3 = _div_trace(Dxi3)
-    p12 = _pair_xi(dec.xi1, dec.xi2)
-    p31 = _pair_xi(dec.xi3, dec.xi1)
-    p32 = _pair_xi(dec.xi3, dec.xi2)
-    x3 = _xi_at_vector(dec.xi3, theta_sharp, 2)
-    # [lambda_0^{1,1}] identity of the dtheta proposition, as left side - right side
-    lam0_res = _combine(
-        (half_nm2, split.lambda0_part.to_tensor()),
-        (1, div3),
-        (-1, div3.transpose((1, 0))),
-        (-half_nm2, x3),
-        (half_nm2, x3.transpose((1, 0))),
-        (Fraction(3, 2), p12),
-        (Fraction(-3, 2), p12.transpose((1, 0))),
-    )
-    # [[lambda^{2,0}]] identity
-    lam20_res = _combine(
-        (half_nm2, split.lambda20_part.to_tensor()),
-        (3, _trace_slot(Dxi1)),
-        (-1, _trace_slot(Dxi3)),
-        (-1, p31),
-        (1, p31.transpose((1, 0))),
-        (Fraction(1, 2), p32),
-        (Fraction(-1, 2), p32.transpose((1, 0))),
-        (-Fraction(3 * (n - 3), 2), _xi_at_vector(dec.xi1, theta_sharp)),
-        (Fraction(n - 1, 2), _xi_at_vector(dec.xi3, theta_sharp)),
-    )
-    return DThetaReport(dtheta, split, False, lam0_res, lam20_res)
+    return DThetaReport(dtheta, split_two_form(S, dtheta), S.n == 2)
 
 
 # -- characterization helpers ------------------------------------------------
 
 
 def domega_from_torsion(S: AlmostHermitianStructure, xi: Tensor) -> Form:
-    """Reconstruct d omega from 1/2 domega(Y,Z,W) = <xi_Y Z, JW> + cyclic."""
-    dim = S.L.dim
-    out = Form(dim, 3)
-    two = Scalar.rational(2)
-    for idx in itertools.combinations(range(dim), 3):
-        y, z, w = idx
-        acc = ZERO
-        for (a, b, c) in ((y, z, w), (w, y, z), (z, w, y)):
-            for m in range(dim):
-                v = xi(a, b, m)
-                if not v.is_zero():
-                    acc = acc + v * S.J[m][c]
-        if not acc.is_zero():
-            out.coeffs[idx] = two * acc
-    return out
+    """Reconstruct d omega from 1/2 domega(Y,Z,W) = <xi_Y Z, JW> + cyclic.
+
+    A stored xi_abm gives <xi_a e_b, J e_c> = xi_abm J_mc, which enters the
+    coefficient of the sorted triple when (a, b, c) is one of its cyclic
+    orders, that is an even permutation of it.
+    """
+    rows = _stored_rows(S.J)
+    acc = Accumulator()
+    for (a, b, m), v in xi.coeffs.items():
+        for c, w in rows[m]:
+            key, sign = sort_with_sign((a, b, c))
+            if sign == 1:
+                acc.add(key, v, w)
+    out = Form(S.L.dim, 3)
+    out.coeffs = acc.result()
+    return out.scaled(2)

@@ -6,10 +6,11 @@ sparse maps from index tuples to their nonzero Scalars (the stored entries).
 Indices are 0-based internally.
 
 Kernels that contract tensors iterate stored entries only: they never sweep
-the full index cube reading absent entries.  Each scatters its products into
-a dict keyed by output index and builds one result at the end; where it joins
-two tensors on a slot, it first groups one operand's entries by that slot
-(``Tensor.group_by``).
+the full index cube reading absent entries.  Each adds its products into one
+``scalars.Accumulator`` keyed by output index, which keeps raw integer sums
+and normalises each output entry once, when the result is built; where a
+kernel joins two tensors on a slot, it first groups one operand's entries by
+that slot (``Tensor.group_by``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .scalars import ONE, ZERO, Scalar, scalar_sqrt
+from .scalars import ONE, ZERO, Accumulator, Scalar, scalar_sqrt
 
 
 class GeometryError(ValueError):
@@ -35,11 +36,6 @@ def sort_with_sign(indices: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
             if idx[i] > idx[j]:
                 sign = -sign
     return tuple(sorted(idx)), sign
-
-
-def perm_sign(perm: Sequence[int]) -> int:
-    _, s = sort_with_sign(perm)
-    return s
 
 
 class LieAlgebra:
@@ -63,23 +59,20 @@ class LieAlgebra:
         self.extension_d = extension_d
         self.parameters = tuple(parameters)
         self.basis_names = basis_names or [f"e{i+1}" for i in range(dim)]
-        self._brackets: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
+        acc = Accumulator()
         for (i, j), coeffs in brackets.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise GeometryError(f"bracket index out of range: ({i}, {j})")
             if i == j:
                 raise GeometryError(f"bracket [e_{i}, e_{i}] must vanish")
-            if i > j:
-                i, j, coeffs = j, i, {k: -v for k, v in coeffs.items()}
-            tgt = self._brackets.setdefault((i, j), {})
+            sign = 1 if i < j else -1
             for k, v in coeffs.items():
                 if not (0 <= k < dim):
                     raise GeometryError(f"bracket target out of range: {k}")
-                s = tgt.get(k, ZERO) + v
-                if s.is_zero():
-                    tgt.pop(k, None)
-                else:
-                    tgt[k] = s
+                acc.add((min(i, j), max(i, j), k), v, sign=sign)
+        self._brackets: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
+        for (i, j, k), v in acc.result().items():
+            self._brackets.setdefault((i, j), {})[k] = v
 
     def c(self, i: int, j: int, k: int) -> Scalar:
         """Structure constant c^k_ij."""
@@ -98,29 +91,31 @@ class LieAlgebra:
         return {k: -v for k, v in self._brackets.get((j, i), {}).items()}
 
     def bracket_vectors(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> List[Scalar]:
-        out = [ZERO] * self.dim
+        acc = Accumulator()
         for i in range(self.dim):
             if x[i].is_zero():
                 continue
             for j in range(self.dim):
                 if y[j].is_zero():
                     continue
+                xy = x[i] * y[j]
                 for k, v in self.bracket(i, j).items():
-                    out[k] = out[k] + x[i] * y[j] * v
-        return out
+                    acc.add(k, xy, v)
+        out = acc.result()
+        return [out.get(k, ZERO) for k in range(self.dim)]
 
     def jacobi_check(self) -> Tuple[bool, Optional[Tuple[int, int, int, int]]]:
         """Exact Jacobi test; on failure returns the offending (i, j, k, l)."""
         n = self.dim
         for i, j, k in itertools.combinations(range(n), 3):
-            acc = [ZERO] * n
+            acc = Accumulator()
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                 for m, v in self.bracket(a, b).items():
                     for l, w in self.bracket(m, c).items():
-                        acc[l] = acc[l] + v * w
-            for l in range(n):
-                if not acc[l].is_zero():
-                    return False, (i, j, k, l)
+                        acc.add(l, v, w)
+            nonzero = acc.result()
+            if nonzero:
+                return False, (i, j, k, min(nonzero))
         return True, None
 
 
@@ -137,16 +132,12 @@ class Form:
         self.degree = degree
         self.coeffs: Dict[Tuple[int, ...], Scalar] = {}
         if coeffs:
+            acc = Accumulator()
             for idx, val in coeffs.items():
                 key, sign = sort_with_sign(idx)
-                if sign == 0 or val.is_zero():
-                    continue
-                v = val if sign == 1 else -val
-                s = self.coeffs.get(key, ZERO) + v
-                if s.is_zero():
-                    self.coeffs.pop(key, None)
-                else:
-                    self.coeffs[key] = s
+                if sign:
+                    acc.add(key, val, sign=sign)
+            self.coeffs = acc.result()
 
     @classmethod
     def basis(cls, dim: int, indices: Sequence[int], coeff: Scalar = ONE) -> "Form":
@@ -167,15 +158,8 @@ class Form:
 
     def __add__(self, other: "Form") -> "Form":
         self._check_like(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = out.get(k, ZERO) + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
         f = Form(self.dim, self.degree)
-        f.coeffs = out
+        f.coeffs = _sum_entries(self.coeffs, other.coeffs, 1)
         return f
 
     def __neg__(self) -> "Form":
@@ -210,45 +194,14 @@ class Form:
         deg = self.degree + other.degree
         if deg > self.dim:
             return Form(self.dim, deg)
-        out: Dict[Tuple[int, ...], Scalar] = {}
+        acc = Accumulator()
         for i1, v1 in self.coeffs.items():
             for i2, v2 in other.coeffs.items():
                 key, sign = sort_with_sign(i1 + i2)
-                if sign == 0:
-                    continue
-                v = v1 * v2
-                if sign == -1:
-                    v = -v
-                s = out.get(key, ZERO) + v
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                if sign:
+                    acc.add(key, v1, v2, sign)
         f = Form(self.dim, deg)
-        f.coeffs = out
-        return f
-
-    def interior(self, vector: Sequence[Scalar]) -> "Form":
-        """X contracted into the first slot."""
-        if self.degree == 0:
-            raise GeometryError("interior product needs degree >= 1")
-        out: Dict[Tuple[int, ...], Scalar] = {}
-        for idx, val in self.coeffs.items():
-            for pos, i in enumerate(idx):
-                if vector[i].is_zero():
-                    continue
-                rest = idx[:pos] + idx[pos + 1 :]
-                sign = -1 if pos % 2 else 1
-                v = vector[i] * val
-                if sign == -1:
-                    v = -v
-                s = out.get(rest, ZERO) + v
-                if s.is_zero():
-                    out.pop(rest, None)
-                else:
-                    out[rest] = s
-        f = Form(self.dim, self.degree - 1)
-        f.coeffs = out
+        f.coeffs = acc.result()
         return f
 
     def to_tensor(self) -> "Tensor":
@@ -267,7 +220,7 @@ class Form:
 def perm_sign_of(base: Sequence[int], perm: Sequence[int]) -> int:
     """Sign of the permutation carrying ``base`` to ``perm`` (both repeat-free)."""
     pos = {v: i for i, v in enumerate(base)}
-    return perm_sign([pos[v] for v in perm])
+    return sort_with_sign([pos[v] for v in perm])[1]
 
 
 class Tensor:
@@ -297,9 +250,6 @@ class Tensor:
         else:
             self.coeffs[tuple(indices)] = value
 
-    def add_to(self, indices: Tuple[int, ...], value: Scalar):
-        self.set(indices, self(*indices) + value)
-
     def group_by(self, *slots: int) -> Dict[Tuple[int, ...], List[Tuple[Tuple[int, ...], Scalar]]]:
         """Stored entries (index, value) keyed by their indices in ``slots``."""
         out: Dict[Tuple[int, ...], List[Tuple[Tuple[int, ...], Scalar]]] = {}
@@ -313,20 +263,14 @@ class Tensor:
 
     def __add__(self, other: "Tensor") -> "Tensor":
         self._check_like(other)
-        acc = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            acc[k] = acc[k] + v if k in acc else v
-        return Tensor(self.dim, self.rank, acc)
+        return Tensor(self.dim, self.rank, _sum_entries(self.coeffs, other.coeffs, 1))
 
     def __neg__(self) -> "Tensor":
         return Tensor(self.dim, self.rank, {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other: "Tensor") -> "Tensor":
         self._check_like(other)
-        acc = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            acc[k] = acc[k] - v if k in acc else -v
-        return Tensor(self.dim, self.rank, acc)
+        return Tensor(self.dim, self.rank, _sum_entries(self.coeffs, other.coeffs, -1))
 
     def scaled(self, s) -> "Tensor":
         s = s if isinstance(s, Scalar) else Scalar.rational(s)
@@ -357,27 +301,21 @@ class Tensor:
         if not (0 <= slot_a < r and 0 <= slot_b < r) or slot_a == slot_b:
             raise GeometryError(f"invalid contraction slots ({slot_a}, {slot_b})")
         a, b = min(slot_a, slot_b), max(slot_a, slot_b)
-        acc: Dict[Tuple[int, ...], Scalar] = {}
+        acc = Accumulator()
         for k, v in self.coeffs.items():
             if k[a] == k[b]:
-                rest = k[:a] + k[a + 1 : b] + k[b + 1 :]
-                acc[rest] = acc[rest] + v if rest in acc else v
-        return Tensor(self.dim, r - 2, acc)
+                acc.add(k[:a] + k[a + 1 : b] + k[b + 1 :], v)
+        return Tensor(self.dim, r - 2, acc.result())
 
     def apply_J(self, slot: int, J: "Matrix") -> "Tensor":
         """The J_(i) operator: (J_(i) t)(..., X_i, ...) = -t(..., J X_i, ...)."""
-        acc: Dict[Tuple[int, ...], Scalar] = {}
+        acc = Accumulator()
+        rows = _stored_rows(J)
         for k, v in self.coeffs.items():
-            m = k[slot]
             # t has index m in this slot; J X with X = e_j hits m with weight J[m][j]
-            for j in range(self.dim):
-                w = J[m][j]
-                if w.is_zero():
-                    continue
-                idx = k[:slot] + (j,) + k[slot + 1 :]
-                p = w * v
-                acc[idx] = acc[idx] - p if idx in acc else -p
-        return Tensor(self.dim, self.rank, acc)
+            for j, w in rows[k[slot]]:
+                acc.add(k[:slot] + (j,) + k[slot + 1 :], w, v, -1)
+        return Tensor(self.dim, self.rank, acc.result())
 
     def transpose(self, perm: Sequence[int]) -> "Tensor":
         """Reorder slots: result(i_perm[0], ..., i_perm[r-1]) = self(i_0, ..., i_{r-1})."""
@@ -402,13 +340,7 @@ class Tensor:
     def inner(self, other: "Tensor") -> Scalar:
         """Full index-wise contraction <t, u> = sum t_I u_I."""
         self._check_like(other)
-        acc = ZERO
-        small, big = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
-        for k, v in small.coeffs.items():
-            w = big.coeffs.get(k)
-            if w is not None:
-                acc = acc + v * w
-        return acc
+        return _dot(self.coeffs, other.coeffs)
 
     def antisymmetrize_to_form(self) -> Form:
         """Project a fully antisymmetric tensor back onto its form; exact check."""
@@ -431,6 +363,33 @@ class Tensor:
 
 
 Matrix = List[List[Scalar]]
+
+
+def _stored_rows(M: Matrix) -> List[List[Tuple[int, Scalar]]]:
+    """Each row of a matrix as its (column, entry) pairs with a nonzero entry."""
+    return [[(j, w) for j, w in enumerate(row) if w] for row in M]
+
+
+def _dot(a: dict, b: dict) -> Scalar:
+    """sum over the keys k of both maps of a[k] * b[k]."""
+    if len(b) < len(a):
+        a, b = b, a
+    acc = Accumulator()
+    for k, v in a.items():
+        w = b.get(k)
+        if w is not None:
+            acc.add((), v, w)
+    return acc.result().get((), ZERO)
+
+
+def _sum_entries(a: dict, b: dict, sign: int) -> dict:
+    """Entry-wise a + sign * b of two sparse coefficient maps."""
+    acc = Accumulator()
+    for k, v in a.items():
+        acc.add(k, v)
+    for k, v in b.items():
+        acc.add(k, v, sign=sign)
+    return acc.result()
 
 
 def identity_matrix(dim: int) -> Matrix:
@@ -469,21 +428,14 @@ def exterior_derivative(L: LieAlgebra, alpha: Form) -> Form:
     if p >= n:
         return Form(n, p + 1)
     out = Form(n, p + 1)
+    acc = Accumulator()
     for idx in itertools.combinations(range(n), p + 1):
-        acc = ZERO
         for a in range(p + 1):
             for b in range(a + 1, p + 1):
                 rest = idx[:a] + idx[a + 1 : b] + idx[b + 1 :]
                 for k, v in L.bracket(idx[a], idx[b]).items():
-                    val = alpha(k, *rest)
-                    if val.is_zero():
-                        continue
-                    term = v * val
-                    if (a + b) % 2 == 1:
-                        term = -term
-                    acc = acc + term
-        if not acc.is_zero():
-            out.coeffs[idx] = acc
+                    acc.add(idx, v, alpha(k, *rest), -1 if (a + b) % 2 else 1)
+    out.coeffs = acc.result()
     return out
 
 
@@ -491,12 +443,7 @@ def form_inner(alpha: Form, beta: Form) -> Scalar:
     """<a, b> = (1/p!) sum over tuples, i.e. sum over sorted tuples (orthonormal)."""
     if alpha.degree != beta.degree or alpha.dim != beta.dim:
         raise GeometryError("degree mismatch in form inner product")
-    acc = ZERO
-    for k, v in alpha.coeffs.items():
-        w = beta.coeffs.get(k)
-        if w is not None:
-            acc = acc + v * w
-    return acc
+    return _dot(alpha.coeffs, beta.coeffs)
 
 
 def volume_coefficient(vol: Form) -> Scalar:
@@ -514,17 +461,12 @@ def hodge_star(alpha: Form, vol: Form) -> Form:
     n = alpha.dim
     out = Form(n, n - alpha.degree)
     full = set(range(n))
+    acc = Accumulator()
     for idx, val in alpha.coeffs.items():
         comp = tuple(sorted(full - set(idx)))
         _, sign = sort_with_sign(idx + comp)
-        coeff = v * val
-        if sign == -1:
-            coeff = -coeff
-        s = out.coeffs.get(comp, ZERO) + coeff
-        if s.is_zero():
-            out.coeffs.pop(comp, None)
-        else:
-            out.coeffs[comp] = s
+        acc.add(comp, v, val, sign)
+    out.coeffs = acc.result()
     return out
 
 

@@ -10,6 +10,11 @@ meaning (a + b*sqrt(d)) / den, with one positive integer ``den`` shared by
 all monomials.  Each ring operation works on the integers and normalises
 its result once, so ``Fraction`` objects appear only at the public edges
 (``terms``, ``constant_pair``, ``as_fraction`` and the literal grammar).
+
+Sums of many products go through ``Accumulator``: it adds the raw integer
+products per monomial over a running common denominator and normalises each
+sum once, where a fold of ``+`` and ``*`` normalises after every operation.
+The tensor kernels build every output entry this way.
 """
 
 from __future__ import annotations
@@ -116,6 +121,8 @@ class Scalar:
 
     @classmethod
     def rational(cls, value: RatLike) -> "Scalar":
+        if type(value) is int:
+            return _make({(): (value, 0)}, 1, 0) if value else ZERO
         v = Fraction(value)
         if v == 0:
             return ZERO
@@ -214,15 +221,7 @@ class Scalar:
         if not n1 or not n2:
             return ZERO
         d = self.d if self.d == other.d else _join_d(self.d, other.d)
-        out: dict = {}
-        for m1, (a1, b1) in n1.items():
-            for m2, (a2, b2) in n2.items():
-                m = m2 if not m1 else m1 if not m2 else _mul_monomials(m1, m2)
-                a = a1 * a2 + d * b1 * b2
-                b = a1 * b2 + b1 * a2
-                x = out.get(m)
-                out[m] = (a, b) if x is None else (x[0] + a, x[1] + b)
-        return _canonical(out, self._den * other._den, d)
+        return _canonical(_product(n1, n2, d), self._den * other._den, d)
 
     __rmul__ = __mul__
 
@@ -323,6 +322,19 @@ def _canonical(num: dict, den: int, d: int) -> Scalar:
     return _make(out, den, d if root else 0)
 
 
+def _product(n1: dict, n2: dict, d: int) -> dict:
+    """Raw integer pairs of the product of two numerator maps over Q(sqrt(d))."""
+    out: dict = {}
+    for m1, (a1, b1) in n1.items():
+        for m2, (a2, b2) in n2.items():
+            m = m2 if not m1 else m1 if not m2 else _mul_monomials(m1, m2)
+            a = a1 * a2 + d * b1 * b2
+            b = a1 * b2 + b1 * a2
+            x = out.get(m)
+            out[m] = (a, b) if x is None else (x[0] + a, x[1] + b)
+    return out
+
+
 def _sum(x: Scalar, y: Scalar, sign: int, d: int) -> Scalar:
     """x + sign*y for nonzero x, y over the joined extension d."""
     dx, dy = x._den, y._den
@@ -346,6 +358,92 @@ def _sum(x: Scalar, y: Scalar, sign: int, d: int) -> Scalar:
 
 ZERO = _make({}, 1, 0)
 ONE = Scalar.rational(1)
+HALF = Scalar.rational(Fraction(1, 2))
+
+
+class Accumulator:
+    """Sums of Scalars and of products of two Scalars, one sum per key.
+
+    ``add(key, x, y, sign)`` adds sign * x * y (sign * x when y is None) to
+    the sum at ``key`` without normalising it: each sum keeps raw integer
+    pairs per monomial over a running common denominator, the least common
+    multiple of the denominators added.  ``result()`` normalises every sum
+    once and returns the nonzero ones.  Canonical form is unique, so each sum
+    equals the left-to-right fold of ``+`` and ``*`` over the same terms, and
+    mixing two square-root extensions raises ExtensionMismatch exactly where
+    that fold would.
+    """
+
+    __slots__ = ("_sums",)
+
+    def __init__(self):
+        self._sums: dict = {}  # key -> Scalar, or [numerator map, den, d]
+
+    def add(self, key, x: Scalar, y: Optional[Scalar] = None, sign: int = 1) -> None:
+        terms = x._num
+        if not terms:
+            return
+        if y is None:
+            den, d = x._den, x.d
+        else:
+            if not y._num:
+                return
+            d = x.d if x.d == y.d else _join_d(x.d, y.d)
+            den = x._den * y._den
+            if len(terms) == 1 and len(y._num) == 1:
+                [(m1, (a1, b1))] = terms.items()
+                [(m2, (a2, b2))] = y._num.items()
+                m = m2 if not m1 else m1 if not m2 else _mul_monomials(m1, m2)
+                terms = {m: (a1 * a2 + d * b1 * b2, a1 * b2 + b1 * a2)}
+            else:
+                terms = _product(terms, y._num, d)
+        s = self._sums.get(key)
+        if s is None:
+            if sign != 1:
+                terms = {m: (-a, -b) for m, (a, b) in terms.items()}
+            # a single Scalar is its own normal form until a second term comes
+            self._sums[key] = (
+                (x if sign == 1 else _make(terms, den, d)) if y is None else [terms, den, d]
+            )
+            return
+        if type(s) is Scalar:
+            s = self._sums[key] = [dict(s._num), s._den, s.d]
+        num, sden, sd = s
+        if d != sd:
+            if not sd:
+                s[2] = d
+            elif d:
+                # two extensions meet: only a sum or a term without a sqrt
+                # part may take the other's, as in the fold
+                if not any(b for _, b in num.values()):
+                    s[2] = d
+                elif any(b for _, b in terms.values()):
+                    _join_d(sd, d)
+        if sden == den:
+            f = sign
+        elif sden % den == 0:
+            f = sign * (sden // den)
+        else:
+            lcm = sden // math.gcd(sden, den) * den
+            g = lcm // sden
+            for m, (a, b) in num.items():
+                num[m] = (a * g, b * g)
+            s[1] = lcm
+            f = sign * (lcm // den)
+        for m, (a, b) in terms.items():
+            z = num.get(m)
+            num[m] = (a * f, b * f) if z is None else (z[0] + a * f, z[1] + b * f)
+
+    def result(self) -> dict:
+        """key -> the normalised sum, for every sum that does not vanish."""
+        out = {}
+        for key, s in self._sums.items():
+            if type(s) is not Scalar:
+                s = _canonical(*s)
+                if not s._num:
+                    continue
+            out[key] = s
+        return out
 
 
 def fraction_sqrt(f: Fraction) -> Optional[Fraction]:

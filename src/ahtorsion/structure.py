@@ -17,10 +17,11 @@ from .multilinear import (
     Matrix,
     Tensor,
     mat_inverse,
+    _stored_rows,
     gram_schmidt,
     sort_with_sign,
 )
-from .scalars import ONE, ZERO, Fraction, Scalar
+from .scalars import HALF, ONE, ZERO, Accumulator, Fraction, Scalar
 
 
 class StructureError(GeometryError):
@@ -52,28 +53,20 @@ def transform_form(alpha: Form, M: Matrix) -> Form:
 def transform_algebra(L: LieAlgebra, M: Matrix) -> LieAlgebra:
     """Structure constants in the frame f_a = sum_j M[a][j] e_j."""
     n = L.dim
-    Minv = mat_inverse(M)
-    brackets: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
+    rows, inv = _stored_rows(M), _stored_rows(mat_inverse(M))
+    acc = Accumulator()
     for a in range(n):
         for b in range(a + 1, n):
-            acc = [ZERO] * n
-            for i in range(n):
-                if M[a][i].is_zero():
-                    continue
-                for j in range(n):
-                    if M[b][j].is_zero():
-                        continue
+            for i, x in rows[a]:
+                for j, y in rows[b]:
                     for k, v in L.bracket(i, j).items():
-                        w = M[a][i] * M[b][j] * v
-                        for c in range(n):
-                            if not Minv[k][c].is_zero():
-                                acc[c] = acc[c] + w * Minv[k][c]
-            coeffs = {c: s for c, s in enumerate(acc) if not s.is_zero()}
-            if coeffs:
-                brackets[(a, b)] = coeffs
-    return LieAlgebra(
-        n, brackets, extension_d=L.extension_d, parameters=L.parameters
-    )
+                        w = x * y * v
+                        for c, u in inv[k]:
+                            acc.add((a, b, c), w, u)
+    brackets: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
+    for (a, b, c), v in acc.result().items():
+        brackets.setdefault((a, b), {})[c] = v
+    return LieAlgebra(n, brackets, extension_d=L.extension_d, parameters=L.parameters)
 
 
 class AlmostHermitianStructure:
@@ -181,18 +174,17 @@ def build_structure(
 
     # J^2 = -Id, scattered from the stored entries.  J is skew (J^T = -J), so
     # J^T J = -J^2 and this one test also gives <JX, JY> = <X, Y>.
-    rows = [[(m, v) for m, v in enumerate(row) if not v.is_zero()] for row in J]
-    minus_one = -ONE
+    rows = _stored_rows(J)
+    minus_one = {(i, i): -ONE for i in range(n2)}
+    acc = Accumulator()
     for i, row in enumerate(rows):
-        acc: Dict[int, Scalar] = {}
         for m, a in row:
             for j, b in rows[m]:
-                p = a * b
-                acc[j] = acc[j] + p if j in acc else p
-        if any(not v.is_zero() for j, v in acc.items() if j != i) or acc.get(i) != minus_one:
-            raise StructureError(
-                "omega does not define an almost complex structure (J^2 != -Id)"
-            )
+                acc.add((i, j), a, b)
+    if acc.result() != minus_one:
+        raise StructureError(
+            "omega does not define an almost complex structure (J^2 != -Id)"
+        )
 
     n = n2 // 2
     vol = kaehler_volume(omega, n)
@@ -258,48 +250,45 @@ class Connection:
 
     def torsion(self, L: LieAlgebra) -> Tensor:
         """T_ijk = <D_{e_i} e_j - D_{e_j} e_i - [e_i, e_j], e_k>."""
-        t = Tensor(self.dim, 3)
+        acc = Accumulator()
         for (i, j, k), v in self.gamma.coeffs.items():
-            t.add_to((i, j, k), v)
-            t.add_to((j, i, k), -v)
+            acc.add((i, j, k), v)
+            acc.add((j, i, k), v, sign=-1)
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 for k, v in L.bracket(i, j).items():
-                    t.add_to((i, j, k), -v)
-                    t.add_to((j, i, k), v)
-        return t
+                    acc.add((i, j, k), v, sign=-1)
+                    acc.add((j, i, k), v)
+        return Tensor(self.dim, 3, acc.result())
 
     def covariant_derivative(self, t: Tensor) -> Tensor:
         """(Dt)_{i, j_1..j_s} for an invariant covariant tensor (constant components)."""
         # (Dt)_{i,K} = -sum_a sum_j Gamma_{i, K_a, j} t_{K[a -> j]}, scattered from
         # each stored entry of t against the Gamma entries ending in its index.
         by_last = self.gamma.group_by(2)
-        acc: Dict[Tuple[int, ...], Scalar] = {}
+        acc = Accumulator()
+        add = acc.add
         for idx, v in t.coeffs.items():
             for slot, m in enumerate(idx):
                 for (i, j, _), g in by_last.get((m,), ()):
-                    key = (i,) + idx[:slot] + (j,) + idx[slot + 1 :]
-                    p = g * v
-                    acc[key] = acc[key] - p if key in acc else -p
-        return Tensor(self.dim, t.rank + 1, acc)
+                    add((i,) + idx[:slot] + (j,) + idx[slot + 1 :], g, v, -1)
+        return Tensor(self.dim, t.rank + 1, acc.result())
 
     def derive_endomorphism(self, A: Matrix) -> List[Matrix]:
         """(D_{e_i} A)^k_j for an invariant endomorphism; list indexed by i."""
         # (D_i A)^k_j = sum_m A^m_j Gamma_imk - Gamma_ijm A^k_m, scattered from
         # the stored Gamma entries.
         n = self.dim
-        result: List[Matrix] = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        rows, cols = _stored_rows(A), _stored_rows(list(zip(*A)))
+        acc = Accumulator()
         for (i, a, b), g in self.gamma.coeffs.items():
-            mat = result[i]
-            row = mat[b]
-            for j in range(n):
-                w = A[a][j]
-                if not w.is_zero():
-                    row[j] = row[j] + w * g
-            for k in range(n):
-                w = A[k][b]
-                if not w.is_zero():
-                    mat[k][a] = mat[k][a] - g * w
+            for j, w in rows[a]:
+                acc.add((i, b, j), w, g)
+            for k, w in cols[b]:
+                acc.add((i, k, a), g, w, -1)
+        result: List[Matrix] = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        for (i, k, j), v in acc.result().items():
+            result[i][k][j] = v
         return result
 
 
@@ -328,21 +317,15 @@ def levi_civita(S: AlmostHermitianStructure) -> Connection:
     """Koszul in an orthonormal invariant frame:
     2 Gamma_ijk = c_ijk - c_jki + c_kij with c_ijk = <[e_i, e_j], e_k>."""
     n = S.L.dim
-    half = Scalar.rational(Fraction(1, 2))
-    acc: Dict[Tuple[int, int, int], Scalar] = {}
+    acc = Accumulator()
     # each structure constant c_pqr = v lands in Gamma_pqr, Gamma_rpq and Gamma_qrp
     for p in range(n):
         for q in range(n):
             for r, v in S.L.bracket(p, q).items():
-                for key, w in (((p, q, r), v), ((r, p, q), -v), ((q, r, p), v)):
-                    acc[key] = acc[key] + w if key in acc else w
-    gamma = Tensor(n, 3, {key: half * v for key, v in acc.items() if not v.is_zero()})
-    conn = Connection(n, gamma, kind="levi_civita")
-    if not conn.is_metric():
-        raise StructureError("Levi-Civita output is not metric")  # pragma: no cover
-    if not conn.torsion(S.L).is_zero():
-        raise StructureError("Levi-Civita output is not torsion-free")  # pragma: no cover
-    return conn
+                acc.add((p, q, r), HALF, v)
+                acc.add((r, p, q), HALF, v, -1)
+                acc.add((q, r, p), HALF, v)
+    return Connection(n, Tensor(n, 3, acc.result()), kind="levi_civita")
 
 
 def intrinsic_torsion(S: AlmostHermitianStructure, nabla: Connection) -> Tensor:
@@ -351,20 +334,16 @@ def intrinsic_torsion(S: AlmostHermitianStructure, nabla: Connection) -> Tensor:
         raise StructureError("intrinsic torsion must be taken from Levi-Civita")
     n = S.L.dim
     dJ = nabla.derive_endomorphism(S.J)
-    half = Scalar.rational(Fraction(-1, 2))
-    acc: Dict[Tuple[int, int, int], Scalar] = {}
+    # xi_ijk = sum_m (-1/2 J_km) (D_i J)^m_j
+    cols = _stored_rows([[-HALF * w for w in col] for col in zip(*S.J)])
+    acc = Accumulator()
     for i, A in enumerate(dJ):
         for m, row in enumerate(A):
             for j, a in enumerate(row):
-                if a.is_zero():
-                    continue
-                for k in range(n):
-                    w = S.J[k][m]
-                    if not w.is_zero():
-                        key = (i, j, k)
-                        p = w * a
-                        acc[key] = acc[key] + p if key in acc else p
-    return Tensor(n, 3, {key: half * v for key, v in acc.items() if not v.is_zero()})
+                if a:
+                    for k, w in cols[m]:
+                        acc.add((i, j, k), w, a)
+    return Tensor(n, 3, acc.result())
 
 
 def check_torsion_tensor(S: AlmostHermitianStructure, xi: Tensor) -> Optional[str]:
@@ -373,22 +352,14 @@ def check_torsion_tensor(S: AlmostHermitianStructure, xi: Tensor) -> Optional[st
         return "xi_ijk is not antisymmetric in the last two slots"
     # J xi_X Y + xi_X (JY) = 0  <=>  sum_m xi_ijm J_km + J_mj xi_imk = 0, scattered
     # from each stored entry xi_iab as the first term (j = a) and the second (k = b)
-    n = S.L.dim
-    acc: Dict[Tuple[int, int, int], Scalar] = {}
+    rows, cols = _stored_rows(S.J), _stored_rows(list(zip(*S.J)))
+    acc = Accumulator()
     for (i, a, b), v in xi.coeffs.items():
-        for k in range(n):
-            w = S.J[k][b]
-            if not w.is_zero():
-                key = (i, a, k)
-                p = v * w
-                acc[key] = acc[key] + p if key in acc else p
-        for j in range(n):
-            w = S.J[a][j]
-            if not w.is_zero():
-                key = (i, j, b)
-                p = w * v
-                acc[key] = acc[key] + p if key in acc else p
-    if any(not v.is_zero() for v in acc.values()):
+        for k, w in cols[b]:
+            acc.add((i, a, k), v, w)
+        for j, w in rows[a]:
+            acc.add((i, j, b), w, v)
+    if acc.result():
         return "xi does not anticommute with J in the target slot"
     return None
 
@@ -396,13 +367,8 @@ def check_torsion_tensor(S: AlmostHermitianStructure, xi: Tensor) -> Optional[st
 def minimal_connection(
     S: AlmostHermitianStructure, nabla: Connection, xi: Tensor
 ) -> Connection:
-    conn = Connection(S.L.dim, nabla.gamma + xi, kind="minimal")
-    omega_t = S.omega.to_tensor()
-    if not conn.covariant_derivative(omega_t).is_zero():
-        raise StructureError("minimal connection fails to annihilate omega")
-    if not conn.is_metric():
-        raise StructureError("minimal connection fails metricity")
-    return conn
+    """nabla + xi; the audit's F3 checks that it is metric and parallelizes omega and J."""
+    return Connection(S.L.dim, nabla.gamma + xi, kind="minimal")
 
 
 def chern_connection(
@@ -411,11 +377,12 @@ def chern_connection(
     """Chern connection nabla + xi^h; flag says whether it is a U(n)-connection."""
     n = S.L.dim
     # xi^h_ijk = xi_ijk + xi_jik - xi_kij; each stored xi_abc = v lands in three places
-    acc: Dict[Tuple[int, int, int], Scalar] = {}
+    acc = Accumulator()
     for (a, b, c), v in xi.coeffs.items():
-        for key, w in (((a, b, c), v), ((b, a, c), v), ((b, c, a), -v)):
-            acc[key] = acc[key] + w if key in acc else w
-    conn = Connection(n, nabla.gamma + Tensor(n, 3, acc), kind="chern")
+        acc.add((a, b, c), v)
+        acc.add((b, a, c), v)
+        acc.add((b, c, a), v, sign=-1)
+    conn = Connection(n, nabla.gamma + Tensor(n, 3, acc.result()), kind="chern")
     dJ = conn.derive_endomorphism(S.J)
     is_unitary = all(
         all(all(entry.is_zero() for entry in row) for row in mat) for mat in dJ

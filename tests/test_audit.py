@@ -19,8 +19,20 @@ from ahtorsion.curvature import analyze
 from ahtorsion.decomposition import TwoFormSplit
 from ahtorsion.multilinear import Form, Tensor
 from ahtorsion.scalars import ONE, Scalar, ZERO
+from ahtorsion.structure import Connection
 
 R = Scalar.rational
+
+
+def with_torsion(levi_civita):
+    """levi_civita with Gamma_123 += 1 and Gamma_132 -= 1: metric, not torsion-free."""
+
+    def corrupted(S):
+        conn = levi_civita(S)
+        delta = Tensor(conn.dim, 3, {(0, 1, 2): ONE, (0, 2, 1): -ONE})
+        return Connection(conn.dim, conn.gamma + delta, kind="levi_civita")
+
+    return corrupted
 
 
 class TestCatalogAudit:
@@ -146,6 +158,56 @@ class TestCheckOwners:
         assert [(c.identifier, c.detail) for c in rep.failures] == [
             ("P3.4R", "coefficient (1, 3): -1")
         ]
+
+    def test_f2_reports_a_levi_civita_connection_with_torsion(self, monkeypatch):
+        # the pipeline no longer re-checks Levi-Civita output: F2 owns it
+        monkeypatch.setattr(curvature, "levi_civita", with_torsion(curvature.levi_civita))
+        S = get("example-5.1").build()
+        f2 = next(c for c in run_suite(S, analyze(S)).checks if c.identifier == "F2")
+        assert (f2.status, f2.detail) == ("fail", "not torsion-free")
+
+    def test_f2_reports_a_curvature_off_the_first_bianchi_identity(self):
+        b = audit.Bundle(analyze(get("example-5.4").build()))
+        assert audit.check_f2(b) is None
+        # skew in both pairs and pair-symmetric, so only the cyclic sum is off
+        delta = {}
+        for (i, j, k, l) in ((0, 1, 2, 3), (2, 3, 0, 1)):
+            for a, c, s in ((i, j, 1), (j, i, -1)):
+                for e, f, t in ((k, l, 1), (l, k, -1)):
+                    delta[(a, c, e, f)] = R(s * t)
+        b.curv.Rm = b.curv.Rm + Tensor(6, 4, delta)
+        assert audit.check_f2(b) == "first Bianchi identity: entry (1, 2, 3, 4): 1"
+
+    def test_f3_reports_a_minimal_connection_that_moves_omega(self, monkeypatch):
+        # the pipeline no longer re-checks the minimal connection: F3 owns it
+        real = curvature.minimal_connection
+
+        def moved(S, nabla, xi):
+            conn = real(S, nabla, xi)
+            delta = Tensor(conn.dim, 3, {(0, 0, 2): ONE, (0, 2, 0): -ONE})
+            return Connection(conn.dim, conn.gamma + delta, kind="minimal")
+
+        monkeypatch.setattr(curvature, "minimal_connection", moved)
+        S = get("example-5.4").build()
+        f3 = next(c for c in run_suite(S, analyze(S)).checks if c.identifier == "F3")
+        assert (f3.status, f3.detail) == ("fail", "omega not parallel: entry (1, 1, 2): -1/2*r")
+
+    @pytest.mark.parametrize("name, field, key, p34h, p34s", [
+        ("example-5.4", "xi1", (0, 1, 2), None, "entry (1, 6): -1/4"),
+        ("example-5.4", "xi3", (0, 1, 4), "entry (1, 2): 3/2*r", "entry (2, 1): -1/4*r"),
+        ("example-5.4", "xi2", (1, 0, 3), None, "entry (2, 6): 1/8"),
+        ("nearly-kaehler-s3s3", "xi1", (0, 1, 2), None, "entry (2, 2): -2"),
+        ("nearly-kaehler-s3s3", "xi3", (0, 1, 4), "entry (2, 3): 2/3*r", "entry (2, 6): -2/3"),
+    ])
+    def test_p34h_p34s_report_the_dtheta_residuals_of_a_corrupted_torsion(
+        self, name, field, key, p34h, p34s
+    ):
+        # witnesses pinned from the residuals dtheta_report built when it owned them
+        A = analyze(get(name).build())
+        part = getattr(A.torsion, field)
+        setattr(A.torsion, field, part + Tensor(part.dim, 3, {key: R(2)}))
+        b = audit.Bundle(A)
+        assert (audit.check_p34h(b), audit.check_p34s(b)) == (p34h, p34s)
 
     def test_f7_reports_a_lee_form_off_the_torsion_trace(self, monkeypatch):
         real = curvature.lee_form

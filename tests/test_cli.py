@@ -253,6 +253,29 @@ class TestCommands:
         assert f"== {path} FAIL ==\nerror: {path}: {message}\n" in out
         assert "flat-kaehler-torus.json ok ==" in out
 
+    def test_corrupted_connection_gives_a_failing_report_not_a_traceback(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from ahtorsion import curvature
+        from ahtorsion.multilinear import Tensor
+        from ahtorsion.scalars import ONE
+        from ahtorsion.structure import Connection
+
+        real = curvature.levi_civita
+
+        def with_torsion(S):
+            conn = real(S)
+            delta = Tensor(conn.dim, 3, {(0, 1, 2): ONE, (0, 2, 1): -ONE})
+            return Connection(conn.dim, conn.gamma + delta, kind="levi_civita")
+
+        monkeypatch.setattr(curvature, "levi_civita", with_torsion)
+        path = tmp_path / "example-5.1.json"
+        path.write_text(structure_file("example-5.1"))
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "  FAIL F2 (" in captured.out and "): not torsion-free\n" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
 
 class TestDefinitions:
     def test_definitions_are_valid_json_documents(self):

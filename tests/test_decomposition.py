@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ahtorsion import audit
 from ahtorsion.audit import rotated_structure
 from ahtorsion.catalog import get, names
 from ahtorsion.curvature import analyze
@@ -137,22 +138,25 @@ class TestDThetaReport:
     def test_trace_part_always_zero(self, analysis):
         assert analysis.dtheta.split.r_omega_part.is_zero()
 
+    # the residuals of the two displayed identities are built by P3.4H and P3.4S
+
     def test_residuals_vanish_above_dimension_four(self):
         for name in ("example-5.4", "nearly-kaehler-s3s3"):
-            rep = analyze(get(name).build()).dtheta
-            assert not rep.trivial_at_n2
-            assert rep.lambda0_residual.is_zero()
-            assert rep.lambda20_residual.is_zero()
+            A = analyze(get(name).build())
+            assert not A.dtheta.trivial_at_n2
+            b = audit.Bundle(A)
+            assert audit.check_p34h(b) is None
+            assert audit.check_p34s(b) is None
 
     def test_degenerate_flag_in_dimension_four(self):
-        rep = analyze(get("example-5.1").build()).dtheta
-        assert rep.trivial_at_n2
-        assert rep.lambda0_residual is None
+        A = analyze(get("example-5.1").build())
+        assert A.dtheta.trivial_at_n2
+        assert audit._needs_nondegenerate_dtheta(audit.Bundle(A)) is not None
 
     def test_rotated_structures_keep_residuals_zero(self):
         rng = random.Random(37)
         base = get("example-5.4").build()
         for tag in range(2):
-            A = analyze(rotated_structure(base, rng, str(tag)))
-            assert A.dtheta.lambda0_residual.is_zero()
-            assert A.dtheta.lambda20_residual.is_zero()
+            b = audit.Bundle(analyze(rotated_structure(base, rng, str(tag))))
+            assert audit.check_p34h(b) is None
+            assert audit.check_p34s(b) is None

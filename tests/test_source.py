@@ -32,3 +32,45 @@ def test_module_uses_every_name_it_imports(path):
 def test_unused_import_is_found():
     source = "from typing import Dict, List\nimport os.path\n\nx: List[int] = []\n"
     assert unused_imports(source) == [(1, "Dict"), (2, "os")]
+
+
+def scatter_folds(source: str):
+    """Lines that add one term to a dict entry with its own normalisation:
+    ``X[k] = X[k] + ... if k in X else ...`` (or ``-``), or ``.add_to(``.
+    Kernels sum through ``scalars.Accumulator`` instead."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Subscript)
+            and isinstance(node.value, ast.IfExp)
+            and isinstance(node.value.test, ast.Compare)
+            and isinstance(node.value.test.ops[0], ast.In)
+            and isinstance(node.value.body, ast.BinOp)
+            and isinstance(node.value.body.op, (ast.Add, ast.Sub))
+        ):
+            lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_to"
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_sums_through_the_accumulator(path):
+    assert scatter_folds(path.read_text()) == []
+
+
+def test_scatter_fold_is_found():
+    source = (
+        "acc = {}\n"
+        "acc[k] = acc[k] + p if k in acc else p\n"
+        "acc[(j, k)] = acc[(j, k)] - p if (j, k) in acc else -p\n"
+        "t.add_to((i, j), v)\n"
+        "x = a if k in acc else b\n"
+    )
+    assert scatter_folds(source) == [2, 3, 4]
