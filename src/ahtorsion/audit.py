@@ -21,7 +21,7 @@ from functools import cached_property
 from fractions import Fraction as PyFraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .curvature import Analysis, analyze, evaluate_on_J
+from .curvature import Analysis, analyze
 from .decomposition import (
     _combine,
     _div_trace,
@@ -40,8 +40,9 @@ from .multilinear import (
     exterior_derivative,
     form_inner,
     identity_matrix,
+    metric_tensor,
 )
-from .scalars import HALF, ONE, ZERO, Accumulator, Fraction, Scalar, format_scalar
+from .scalars import HALF, ZERO, Accumulator, Fraction, Scalar, format_scalar
 from .structure import (
     AlmostHermitianStructure,
     build_structure,
@@ -155,7 +156,7 @@ class Bundle:
         self.Dxi = _combine((1, self.Dxi1), (1, self.Dxi2), (1, self.Dxi3), (1, self.Dxi4))
         self.Dth = analysis.nabla.covariant_derivative(self.theta.to_tensor())
         self.omega_t = S.omega.to_tensor()
-        self.g = Tensor(d, 2, {(i, i): ONE for i in range(d)})
+        self.g = metric_tensor(d)
         curv = analysis.curvature
         self.curv = curv
         self.dstar_theta = curv.dstar_theta
@@ -170,7 +171,7 @@ class Bundle:
 
     def pairJ(self, a: Tensor, b: Tensor) -> Tensor:
         """(j, k) -> <a_{e_j} e_i, b_{e_k} J e_i> summed over i."""
-        return _pair_xi(a, b, 1, self.S.J)
+        return -_pair_xi(a, b.apply_J(1, self.S.J))
 
     def pairE(self, a: Tensor, b: Tensor) -> Tensor:
         """(j, k) -> <a_{e_i} e_j, b_{e_i} e_k> summed over i."""
@@ -178,7 +179,7 @@ class Bundle:
 
     def pairE_J(self, a: Tensor, b: Tensor) -> Tensor:
         """(j, k) -> <a_{e_i} e_j, b_{J e_i} e_k> summed over i."""
-        return _pair_xi(a, b, 0, self.S.J)
+        return -_pair_xi(a, b.apply_J(0, self.S.J), 0)
 
     @cached_property
     def curvature_gap(self) -> Tensor:
@@ -230,13 +231,9 @@ class Bundle:
 
     @cached_property
     def Dxi4vec(self) -> Tensor:
-        """(j, m) -> the e_m component of D_{e_j} of the Lee-part trace vector."""
-        mc = self.A.minimal
-        return Tensor(self.dim, 2, {
-            (j, m): x
-            for j in range(self.dim)
-            for m, x in enumerate(mc.derive_vector(j, self.xi4vec))
-        })
+        """(j, m) -> the e_m component of D_{e_j} of the Lee-part trace vector:
+        D^min of the trace taken as a 1-form, as the connection is metric."""
+        return self.A.minimal.covariant_derivative(self.xi4.contract(0, 1))
 
     def _lam11(self, alpha: Form) -> Form:
         """The [lambda^{1,1}] part (alpha + alpha(J., J.)) / 2 of a 2-form."""
@@ -265,6 +262,7 @@ class Bundle:
         sp = self.curv.ric_star_split
         return sp.skew_anti_part + sp.skew_invariant_part
 
+    @cached_property
     def torsion_trace_rhs(self) -> Tensor:
         """The torsion-side tensor whose traces reproduce Ric - Ric*:
 
@@ -297,8 +295,8 @@ def check_f1(b: Bundle) -> Optional[str]:
     build_structure owns the Jacobi identity and J^2 = -Id = -J^T J.
     """
     S = b.S
-    J = Tensor(b.dim, 2, {(i, j): v for i, row in enumerate(S.J) for j, v in enumerate(row)})
-    mismatch = S.omega.to_tensor() - J
+    # J as a tensor, J_ij = <J e_j, e_i>, is -J_(2) g
+    mismatch = S.omega.to_tensor() + b.g.apply_J(1, S.J)
     if not mismatch.is_zero():
         i, j = min(mismatch.coeffs)
         return f"omega/J mismatch at ({i + 1},{j + 1})"
@@ -333,11 +331,9 @@ def check_f3(b: Bundle) -> Optional[str]:
     w = _witness(mc.covariant_derivative(b.S.omega.to_tensor()))
     if w is not None:
         return f"omega not parallel: {w}"
-    for i, mat in enumerate(mc.derive_endomorphism(b.S.J)):
-        for row in mat:
-            for entry in row:
-                if not entry.is_zero():
-                    return f"J not parallel in direction e_{i + 1}"
+    DJ = mc.derive_endomorphism(b.S.J)
+    if not DJ.is_zero():
+        return f"J not parallel in direction e_{min(DJ.coeffs)[0] + 1}"
     return None
 
 
@@ -424,11 +420,7 @@ def check_f7(b: Bundle) -> Optional[str]:
 
 
 def check_l31a(b: Bundle) -> Optional[str]:
-    J = b.S.J
-    acc = Accumulator()
-    for (j, m), v in b.Dxi4vec.coeffs.items():
-        acc.add((), v, J[m][j])
-    return _witness(acc.result().get((), ZERO))
+    return _witness(b.Dxi4vec.trace_J(0, 1, b.S.J)())
 
 
 def check_l31b(b: Bundle) -> Optional[str]:
@@ -597,7 +589,7 @@ def check_su3(b: Bundle) -> Optional[str]:
 
 
 def check_e41(b: Bundle) -> Optional[str]:
-    return _witness(b.diff - b.torsion_trace_rhs())
+    return _witness(b.diff - b.torsion_trace_rhs)
 
 
 def check_e42(b: Bundle) -> Optional[str]:
@@ -665,7 +657,7 @@ def check_e45(b: Bundle) -> Optional[str]:
 def check_sigma(b: Bundle) -> Optional[str]:
     """Symmetric anti-invariant Ricci part from the torsion trace tensor."""
     lhs = b.curv.diff_split.sym_anti_part
-    rhs = split_bilinear(b.S, b.torsion_trace_rhs()).sym_anti_part
+    rhs = split_bilinear(b.S, b.torsion_trace_rhs).sym_anti_part
     return _witness(lhs - rhs)
 
 
@@ -750,7 +742,7 @@ def check_p46i(b: Bundle) -> Optional[str]:
 
 
 def check_p46ii(b: Bundle) -> Optional[str]:
-    ricstar_J = evaluate_on_J(b.S, b.curv.ric_star)
+    ricstar_J = -b.curv.ric_star.apply_J(1, b.S.J)
     rho_t = b.curv.rho.to_tensor()
     r_t = b.curv.r.to_tensor()
     w = _witness(ricstar_J - rho_t)
@@ -818,18 +810,13 @@ def check_p48i(b: Bundle) -> Optional[str]:
 
 
 def check_p48ii(b: Bundle) -> Optional[str]:
-    d, n = b.dim, b.n
-    S = b.S
+    n = b.n
     cc = b.curv.chern
     rho11 = b.rho11.to_tensor()
     dJth11 = b.dJth11.to_tensor()
     rho_chern = cc.rho.to_tensor()
-
-    # (j, k) -> sum_{i,l} J_li (D xi3)_ijkl, from the stored derivative entries
-    acc = Accumulator()
-    for (i, j, k, l), u in b.Dxi3.coeffs.items():
-        acc.add((j, k), S.J[l][i], u)
-    div_j = Tensor(d, 2, acc.result())
+    # (j, k) -> sum_{i,l} J_li (D xi3)_ijkl
+    div_j = b.Dxi3.trace_J(0, 3, b.S.J)
     tj = _outer(b.theta, b.jth_form)
     x3 = _xi_at_vector(b.xi3, b.jth, 2)
     rhs = _combine(
@@ -857,7 +844,7 @@ def check_p410(b: Bundle) -> Optional[str]:
     p12 = _pair_xi(b.xi1, b.xi2)
     x3 = _xi_at_vector(b.xi3, b.th, 2)
     rhs = _combine(
-        (-2, evaluate_on_J(b.S, rmin11)),
+        (2, rmin11.apply_J(1, b.S.J)),
         (-1, _div_trace(b.Dxi3)),
         (-Fraction(n - 2, 4), b.dth_mixed),
         (R(Fraction(1, 4)) * (b.dstar_theta + R(Fraction(2 * n - 7, 2)) * b.tn), b.g),

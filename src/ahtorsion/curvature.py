@@ -9,7 +9,7 @@ Chern) are handled by the same routines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .decomposition import (
     BilinearSplit,
@@ -26,9 +26,7 @@ from .decomposition import (
 from .multilinear import (
     Form,
     LieAlgebra,
-    Matrix,
     Tensor,
-    _stored_rows,
     codifferential,
     exterior_derivative,
     form_inner,
@@ -91,51 +89,27 @@ def riemann(L: LieAlgebra, conn: Connection) -> Tensor:
     return Rm
 
 
-def _trace_J(Rm: Tensor, M: Matrix, a: int, b: int) -> Tensor:
-    """(p, q) -> sum_{x, y} M_yx Rm(...), with x in slot a, y in slot b and
-    p, q in the other two slots, in order."""
-    p, q = (s for s in range(4) if s not in (a, b))
-    acc = Accumulator()
-    for idx, v in Rm.coeffs.items():
-        acc.add((idx[p], idx[q]), M[idx[b]][idx[a]], v)
-    return Tensor(Rm.dim, 2, acc.result())
-
-
 def ricci_pair(S: AlmostHermitianStructure, Rm: Tensor) -> Tuple[Tensor, Tensor]:
     """(Ric, Ric*) with Ric*(X, Y) = <R(X, e_i) JY, Je_i>.
 
-    Ric*_jk = sum_{i,l,m} Rm_jiml J_li J_mk: the (i, l) trace first, then J
-    on the last slot.
+    Ric*_jk = sum_{i,l,m} Rm_jiml J_li J_mk: the (i, l) J-trace first, then
+    (X, Y) -> b(X, JY), which is -J_(2) b.
     """
-    return Rm.contract(1, 3), evaluate_on_J(S, _trace_J(Rm, S.J, 1, 3))
+    return Rm.contract(1, 3), -Rm.trace_J(1, 3, S.J).apply_J(1, S.J)
 
 
 def trace(b: Tensor) -> Scalar:
     return sum((b(i, i) for i in range(b.dim)), ZERO)
 
 
-def _minus_half_J(S: AlmostHermitianStructure) -> Matrix:
-    return [[_MINUS_HALF * w for w in row] for row in S.J]
-
-
 def ricci_form(S: AlmostHermitianStructure, Rm: Tensor) -> Form:
     """rho_D(X, Y) = -1/2 <R_D(e_i, Je_i) X, Y> = -1/2 sum J_mi Rm_imjk."""
-    return _trace_J(Rm, _minus_half_J(S), 0, 1).antisymmetrize_to_form()
+    return Rm.trace_J(0, 1, S.J).scaled(_MINUS_HALF).antisymmetrize_to_form()
 
 
 def transposed_ricci_form(S: AlmostHermitianStructure, Rm: Tensor) -> Form:
     """r_D(X, Y) = -1/2 <R_D(X, Y) e_i, Je_i> = -1/2 sum J_mi Rm_jkim."""
-    return _trace_J(Rm, _minus_half_J(S), 2, 3).antisymmetrize_to_form()
-
-
-def evaluate_on_J(S: AlmostHermitianStructure, b: Tensor) -> Tensor:
-    """(X, Y) -> b(X, JY)."""
-    rows = _stored_rows(S.J)
-    acc = Accumulator()
-    for (j, m), v in b.coeffs.items():
-        for k, w in rows[m]:
-            acc.add((j, k), v, w)
-    return Tensor(b.dim, 2, acc.result())
+    return Rm.trace_J(2, 3, S.J).scaled(_MINUS_HALF).antisymmetrize_to_form()
 
 
 @dataclass
@@ -166,17 +140,11 @@ class CurvatureReport:
     r: Form
     minimal: ConnectionCurvature
     chern: Optional[ConnectionCurvature]
-    chern_is_unitary: bool
     diff_split: BilinearSplit  # Ric - Ric*
     comb_split: BilinearSplit  # Ric + 3 Ric*
-    ric_split: BilinearSplit
     ric_star_split: BilinearSplit
     dstar_theta: Scalar
     theta_norm2: Scalar
-
-
-def norm2(t: Tensor) -> Scalar:
-    return t.inner(t)
 
 
 def scalar_curvatures_from_torsion(
@@ -252,10 +220,8 @@ def curvature_report(
         r=transposed_ricci_form(S, Rm),
         minimal=min_cc,
         chern=chern_cc,
-        chern_is_unitary=unitary,
         diff_split=split_bilinear(S, diff),
         comb_split=split_bilinear(S, comb),
-        ric_split=split_bilinear(S, ric),
         ric_star_split=split_bilinear(S, ric_star),
         dstar_theta=dstar_theta,
         theta_norm2=theta_norm2,
@@ -356,7 +322,6 @@ class Analysis:
     gh_class: GHClass
     dtheta: DThetaReport
     domega: Form
-    domega_split: Dict[str, Form]
     curvature: CurvatureReport
     su: Optional[SURefinement]
 
@@ -371,8 +336,6 @@ def analyze(S: AlmostHermitianStructure) -> Analysis:
     gh = classify(dec)
     rep = dtheta_report(S, theta)
     domega = exterior_derivative(S.L, S.omega)
-    w4_part = theta.wedge(S.omega)
-    domega_split = {"W4": w4_part, "rest": domega - w4_part}
     curv = curvature_report(S, nabla, minimal, dec)
     su = su_refinement(S, theta) if S.n in (2, 3) else None
     return Analysis(
@@ -386,7 +349,6 @@ def analyze(S: AlmostHermitianStructure) -> Analysis:
         gh_class=gh,
         dtheta=rep,
         domega=domega,
-        domega_split=domega_split,
         curvature=curv,
         su=su,
     )

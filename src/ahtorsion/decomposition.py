@@ -9,10 +9,10 @@ phrased in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from .multilinear import (
-    Form, Matrix, Tensor, _stored_rows, codifferential, exterior_derivative, form_inner,
+    Form, Tensor, codifferential, exterior_derivative, form_inner, metric_tensor,
     sort_with_sign,
 )
 from .scalars import (
@@ -62,21 +62,14 @@ def _xi4_tensor(S: AlmostHermitianStructure, theta: Form) -> Tensor:
 
     4 xi_(4)X Y = <X,Y> theta# - theta(Y) X - <JX,Y> J theta# + (J theta)(Y) JX,
 
-    scattered from the stored entries of theta, J theta and J.
+    that is A - A^T in the last two slots for A = g (x) theta - J^T (x) J theta,
+    where -J^T = J_(1) g.
     """
-    th = [(k, _QUARTER * v) for (k,), v in theta.coeffs.items()]
-    jth = [(k, _QUARTER * v) for (k,), v in S.J_oneform(theta).coeffs.items()]
-    acc = Accumulator()
-    for i in range(S.L.dim):
-        for k, t in th:
-            acc.add((i, i, k), t)
-            acc.add((i, k, i), t, sign=-1)
-    for j, row in enumerate(_stored_rows(S.J)):
-        for i, w in row:  # w = J_ji = <J e_i, e_j>
-            for k, t in jth:
-                acc.add((i, j, k), w, t, -1)
-                acc.add((i, k, j), t, w)
-    return Tensor(S.L.dim, 3, acc.result())
+    th = theta.to_tensor().scaled(_QUARTER)
+    jth = S.J_oneform(theta).to_tensor().scaled(_QUARTER)
+    g = metric_tensor(S.L.dim)
+    A = g.tensor(th) + g.apply_J(0, S.J).tensor(jth)
+    return A - A.transpose((0, 2, 1))
 
 
 def _cyclic_part(t: Tensor) -> Tensor:
@@ -151,10 +144,12 @@ def classify(dec: TorsionDecomposition) -> GHClass:
         label = " + ".join(nonzero)
         if "W1" not in nonzero and "W2" not in nonzero:
             label += " (Hermitian)"
-    # Parameter values at which a nonzero component degenerates: roots of the
-    # squared-norm polynomials.  Only rational roots can occur for a sum of
-    # squares with rational data, so the exact listing is complete.  Root
-    # listing is univariate: a norm in several parameters is named in
+    # Parameter values at which a nonzero component degenerates: rational
+    # roots of the squared-norm polynomials.  The listing is complete only
+    # when xi is linear in the parameter, so that a norm is a sum of squares
+    # of linear rational polynomials; otherwise an irrational root can be
+    # missed ((q^2 - 3)^2 / 2 vanishes at q = +-sqrt(3), which is not listed).
+    # Root listing is univariate: a norm in several parameters is named in
     # ``special_unlisted`` instead.
     special: Dict[str, List[Fraction]] = {}
     unlisted: List[str] = []
@@ -285,28 +280,20 @@ def _trace_slot(Dxi: Tensor) -> Tensor:
     return Dxi.contract(0, 1)
 
 
-def _pair_xi(a: Tensor, b: Tensor, slot: int = 1, J: Optional[Matrix] = None) -> Tensor:
+def _pair_xi(a: Tensor, b: Tensor, slot: int = 1) -> Tensor:
     """(j, k) -> a and b contracted on ``slot`` and on their last slot.
 
     ``slot`` is 0 or 1; the other of the first two slots carries j in a and k
     in b.  With the default slot this is <a_{e_j} e_i, b_{e_k} e_i> summed
-    over i, with slot 0 it is <a_{e_i} e_j, b_{e_i} e_k>.  Given ``J``, the
-    contracted index of b is J e_i instead of e_i.
+    over i, with slot 0 it is <a_{e_i} e_j, b_{e_i} e_k>.
     """
     free = 1 - slot
     by_pair = b.group_by(slot, 2)
-    cols = None if J is None else _stored_rows(list(zip(*J)))
     acc = Accumulator()
     add = acc.add
     for idx, v in a.coeffs.items():
-        i, j, m = idx[slot], idx[free], idx[2]
-        if J is None:
-            targets = [(i, v)]
-        else:
-            targets = [(l, v * w) for l, w in cols[i]]
-        for l, vw in targets:
-            for kidx, u in by_pair.get((l, m), ()):
-                add((j, kidx[free]), vw, u)
+        for kidx, u in by_pair.get((idx[slot], idx[2]), ()):
+            add((idx[free], kidx[free]), v, u)
     return Tensor(a.dim, 2, acc.result())
 
 
@@ -340,17 +327,15 @@ def dtheta_report(S: AlmostHermitianStructure, theta: Form) -> DThetaReport:
 def domega_from_torsion(S: AlmostHermitianStructure, xi: Tensor) -> Form:
     """Reconstruct d omega from 1/2 domega(Y,Z,W) = <xi_Y Z, JW> + cyclic.
 
-    A stored xi_abm gives <xi_a e_b, J e_c> = xi_abm J_mc, which enters the
+    <xi_a e_b, J e_c> = sum_m xi_abm J_mc is -(J_(3) xi)_abc, which enters the
     coefficient of the sorted triple when (a, b, c) is one of its cyclic
     orders, that is an even permutation of it.
     """
-    rows = _stored_rows(S.J)
     acc = Accumulator()
-    for (a, b, m), v in xi.coeffs.items():
-        for c, w in rows[m]:
-            key, sign = sort_with_sign((a, b, c))
-            if sign == 1:
-                acc.add(key, v, w)
+    for idx, v in xi.apply_J(2, S.J).coeffs.items():
+        key, sign = sort_with_sign(idx)
+        if sign == 1:
+            acc.add(key, v)
     out = Form(S.L.dim, 3)
     out.coeffs = acc.result()
-    return out.scaled(2)
+    return out.scaled(-2)

@@ -10,15 +10,21 @@ the full index cube reading absent entries.  Each adds its products into one
 ``scalars.Accumulator`` keyed by output index, which keeps raw integer sums
 and normalises each output entry once, when the result is built; where a
 kernel joins two tensors on a slot, it first groups one operand's entries by
-that slot (``Tensor.group_by``).
+that slot (``Tensor.group_by``).  The almost complex structure J acts only
+through ``Tensor.apply_J`` (on one slot) and ``Tensor.trace_J`` (a J-weighted
+trace over two slots): no other code reads the entries of the J matrix.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .scalars import ONE, ZERO, Accumulator, Scalar, scalar_sqrt
+
+
+_MINUS_ONE = -ONE
 
 
 class GeometryError(ValueError):
@@ -41,8 +47,9 @@ def sort_with_sign(indices: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
 class LieAlgebra:
     """Even-dimensional Lie algebra given by structure constants.
 
-    ``c[k][(i, j)]`` would be awkward; we store brackets as a map
-    (i, j) with i < j -> {k: Scalar} so that [e_i, e_j] = sum_k c^k_ij e_k.
+    ``C`` is the stored rank-3 tensor C_ijk = c^k_ij, so that
+    [e_i, e_j] = sum_k c^k_ij e_k; ``bracket`` reads the same constants as a
+    coefficient map.
     """
 
     def __init__(
@@ -73,36 +80,28 @@ class LieAlgebra:
         self._brackets: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
         for (i, j, k), v in acc.result().items():
             self._brackets.setdefault((i, j), {})[k] = v
+            self._brackets.setdefault((j, i), {})[k] = -v
 
-    def c(self, i: int, j: int, k: int) -> Scalar:
-        """Structure constant c^k_ij."""
-        if i == j:
-            return ZERO
-        if i < j:
-            return self._brackets.get((i, j), {}).get(k, ZERO)
-        return -self._brackets.get((j, i), {}).get(k, ZERO)
+    @cached_property
+    def C(self) -> "Tensor":
+        """The structure constants C_ijk = c^k_ij as a stored rank-3 tensor."""
+        return Tensor(self.dim, 3, {
+            (i, j, k): v for (i, j), row in self._brackets.items() for k, v in row.items()
+        })
+
+    @cached_property
+    def _by_target(self) -> Dict[int, List[Tuple[int, int, Scalar]]]:
+        """d e^k = -sum_{i<j} c^k_ij e^{ij}: the brackets with i < j by target k."""
+        out: Dict[int, List[Tuple[int, int, Scalar]]] = {}
+        for (i, j), row in self._brackets.items():
+            if i < j:
+                for k, v in row.items():
+                    out.setdefault(k, []).append((i, j, v))
+        return out
 
     def bracket(self, i: int, j: int) -> Dict[int, Scalar]:
         """[e_i, e_j] as a sparse coefficient map."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self._brackets.get((i, j), {}))
-        return {k: -v for k, v in self._brackets.get((j, i), {}).items()}
-
-    def bracket_vectors(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> List[Scalar]:
-        acc = Accumulator()
-        for i in range(self.dim):
-            if x[i].is_zero():
-                continue
-            for j in range(self.dim):
-                if y[j].is_zero():
-                    continue
-                xy = x[i] * y[j]
-                for k, v in self.bracket(i, j).items():
-                    acc.add(k, xy, v)
-        out = acc.result()
-        return [out.get(k, ZERO) for k in range(self.dim)]
+        return dict(self._brackets.get((i, j), {}))
 
     def jacobi_check(self) -> Tuple[bool, Optional[Tuple[int, int, int, int]]]:
         """Exact Jacobi test; on failure returns the offending (i, j, k, l)."""
@@ -205,10 +204,14 @@ class Form:
         return f
 
     def to_tensor(self) -> "Tensor":
+        # the sign of each slot permutation, found once rather than per entry
+        perms = [(perm, sort_with_sign(perm)[1] == 1)
+                 for perm in itertools.permutations(range(self.degree))]
         coeffs: Dict[Tuple[int, ...], Scalar] = {}
         for key, val in self.coeffs.items():
-            for perm in itertools.permutations(key):
-                coeffs[perm] = val if perm_sign_of(key, perm) == 1 else -val
+            neg = -val
+            for perm, even in perms:
+                coeffs[tuple(key[s] for s in perm)] = val if even else neg
         return Tensor(self.dim, self.degree, coeffs)
 
     def __repr__(self) -> str:
@@ -309,13 +312,38 @@ class Tensor:
 
     def apply_J(self, slot: int, J: "Matrix") -> "Tensor":
         """The J_(i) operator: (J_(i) t)(..., X_i, ...) = -t(..., J X_i, ...)."""
+        # t has index m in this slot; J X with X = e_j hits m with weight J[m][j].
+        # A weight of +-1 adds the entry itself: no product, and an output entry
+        # that receives one term needs no normalisation.
+        rows = [[(j, w, -1 if w == ONE else 1 if w == _MINUS_ONE else 0) for j, w in row]
+                for row in _stored_rows(J)]
         acc = Accumulator()
-        rows = _stored_rows(J)
+        add = acc.add
         for k, v in self.coeffs.items():
-            # t has index m in this slot; J X with X = e_j hits m with weight J[m][j]
-            for j, w in rows[k[slot]]:
-                acc.add(k[:slot] + (j,) + k[slot + 1 :], w, v, -1)
+            for j, w, unit in rows[k[slot]]:
+                key = k[:slot] + (j,) + k[slot + 1 :]
+                if unit:
+                    add(key, v, sign=unit)
+                else:
+                    add(key, w, v, -1)
         return Tensor(self.dim, self.rank, acc.result())
+
+    def trace_J(self, slot_a: int, slot_b: int, J: "Matrix") -> "Tensor":
+        """J-weighted trace over two slots: sum_{x, y} J_yx t(..., x, ..., y, ...)
+        with x in ``slot_a`` and y in ``slot_b``, the other slots kept in order.
+
+        The J analogue of ``contract``, fused: no rotated copy of t is built.
+        """
+        r = self.rank
+        if not (0 <= slot_a < r and 0 <= slot_b < r) or slot_a == slot_b:
+            raise GeometryError(f"invalid trace slots ({slot_a}, {slot_b})")
+        a, b = min(slot_a, slot_b), max(slot_a, slot_b)
+        acc = Accumulator()
+        for k, v in self.coeffs.items():
+            w = J[k[slot_b]][k[slot_a]]
+            if w:
+                acc.add(k[:a] + k[a + 1 : b] + k[b + 1 :], w, v)
+        return Tensor(self.dim, r - 2, acc.result())
 
     def transpose(self, perm: Sequence[int]) -> "Tensor":
         """Reorder slots: result(i_perm[0], ..., i_perm[r-1]) = self(i_0, ..., i_{r-1})."""
@@ -396,6 +424,11 @@ def identity_matrix(dim: int) -> Matrix:
     return [[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)]
 
 
+def metric_tensor(dim: int) -> Tensor:
+    """The metric g as a rank-2 tensor: the identity in the orthonormal frame."""
+    return Tensor(dim, 2, {(i, i): ONE for i in range(dim)})
+
+
 def mat_inverse(a: Matrix) -> Matrix:
     """Exact inverse by Gaussian elimination; entries must be parameter-free."""
     n = len(a)
@@ -418,23 +451,47 @@ def mat_inverse(a: Matrix) -> Matrix:
     return [row[n:] for row in m]
 
 
+def transform_algebra(L: LieAlgebra, M: Matrix) -> LieAlgebra:
+    """Structure constants in the frame f_a = sum_j M[a][j] e_j."""
+    n = L.dim
+    rows, inv = _stored_rows(M), _stored_rows(mat_inverse(M))
+    acc = Accumulator()
+    for a in range(n):
+        for b in range(a + 1, n):
+            for i, x in rows[a]:
+                for j, y in rows[b]:
+                    for k, v in L.bracket(i, j).items():
+                        w = x * y * v
+                        for c, u in inv[k]:
+                            acc.add((a, b, c), w, u)
+    brackets: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
+    for (a, b, c), v in acc.result().items():
+        brackets.setdefault((a, b), {})[c] = v
+    return LieAlgebra(n, brackets, extension_d=L.extension_d, parameters=L.parameters)
+
+
 # -- exterior calculus ---------------------------------------------------------
 
 
 def exterior_derivative(L: LieAlgebra, alpha: Form) -> Form:
-    """Invariant d: d a(X_0..X_p) = sum_{i<j} (-1)^(i+j) a([X_i, X_j], ..hats..)."""
+    """Invariant d by the Leibniz rule from d e^k = -sum_{i<j} c^k_ij e^{ij}.
+
+    Each stored a_K e^K and each position s of K with a bracket (i < j)
+    targeting K_s adds c^{K_s}_ij a_K e^{K[:s] ij K[s+1:]}, which is
+    -(-1)^s sigma times the sorted basis form (sigma the sorting sign).
+    """
     p = alpha.degree
     n = L.dim
-    if p >= n:
-        return Form(n, p + 1)
     out = Form(n, p + 1)
+    if p >= n:
+        return out
     acc = Accumulator()
-    for idx in itertools.combinations(range(n), p + 1):
-        for a in range(p + 1):
-            for b in range(a + 1, p + 1):
-                rest = idx[:a] + idx[a + 1 : b] + idx[b + 1 :]
-                for k, v in L.bracket(idx[a], idx[b]).items():
-                    acc.add(idx, v, alpha(k, *rest), -1 if (a + b) % 2 else 1)
+    for K, v in alpha.coeffs.items():
+        for s, k in enumerate(K):
+            for i, j, c in L._by_target.get(k, ()):
+                key, sign = sort_with_sign(K[:s] + (i, j) + K[s + 1 :])
+                if sign:
+                    acc.add(key, c, v, sign if s % 2 else -sign)
     out.coeffs = acc.result()
     return out
 

@@ -8,7 +8,7 @@ identity throughout and musical isomorphisms act on raw components.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .multilinear import (
     Form,
@@ -16,10 +16,11 @@ from .multilinear import (
     LieAlgebra,
     Matrix,
     Tensor,
-    mat_inverse,
-    _stored_rows,
     gram_schmidt,
+    metric_tensor,
     sort_with_sign,
+    transform_algebra,
+    volume_coefficient,
 )
 from .scalars import HALF, ONE, ZERO, Accumulator, Fraction, Scalar
 
@@ -50,25 +51,6 @@ def transform_form(alpha: Form, M: Matrix) -> Form:
     return out
 
 
-def transform_algebra(L: LieAlgebra, M: Matrix) -> LieAlgebra:
-    """Structure constants in the frame f_a = sum_j M[a][j] e_j."""
-    n = L.dim
-    rows, inv = _stored_rows(M), _stored_rows(mat_inverse(M))
-    acc = Accumulator()
-    for a in range(n):
-        for b in range(a + 1, n):
-            for i, x in rows[a]:
-                for j, y in rows[b]:
-                    for k, v in L.bracket(i, j).items():
-                        w = x * y * v
-                        for c, u in inv[k]:
-                            acc.add((a, b, c), w, u)
-    brackets: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-    for (a, b, c), v in acc.result().items():
-        brackets.setdefault((a, b), {})[c] = v
-    return LieAlgebra(n, brackets, extension_d=L.extension_d, parameters=L.parameters)
-
-
 class AlmostHermitianStructure:
     """(g, omega, J) on a Lie algebra, in an orthonormal frame."""
 
@@ -93,28 +75,11 @@ class AlmostHermitianStructure:
 
     # -- J action helpers ------------------------------------------------
 
-    def J_vec(self, v: Sequence[Scalar]) -> List[Scalar]:
-        n = self.L.dim
-        return [
-            sum((self.J[i][j] * v[j] for j in range(n) if not v[j].is_zero()), ZERO)
-            for i in range(n)
-        ]
-
     def J_oneform(self, alpha: Form) -> Form:
         """(J a)(X) = -a(JX)."""
         if alpha.degree != 1:
             raise StructureError("J_oneform expects a 1-form")
-        n = self.L.dim
-        out = Form(n, 1)
-        for k in range(n):
-            acc = ZERO
-            for m in range(n):
-                v = alpha.coeffs.get((m,))
-                if v is not None and not self.J[m][k].is_zero():
-                    acc = acc - v * self.J[m][k]
-            if not acc.is_zero():
-                out.coeffs[(k,)] = acc
-        return out
+        return alpha.to_tensor().apply_J(0, self.J).antisymmetrize_to_form()
 
     def rotate_two_form(self, alpha: Form) -> Form:
         """alpha(J., J.) as a 2-form."""
@@ -167,29 +132,18 @@ def build_structure(
             psi_plus = transform_form(psi_plus, P)
 
     # J recovered by raising: in the orthonormal frame J^i_j = omega(e_i, e_j)
-    J: Matrix = [[ZERO] * n2 for _ in range(n2)]
-    for (i, j), v in omega.coeffs.items():
-        J[i][j] = v
-        J[j][i] = -v
+    Jt = omega.to_tensor()
+    J: Matrix = [[Jt(i, j) for j in range(n2)] for i in range(n2)]
 
-    # J^2 = -Id, scattered from the stored entries.  J is skew (J^T = -J), so
+    # J^2 = -Id: J_(1) of J as a tensor is -J^T J.  J is skew (J^T = -J), so
     # J^T J = -J^2 and this one test also gives <JX, JY> = <X, Y>.
-    rows = _stored_rows(J)
-    minus_one = {(i, i): -ONE for i in range(n2)}
-    acc = Accumulator()
-    for i, row in enumerate(rows):
-        for m, a in row:
-            for j, b in rows[m]:
-                acc.add((i, j), a, b)
-    if acc.result() != minus_one:
+    if Jt.apply_J(0, J) != -metric_tensor(n2):
         raise StructureError(
             "omega does not define an almost complex structure (J^2 != -Id)"
         )
 
     n = n2 // 2
     vol = kaehler_volume(omega, n)
-    from .multilinear import volume_coefficient
-
     volume_coefficient(vol)  # raises if degenerate
 
     S = AlmostHermitianStructure(L, omega, J, vol, name=name)
@@ -236,30 +190,9 @@ class Connection:
     def is_metric(self) -> bool:
         return self.gamma.is_antisymmetric_pair(1, 2)
 
-    def derive_vector(self, i: int, v: Sequence[Scalar]) -> List[Scalar]:
-        """D_{e_i} of an invariant vector field with constant components."""
-        out = [ZERO] * self.dim
-        for j in range(self.dim):
-            if v[j].is_zero():
-                continue
-            for k in range(self.dim):
-                w = self.gamma(i, j, k)
-                if not w.is_zero():
-                    out[k] = out[k] + v[j] * w
-        return out
-
     def torsion(self, L: LieAlgebra) -> Tensor:
         """T_ijk = <D_{e_i} e_j - D_{e_j} e_i - [e_i, e_j], e_k>."""
-        acc = Accumulator()
-        for (i, j, k), v in self.gamma.coeffs.items():
-            acc.add((i, j, k), v)
-            acc.add((j, i, k), v, sign=-1)
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k, v in L.bracket(i, j).items():
-                    acc.add((i, j, k), v, sign=-1)
-                    acc.add((j, i, k), v)
-        return Tensor(self.dim, 3, acc.result())
+        return self.gamma - self.gamma.transpose((1, 0, 2)) - L.C
 
     def covariant_derivative(self, t: Tensor) -> Tensor:
         """(Dt)_{i, j_1..j_s} for an invariant covariant tensor (constant components)."""
@@ -274,92 +207,50 @@ class Connection:
                     add((i,) + idx[:slot] + (j,) + idx[slot + 1 :], g, v, -1)
         return Tensor(self.dim, t.rank + 1, acc.result())
 
-    def derive_endomorphism(self, A: Matrix) -> List[Matrix]:
-        """(D_{e_i} A)^k_j for an invariant endomorphism; list indexed by i."""
-        # (D_i A)^k_j = sum_m A^m_j Gamma_imk - Gamma_ijm A^k_m, scattered from
-        # the stored Gamma entries.
-        n = self.dim
-        rows, cols = _stored_rows(A), _stored_rows(list(zip(*A)))
-        acc = Accumulator()
-        for (i, a, b), g in self.gamma.coeffs.items():
-            for j, w in rows[a]:
-                acc.add((i, b, j), w, g)
-            for k, w in cols[b]:
-                acc.add((i, k, a), g, w, -1)
-        result: List[Matrix] = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        for (i, k, j), v in acc.result().items():
-            result[i][k][j] = v
-        return result
+    def derive_endomorphism(self, A: Matrix) -> Tensor:
+        """(i, k, j) -> (D_{e_i} A)^k_j for an invariant skew endomorphism A,
+        such as J.
+
+        (D_i A)^k_j = sum_m A^m_j Gamma_imk - Gamma_ijm A^k_m, which for skew A
+        is -(A_(2) Gamma + A_(3) Gamma)_ijk, A acting as in ``apply_J``.
+        """
+        g = self.gamma
+        return -(g.apply_J(1, A) + g.apply_J(2, A)).transpose((0, 2, 1))
 
 
 def nijenhuis(S: AlmostHermitianStructure) -> Tensor:
     """N(X, Y) = [X, Y] + J[JX, Y] + J[X, JY] - [JX, JY], as N_ijk = <N(e_i,e_j), e_k>."""
-    n = S.L.dim
-    out = Tensor(n, 3)
-    basis = [[ONE if a == b else ZERO for a in range(n)] for b in range(n)]
-    for i in range(n):
-        Ji = [S.J[a][i] for a in range(n)]
-        for j in range(i + 1, n):
-            Jj = [S.J[a][j] for a in range(n)]
-            term = S.L.bracket_vectors(basis[i], basis[j])
-            term2 = S.J_vec(S.L.bracket_vectors(Ji, basis[j]))
-            term3 = S.J_vec(S.L.bracket_vectors(basis[i], Jj))
-            term4 = S.L.bracket_vectors(Ji, Jj)
-            for k in range(n):
-                v = term[k] + term2[k] + term3[k] - term4[k]
-                if not v.is_zero():
-                    out.set((i, j, k), v)
-                    out.set((j, i, k), -v)
-    return out
+    # with C_ijk = <[e_i, e_j], e_k>: <J[JX, Y], Z> = -C(JX, Y, JZ), which is
+    # -(J_(1) J_(3) C)(X, Y, Z), and likewise for the other three terms
+    C, J = S.L.C, S.J
+    C1 = C.apply_J(0, J)
+    return C - C1.apply_J(2, J) - C.apply_J(1, J).apply_J(2, J) - C1.apply_J(1, J)
 
 
 def levi_civita(S: AlmostHermitianStructure) -> Connection:
     """Koszul in an orthonormal invariant frame:
     2 Gamma_ijk = c_ijk - c_jki + c_kij with c_ijk = <[e_i, e_j], e_k>."""
-    n = S.L.dim
-    acc = Accumulator()
-    # each structure constant c_pqr = v lands in Gamma_pqr, Gamma_rpq and Gamma_qrp
-    for p in range(n):
-        for q in range(n):
-            for r, v in S.L.bracket(p, q).items():
-                acc.add((p, q, r), HALF, v)
-                acc.add((r, p, q), HALF, v, -1)
-                acc.add((q, r, p), HALF, v)
-    return Connection(n, Tensor(n, 3, acc.result()), kind="levi_civita")
+    C = S.L.C
+    gamma = (C - C.transpose((1, 2, 0)) + C.transpose((2, 0, 1))).scaled(HALF)
+    return Connection(S.L.dim, gamma, kind="levi_civita")
 
 
 def intrinsic_torsion(S: AlmostHermitianStructure, nabla: Connection) -> Tensor:
     """xi_X = -1/2 J (nabla_X J), as the 3-tensor xi_ijk = <xi_{e_i} e_j, e_k>."""
     if nabla.kind != "levi_civita":
         raise StructureError("intrinsic torsion must be taken from Levi-Civita")
-    n = S.L.dim
+    # xi_ijk = -1/2 sum_m J_km (D_i J)^m_j, and J_km = -J_mk
     dJ = nabla.derive_endomorphism(S.J)
-    # xi_ijk = sum_m (-1/2 J_km) (D_i J)^m_j
-    cols = _stored_rows([[-HALF * w for w in col] for col in zip(*S.J)])
-    acc = Accumulator()
-    for i, A in enumerate(dJ):
-        for m, row in enumerate(A):
-            for j, a in enumerate(row):
-                if a:
-                    for k, w in cols[m]:
-                        acc.add((i, j, k), w, a)
-    return Tensor(n, 3, acc.result())
+    return dJ.transpose((0, 2, 1)).apply_J(2, S.J).scaled(-HALF)
 
 
 def check_torsion_tensor(S: AlmostHermitianStructure, xi: Tensor) -> Optional[str]:
     """Both membership invariants of an intrinsic-torsion tensor; None when fine."""
     if not xi.is_antisymmetric_pair(1, 2):
         return "xi_ijk is not antisymmetric in the last two slots"
-    # J xi_X Y + xi_X (JY) = 0  <=>  sum_m xi_ijm J_km + J_mj xi_imk = 0, scattered
-    # from each stored entry xi_iab as the first term (j = a) and the second (k = b)
-    rows, cols = _stored_rows(S.J), _stored_rows(list(zip(*S.J)))
-    acc = Accumulator()
-    for (i, a, b), v in xi.coeffs.items():
-        for k, w in cols[b]:
-            acc.add((i, a, k), v, w)
-        for j, w in rows[a]:
-            acc.add((i, j, b), w, v)
-    if acc.result():
+    # J xi_X Y + xi_X (JY) = 0  <=>  sum_m xi_ijm J_km + J_mj xi_imk = 0, that is
+    # J_(2) xi = J_(3) xi
+    if xi.apply_J(1, S.J) != xi.apply_J(2, S.J):
         return "xi does not anticommute with J in the target slot"
     return None
 
@@ -383,8 +274,4 @@ def chern_connection(
         acc.add((b, a, c), v)
         acc.add((b, c, a), v, sign=-1)
     conn = Connection(n, nabla.gamma + Tensor(n, 3, acc.result()), kind="chern")
-    dJ = conn.derive_endomorphism(S.J)
-    is_unitary = all(
-        all(all(entry.is_zero() for entry in row) for row in mat) for mat in dJ
-    ) and conn.is_metric()
-    return conn, is_unitary
+    return conn, conn.derive_endomorphism(S.J).is_zero() and conn.is_metric()

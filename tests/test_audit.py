@@ -1,5 +1,6 @@
 """The identity audit: coverage, determinism, and failure reporting."""
 
+import copy
 import random
 
 import pytest
@@ -216,3 +217,18 @@ class TestCheckOwners:
         rep = run_suite(S, analyze(S))
         f7 = next(c for c in rep.checks if c.identifier == "F7")
         assert (f7.status, f7.detail) == ("fail", "coefficient (1,): -1")
+
+    @pytest.mark.parametrize("name, seed, f1, f3", [
+        ("example-5.4", 7, "omega/J mismatch at (1,2)", "J not parallel in direction e_1"),
+        ("example-5.1", 3, "omega/J mismatch at (1,2)", "J not parallel in direction e_3"),
+        ("nearly-kaehler-s3s3", 5, "omega/J mismatch at (2,3)",
+         "J not parallel in direction e_2"),
+    ])
+    def test_f1_f3_report_a_J_that_omega_does_not_define(self, name, seed, f1, f3):
+        # witnesses pinned from the matrix loops F1 and F3 ran before J acted
+        # only through Tensor.apply_J
+        b = audit.Bundle(analyze(get(name).build()))
+        other = rotated_structure(b.S, random.Random(seed), "foreign-J")
+        b.S = copy.copy(b.S)
+        b.S.J = other.J
+        assert (audit.check_f1(b), audit.check_f3(b)) == (f1, f3)

@@ -9,7 +9,7 @@ formulas and the identity audit).
 import pytest
 
 from ahtorsion.catalog import get, names
-from ahtorsion.curvature import analyze, evaluate_on_J
+from ahtorsion.curvature import analyze
 from ahtorsion.multilinear import exterior_derivative
 from ahtorsion.render import format_bilinear, format_form
 from ahtorsion.scalars import Fraction, Scalar, format_scalar
@@ -46,7 +46,7 @@ class TestGeneralIdentities:
     def test_ricci_star_against_ricci_form(self, analysis):
         c = analysis.curvature
         S = analysis.structure
-        assert evaluate_on_J(S, c.ric_star) == c.rho.to_tensor()
+        assert -c.ric_star.apply_J(1, S.J) == c.rho.to_tensor()
         assert c.rho == c.r
 
     def test_second_ricci_forms_closed_for_unitary_connections(self, analysis):

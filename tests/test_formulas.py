@@ -87,7 +87,12 @@ def theta_hessian_mixed(b, j, k):
 def ref_l31b(b):
     S, d, n = b.S, b.dim, b.n
     coef = R(Fraction(n - 2, n - 1))
-    dv = [b.A.minimal.derive_vector(j, b.xi4vec) for j in range(d)]
+    # D^min_{e_j} of the Lee trace vector, the dense loop over Gamma_jam
+    gamma = b.A.minimal.gamma
+    dv = [
+        [sum((b.xi4vec[a] * gamma(j, a, m) for a in range(d)), ZERO) for m in range(d)]
+        for j in range(d)
+    ]
     p12 = _pair_xi(b.xi1, b.xi2)
     div3 = _div_trace(b.Dxi3)
 

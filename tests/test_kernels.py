@@ -1,16 +1,19 @@
 """Stored-entry tensor kernels against dense index-cube references.
 
 The kernels in ``structure``, ``curvature``, ``decomposition`` and ``audit``
-iterate stored entries only.  The references below are the straightforward
-loops over every index tuple that those kernels replaced; on every catalog
-entry, two seeded rotated samples and one generated single-parameter file,
-both must give identical exact results.  The audit's curvature-transfer
+iterate stored entries only, and every J contraction among them goes through
+``Tensor.apply_J`` or ``Tensor.trace_J``.  The references below are the
+straightforward loops over every index tuple, or the hand-written J loops,
+that those kernels replaced; on every catalog entry, two seeded rotated
+samples and one generated single-parameter file, both must give identical
+exact results.  The audit's curvature-transfer
 checks are also pinned on corrupted input: their witnesses must be the ones
 the dense loops reported.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -24,9 +27,9 @@ from ahtorsion.catalog import ENTRIES, get, structure_from_data
 from ahtorsion.cli import report_data
 from ahtorsion.curvature import analyze, riemann
 from ahtorsion.decomposition import _div_trace, _pair_xi, _trace_slot, _xi_at_vector
-from ahtorsion.multilinear import Tensor
-from ahtorsion.scalars import ZERO, Scalar
-from ahtorsion.structure import check_torsion_tensor, chern_connection
+from ahtorsion.multilinear import Form, Tensor, exterior_derivative
+from ahtorsion.scalars import ONE, ZERO, Accumulator, Scalar
+from ahtorsion.structure import check_torsion_tensor, chern_connection, nijenhuis
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import generate  # noqa: E402
@@ -71,20 +74,98 @@ def ref_covariant_derivative(conn, t: Tensor) -> Tensor:
     return out
 
 
-def ref_derive_endomorphism(conn, A):
+def ref_derive_endomorphism(conn, A) -> Tensor:
+    """(i, k, j) -> (D_{e_i} A)^k_j, one entry at a time."""
     n = conn.dim
-    result = []
+    out = Tensor(n, 3)
     for i in range(n):
-        mat = [[ZERO] * n for _ in range(n)]
         for j in range(n):
             for k in range(n):
                 acc = ZERO
                 for m in range(n):
                     acc = acc + A[m][j] * conn.gamma(i, m, k)
                     acc = acc - conn.gamma(i, j, m) * A[k][m]
-                mat[k][j] = acc
-        result.append(mat)
-    return result
+                out.set((i, k, j), acc)
+    return out
+
+
+def ref_nijenhuis(S) -> Tensor:
+    """N(e_i, e_j) = [e_i, e_j] + J[Je_i, e_j] + J[e_i, Je_j] - [Je_i, Je_j] on
+    dense basis and J-column vectors, for every pair i < j."""
+    n = S.L.dim
+
+    def bracket_vectors(x, y):
+        out = [ZERO] * n
+        for i in range(n):
+            for j in range(n):
+                if not (x[i].is_zero() or y[j].is_zero()):
+                    for k, v in S.L.bracket(i, j).items():
+                        out[k] = out[k] + x[i] * y[j] * v
+        return out
+
+    def J_vec(v):
+        return [sum((S.J[i][j] * v[j] for j in range(n)), ZERO) for i in range(n)]
+
+    out = Tensor(n, 3)
+    basis = [[ONE if a == b else ZERO for a in range(n)] for b in range(n)]
+    for i in range(n):
+        Ji = [S.J[a][i] for a in range(n)]
+        for j in range(i + 1, n):
+            Jj = [S.J[a][j] for a in range(n)]
+            term = bracket_vectors(basis[i], basis[j])
+            term2 = J_vec(bracket_vectors(Ji, basis[j]))
+            term3 = J_vec(bracket_vectors(basis[i], Jj))
+            term4 = bracket_vectors(Ji, Jj)
+            for k in range(n):
+                v = term[k] + term2[k] + term3[k] - term4[k]
+                out.set((i, j, k), v)
+                out.set((j, i, k), -v)
+    return out
+
+
+def ref_trace_J(t: Tensor, M, a: int, b: int) -> Tensor:
+    """sum_{x, y} M_yx t(...) with x in slot a, y in slot b, the other slots
+    in order, from every stored entry."""
+    rest = [s for s in range(t.rank) if s not in (a, b)]
+    acc = Accumulator()
+    for idx, v in t.coeffs.items():
+        acc.add(tuple(idx[s] for s in rest), M[idx[b]][idx[a]], v)
+    return Tensor(t.dim, t.rank - 2, acc.result())
+
+
+def ref_anticommutator(S, xi: Tensor) -> Tensor:
+    """sum_m xi_ijm J_km + J_mj xi_imk, scattered from each stored xi_iab as
+    the first term (j = a) and the second (k = b)."""
+    n = S.L.dim
+    acc = Accumulator()
+    for (i, a, b), v in xi.coeffs.items():
+        for k in range(n):
+            if S.J[k][b]:
+                acc.add((i, a, k), v, S.J[k][b])
+        for j in range(n):
+            if S.J[a][j]:
+                acc.add((i, j, b), S.J[a][j], v)
+    return Tensor(n, 3, acc.result())
+
+
+def ref_exterior_derivative(L, alpha: Form) -> Form:
+    """d a(X_0..X_p) = sum_{i<j} (-1)^(i+j) a([X_i, X_j], ..hats..) on every
+    sorted (p+1)-tuple."""
+    p, n = alpha.degree, L.dim
+    out = Form(n, p + 1)
+    if p >= n:
+        return out
+    for idx in itertools.combinations(range(n), p + 1):
+        acc = ZERO
+        for a in range(p + 1):
+            for b in range(a + 1, p + 1):
+                rest = idx[:a] + idx[a + 1 : b] + idx[b + 1 :]
+                for k, v in L.bracket(idx[a], idx[b]).items():
+                    term = v * alpha(k, *rest)
+                    acc = acc - term if (a + b) % 2 else acc + term
+        if not acc.is_zero():
+            out.coeffs[idx] = acc
+    return out
 
 
 def ref_check_torsion_tensor(S, xi: Tensor):
@@ -245,6 +326,37 @@ def test_check_torsion_tensor_matches_dense_loop(bundle):
         assert ref_check_torsion_tensor(bundle.S, part) is None
 
 
+def test_anticommutation_residual_matches_the_scatter(bundle):
+    # the whole residual, also where it is not zero: a Gamma is no torsion tensor
+    S = bundle.S
+    for t in (bundle.xi, bundle.xi3, bundle.A.nabla.gamma, bundle.A.minimal.gamma):
+        assert t.apply_J(2, S.J) - t.apply_J(1, S.J) == ref_anticommutator(S, t)
+
+
+def test_nijenhuis_matches_the_bracket_vector_loop(bundle):
+    assert nijenhuis(bundle.S) == ref_nijenhuis(bundle.S)
+
+
+def test_trace_J_matches_the_stored_entry_loop(bundle):
+    J = bundle.S.J
+    tensors = [bundle.curv.Rm, bundle.curv.minimal.Rm, bundle.Dxi3, bundle.xi,
+               bundle.Dxi4vec, bundle.g, bundle.omega_t]
+    for t in tensors:
+        for a, b in itertools.permutations(range(t.rank), 2):
+            assert t.trace_J(a, b, J) == ref_trace_J(t, J, a, b)
+
+
+def test_exterior_derivative_matches_the_tuple_sweep(bundle):
+    L, n = bundle.S.L, bundle.dim
+    forms = [Form.basis(n, K) for p in range(n + 1)
+             for K in itertools.combinations(range(n), p)]
+    A = bundle.A
+    forms += [bundle.S.omega, bundle.theta, bundle.jth_form, A.domega, A.dtheta.dtheta,
+              A.curvature.rho, A.curvature.minimal.r]
+    for alpha in forms:
+        assert exterior_derivative(L, alpha) == ref_exterior_derivative(L, alpha)
+
+
 def test_pair_contractions_match_dense_loops(bundle):
     S = bundle.S
     parts = [bundle.xi, bundle.xi1, bundle.xi2, bundle.xi3, bundle.xi4]
@@ -303,7 +415,7 @@ def test_every_stored_entry_is_canonical(bundle):
     # the analysis holds Gamma, Rm, Ric, Ric*, the Ricci forms and every split;
     # the bundle adds each D^min xi_k, D theta and the curvature gap
     roots = [b.A, chern.gamma, b.Dxi, b.Dxi1, b.Dxi2, b.Dxi3, b.Dxi4, b.Dth,
-             b.curvature_gap, b.torsion_trace_rhs()]
+             b.curvature_gap, b.torsion_trace_rhs]
     entries = [s for root in roots for s in _stored_scalars(root, set())]
     assert entries
     for s in entries:

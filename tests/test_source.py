@@ -74,3 +74,46 @@ def test_scatter_fold_is_found():
         "x = a if k in acc else b\n"
     )
     assert scatter_folds(source) == [2, 3, 4]
+
+
+def _is_J(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "J") or (
+        isinstance(node, ast.Attribute) and node.attr == "J"
+    )
+
+
+def j_matrix_reads(source: str):
+    """Lines that read entries of a J matrix by hand: a subscript of ``J`` or
+    ``x.J`` (``S.J[m]``, ``J[m][k]``), its unpacking (``zip(*J)``), or a call
+    of ``_stored_rows``.  Outside ``multilinear``, J acts only through
+    ``Tensor.apply_J`` and ``Tensor.trace_J``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Subscript, ast.Starred)) and _is_J(node.value):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Call) and (
+            (isinstance(node.func, ast.Name) and node.func.id == "_stored_rows")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "_stored_rows")
+        ):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+J_CLIENTS = [p for p in MODULES if p.name != "multilinear.py"]
+
+
+@pytest.mark.parametrize("path", J_CLIENTS, ids=[p.name for p in J_CLIENTS])
+def test_module_acts_with_J_only_through_the_tensor_primitives(path):
+    assert j_matrix_reads(path.read_text()) == []
+
+
+def test_j_matrix_read_is_found():
+    source = (
+        "w = S.J[m][k]\n"
+        "J[i][j] = v\n"
+        "cols = list(zip(*self.J))\n"
+        "rows = _stored_rows(M)\n"
+        "t = xi.apply_J(1, S.J).trace_J(0, 2, J)\n"
+        "x = K[m][k]\n"
+    )
+    assert j_matrix_reads(source) == [1, 2, 3, 4]
