@@ -34,6 +34,7 @@ from .decomposition import (
     split_two_form,
 )
 from .multilinear import (
+    Endomorphism,
     Form,
     Matrix,
     Tensor,
@@ -129,11 +130,14 @@ class Bundle:
     combination of rank-2 tensors built from these fields (``_combine``).
     Terms derived from ``Dxi``, ``Dth`` or ``jth_form`` and the
     [lambda^{1,1}] parts of 2-forms are built on first use, so a field
-    corrupted before a check reads it reaches that check.
+    corrupted before a check reads it reaches that check.  J rotations of the
+    operands are kept per operand object (``rotated``): a field replaced by
+    another tensor is rotated afresh, so operands must not change in place.
     """
 
     def __init__(self, analysis: Analysis):
         self.A = analysis
+        self._rotations: Dict[Tuple[int, int], Tuple[Tensor, Endomorphism, Tensor]] = {}
         S = analysis.structure
         self.S = S
         self.dim = S.L.dim
@@ -167,11 +171,20 @@ class Bundle:
         self.r_min = curv.minimal.r
         self.rho_min = curv.minimal.rho
 
+    def rotated(self, t: Tensor, slot: int) -> Tensor:
+        """J_(slot) t, computed once per operand object, slot and J."""
+        J = self.S.J
+        hit = self._rotations.get((id(t), slot))
+        # the memo holds t, so its id is not reused while the entry lives
+        if hit is None or hit[1] is not J:
+            hit = self._rotations[(id(t), slot)] = (t, J, t.apply_J(slot, J))
+        return hit[2]
+
     # contraction shapes shared by several identities, each the whole (j, k) tensor
 
     def pairJ(self, a: Tensor, b: Tensor) -> Tensor:
         """(j, k) -> <a_{e_j} e_i, b_{e_k} J e_i> summed over i."""
-        return -_pair_xi(a, b.apply_J(1, self.S.J))
+        return -_pair_xi(a, self.rotated(b, 1))
 
     def pairE(self, a: Tensor, b: Tensor) -> Tensor:
         """(j, k) -> <a_{e_i} e_j, b_{e_i} e_k> summed over i."""
@@ -179,7 +192,7 @@ class Bundle:
 
     def pairE_J(self, a: Tensor, b: Tensor) -> Tensor:
         """(j, k) -> <a_{e_i} e_j, b_{J e_i} e_k> summed over i."""
-        return -_pair_xi(a, b.apply_J(0, self.S.J), 0)
+        return -_pair_xi(a, self.rotated(b, 0), 0)
 
     @cached_property
     def curvature_gap(self) -> Tensor:
@@ -216,7 +229,7 @@ class Bundle:
                     add((q, p, k, l), v, u, -1)
                 elif p < q:
                     add((p, q, k, l), v, u)
-        return Tensor(self.dim, 4, acc.result())
+        return Tensor.of_nonzero(self.dim, 4, acc.result())
 
     @cached_property
     def dth_mixed(self) -> Tensor:
@@ -283,7 +296,7 @@ class Bundle:
                 add((q, k), v2, u, -1)
             for (_, k, _), u in by_ends.get((m, q), ()):
                 add((p, k), v2, u)
-        return Tensor(self.dim, 2, acc.result())
+        return Tensor.of_nonzero(self.dim, 2, acc.result())
 
 
 # -- framework checks ---------------------------------------------------------
@@ -341,7 +354,7 @@ def check_f4(b: Bundle) -> Optional[str]:
     """Intrinsic torsion invariants and its connection difference."""
     if not b.xi.is_antisymmetric_pair(1, 2):
         return "xi not skew in the last two slots"
-    msg = check_torsion_tensor(b.S, b.xi)
+    msg = check_torsion_tensor(b.S, b.xi, b.rotated)
     if msg is not None:
         return msg
     return _witness(b.A.minimal.gamma - b.A.nabla.gamma - b.xi)
@@ -376,7 +389,7 @@ def check_f6(b: Bundle) -> Optional[str]:
         return f"components do not sum to xi: {w}"
     parts = [b.xi1, b.xi2, b.xi3, b.xi4]
     for k, part in enumerate(parts):
-        msg = check_torsion_tensor(b.S, part)
+        msg = check_torsion_tensor(b.S, part, b.rotated)
         if msg is not None:
             return f"component W{k + 1}: {msg}"
     for x in range(4):

@@ -83,7 +83,7 @@ def riemann(L: LieAlgebra, conn: Connection) -> Tensor:
                     add((i, j, k, l), g, h)
     coeffs = acc.result()
     coeffs.update({(j, i, k, l): -v for (i, j, k, l), v in coeffs.items()})
-    Rm = Tensor(n, 4, coeffs)
+    Rm = Tensor.of_nonzero(n, 4, coeffs)
     if not Rm.is_antisymmetric_pair(2, 3):
         raise CurvatureError("curvature of a metric connection must be skew in (k, l)")
     return Rm

@@ -79,7 +79,7 @@ def _cyclic_part(t: Tensor) -> Tensor:
         acc.add((a, b, c), _THIRD, v)
         acc.add((c, a, b), _THIRD, v)
         acc.add((b, c, a), _THIRD, v)
-    return Tensor(t.dim, 3, acc.result())
+    return Tensor.of_nonzero(t.dim, 3, acc.result())
 
 
 @dataclass
@@ -267,7 +267,7 @@ def _combine(*terms: Tuple[Union[Scalar, RatLike], Tensor]) -> Tensor:
             c = Scalar.rational(c)
         for k, v in t.coeffs.items():
             add(k, c, v)
-    return Tensor(terms[0][1].dim, terms[0][1].rank, acc.result())
+    return Tensor.of_nonzero(terms[0][1].dim, terms[0][1].rank, acc.result())
 
 
 def _div_trace(Dxi: Tensor) -> Tensor:
@@ -294,7 +294,7 @@ def _pair_xi(a: Tensor, b: Tensor, slot: int = 1) -> Tensor:
     for idx, v in a.coeffs.items():
         for kidx, u in by_pair.get((idx[slot], idx[2]), ()):
             add((idx[free], kidx[free]), v, u)
-    return Tensor(a.dim, 2, acc.result())
+    return Tensor.of_nonzero(a.dim, 2, acc.result())
 
 
 def _xi_at_vector(xi_part: Tensor, vec: List[Scalar], slot: int = 0) -> Tensor:
@@ -306,7 +306,7 @@ def _xi_at_vector(xi_part: Tensor, vec: List[Scalar], slot: int = 0) -> Tensor:
     acc = Accumulator()
     for idx, v in xi_part.coeffs.items():
         acc.add(idx[:slot] + idx[slot + 1 :], vec[idx[slot]], v)
-    return Tensor(xi_part.dim, 2, acc.result())
+    return Tensor.of_nonzero(xi_part.dim, 2, acc.result())
 
 
 def dtheta_report(S: AlmostHermitianStructure, theta: Form) -> DThetaReport:

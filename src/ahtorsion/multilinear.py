@@ -13,6 +13,12 @@ kernel joins two tensors on a slot, it first groups one operand's entries by
 that slot (``Tensor.group_by``).  The almost complex structure J acts only
 through ``Tensor.apply_J`` (on one slot) and ``Tensor.trace_J`` (a J-weighted
 trace over two slots): no other code reads the entries of the J matrix.
+``S.J`` is an ``Endomorphism``: it still indexes as the matrix, and it
+carries its stored rows, built once when the structure is built, which the
+two primitives read on every call.  When J is a signed permutation (each row
+one +-1 entry), ``apply_J`` moves each stored entry to its new index instead
+of summing.  Tensors built from ``Accumulator.result()`` are taken as they
+are (``Tensor.of_nonzero``), since those maps never hold a zero.
 """
 
 from __future__ import annotations
@@ -242,6 +248,15 @@ class Tensor:
                 if not v.is_zero():
                     self.coeffs[tuple(k)] = v
 
+    @classmethod
+    def of_nonzero(cls, dim: int, rank: int, coeffs: Dict[Tuple[int, ...], Scalar]) -> "Tensor":
+        """The tensor stored on ``coeffs`` itself, whose keys are tuples and
+        whose values are all nonzero, as ``Accumulator.result()`` returns:
+        no entry is checked again."""
+        t = cls.__new__(cls)
+        t.dim, t.rank, t.coeffs = dim, rank, coeffs
+        return t
+
     def __call__(self, *indices: int) -> Scalar:
         if len(indices) != self.rank:
             raise GeometryError("wrong number of tensor arguments")
@@ -266,14 +281,14 @@ class Tensor:
 
     def __add__(self, other: "Tensor") -> "Tensor":
         self._check_like(other)
-        return Tensor(self.dim, self.rank, _sum_entries(self.coeffs, other.coeffs, 1))
+        return Tensor.of_nonzero(self.dim, self.rank, _sum_entries(self.coeffs, other.coeffs, 1))
 
     def __neg__(self) -> "Tensor":
-        return Tensor(self.dim, self.rank, {k: -v for k, v in self.coeffs.items()})
+        return Tensor.of_nonzero(self.dim, self.rank, {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other: "Tensor") -> "Tensor":
         self._check_like(other)
-        return Tensor(self.dim, self.rank, _sum_entries(self.coeffs, other.coeffs, -1))
+        return Tensor.of_nonzero(self.dim, self.rank, _sum_entries(self.coeffs, other.coeffs, -1))
 
     def scaled(self, s) -> "Tensor":
         s = s if isinstance(s, Scalar) else Scalar.rational(s)
@@ -308,27 +323,35 @@ class Tensor:
         for k, v in self.coeffs.items():
             if k[a] == k[b]:
                 acc.add(k[:a] + k[a + 1 : b] + k[b + 1 :], v)
-        return Tensor(self.dim, r - 2, acc.result())
+        return Tensor.of_nonzero(self.dim, r - 2, acc.result())
 
-    def apply_J(self, slot: int, J: "Matrix") -> "Tensor":
+    def apply_J(self, slot: int, J: "Endomorphism") -> "Tensor":
         """The J_(i) operator: (J_(i) t)(..., X_i, ...) = -t(..., J X_i, ...)."""
         # t has index m in this slot; J X with X = e_j hits m with weight J[m][j].
-        # A weight of +-1 adds the entry itself: no product, and an output entry
-        # that receives one term needs no normalisation.
-        rows = [[(j, w, -1 if w == ONE else 1 if w == _MINUS_ONE else 0) for j, w in row]
-                for row in _stored_rows(J)]
+        perm = J.signed_perm
+        if perm is not None:
+            # one weight -+1 per m, each in its own column: every stored entry
+            # moves to its own new index, as itself or negated
+            coeffs = {}
+            for k, v in self.coeffs.items():
+                j, sign = perm[k[slot]]
+                coeffs[k[:slot] + (j,) + k[slot + 1 :]] = v if sign == 1 else -v
+            return Tensor.of_nonzero(self.dim, self.rank, coeffs)
+        # a weight of +-1 adds the entry itself: no product, and an output
+        # entry that receives one term needs no normalisation
+        rows = J.rows
         acc = Accumulator()
         add = acc.add
         for k, v in self.coeffs.items():
-            for j, w, unit in rows[k[slot]]:
+            for j, (w, unit) in rows[k[slot]].items():
                 key = k[:slot] + (j,) + k[slot + 1 :]
                 if unit:
-                    add(key, v, sign=unit)
+                    add(key, v, sign=-unit)
                 else:
                     add(key, w, v, -1)
-        return Tensor(self.dim, self.rank, acc.result())
+        return Tensor.of_nonzero(self.dim, self.rank, acc.result())
 
-    def trace_J(self, slot_a: int, slot_b: int, J: "Matrix") -> "Tensor":
+    def trace_J(self, slot_a: int, slot_b: int, J: "Endomorphism") -> "Tensor":
         """J-weighted trace over two slots: sum_{x, y} J_yx t(..., x, ..., y, ...)
         with x in ``slot_a`` and y in ``slot_b``, the other slots kept in order.
 
@@ -338,12 +361,18 @@ class Tensor:
         if not (0 <= slot_a < r and 0 <= slot_b < r) or slot_a == slot_b:
             raise GeometryError(f"invalid trace slots ({slot_a}, {slot_b})")
         a, b = min(slot_a, slot_b), max(slot_a, slot_b)
+        rows = J.rows
         acc = Accumulator()
         for k, v in self.coeffs.items():
-            w = J[k[slot_b]][k[slot_a]]
-            if w:
-                acc.add(k[:a] + k[a + 1 : b] + k[b + 1 :], w, v)
-        return Tensor(self.dim, r - 2, acc.result())
+            hit = rows[k[slot_b]].get(k[slot_a])
+            if hit is not None:
+                w, unit = hit
+                key = k[:a] + k[a + 1 : b] + k[b + 1 :]
+                if unit:
+                    acc.add(key, v, sign=unit)
+                else:
+                    acc.add(key, w, v)
+        return Tensor.of_nonzero(self.dim, r - 2, acc.result())
 
     def transpose(self, perm: Sequence[int]) -> "Tensor":
         """Reorder slots: result(i_perm[0], ..., i_perm[r-1]) = self(i_0, ..., i_{r-1})."""
@@ -351,8 +380,8 @@ class Tensor:
         inv = [0] * self.rank
         for src, dst in enumerate(perm):
             inv[dst] = src
-        return Tensor(self.dim, self.rank,
-                      {tuple(k[s] for s in inv): v for k, v in self.coeffs.items()})
+        return Tensor.of_nonzero(self.dim, self.rank,
+                                 {tuple(k[s] for s in inv): v for k, v in self.coeffs.items()})
 
     def is_antisymmetric_pair(self, a: int, b: int) -> bool:
         """Whether swapping slots a and b negates the tensor: each stored entry
@@ -396,6 +425,35 @@ Matrix = List[List[Scalar]]
 def _stored_rows(M: Matrix) -> List[List[Tuple[int, Scalar]]]:
     """Each row of a matrix as its (column, entry) pairs with a nonzero entry."""
     return [[(j, w) for j, w in enumerate(row) if w] for row in M]
+
+
+class Endomorphism:
+    """A square matrix A with its action on tensor slots prepared once.
+
+    It indexes as the matrix, ``A[i][j]``.  ``rows[m]`` maps the column j of
+    each stored entry w of row m to (w, u), where u is the sign of w when
+    w = +-1 and 0 otherwise.  ``signed_perm`` is None unless every row holds
+    a single +-1 in a column of its own; then ``signed_perm[m]`` is that
+    row's (column, -w), the sign ``Tensor.apply_J`` gives the moved entry.
+    """
+
+    def __init__(self, matrix: Matrix):
+        self._matrix = [list(row) for row in matrix]
+        self.rows: List[Dict[int, Tuple[Scalar, int]]] = [
+            {j: (w, 1 if w == ONE else -1 if w == _MINUS_ONE else 0) for j, w in row}
+            for row in _stored_rows(self._matrix)
+        ]
+        single = [next(iter(row.items())) for row in self.rows if len(row) == 1]
+        columns = {j for j, (_, unit) in single if unit}
+        self.signed_perm: Optional[List[Tuple[int, int]]] = (
+            [(j, -unit) for j, (_, unit) in single] if len(columns) == len(self.rows) else None
+        )
+
+    def __getitem__(self, i: int) -> List[Scalar]:
+        return self._matrix[i]
+
+    def __iter__(self):
+        return iter(self._matrix)
 
 
 def _dot(a: dict, b: dict) -> Scalar:

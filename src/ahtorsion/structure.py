@@ -7,10 +7,10 @@ identity throughout and musical isomorphisms act on raw components.
 
 from __future__ import annotations
 
-import itertools
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .multilinear import (
+    Endomorphism,
     Form,
     GeometryError,
     LieAlgebra,
@@ -18,11 +18,10 @@ from .multilinear import (
     Tensor,
     gram_schmidt,
     metric_tensor,
-    sort_with_sign,
     transform_algebra,
     volume_coefficient,
 )
-from .scalars import HALF, ONE, ZERO, Accumulator, Fraction, Scalar
+from .scalars import HALF, ONE, Accumulator, Fraction, Scalar
 
 
 class StructureError(GeometryError):
@@ -30,24 +29,22 @@ class StructureError(GeometryError):
 
 
 def transform_form(alpha: Form, M: Matrix) -> Form:
-    """Express a form in the frame f_a = sum_j M[a][j] e_j (as coefficients on f)."""
+    """Express a form in the frame f_a = sum_j M[a][j] e_j (as coefficients on f).
+
+    e^s = sum_a M[a][s] f^a, so each stored e^K is the wedge of the 1-forms
+    of its indices, and alpha sums those wedges.
+    """
     n = alpha.dim
-    p = alpha.degree
-    out = Form(n, p)
-    for target in itertools.combinations(range(n), p):
-        acc = ZERO
-        for src, val in alpha.coeffs.items():
-            # minor determinant of M on rows `target`, columns `src`
-            det = ZERO
-            for perm in itertools.permutations(range(p)):
-                _, sign = sort_with_sign(perm)
-                prod = ONE
-                for t in range(p):
-                    prod = prod * M[target[t]][src[perm[t]]]
-                det = det + (prod if sign == 1 else -prod)
-            acc = acc + val * det
-        if not acc.is_zero():
-            out.coeffs[target] = acc
+    columns = [Form(n, 1, {(a,): M[a][s] for a in range(n) if M[a][s]}) for s in range(n)]
+    acc = Accumulator()
+    for K, v in alpha.coeffs.items():
+        e_K = Form(n, 0, {(): ONE})
+        for s in K:
+            e_K = e_K.wedge(columns[s])
+        for key, w in e_K.coeffs.items():
+            acc.add(key, v, w)
+    out = Form(n, alpha.degree)
+    out.coeffs = acc.result()
     return out
 
 
@@ -58,7 +55,7 @@ class AlmostHermitianStructure:
         self,
         L: LieAlgebra,
         omega: Form,
-        J: Matrix,
+        J: Endomorphism,
         vol: Form,
         psi_plus: Optional[Form] = None,
         psi_minus: Optional[Form] = None,
@@ -133,7 +130,7 @@ def build_structure(
 
     # J recovered by raising: in the orthonormal frame J^i_j = omega(e_i, e_j)
     Jt = omega.to_tensor()
-    J: Matrix = [[Jt(i, j) for j in range(n2)] for i in range(n2)]
+    J = Endomorphism([[Jt(i, j) for j in range(n2)] for i in range(n2)])
 
     # J^2 = -Id: J_(1) of J as a tensor is -J^T J.  J is skew (J^T = -J), so
     # J^T J = -J^2 and this one test also gives <JX, JY> = <X, Y>.
@@ -205,9 +202,9 @@ class Connection:
             for slot, m in enumerate(idx):
                 for (i, j, _), g in by_last.get((m,), ()):
                     add((i,) + idx[:slot] + (j,) + idx[slot + 1 :], g, v, -1)
-        return Tensor(self.dim, t.rank + 1, acc.result())
+        return Tensor.of_nonzero(self.dim, t.rank + 1, acc.result())
 
-    def derive_endomorphism(self, A: Matrix) -> Tensor:
+    def derive_endomorphism(self, A: Endomorphism) -> Tensor:
         """(i, k, j) -> (D_{e_i} A)^k_j for an invariant skew endomorphism A,
         such as J.
 
@@ -244,13 +241,23 @@ def intrinsic_torsion(S: AlmostHermitianStructure, nabla: Connection) -> Tensor:
     return dJ.transpose((0, 2, 1)).apply_J(2, S.J).scaled(-HALF)
 
 
-def check_torsion_tensor(S: AlmostHermitianStructure, xi: Tensor) -> Optional[str]:
-    """Both membership invariants of an intrinsic-torsion tensor; None when fine."""
+def check_torsion_tensor(
+    S: AlmostHermitianStructure,
+    xi: Tensor,
+    rotate: Optional[Callable[[Tensor, int], Tensor]] = None,
+) -> Optional[str]:
+    """Both membership invariants of an intrinsic-torsion tensor; None when fine.
+
+    ``rotate(t, slot)`` gives J_(slot) t, by default ``t.apply_J(slot, S.J)``;
+    the audit passes its memo of rotations.
+    """
     if not xi.is_antisymmetric_pair(1, 2):
         return "xi_ijk is not antisymmetric in the last two slots"
     # J xi_X Y + xi_X (JY) = 0  <=>  sum_m xi_ijm J_km + J_mj xi_imk = 0, that is
     # J_(2) xi = J_(3) xi
-    if xi.apply_J(1, S.J) != xi.apply_J(2, S.J):
+    if rotate is None:
+        rotate = lambda t, slot: t.apply_J(slot, S.J)
+    if rotate(xi, 1) != rotate(xi, 2):
         return "xi does not anticommute with J in the target slot"
     return None
 
@@ -273,5 +280,5 @@ def chern_connection(
         acc.add((a, b, c), v)
         acc.add((b, a, c), v)
         acc.add((b, c, a), v, sign=-1)
-    conn = Connection(n, nabla.gamma + Tensor(n, 3, acc.result()), kind="chern")
+    conn = Connection(n, nabla.gamma + Tensor.of_nonzero(n, 3, acc.result()), kind="chern")
     return conn, conn.derive_endomorphism(S.J).is_zero() and conn.is_metric()

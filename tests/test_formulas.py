@@ -518,3 +518,16 @@ def test_corrupted_bundle_fails_with_the_per_entry_witness(ident, name, field, k
 
 def test_every_formula_check_fails_on_some_corruption():
     assert {c[0] for c in CORRUPTED} == set(FORMULAS)
+
+
+def test_a_replaced_field_is_rotated_again():
+    # the bundle keeps J rotations per operand object: after the checks have
+    # rotated xi3, a corrupted copy put in its place must be rotated afresh;
+    # the witnesses are the ones the code without the memo reported
+    b = audit.Bundle(analyze(BUILDERS["example-5.4"]()))
+    assert audit.check_p46iii(b) is None and audit.check_p48ii(b) is None
+    # at this entry the rotation kept for the old xi3 gives other witnesses:
+    # "componentwise expansion: entry (2, 3): -1/2*r" and "entry (2, 3): 3/2*r"
+    corrupt(b, "xi3", (1, 2, 5))
+    assert audit.check_p46iii(b) == "componentwise expansion: entry (1, 3): -1/4"
+    assert audit.check_p48ii(b) == "entry (1, 3): 1/2"

@@ -22,14 +22,14 @@ from pathlib import Path
 
 import pytest
 
-from ahtorsion import audit
+from ahtorsion import audit, multilinear, structure
 from ahtorsion.catalog import ENTRIES, get, structure_from_data
 from ahtorsion.cli import report_data
 from ahtorsion.curvature import analyze, riemann
 from ahtorsion.decomposition import _div_trace, _pair_xi, _trace_slot, _xi_at_vector
-from ahtorsion.multilinear import Form, Tensor, exterior_derivative
+from ahtorsion.multilinear import Form, Tensor, exterior_derivative, gram_schmidt, sort_with_sign
 from ahtorsion.scalars import ONE, ZERO, Accumulator, Scalar
-from ahtorsion.structure import check_torsion_tensor, chern_connection, nijenhuis
+from ahtorsion.structure import check_torsion_tensor, chern_connection, nijenhuis, transform_form
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import generate  # noqa: E402
@@ -120,6 +120,43 @@ def ref_nijenhuis(S) -> Tensor:
                 v = term[k] + term2[k] + term3[k] - term4[k]
                 out.set((i, j, k), v)
                 out.set((j, i, k), -v)
+    return out
+
+
+def ref_apply_J(t: Tensor, J, slot: int) -> Tensor:
+    """J_(slot) t through one accumulator over the stored rows of J, whatever
+    its entries: an entry of +-1 adds t's entry itself."""
+    rows = [[(j, w, -1 if w == ONE else 1 if w == -ONE else 0) for j, w in enumerate(row) if w]
+            for row in J]
+    acc = Accumulator()
+    for k, v in t.coeffs.items():
+        for j, w, unit in rows[k[slot]]:
+            key = k[:slot] + (j,) + k[slot + 1 :]
+            if unit:
+                acc.add(key, v, sign=unit)
+            else:
+                acc.add(key, w, v, -1)
+    return Tensor(t.dim, t.rank, acc.result())
+
+
+def ref_transform_form(alpha: Form, M) -> Form:
+    """Each target p-subset's coefficient as a sum of p x p minors of M, each
+    minor expanded over all p! permutations."""
+    n, p = alpha.dim, alpha.degree
+    out = Form(n, p)
+    for target in itertools.combinations(range(n), p):
+        acc = ZERO
+        for src, val in alpha.coeffs.items():
+            det = ZERO
+            for perm in itertools.permutations(range(p)):
+                _, sign = sort_with_sign(perm)
+                prod = ONE
+                for t in range(p):
+                    prod = prod * M[target[t]][src[perm[t]]]
+                det = det + (prod if sign == 1 else -prod)
+            acc = acc + val * det
+        if not acc.is_zero():
+            out.coeffs[target] = acc
     return out
 
 
@@ -337,6 +374,70 @@ def test_nijenhuis_matches_the_bracket_vector_loop(bundle):
     assert nijenhuis(bundle.S) == ref_nijenhuis(bundle.S)
 
 
+def test_apply_J_matches_the_accumulator_loop(bundle):
+    J, A = bundle.S.J, bundle.A
+    tensors = [bundle.xi, bundle.curv.Rm, A.nabla.gamma, A.minimal.gamma,
+               bundle.curv.ric, bundle.curv.ric_star]
+    for t in tensors:
+        for slot in range(t.rank):
+            assert t.apply_J(slot, J) == ref_apply_J(t, J, slot)
+
+
+def test_apply_J_reindexes_exactly_the_signed_permutations():
+    # both paths of apply_J run in the test above: four catalog entries and
+    # one rotated sample have a J with one +-1 per row, the rest Givens rows
+    signed = {name: build().J.signed_perm is not None for name, build in STRUCTURES}
+    assert sorted(name for name, s in signed.items() if not s) == [
+        "example-5.4", "example-5.4-rotated-7", "generated-param-3-00"]
+
+
+@pytest.mark.parametrize("name", ["example-5.1", "example-5.4"])
+def test_analysis_and_audit_build_the_rows_of_J_once(name, monkeypatch):
+    built = []
+    real = multilinear._stored_rows
+
+    def counting(M):
+        built.append([list(row) for row in M])
+        return real(M)
+
+    monkeypatch.setattr(multilinear, "_stored_rows", counting)
+    S = get(name).build()
+    audit.run_suite(S, analyze(S))
+    J = [list(row) for row in S.J]
+    assert sum(rows == J for rows in built) == 1
+
+
+def test_transform_form_matches_the_minor_expansion(monkeypatch):
+    # the catalog's metric entry changes frame through transform_form once
+    frames = []
+    real = structure.transform_form
+    monkeypatch.setattr(structure, "transform_form",
+                        lambda alpha, M: frames.append((alpha, M)) or real(alpha, M))
+    A = analyze(get("nearly-kaehler-s3s3").build())
+    [(omega, P)] = frames
+    cases = [(omega, P), (A.su.psi_plus, P)]
+    # Givens rotations of the catalog's 2-forms and of 3-forms
+    rng = random.Random(5)
+    for e in ENTRIES:
+        S = e.build()
+        forms = [S.omega]
+        if S.L.dim == 6:
+            forms += [A.su.psi_plus, A.su.psi_minus,
+                      Form(6, 3, {K: R(k + 1) for k, K in
+                                  enumerate(itertools.combinations(range(6), 3))})]
+        for factors in (1, 2, 4):
+            M = audit.random_rotation(S.L.dim, rng, factors)
+            cases += [(alpha, M) for alpha in forms]
+    # a rational Gram-Schmidt frame (G = L L^T, L lower triangular with
+    # diagonal 2, 2, 1, 3), on basis forms of every degree
+    G = [[R(x) for x in row] for row in ((4, 2, 0, 2), (2, 5, 2, 1), (0, 2, 2, 2), (2, 1, 2, 14))]
+    Q = gram_schmidt(G)
+    cases += [(Form.basis(4, K, R(p + 2)), Q) for p in range(5)
+              for K in itertools.combinations(range(4), p)]
+    for alpha, M in cases:
+        assert transform_form(alpha, M) == ref_transform_form(alpha, M)
+
+
 def test_trace_J_matches_the_stored_entry_loop(bundle):
     J = bundle.S.J
     tensors = [bundle.curv.Rm, bundle.curv.minimal.Rm, bundle.Dxi3, bundle.xi,
@@ -383,22 +484,34 @@ def test_dxi_is_the_sum_of_the_component_derivatives(bundle):
 # -- every stored entry is canonical --------------------------------------------
 
 
-def _stored_scalars(obj, seen):
-    """Every Scalar reachable from obj through containers and object fields."""
+def _reachable(obj, seen):
+    """Every object reachable from obj through containers and object fields."""
     if id(obj) in seen:
         return
     seen.add(id(obj))
-    if isinstance(obj, Scalar):
-        yield obj
-    elif isinstance(obj, dict):
+    yield obj
+    if isinstance(obj, dict):
         for v in obj.values():
-            yield from _stored_scalars(v, seen)
+            yield from _reachable(v, seen)
     elif isinstance(obj, (list, tuple)):
         for v in obj:
-            yield from _stored_scalars(v, seen)
-    elif hasattr(obj, "__dict__"):
+            yield from _reachable(v, seen)
+    elif hasattr(obj, "__dict__") and not isinstance(obj, Scalar):
         for v in vars(obj).values():
-            yield from _stored_scalars(v, seen)
+            yield from _reachable(v, seen)
+
+
+def _bundle_roots(b):
+    """The analysis and every tensor the bundle holds or builds, after one run
+    of every check on the bundle, so that its memo of rotations is full."""
+    for _, _, guard, fn in audit.CHECKS:
+        if guard(b) is None:
+            fn(b)
+    chern, _ = chern_connection(b.S, b.A.nabla, b.xi)
+    # the analysis holds Gamma, Rm, Ric, Ric*, the Ricci forms and every split;
+    # the bundle adds each D^min xi_k, D theta and the curvature gap
+    return [b.A, b, chern.gamma, b.Dxi, b.Dxi1, b.Dxi2, b.Dxi3, b.Dxi4, b.Dth,
+            b.curvature_gap, b.torsion_trace_rhs]
 
 
 def assert_canonical(s: Scalar):
@@ -410,16 +523,23 @@ def assert_canonical(s: Scalar):
 
 
 def test_every_stored_entry_is_canonical(bundle):
-    b = bundle
-    chern, _ = chern_connection(b.S, b.A.nabla, b.xi)
-    # the analysis holds Gamma, Rm, Ric, Ric*, the Ricci forms and every split;
-    # the bundle adds each D^min xi_k, D theta and the curvature gap
-    roots = [b.A, chern.gamma, b.Dxi, b.Dxi1, b.Dxi2, b.Dxi3, b.Dxi4, b.Dth,
-             b.curvature_gap, b.torsion_trace_rhs]
-    entries = [s for root in roots for s in _stored_scalars(root, set())]
+    seen = set()
+    entries = [s for root in _bundle_roots(bundle) for s in _reachable(root, seen)
+               if isinstance(s, Scalar)]
     assert entries
     for s in entries:
         assert_canonical(s)
+
+
+def test_no_tensor_or_form_stores_a_zero(bundle):
+    # kernels build their results from accumulator sums without checking the
+    # entries again, and is_zero() reads only whether anything is stored
+    seen = set()
+    stored = [t for root in _bundle_roots(bundle) for t in _reachable(root, seen)
+              if isinstance(t, (Tensor, Form))]
+    assert stored
+    for t in stored:
+        assert not any(v.is_zero() for v in t.coeffs.values())
 
 
 # -- corrupted input -----------------------------------------------------------
