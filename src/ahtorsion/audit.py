@@ -272,8 +272,9 @@ class Bundle:
         return self._lam11(self.r_min)
 
     def ric_star_skew(self) -> Tensor:
-        sp = self.curv.ric_star_split
-        return sp.skew_anti_part + sp.skew_invariant_part
+        """The skew part (Ric* - Ric*^T) / 2 of the star-Ricci tensor."""
+        rs = self.curv.ric_star
+        return _combine((HALF, rs), (-HALF, rs.transpose((1, 0))))
 
     @cached_property
     def torsion_trace_rhs(self) -> Tensor:
@@ -318,14 +319,17 @@ def check_f1(b: Bundle) -> Optional[str]:
 
 
 def check_f2(b: Bundle) -> Optional[str]:
-    """Levi-Civita connection invariants, its curvature's pair symmetry and
-    first Bianchi identity Rm_ijkl + Rm_jkil + Rm_kijl = 0."""
+    """Levi-Civita connection invariants, its curvature's (k, l)-skewness, pair
+    symmetry and first Bianchi identity Rm_ijkl + Rm_jkil + Rm_kijl = 0."""
     conn = b.A.nabla
     if not conn.is_metric():
         return "not metric"
     if not conn.torsion(b.S.L).is_zero():
         return "not torsion-free"
     Rm = b.curv.Rm
+    w = _witness(Rm + Rm.transpose((0, 1, 3, 2)))
+    if w is not None:
+        return f"curvature not skew in (k, l): {w}"
     w = _witness(Rm - Rm.transpose((2, 3, 0, 1)))
     if w is not None:
         return w
@@ -907,113 +911,47 @@ def check_r47(b: Bundle) -> Optional[str]:
 # -- applicability guards ------------------------------------------------------
 
 
-def _always(b: Bundle) -> Optional[str]:
-    return None
+def _requires(*conditions: Tuple[Callable[[Bundle], bool], str]) -> Callable:
+    """A guard: the reason of the first (holds, reason) condition that fails."""
+
+    def guard(b: Bundle) -> Optional[str]:
+        for holds, reason in conditions:
+            if not holds(b):
+                return reason
+        return None
+
+    return guard
 
 
-def _needs_n3(b: Bundle) -> Optional[str]:
-    if b.n <= 2:
-        return "needs complex dimension at least 3"
-    return None
+def _lacks(*labels: str) -> Callable[[Bundle], bool]:
+    """The Gray-Hervella class, as ``classify`` decided it, has none of these parts."""
+    return lambda b: not any(label in b.A.gh_class.nonzero for label in labels)
 
 
-def _needs_nondegenerate_dtheta(b: Bundle) -> Optional[str]:
-    if b.A.dtheta.trivial_at_n2:
-        return "both sides carry the factor n - 2 and degenerate in dimension four"
-    return None
+_only_w1_w4 = _lacks("W2", "W3")
+_integrable = _lacks("W1", "W2")
 
+# (holds, reason) conditions; a guard tries its conditions in the order listed
+_N_AT_LEAST_3 = (lambda b: b.n > 2, "needs complex dimension at least 3")
+_N_IS_3 = (lambda b: b.n == 3, "needs complex dimension 3")
+_N_IS_2 = (lambda b: b.n == 2, "only stated in dimension four")
+_W1W4 = (_only_w1_w4, "structure is not of the class with only xi1 and xi4")
+_W2W4 = (_lacks("W1", "W3"), "structure is not of the class with only xi2 and xi4")
+_HAS_W1 = (lambda b: "W1" in b.A.gh_class.nonzero, "the cyclic component vanishes, nothing to force")
+_SU3_CLASS = (_only_w1_w4, "needs only the cyclic and Lee components")
+_NO_W3 = (_lacks("W3"), "the Hermitian non-Lee component is present")
+_INTEGRABLE = (_integrable, "structure is not integrable")
+_LEE_PLUS_ONE = (lambda b: _only_w1_w4(b) or _integrable(b),
+                 "needs the Lee component together with only one other")
+_SU = (lambda b: b.A.su is not None, "no complex volume data in the scalar ring")
+_CHERN = (lambda b: b.curv.chern is not None, "Chern connection is not unitary")
 
-def _needs_w2w4(b: Bundle) -> Optional[str]:
-    msg = _needs_n3(b)
-    if msg:
-        return msg
-    if not (b.xi1.is_zero() and b.xi3.is_zero()):
-        return "structure is not of the class with only xi2 and xi4"
-    return None
-
-
-def _needs_w1w4_n3(b: Bundle) -> Optional[str]:
-    msg = _needs_n3(b)
-    if msg:
-        return msg
-    if not (b.xi2.is_zero() and b.xi3.is_zero()):
-        return "structure is not of the class with only xi1 and xi4"
-    return None
-
-
-def _needs_pure_w1w4(b: Bundle) -> Optional[str]:
-    msg = _needs_w1w4_n3(b)
-    if msg:
-        return msg
-    if b.xi1.is_zero():
-        return "the cyclic component vanishes, nothing to force"
-    return None
-
-
-def _needs_su3(b: Bundle) -> Optional[str]:
-    if b.n != 3:
-        return "needs complex dimension 3"
-    if not (b.xi2.is_zero() and b.xi3.is_zero()):
-        return "needs only the cyclic and Lee components"
-    if b.A.su is None:
-        return "no complex volume data in the scalar ring"
-    return None
-
-
-def _needs_su(b: Bundle) -> Optional[str]:
-    if b.A.su is None:
-        return "no complex volume data in the scalar ring"
-    return None
-
-
-def _needs_hermitian(b: Bundle) -> Optional[str]:
-    if not (b.xi1.is_zero() and b.xi2.is_zero()):
-        return "structure is not integrable"
-    return None
-
-
-def _needs_hermitian_chern(b: Bundle) -> Optional[str]:
-    msg = _needs_hermitian(b)
-    if msg:
-        return msg
-    if b.curv.chern is None:
-        return "Chern connection is not unitary"  # pragma: no cover
-    return None
-
-
-def _needs_no_w3(b: Bundle) -> Optional[str]:
-    if not b.xi3.is_zero():
-        return "the Hermitian non-Lee component is present"
-    return None
-
-
-def _needs_w1w4_any(b: Bundle) -> Optional[str]:
-    if not (b.xi2.is_zero() and b.xi3.is_zero()):
-        return "structure is not of the class with only xi1 and xi4"
-    return None
-
-
-def _needs_no_w3_n2(b: Bundle) -> Optional[str]:
-    if b.n != 2:
-        return "only stated in dimension four"
-    return None
-
-
-def _needs_hermitian_n2(b: Bundle) -> Optional[str]:
-    msg = _needs_hermitian(b)
-    if msg:
-        return msg
-    if b.n != 2:
-        return "only stated in dimension four"
-    return None
-
-
-def _needs_class_p44(b: Bundle) -> Optional[str]:
-    w1w4 = b.xi2.is_zero() and b.xi3.is_zero()
-    w3w4 = b.xi1.is_zero() and b.xi2.is_zero()
-    if not (w1w4 or w3w4):
-        return "needs the Lee component together with only one other"
-    return None
+_always = _requires()
+_needs_nondegenerate_dtheta = _requires((
+    lambda b: not b.A.dtheta.trivial_at_n2,
+    "both sides carry the factor n - 2 and degenerate in dimension four",
+))
+_integrable_chern = _requires(_INTEGRABLE, _CHERN)
 
 
 # -- the catalog ---------------------------------------------------------------
@@ -1034,30 +972,30 @@ CHECKS: List[Tuple[str, str, Callable, Callable]] = [
     ("P3.4R", "the omega-trace component of d theta vanishes", _always, check_p34r),
     ("P3.4H", "invariant traceless component of d theta from the torsion", _needs_nondegenerate_dtheta, check_p34h),
     ("P3.4S", "anti-invariant component of d theta from the torsion", _needs_nondegenerate_dtheta, check_p34s),
-    ("P3.6i", "closed Lee form for the antisymmetric-plus-Lee class", _needs_w2w4, check_p36i),
-    ("P3.6ii", "vanishing invariant part of d theta for the cyclic-plus-Lee class", _needs_w1w4_n3, check_p36ii),
-    ("P3.6c", "invariant cyclic-plus-Lee structure with nonzero cyclic part has zero Lee form", _needs_pure_w1w4, check_p36c),
-    ("SU3", "structure equations of the complex volume refinement", _needs_su3, check_su3),
+    ("P3.6i", "closed Lee form for the antisymmetric-plus-Lee class", _requires(_N_AT_LEAST_3, _W2W4), check_p36i),
+    ("P3.6ii", "vanishing invariant part of d theta for the cyclic-plus-Lee class", _requires(_N_AT_LEAST_3, _W1W4), check_p36ii),
+    ("P3.6c", "invariant cyclic-plus-Lee structure with nonzero cyclic part has zero Lee form", _requires(_N_AT_LEAST_3, _W1W4, _HAS_W1), check_p36c),
+    ("SU3", "structure equations of the complex volume refinement", _requires(_N_IS_3, _SU3_CLASS, _SU), check_su3),
     ("E4.1", "Ricci difference from the torsion trace tensor", _always, check_e41),
     ("E4.2", "invariant part of the Ricci difference, componentwise", _always, check_e42),
     ("L4.1", "difference of the two scalar curvatures", _always, check_l41),
     ("E4.4", "anti-invariant star-Ricci, first torsion expression", _always, check_e44),
     ("E4.5", "anti-invariant star-Ricci, second torsion expression", _always, check_e45),
     ("SIGMA", "symmetric anti-invariant Ricci from the torsion trace (corrected)", _always, check_sigma),
-    ("P4.3i", "anti-invariant star-Ricci without the third component", _needs_no_w3, check_p43i),
-    ("P4.3ia", "anti-invariant star-Ricci for the cyclic-plus-Lee class", _needs_w1w4_any, check_p43ia),
-    ("P4.3ib", "anti-invariant star-Ricci in dimension four", _needs_no_w3_n2, check_p43ib),
-    ("P4.3iia", "anti-invariant star-Ricci for integrable structures", _needs_hermitian, check_p43iia),
-    ("P4.3iib", "traceless invariant Ricci difference vanishes for integrable surfaces", _needs_hermitian_n2, check_p43iib),
-    ("P4.4", "symmetric anti-invariant Ricci for the one-extra-component classes (corrected)", _needs_class_p44, check_p44),
+    ("P4.3i", "anti-invariant star-Ricci without the third component", _requires(_NO_W3), check_p43i),
+    ("P4.3ia", "anti-invariant star-Ricci for the cyclic-plus-Lee class", _requires(_W1W4), check_p43ia),
+    ("P4.3ib", "anti-invariant star-Ricci in dimension four", _requires(_N_IS_2), check_p43ib),
+    ("P4.3iia", "anti-invariant star-Ricci for integrable structures", _requires(_INTEGRABLE), check_p43iia),
+    ("P4.3iib", "traceless invariant Ricci difference vanishes for integrable surfaces", _requires(_INTEGRABLE, _N_IS_2), check_p43iib),
+    ("P4.4", "symmetric anti-invariant Ricci for the one-extra-component classes (corrected)", _requires(_LEE_PLUS_ONE), check_p44),
     ("P4.6i", "unitary connections: invariant first Ricci form, closed second", _always, check_p46i),
     ("P4.6ii", "Levi-Civita Ricci forms from the minimal connection", _always, check_p46ii),
     ("P4.6iii", "invariant part of the first Ricci form from the minimal connection", _always, check_p46iii),
-    ("P4.8i", "second Ricci form of the Chern connection", _needs_hermitian_chern, check_p48i),
-    ("P4.8ii", "first Ricci form of the Chern connection, componentwise", _needs_hermitian_chern, check_p48ii),
+    ("P4.8i", "second Ricci form of the Chern connection", _integrable_chern, check_p48i),
+    ("P4.8ii", "first Ricci form of the Chern connection, componentwise", _integrable_chern, check_p48ii),
     ("P4.10", "invariant combined Ricci tensor from the torsion (corrected)", _always, check_p410),
     ("C4.11", "scalar curvature formulas through the minimal connection (corrected)", _always, check_c411),
-    ("R4.7", "second Ricci form of the minimal connection is exact", _needs_su, check_r47),
+    ("R4.7", "second Ricci form of the minimal connection is exact", _requires(_SU), check_r47),
 ]
 
 

@@ -202,7 +202,8 @@ def cmd_analyze(args) -> int:
     try:
         structures = _resolve_targets(args)
     except (FileFormatError, KeyError) as exc:
-        print(exc, file=sys.stderr)
+        # the plain message: str() of a KeyError quotes it
+        print(*exc.args, file=sys.stderr)
         return 1
     status = 0
     docs = []
@@ -242,7 +243,8 @@ def cmd_audit(args) -> int:
     try:
         structures = _resolve_targets(args)
     except (FileFormatError, KeyError) as exc:
-        print(exc, file=sys.stderr)
+        # the plain message: str() of a KeyError quotes it
+        print(*exc.args, file=sys.stderr)
         return 1
     status = 0
     for S in structures:

@@ -61,9 +61,9 @@ def riemann(L: LieAlgebra, conn: Connection) -> Tensor:
 
         Rm_ijkl = sum_m c^m_ij Gamma_mkl - Gamma_jkm Gamma_iml + Gamma_ikm Gamma_jml,
 
-    scattered from the stored Gamma entries.  The skew symmetry in (k, l) is
-    asserted: it is cheap and catches bad input connections.  The audit's F2
-    owns the Levi-Civita pair symmetry and first Bianchi identity.
+    scattered from the stored Gamma entries.  The skew symmetry in (k, l)
+    follows from a metric connection; the audit's F2 owns it for the
+    Levi-Civita curvature, with the pair symmetry and first Bianchi identity.
     """
     n = L.dim
     by_first = conn.gamma.group_by(0)
@@ -83,10 +83,7 @@ def riemann(L: LieAlgebra, conn: Connection) -> Tensor:
                     add((i, j, k, l), g, h)
     coeffs = acc.result()
     coeffs.update({(j, i, k, l): -v for (i, j, k, l), v in coeffs.items()})
-    Rm = Tensor.of_nonzero(n, 4, coeffs)
-    if not Rm.is_antisymmetric_pair(2, 3):
-        raise CurvatureError("curvature of a metric connection must be skew in (k, l)")
-    return Rm
+    return Tensor.of_nonzero(n, 4, coeffs)
 
 
 def ricci_pair(S: AlmostHermitianStructure, Rm: Tensor) -> Tuple[Tensor, Tensor]:
@@ -142,7 +139,6 @@ class CurvatureReport:
     chern: Optional[ConnectionCurvature]
     diff_split: BilinearSplit  # Ric - Ric*
     comb_split: BilinearSplit  # Ric + 3 Ric*
-    ric_star_split: BilinearSplit
     dstar_theta: Scalar
     theta_norm2: Scalar
 
@@ -152,6 +148,7 @@ def scalar_curvatures_from_torsion(
     dec: TorsionDecomposition,
     r_minimal: Form,
     dstar_theta: Scalar,
+    theta_norm2: Scalar,
 ) -> Tuple[Scalar, Scalar]:
     """The closed formulas for s and s* through the minimal connection.
 
@@ -165,19 +162,18 @@ def scalar_curvatures_from_torsion(
     """
     n = S.n
     rw = form_inner(r_minimal, S.omega)
-    tn = form_inner(dec.theta, dec.theta)
     n1, n2_, n3 = dec.norms["W1"], dec.norms["W2"], dec.norms["W3"]
     s = (
         Scalar.rational(2) * rw
         + Scalar.rational(2 * (n - 1)) * dstar_theta
-        + Scalar.rational(Fraction((2 * n - 3) * (n - 1), 2)) * tn
+        + Scalar.rational(Fraction((2 * n - 3) * (n - 1), 2)) * theta_norm2
         + Scalar.rational(5) * n1
         - n2_
         - n3
     )
     s_star = (
         Scalar.rational(2) * rw
-        - Scalar.rational(Fraction(n - 1, 2)) * tn
+        - Scalar.rational(Fraction(n - 1, 2)) * theta_norm2
         + n1
         + n2_
         - n3
@@ -190,6 +186,7 @@ def curvature_report(
     nabla: Connection,
     minimal: Connection,
     dec: TorsionDecomposition,
+    xi: Tensor,
 ) -> CurvatureReport:
     Rm = riemann(S.L, nabla)
     ric, ric_star = ricci_pair(S, Rm)
@@ -197,14 +194,13 @@ def curvature_report(
     s_star = trace(ric_star)
     min_cc = connection_curvature(S, minimal)
 
-    xi = dec.xi1 + dec.xi2 + dec.xi3 + dec.xi4
     chern_conn, unitary = chern_connection(S, nabla, xi)
     chern_cc = connection_curvature(S, chern_conn) if unitary else None
 
     dstar_theta_form = codifferential(S.L, dec.theta, S.vol)
     dstar_theta = dstar_theta_form.coeffs.get((), ZERO)
     theta_norm2 = form_inner(dec.theta, dec.theta)
-    s_t, s_star_t = scalar_curvatures_from_torsion(S, dec, min_cc.r, dstar_theta)
+    s_t, s_star_t = scalar_curvatures_from_torsion(S, dec, min_cc.r, dstar_theta, theta_norm2)
 
     diff = ric - ric_star
     comb = ric + ric_star.scaled(Scalar.rational(3))
@@ -222,7 +218,6 @@ def curvature_report(
         chern=chern_cc,
         diff_split=split_bilinear(S, diff),
         comb_split=split_bilinear(S, comb),
-        ric_star_split=split_bilinear(S, ric_star),
         dstar_theta=dstar_theta,
         theta_norm2=theta_norm2,
     )
@@ -254,7 +249,7 @@ class SURefinement:
 
 
 def su_refinement(
-    S: AlmostHermitianStructure, theta: Form
+    S: AlmostHermitianStructure, theta: Form, domega: Form
 ) -> Optional[SURefinement]:
     """eta and the function w1+ of the SU(n)-refined structure, n = 2 or 3.
 
@@ -269,7 +264,6 @@ def su_refinement(
     if psi_plus is None:
         if n != 3:
             return None
-        domega = exterior_derivative(S.L, S.omega)
         pure = three_form_pure_part(S, domega)
         if pure.is_zero():
             return None
@@ -285,9 +279,7 @@ def su_refinement(
     assert psi_plus is not None and psi_minus is not None
 
     if n == 3:
-        w1p = form_inner(exterior_derivative(S.L, S.omega), psi_plus) * Scalar.rational(
-            Fraction(1, 12)
-        )
+        w1p = form_inner(domega, psi_plus) * Scalar.rational(Fraction(1, 12))
     else:
         w1p = ZERO
 
@@ -336,8 +328,8 @@ def analyze(S: AlmostHermitianStructure) -> Analysis:
     gh = classify(dec)
     rep = dtheta_report(S, theta)
     domega = exterior_derivative(S.L, S.omega)
-    curv = curvature_report(S, nabla, minimal, dec)
-    su = su_refinement(S, theta) if S.n in (2, 3) else None
+    curv = curvature_report(S, nabla, minimal, dec, xi)
+    su = su_refinement(S, theta, domega) if S.n in (2, 3) else None
     return Analysis(
         structure=S,
         nabla=nabla,

@@ -192,10 +192,7 @@ def split_two_form(S: AlmostHermitianStructure, alpha: Form) -> TwoFormSplit:
     anti = (alpha - rotated).scaled(HALF)
     trace = form_inner(alpha, S.omega) * Scalar.rational(Fraction(1, S.n))
     r_part = S.omega.scaled(trace)
-    lam0 = invariant - r_part
-    if r_part + lam0 + anti != alpha:
-        raise DecompositionError("2-form split lost mass")  # pragma: no cover
-    return TwoFormSplit(r_part, lam0, anti)
+    return TwoFormSplit(r_part, invariant - r_part, anti)
 
 
 @dataclass

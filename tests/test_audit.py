@@ -1,13 +1,19 @@
 """The identity audit: coverage, determinism, and failure reporting."""
 
 import copy
+import itertools
 import random
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+from typing import Optional
 
 import pytest
 
 from ahtorsion import audit, curvature, decomposition
 from ahtorsion.audit import (
     AuditReport,
+    Bundle,
     IdentityCheck,
     identifiers,
     random_rotation,
@@ -15,12 +21,15 @@ from ahtorsion.audit import (
     rotated_structure,
     run_suite,
 )
-from ahtorsion.catalog import ENTRIES, get
+from ahtorsion.catalog import ENTRIES, get, structure_from_data
 from ahtorsion.curvature import analyze
 from ahtorsion.decomposition import TwoFormSplit
 from ahtorsion.multilinear import Form, Tensor
 from ahtorsion.scalars import ONE, Scalar, ZERO
 from ahtorsion.structure import Connection
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import generate  # noqa: E402
 
 R = Scalar.rational
 
@@ -232,3 +241,216 @@ class TestCheckOwners:
         b.S = copy.copy(b.S)
         b.S.J = other.J
         assert (audit.check_f1(b), audit.check_f3(b)) == (f1, f3)
+
+    def test_f2_reports_a_curvature_not_skew_in_its_last_pair(self):
+        # riemann no longer asserts (k, l)-skewness: F2 owns it
+        b = audit.Bundle(analyze(get("example-5.1").build()))
+        assert audit.check_f2(b) is None
+        b.curv.Rm = b.curv.Rm + Tensor(4, 4, {(0, 1, 2, 3): ONE})
+        assert audit.check_f2(b) == "curvature not skew in (k, l): entry (1, 2, 3, 4): 1"
+
+    def test_riemann_returns_for_a_non_metric_connection_that_f3_reports(self):
+        A = analyze(get("example-5.4").build())
+        mc = A.minimal
+        A.minimal = Connection(mc.dim, mc.gamma + Tensor(mc.dim, 3, {(0, 1, 1): ONE}),
+                               kind="minimal")
+        assert not curvature.riemann(A.structure.L, A.minimal).is_antisymmetric_pair(2, 3)
+        assert audit.check_f3(audit.Bundle(A)) == "not metric"
+
+
+# -- applicability guards against the hand-written ones they replaced ----------
+# The functions below are the audit's guards before they were built from
+# (condition, reason) tables; they test the torsion components directly.
+
+
+def _always(b: Bundle) -> Optional[str]:
+    return None
+
+
+def _needs_n3(b: Bundle) -> Optional[str]:
+    if b.n <= 2:
+        return "needs complex dimension at least 3"
+    return None
+
+
+def _needs_nondegenerate_dtheta(b: Bundle) -> Optional[str]:
+    if b.A.dtheta.trivial_at_n2:
+        return "both sides carry the factor n - 2 and degenerate in dimension four"
+    return None
+
+
+def _needs_w2w4(b: Bundle) -> Optional[str]:
+    msg = _needs_n3(b)
+    if msg:
+        return msg
+    if not (b.xi1.is_zero() and b.xi3.is_zero()):
+        return "structure is not of the class with only xi2 and xi4"
+    return None
+
+
+def _needs_w1w4_n3(b: Bundle) -> Optional[str]:
+    msg = _needs_n3(b)
+    if msg:
+        return msg
+    if not (b.xi2.is_zero() and b.xi3.is_zero()):
+        return "structure is not of the class with only xi1 and xi4"
+    return None
+
+
+def _needs_pure_w1w4(b: Bundle) -> Optional[str]:
+    msg = _needs_w1w4_n3(b)
+    if msg:
+        return msg
+    if b.xi1.is_zero():
+        return "the cyclic component vanishes, nothing to force"
+    return None
+
+
+def _needs_su3(b: Bundle) -> Optional[str]:
+    if b.n != 3:
+        return "needs complex dimension 3"
+    if not (b.xi2.is_zero() and b.xi3.is_zero()):
+        return "needs only the cyclic and Lee components"
+    if b.A.su is None:
+        return "no complex volume data in the scalar ring"
+    return None
+
+
+def _needs_su(b: Bundle) -> Optional[str]:
+    if b.A.su is None:
+        return "no complex volume data in the scalar ring"
+    return None
+
+
+def _needs_hermitian(b: Bundle) -> Optional[str]:
+    if not (b.xi1.is_zero() and b.xi2.is_zero()):
+        return "structure is not integrable"
+    return None
+
+
+def _needs_hermitian_chern(b: Bundle) -> Optional[str]:
+    msg = _needs_hermitian(b)
+    if msg:
+        return msg
+    if b.curv.chern is None:
+        return "Chern connection is not unitary"  # pragma: no cover
+    return None
+
+
+def _needs_no_w3(b: Bundle) -> Optional[str]:
+    if not b.xi3.is_zero():
+        return "the Hermitian non-Lee component is present"
+    return None
+
+
+def _needs_w1w4_any(b: Bundle) -> Optional[str]:
+    if not (b.xi2.is_zero() and b.xi3.is_zero()):
+        return "structure is not of the class with only xi1 and xi4"
+    return None
+
+
+def _needs_no_w3_n2(b: Bundle) -> Optional[str]:
+    if b.n != 2:
+        return "only stated in dimension four"
+    return None
+
+
+def _needs_hermitian_n2(b: Bundle) -> Optional[str]:
+    msg = _needs_hermitian(b)
+    if msg:
+        return msg
+    if b.n != 2:
+        return "only stated in dimension four"
+    return None
+
+
+def _needs_class_p44(b: Bundle) -> Optional[str]:
+    w1w4 = b.xi2.is_zero() and b.xi3.is_zero()
+    w3w4 = b.xi1.is_zero() and b.xi2.is_zero()
+    if not (w1w4 or w3w4):
+        return "needs the Lee component together with only one other"
+    return None
+
+
+REFERENCE_GUARDS = {
+    "P3.4H": _needs_nondegenerate_dtheta,
+    "P3.4S": _needs_nondegenerate_dtheta,
+    "P3.6i": _needs_w2w4,
+    "P3.6ii": _needs_w1w4_n3,
+    "P3.6c": _needs_pure_w1w4,
+    "SU3": _needs_su3,
+    "P4.3i": _needs_no_w3,
+    "P4.3ia": _needs_w1w4_any,
+    "P4.3ib": _needs_no_w3_n2,
+    "P4.3iia": _needs_hermitian,
+    "P4.3iib": _needs_hermitian_n2,
+    "P4.4": _needs_class_p44,
+    "P4.8i": _needs_hermitian_chern,
+    "P4.8ii": _needs_hermitian_chern,
+    "R4.7": _needs_su,
+}
+LABELS = ("W1", "W2", "W3", "W4")
+
+
+def reference_guard(ident):
+    return REFERENCE_GUARDS.get(ident, _always)
+
+
+def stand_in_bundle(nonzero, n, su, chern, trivial_at_n2):
+    """The fields the guards read, with a class verdict that matches xi1..xi4."""
+    parts = {
+        label: Tensor(2 * n, 3, {(0, 0, 1): ONE} if label in nonzero else {})
+        for label in LABELS
+    }
+    A = SimpleNamespace(
+        gh_class=SimpleNamespace(nonzero=nonzero),
+        dtheta=SimpleNamespace(trivial_at_n2=trivial_at_n2),
+        su=object() if su else None,
+    )
+    return SimpleNamespace(
+        A=A, n=n, curv=SimpleNamespace(chern=object() if chern else None),
+        xi1=parts["W1"], xi2=parts["W2"], xi3=parts["W3"], xi4=parts["W4"],
+    )
+
+
+STAND_INS = [
+    stand_in_bundle(tuple(label for label, on in zip(LABELS, mask) if on), n, su, chern, trivial)
+    for mask in itertools.product((False, True), repeat=4)
+    for n in (2, 3, 4)
+    for su, chern, trivial in itertools.product((False, True), repeat=3)
+]
+
+
+def real_bundles():
+    structures = [e.build() for e in ENTRIES]
+    bases = list(structures)
+    for seed in (7, 11):
+        rng = random.Random(seed)
+        structures += [rotated_structure(bases[k % len(bases)], rng, str(k)) for k in range(5)]
+    structures += [structure_from_data(doc) for doc in generate.documents(7)]
+    return [audit.Bundle(analyze(S)) for S in structures]
+
+
+class TestGuards:
+    def test_stand_ins_reach_every_reason(self):
+        reached = {reference_guard(ident)(b) for ident in identifiers() for b in STAND_INS}
+        assert len(reached - {None}) == 13
+
+    @pytest.mark.parametrize("row", audit.CHECKS, ids=lambda row: row[0])
+    def test_guard_matches_the_reference_on_stand_ins(self, row):
+        ident, _desc, guard, _check = row
+        ref = reference_guard(ident)
+        verdicts = [(guard(b), ref(b)) for b in STAND_INS]
+        assert [new for new, _ in verdicts] == [old for _, old in verdicts]
+        if ident in REFERENCE_GUARDS:
+            assert {old is None for _, old in verdicts} == {True, False}
+
+    def test_guards_match_the_references_on_real_bundles(self):
+        bundles = real_bundles()
+        assert len(bundles) == len(ENTRIES) + 10 + 32
+        for b in bundles:
+            assert tuple(b.A.gh_class.nonzero) == tuple(
+                label for label, part in b.A.torsion.parts() if not part.is_zero()
+            )
+            for ident, _desc, guard, _check in audit.CHECKS:
+                assert guard(b) == reference_guard(ident)(b), (b.S.name, ident)

@@ -175,6 +175,13 @@ class TestCommands:
         path.write_text("{")
         assert main(["analyze", str(path)]) == 1
 
+    @pytest.mark.parametrize("command", ["analyze", "audit"])
+    def test_unknown_catalog_entry_prints_the_plain_message(self, command, capsys):
+        assert main([command, "--catalog", "bogus"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("no catalog entry named 'bogus'; known: example-5.1, ")
+        assert err.endswith("nearly-kaehler-s3s3\n")
+
     def test_audit_catalog_entry(self, capsys):
         assert main(["audit", "--catalog", "example-5.1"]) == 0
         assert "example-5.1: ok" in capsys.readouterr().out
