@@ -23,6 +23,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .curvature import Analysis, analyze
 from .decomposition import (
+    BilinearSplit,
     _combine,
     _div_trace,
     _pair_xi,
@@ -88,30 +89,40 @@ class AuditReport:
 # -- residual helpers ---------------------------------------------------------
 
 
-def _witness(obj) -> Optional[str]:
-    """None when the object vanishes identically, else a short description."""
-    if isinstance(obj, Scalar):
-        return None if obj.is_zero() else format_scalar(obj)
-    if isinstance(obj, Form):
-        for idx in sorted(obj.coeffs):
-            v = obj.coeffs[idx]
-            if not v.is_zero():
-                return f"coefficient {tuple(i + 1 for i in idx)}: {format_scalar(v)}"
-        return None
-    if isinstance(obj, Tensor):
-        for idx in sorted(obj.coeffs):
-            v = obj.coeffs[idx]
-            if not v.is_zero():
-                return f"entry {tuple(i + 1 for i in idx)}: {format_scalar(v)}"
-        return None
-    raise TypeError(f"cannot take a residual witness of {type(obj)!r}")
+# A check returns its parts in the order it tests them: (label, residual)
+# pairs.  A Scalar, Form or Tensor residual holds when it is zero, a bool when
+# it is True.
+Parts = List[Tuple[Optional[str], object]]
 
 
-def _merge(*objs) -> Optional[str]:
-    for obj in objs:
-        w = _witness(obj)
-        if w is not None:
-            return w
+def witness(parts: Parts) -> Optional[str]:
+    """None when every part holds, else the text of the first that does not.
+
+    A failing bool part reads as its label.  A residual reads as its least
+    nonzero entry, ``entry (i, j): v``, ``coefficient (i, j): v`` or the
+    scalar itself, behind ``label: `` when it is labelled.  A label with
+    ``{idx}`` or ``{value}`` fields is instead a template over the entry's
+    1-based index and its value.
+    """
+    for label, residual in parts:
+        if isinstance(residual, bool):
+            if not residual:
+                return label
+            continue
+        if isinstance(residual, Scalar):
+            entries, text = {(): residual}, "{value}"
+        elif isinstance(residual, (Form, Tensor)):
+            entries = residual.coeffs
+            text = ("coefficient" if isinstance(residual, Form) else "entry") + " {idx}: {value}"
+        else:
+            raise TypeError(f"cannot take a residual witness of {type(residual)!r}")
+        nonzero = [idx for idx, v in entries.items() if not v.is_zero()]
+        if not nonzero:
+            continue
+        idx = min(nonzero)
+        if label is not None:
+            text = label if "{" in label else f"{label}: {text}"
+        return text.format(idx=tuple(i + 1 for i in idx), value=format_scalar(entries[idx]))
     return None
 
 
@@ -232,14 +243,19 @@ class Bundle:
         return Tensor.of_nonzero(self.dim, 4, acc.result())
 
     @cached_property
+    def dth_rotated(self) -> Tensor:
+        """Dth(J., J.)."""
+        return self.S.rotate_bilinear(self.Dth)
+
+    @cached_property
     def dth_mixed(self) -> Tensor:
         """(nabla_X theta)(Y) + (nabla_JX theta)(JY): Dth + Dth(J., J.)."""
-        return self.Dth + self.S.rotate_bilinear(self.Dth)
+        return self.Dth + self.dth_rotated
 
     @cached_property
     def dth_sym_anti(self) -> Tensor:
         """H + H^T for the anti-invariant Hessian part H = Dth - Dth(J., J.)."""
-        h = self.Dth - self.S.rotate_bilinear(self.Dth)
+        h = self.Dth - self.dth_rotated
         return h + h.transpose((1, 0))
 
     @cached_property
@@ -271,6 +287,7 @@ class Bundle:
         """[lambda^{1,1}] part of the minimal connection's second Ricci form."""
         return self._lam11(self.r_min)
 
+    @cached_property
     def ric_star_skew(self) -> Tensor:
         """The skew part (Ric* - Ric*^T) / 2 of the star-Ricci tensor."""
         rs = self.curv.ric_star
@@ -299,148 +316,126 @@ class Bundle:
                 add((p, k), v2, u)
         return Tensor.of_nonzero(self.dim, 2, acc.result())
 
+    @cached_property
+    def torsion_trace_split(self) -> BilinearSplit:
+        """The J-type split of ``torsion_trace_rhs``, read by SIGMA and P4.4."""
+        return split_bilinear(self.S, self.torsion_trace_rhs)
+
 
 # -- framework checks ---------------------------------------------------------
 
 
-def check_f1(b: Bundle) -> Optional[str]:
+def check_f1(b: Bundle) -> Parts:
     """omega and J agree, and omega is J-invariant.
 
     build_structure owns the Jacobi identity and J^2 = -Id = -J^T J.
     """
     S = b.S
     # J as a tensor, J_ij = <J e_j, e_i>, is -J_(2) g
-    mismatch = S.omega.to_tensor() + b.g.apply_J(1, S.J)
-    if not mismatch.is_zero():
-        i, j = min(mismatch.coeffs)
-        return f"omega/J mismatch at ({i + 1},{j + 1})"
-    rotated = S.rotate_two_form(S.omega)
-    return _witness(rotated - S.omega)
+    return [
+        ("omega/J mismatch at ({idx[0]},{idx[1]})", S.omega.to_tensor() + b.g.apply_J(1, S.J)),
+        (None, S.rotate_two_form(S.omega) - S.omega),
+    ]
 
 
-def check_f2(b: Bundle) -> Optional[str]:
+def check_f2(b: Bundle) -> Parts:
     """Levi-Civita connection invariants, its curvature's (k, l)-skewness, pair
     symmetry and first Bianchi identity Rm_ijkl + Rm_jkil + Rm_kijl = 0."""
     conn = b.A.nabla
-    if not conn.is_metric():
-        return "not metric"
-    if not conn.torsion(b.S.L).is_zero():
-        return "not torsion-free"
     Rm = b.curv.Rm
-    w = _witness(Rm + Rm.transpose((0, 1, 3, 2)))
-    if w is not None:
-        return f"curvature not skew in (k, l): {w}"
-    w = _witness(Rm - Rm.transpose((2, 3, 0, 1)))
-    if w is not None:
-        return w
-    # a stored Rm_abcl also enters the cyclic sum at (c, a, b, l) and (b, c, a, l)
-    w = _witness(_combine(
-        (1, Rm), (1, Rm.transpose((1, 2, 0, 3))), (1, Rm.transpose((2, 0, 1, 3)))
-    ))
-    return None if w is None else f"first Bianchi identity: {w}"
+    return [
+        ("not metric", conn.is_metric()),
+        ("not torsion-free", conn.torsion(b.S.L).is_zero()),
+        ("curvature not skew in (k, l)", Rm + Rm.transpose((0, 1, 3, 2))),
+        (None, Rm - Rm.transpose((2, 3, 0, 1))),
+        # a stored Rm_abcl also enters the cyclic sum at (c, a, b, l) and (b, c, a, l)
+        ("first Bianchi identity", _combine(
+            (1, Rm), (1, Rm.transpose((1, 2, 0, 3))), (1, Rm.transpose((2, 0, 1, 3)))
+        )),
+    ]
 
 
-def check_f3(b: Bundle) -> Optional[str]:
+def check_f3(b: Bundle) -> Parts:
     """The minimal connection is a unitary connection."""
     mc = b.A.minimal
-    if not mc.is_metric():
-        return "not metric"
-    w = _witness(mc.covariant_derivative(b.S.omega.to_tensor()))
-    if w is not None:
-        return f"omega not parallel: {w}"
-    DJ = mc.derive_endomorphism(b.S.J)
-    if not DJ.is_zero():
-        return f"J not parallel in direction e_{min(DJ.coeffs)[0] + 1}"
-    return None
+    return [
+        ("not metric", mc.is_metric()),
+        ("omega not parallel", mc.covariant_derivative(b.S.omega.to_tensor())),
+        ("J not parallel in direction e_{idx[0]}", mc.derive_endomorphism(b.S.J)),
+    ]
 
 
-def check_f4(b: Bundle) -> Optional[str]:
+def check_f4(b: Bundle) -> Parts:
     """Intrinsic torsion invariants and its connection difference."""
-    if not b.xi.is_antisymmetric_pair(1, 2):
-        return "xi not skew in the last two slots"
     msg = check_torsion_tensor(b.S, b.xi, b.rotated)
-    if msg is not None:
-        return msg
-    return _witness(b.A.minimal.gamma - b.A.nabla.gamma - b.xi)
+    return [
+        ("xi not skew in the last two slots", b.xi.is_antisymmetric_pair(1, 2)),
+        (msg, msg is None),
+        (None, b.A.minimal.gamma - b.A.nabla.gamma - b.xi),
+    ]
 
 
-def check_f5(b: Bundle) -> Optional[str]:
+def check_f5(b: Bundle) -> Parts:
     """Kaehler form derivative from torsion plus the class characterizations."""
-    w = _witness(domega_from_torsion(b.S, b.xi) - b.A.domega)
-    if w is not None:
-        return f"domega reconstruction: {w}"
-    nijenhuis_zero = b.A.nijenhuis_tensor.is_zero()
-    w12_zero = b.xi1.is_zero() and b.xi2.is_zero()
-    if nijenhuis_zero != w12_zero:
-        return "N = 0 does not match xi1 = xi2 = 0"
     domega_zero = b.A.domega.is_zero()
-    w134_zero = b.xi1.is_zero() and b.xi3.is_zero() and b.xi4.is_zero()
-    if domega_zero != w134_zero:
-        return "d omega = 0 does not match xi1 = xi3 = xi4 = 0"
-    if b.theta.is_zero() != b.xi4.is_zero():
-        return "theta = 0 does not match xi4 = 0"
-    lee_part = domega_from_torsion(b.S, b.xi4)
-    w = _witness(lee_part - b.theta.wedge(b.S.omega))
-    if w is not None:
-        return f"Lee component of d omega is not theta ^ omega: {w}"
-    return None
+    xi1_zero, xi3_zero, xi4_zero = b.xi1.is_zero(), b.xi3.is_zero(), b.xi4.is_zero()
+    return [
+        ("domega reconstruction", domega_from_torsion(b.S, b.xi) - b.A.domega),
+        ("N = 0 does not match xi1 = xi2 = 0",
+         b.A.nijenhuis_tensor.is_zero() == (xi1_zero and b.xi2.is_zero())),
+        ("d omega = 0 does not match xi1 = xi3 = xi4 = 0",
+         domega_zero == (xi1_zero and xi3_zero and xi4_zero)),
+        ("theta = 0 does not match xi4 = 0", b.theta.is_zero() == xi4_zero),
+        ("Lee component of d omega is not theta ^ omega",
+         domega_from_torsion(b.S, b.xi4) - b.theta.wedge(b.S.omega)),
+    ]
 
 
-def check_f6(b: Bundle) -> Optional[str]:
+def check_f6(b: Bundle) -> Parts:
     """Component split invariants and the two norm relations."""
-    w = _witness(b.xi1 + b.xi2 + b.xi3 + b.xi4 - b.xi)
-    if w is not None:
-        return f"components do not sum to xi: {w}"
-    parts = [b.xi1, b.xi2, b.xi3, b.xi4]
-    for k, part in enumerate(parts):
-        msg = check_torsion_tensor(b.S, part, b.rotated)
-        if msg is not None:
-            return f"component W{k + 1}: {msg}"
-    for x in range(4):
-        for y in range(x + 1, 4):
-            if not parts[x].inner(parts[y]).is_zero():
-                return f"components {x + 1} and {y + 1} not orthogonal"
-    if b.n == 2 and (not b.xi1.is_zero() or not b.xi3.is_zero()):
-        return "W1 and W3 must vanish in dimension four"
-    lhs = b.norms["W4"]
-    rhs = R(Fraction(b.n - 1, 2)) * b.tn
-    if lhs != rhs:
-        return "squared norm of the Lee component is off"
+    comps = [b.xi1, b.xi2, b.xi3, b.xi4]
+    parts: Parts = [("components do not sum to xi", b.xi1 + b.xi2 + b.xi3 + b.xi4 - b.xi)]
+    for k, comp in enumerate(comps):
+        msg = check_torsion_tensor(b.S, comp, b.rotated)
+        parts.append((f"component W{k + 1}: {msg}", msg is None))
+    for x, y in itertools.combinations(range(4), 2):
+        parts.append((f"components {x + 1} and {y + 1} not orthogonal",
+                      comps[x].inner(comps[y]).is_zero()))
     # trace of xi against its J-twist versus the signed norm sum
     qw = b.pairJ(b.xi, b.xi).inner(b.omega_t)
-    signed = (
-        b.norms["W1"] + b.norms["W2"] - b.norms["W3"] - b.norms["W4"]
-    )
-    if qw != signed:
-        return "J-twisted torsion trace does not match the signed norm sum"
-    return None
+    signed = b.norms["W1"] + b.norms["W2"] - b.norms["W3"] - b.norms["W4"]
+    return parts + [
+        ("W1 and W3 must vanish in dimension four",
+         b.n != 2 or (b.xi1.is_zero() and b.xi3.is_zero())),
+        ("squared norm of the Lee component is off",
+         b.norms["W4"] == R(Fraction(b.n - 1, 2)) * b.tn),
+        ("J-twisted torsion trace does not match the signed norm sum", qw == signed),
+    ]
 
 
-def check_f7(b: Bundle) -> Optional[str]:
+def check_f7(b: Bundle) -> Parts:
     """Differential consistency around the Lee form."""
-    w = _witness(exterior_derivative(b.S.L, b.A.domega))
-    if w is not None:
-        return f"d(d omega) != 0: {w}"
-    w = _witness(exterior_derivative(b.S.L, b.A.dtheta.dtheta))
-    if w is not None:
-        return f"d(d theta) != 0: {w}"
     # the torsion-trace route to theta: sum_i (xi_{e_i} e_i)^flat = ((n-1)/2) theta
     trace = Form(b.dim, 1)
     two = R(Fraction(2, b.n - 1))
     for k, acc in enumerate(contract_trace_vector(b.xi)):
         if not acc.is_zero():
             trace.coeffs[(k,)] = two * acc
-    return _witness(trace - b.theta)
+    return [
+        ("d(d omega) != 0", exterior_derivative(b.S.L, b.A.domega)),
+        ("d(d theta) != 0", exterior_derivative(b.S.L, b.A.dtheta.dtheta)),
+        (None, trace - b.theta),
+    ]
 
 
 # -- torsion-derivative identities -------------------------------------------
 
 
-def check_l31a(b: Bundle) -> Optional[str]:
-    return _witness(b.Dxi4vec.trace_J(0, 1, b.S.J)())
+def check_l31a(b: Bundle) -> Parts:
+    return [(None, b.Dxi4vec.trace_J(0, 1, b.S.J)())]
 
 
-def check_l31b(b: Bundle) -> Optional[str]:
+def check_l31b(b: Bundle) -> Parts:
     # the right side is A - A^T
     coef = Fraction(b.n - 2, b.n - 1)
     a = _combine(
@@ -449,10 +444,10 @@ def check_l31b(b: Bundle) -> Optional[str]:
         (-coef, b.S.rotate_bilinear(b.Dxi4vec)),
         (-3, _pair_xi(b.xi1, b.xi2)),
     )
-    return _witness(a - a.transpose((1, 0)))
+    return [(None, a - a.transpose((1, 0)))]
 
 
-def check_l31c(b: Bundle) -> Optional[str]:
+def check_l31c(b: Bundle) -> Parts:
     n, v4 = b.n, b.xi4vec
     p31 = _pair_xi(b.xi3, b.xi1)
     p32 = _pair_xi(b.xi3, b.xi2)
@@ -468,7 +463,7 @@ def check_l31c(b: Bundle) -> Optional[str]:
         (-Fraction(n - 2, n - 1), _xi_at_vector(b.xi2, v4)),
         (1, _xi_at_vector(b.xi3, v4)),
     )
-    return _witness(rhs)
+    return [(None, rhs)]
 
 
 _PAIRS4 = [
@@ -478,7 +473,7 @@ _PAIRS4 = [
 ]
 
 
-def check_e31(b: Bundle) -> Optional[str]:
+def check_e31(b: Bundle) -> Parts:
     """Second exterior derivative of omega expanded through the torsion."""
     # G_acxy = (F_ac omega)(e_x, e_y) = -sum_l F_acxl w_ly - sum_l w_xl F_acyl for
     # the endomorphisms F_ac = F(a, c, ., .) of the curvature gap, scattered
@@ -492,42 +487,37 @@ def check_e31(b: Bundle) -> Optional[str]:
         for (x, _), w in by_col.get((l,), ()):
             acc.add((a, c, x, k), w, v, -1)
     G = acc.result()
+    # the signed sum over the pair splittings of each increasing quadruple
+    total = Accumulator()
     for quad in itertools.combinations(range(b.dim), 4):
-        total = Accumulator()
         for a, bb, ci, di, sg in _PAIRS4:
             term = G.get((quad[a], quad[bb], quad[ci], quad[di]))
             if term is not None:
                 total.add(quad, term, sign=sg)
-        value = total.result()
-        if value:
-            return f"quadruple {tuple(q + 1 for q in quad)}: {format_scalar(value[quad])}"
-    return None
+    return [("quadruple {idx}: {value}", Tensor.of_nonzero(b.dim, 4, total.result()))]
 
 
-def check_r33(b: Bundle) -> Optional[str]:
+def check_r33(b: Bundle) -> Parts:
     """Curvature of the two connections differs by the torsion terms."""
 
     def upper(t: Tensor) -> Tensor:
         return Tensor(b.dim, 4, {k: v for k, v in t.coeffs.items() if k[0] < k[1]})
 
     res = upper(b.curv.Rm) - upper(b.curv.minimal.Rm) - b.curvature_gap
-    if res.is_zero():
-        return None
-    a, c, k, l = min(res.coeffs)
-    return f"entry ({a + 1},{c + 1},{k + 1},{l + 1}): " + format_scalar(res(a, c, k, l))
+    return [("entry ({idx[0]},{idx[1]},{idx[2]},{idx[3]}): {value}", res)]
 
 
-def check_p34r(b: Bundle) -> Optional[str]:
-    return _witness(b.A.dtheta.split.r_omega_part)
+def check_p34r(b: Bundle) -> Parts:
+    return [(None, b.A.dtheta.split.r_omega_part)]
 
 
-def check_p34h(b: Bundle) -> Optional[str]:
+def check_p34h(b: Bundle) -> Parts:
     # the [lambda_0^{1,1}] identity of the dtheta proposition, left side - right side
     half_nm2 = Fraction(b.n - 2, 2)
     div3 = _div_trace(b.Dxi3)
     x3 = _xi_at_vector(b.xi3, b.th, 2)
     p12 = _pair_xi(b.xi1, b.xi2)
-    return _witness(_combine(
+    return [(None, _combine(
         (half_nm2, b.A.dtheta.split.lambda0_part.to_tensor()),
         (1, div3),
         (-1, div3.transpose((1, 0))),
@@ -535,15 +525,15 @@ def check_p34h(b: Bundle) -> Optional[str]:
         (half_nm2, x3.transpose((1, 0))),
         (Fraction(3, 2), p12),
         (Fraction(-3, 2), p12.transpose((1, 0))),
-    ))
+    ))]
 
 
-def check_p34s(b: Bundle) -> Optional[str]:
+def check_p34s(b: Bundle) -> Parts:
     # the [[lambda^{2,0}]] identity, left side - right side
     n = b.n
     p31 = _pair_xi(b.xi3, b.xi1)
     p32 = _pair_xi(b.xi3, b.xi2)
-    return _witness(_combine(
+    return [(None, _combine(
         (Fraction(n - 2, 2), b.A.dtheta.split.lambda20_part.to_tensor()),
         (3, _trace_slot(b.Dxi1)),
         (-1, _trace_slot(b.Dxi3)),
@@ -553,63 +543,53 @@ def check_p34s(b: Bundle) -> Optional[str]:
         (Fraction(-1, 2), p32.transpose((1, 0))),
         (-Fraction(3 * (n - 3), 2), _xi_at_vector(b.xi1, b.th)),
         (Fraction(n - 1, 2), _xi_at_vector(b.xi3, b.th)),
-    ))
+    ))]
 
 
-def check_p36i(b: Bundle) -> Optional[str]:
-    return _witness(b.A.dtheta.dtheta)
+def check_p36i(b: Bundle) -> Parts:
+    return [(None, b.A.dtheta.dtheta)]
 
 
-def check_p36ii(b: Bundle) -> Optional[str]:
-    w = _witness(b.A.dtheta.split.lambda0_part)
-    if w is not None:
-        return w
+def check_p36ii(b: Bundle) -> Parts:
+    parts: Parts = [(None, b.A.dtheta.split.lambda0_part)]
     if b.n == 3:
-        return _witness(b.A.dtheta.dtheta)
-    return None
+        parts.append((None, b.A.dtheta.dtheta))
+    return parts
 
 
-def check_p36c(b: Bundle) -> Optional[str]:
+def check_p36c(b: Bundle) -> Parts:
     """Nonvanishing pure-type torsion forces a zero Lee form (invariant case)."""
-    return _witness(b.theta)
+    return [(None, b.theta)]
 
 
-def check_su3(b: Bundle) -> Optional[str]:
+def check_su3(b: Bundle) -> Parts:
     su = b.A.su
     S = b.S
     w1 = su.w1_plus
-    res = b.A.domega - su.psi_plus.scaled(R(3) * w1) - b.theta.wedge(S.omega)
-    w = _witness(res)
-    if w is not None:
-        return f"d omega equation: {w}"
     fac = su.eta.scaled(R(-3)) + b.theta
-    res = exterior_derivative(S.L, su.psi_plus) - fac.wedge(su.psi_plus)
-    w = _witness(res)
-    if w is not None:
-        return f"d psi+ equation: {w}"
-    res = (
-        exterior_derivative(S.L, su.psi_minus)
-        - S.omega.wedge(S.omega).scaled(R(2) * w1)
-        - fac.wedge(su.psi_minus)
-    )
-    w = _witness(res)
-    if w is not None:
-        return f"d psi- equation: {w}"
-    # the tensor norm of xi1 carries a factor 6 against the 3-form normalization
-    if b.norms["W1"] != R(6) * w1 * w1:
-        return "squared norm of xi1 is not 6 (w1+)^2"
-    t = su.psi_minus.to_tensor().scaled(w1 * R(Fraction(1, 2)))
-    return _witness(b.xi1 - t)
+    return [
+        ("d omega equation",
+         b.A.domega - su.psi_plus.scaled(R(3) * w1) - b.theta.wedge(S.omega)),
+        ("d psi+ equation",
+         exterior_derivative(S.L, su.psi_plus) - fac.wedge(su.psi_plus)),
+        ("d psi- equation",
+         exterior_derivative(S.L, su.psi_minus)
+         - S.omega.wedge(S.omega).scaled(R(2) * w1)
+         - fac.wedge(su.psi_minus)),
+        # the tensor norm of xi1 carries a factor 6 against the 3-form normalization
+        ("squared norm of xi1 is not 6 (w1+)^2", b.norms["W1"] == R(6) * w1 * w1),
+        (None, b.xi1 - su.psi_minus.to_tensor().scaled(w1 * R(Fraction(1, 2)))),
+    ]
 
 
 # -- curvature identities ------------------------------------------------------
 
 
-def check_e41(b: Bundle) -> Optional[str]:
-    return _witness(b.diff - b.torsion_trace_rhs)
+def check_e41(b: Bundle) -> Parts:
+    return [(None, b.diff - b.torsion_trace_rhs)]
 
 
-def check_e42(b: Bundle) -> Optional[str]:
+def check_e42(b: Bundle) -> Parts:
     n = b.n
     p12 = _pair_xi(b.xi1, b.xi2)
     rhs = _combine(
@@ -625,10 +605,10 @@ def check_e42(b: Bundle) -> Optional[str]:
         (n - 2, _xi_at_vector(b.xi3, b.th, 2)),
     )
     sp = b.curv.diff_split
-    return _witness(sp.trace_part + sp.sym_invariant_part - rhs)
+    return [(None, sp.trace_part + sp.sym_invariant_part - rhs)]
 
 
-def check_l41(b: Bundle) -> Optional[str]:
+def check_l41(b: Bundle) -> Parts:
     n = b.n
     rhs = (
         R(2 * (n - 1)) * b.dstar_theta
@@ -636,10 +616,10 @@ def check_l41(b: Bundle) -> Optional[str]:
         + R(4) * b.norms["W1"]
         - R(2) * b.norms["W2"]
     )
-    return _witness(b.curv.s - b.curv.s_star - rhs)
+    return [(None, b.curv.s - b.curv.s_star - rhs)]
 
 
-def check_e44(b: Bundle) -> Optional[str]:
+def check_e44(b: Bundle) -> Parts:
     n = b.n
     p13 = _pair_xi(b.xi1, b.xi3)
     p23 = _pair_xi(b.xi2, b.xi3)
@@ -654,10 +634,10 @@ def check_e44(b: Bundle) -> Optional[str]:
         (Fraction(1, 2), p23.transpose((1, 0))),
         (Fraction(n, 2), _xi_at_vector(b.xi2, b.th)),
     )
-    return _witness(b.ric_star_skew() - rhs)
+    return [(None, b.ric_star_skew - rhs)]
 
 
-def check_e45(b: Bundle) -> Optional[str]:
+def check_e45(b: Bundle) -> Parts:
     n = b.n
     rhs = _combine(
         (-1, _trace_slot(b.Dxi1)),
@@ -668,17 +648,16 @@ def check_e45(b: Bundle) -> Optional[str]:
         (Fraction(n, 2), _xi_at_vector(b.xi2, b.th)),
         (-Fraction(n - 1, 2), _xi_at_vector(b.xi3, b.th)),
     )
-    return _witness(b.ric_star_skew() - rhs)
+    return [(None, b.ric_star_skew - rhs)]
 
 
-def check_sigma(b: Bundle) -> Optional[str]:
+def check_sigma(b: Bundle) -> Parts:
     """Symmetric anti-invariant Ricci part from the torsion trace tensor."""
     lhs = b.curv.diff_split.sym_anti_part
-    rhs = split_bilinear(b.S, b.torsion_trace_rhs).sym_anti_part
-    return _witness(lhs - rhs)
+    return [(None, lhs - b.torsion_trace_split.sym_anti_part)]
 
 
-def check_p44(b: Bundle) -> Optional[str]:
+def check_p44(b: Bundle) -> Parts:
     """Class-restricted form of the anti-invariant Ricci identity."""
     if b.n == 2:
         # closed form valid in dimension four
@@ -690,94 +669,78 @@ def check_p44(b: Bundle) -> Optional[str]:
             (Fraction(-1, 4), _outer(b.theta, b.theta)),
             (Fraction(1, 4), _outer(b.jth_form, b.jth_form)),
         )
-        return _witness(b.curv.diff_split.sym_anti_part - rhs)
+        return [(None, b.curv.diff_split.sym_anti_part - rhs)]
     return check_sigma(b)
 
 
-def check_p43i(b: Bundle) -> Optional[str]:
+def check_p43i(b: Bundle) -> Parts:
     n = b.n
     rhs = _combine(
         (-1, _trace_slot(b.Dxi2)),
         (Fraction(n + 1, 6), b.dtheta_lam20),
         (Fraction(n, 2), _xi_at_vector(b.xi2, b.th)),
     )
-    return _witness(b.ric_star_skew() - rhs)
+    return [(None, b.ric_star_skew - rhs)]
 
 
-def check_p43ia(b: Bundle) -> Optional[str]:
-    lhs = b.ric_star_skew()
-    w = _witness(lhs - b.dtheta_lam20.scaled(R(Fraction(b.n + 1, 6))))
-    if w is not None:
-        return w
+def check_p43ia(b: Bundle) -> Parts:
+    lhs = b.ric_star_skew
+    parts: Parts = [(None, lhs - b.dtheta_lam20.scaled(R(Fraction(b.n + 1, 6))))]
     if b.n == 3:
-        return _merge(lhs, b.A.dtheta.dtheta)
-    return None
+        parts += [(None, lhs), (None, b.A.dtheta.dtheta)]
+    return parts
 
 
-def check_p43ib(b: Bundle) -> Optional[str]:
+def check_p43ib(b: Bundle) -> Parts:
     rhs = _combine(
         (-1, _trace_slot(b.Dxi2)),
         (Fraction(1, 2), b.dtheta_lam20),
         (1, _xi_at_vector(b.xi2, b.th)),
     )
-    return _witness(b.ric_star_skew() - rhs)
+    return [(None, b.ric_star_skew - rhs)]
 
 
-def check_p43iia(b: Bundle) -> Optional[str]:
-    w = _witness(
-        b.ric_star_skew() - b.dtheta_lam20.scaled(R(Fraction(b.n - 1, 2)))
-    )
-    if w is not None:
-        return w
-    if b.n > 2:
-        n = b.n
+def check_p43iia(b: Bundle) -> Parts:
+    n = b.n
+    parts: Parts = [(None, b.ric_star_skew - b.dtheta_lam20.scaled(R(Fraction(n - 1, 2))))]
+    if n > 2:
         t = _combine(
             (1, _trace_slot(b.Dxi3)),
             (-Fraction(n - 1, 2), _xi_at_vector(b.xi3, b.th)),
         ).scaled(R(Fraction(n - 1, n - 2)))
-        return _witness(b.ric_star_skew() - t)
-    return None
+        parts.append((None, b.ric_star_skew - t))
+    return parts
 
 
-def check_p43iib(b: Bundle) -> Optional[str]:
-    return _witness(b.curv.diff_split.sym_invariant_part)
+def check_p43iib(b: Bundle) -> Parts:
+    return [(None, b.curv.diff_split.sym_invariant_part)]
 
 
-def check_p46i(b: Bundle) -> Optional[str]:
+def check_p46i(b: Bundle) -> Parts:
     items = [("minimal", b.curv.minimal)]
     if b.curv.chern is not None:
         items.append(("chern", b.curv.chern))
+    parts: Parts = []
     for label, cc in items:
-        sp = split_two_form(b.S, cc.rho)
-        w = _witness(sp.lambda20_part)
-        if w is not None:
-            return f"first Ricci form of {label} leaves [lambda^11]: {w}"
-        w = _witness(exterior_derivative(b.S.L, cc.r))
-        if w is not None:
-            return f"second Ricci form of {label} not closed: {w}"
-    return None
+        parts += [
+            (f"first Ricci form of {label} leaves [lambda^11]",
+             split_two_form(b.S, cc.rho).lambda20_part),
+            (f"second Ricci form of {label} not closed", exterior_derivative(b.S.L, cc.r)),
+        ]
+    return parts
 
 
-def check_p46ii(b: Bundle) -> Optional[str]:
+def check_p46ii(b: Bundle) -> Parts:
     ricstar_J = -b.curv.ric_star.apply_J(1, b.S.J)
     rho_t = b.curv.rho.to_tensor()
     r_t = b.curv.r.to_tensor()
-    w = _witness(ricstar_J - rho_t)
-    if w is not None:
-        return f"star Ricci against the first Ricci form: {w}"
-    w = _witness(rho_t - r_t)
-    if w is not None:
-        return f"the two Ricci forms disagree: {w}"
     rmin_t = b.r_min.to_tensor()
-    w = _witness(r_t - rmin_t - b.pairJ(b.xi, b.xi))
-    if w is not None:
-        return f"transfer to the minimal connection: {w}"
-    parts = [b.xi1, b.xi2, b.xi3]
+    comps = [b.xi1, b.xi2, b.xi3]
     terms = [(1, rmin_t)]
-    for a in parts:
+    for a in comps:
         x = _xi_at_vector(a, b.jth, 2)
         terms += [(1, b.pairJ(a, a)), (-1, x), (1, x.transpose((1, 0)))]
-    for a, c in itertools.combinations(parts, 2):
+    for a, c in itertools.combinations(comps, 2):
         q = b.pairJ(a, c)
         terms += [(1, q), (-1, q.transpose((1, 0)))]
     tj = _outer(b.theta, b.jth_form)
@@ -786,22 +749,21 @@ def check_p46ii(b: Bundle) -> Optional[str]:
         (Fraction(-1, 4), tj),
         (Fraction(1, 4), tj.transpose((1, 0))),
     ]
-    w = _witness(r_t - _combine(*terms))
-    if w is not None:
-        return f"componentwise expansion: {w}"
-    return None
+    return [
+        ("star Ricci against the first Ricci form", ricstar_J - rho_t),
+        ("the two Ricci forms disagree", rho_t - r_t),
+        ("transfer to the minimal connection", r_t - rmin_t - b.pairJ(b.xi, b.xi)),
+        ("componentwise expansion", r_t - _combine(*terms)),
+    ]
 
 
-def check_p46iii(b: Bundle) -> Optional[str]:
+def check_p46iii(b: Bundle) -> Parts:
     rho11 = b.rho11.to_tensor()
     rhomin_t = b.rho_min.to_tensor()
-    w = _witness(rho11 - rhomin_t - b.pairE_J(b.xi, b.xi))
-    if w is not None:
-        return f"transfer to the minimal connection: {w}"
-    parts = [b.xi1, b.xi2, b.xi3]
-    terms = [(1, rhomin_t)] + [(1, b.pairE_J(a, a)) for a in parts]
+    comps = [b.xi1, b.xi2, b.xi3]
+    terms = [(1, rhomin_t)] + [(1, b.pairE_J(a, a)) for a in comps]
     terms.append((R(Fraction(-1, 8)) * b.tn, b.omega_t))
-    for a, c in itertools.combinations(parts, 2):
+    for a, c in itertools.combinations(comps, 2):
         q = b.pairE_J(a, c)
         terms += [(1, q), (-1, q.transpose((1, 0)))]
     x3 = _xi_at_vector(b.xi3, b.jth, 2)
@@ -812,21 +774,22 @@ def check_p46iii(b: Bundle) -> Optional[str]:
         (Fraction(b.n - 2, 8), tj),
         (-Fraction(b.n - 2, 8), tj.transpose((1, 0))),
     ]
-    w = _witness(rho11 - _combine(*terms))
-    if w is not None:
-        return f"componentwise expansion: {w}"
-    return None
+    return [
+        ("transfer to the minimal connection", rho11 - rhomin_t - b.pairE_J(b.xi, b.xi)),
+        ("componentwise expansion", rho11 - _combine(*terms)),
+    ]
 
 
-def check_p48i(b: Bundle) -> Optional[str]:
+def check_p48i(b: Bundle) -> Parts:
     cc = b.curv.chern
-    w = _witness(cc.r - b.r_min - b.dJth.scaled(R(Fraction(b.n - 1, 2))))
-    if w is not None:
-        return w
-    return _witness(cc.r - b.rmin11 - b.dJth11.scaled(R(Fraction(b.n - 1, 2))))
+    half_nm1 = R(Fraction(b.n - 1, 2))
+    return [
+        (None, cc.r - b.r_min - b.dJth.scaled(half_nm1)),
+        (None, cc.r - b.rmin11 - b.dJth11.scaled(half_nm1)),
+    ]
 
 
-def check_p48ii(b: Bundle) -> Optional[str]:
+def check_p48ii(b: Bundle) -> Parts:
     n = b.n
     cc = b.curv.chern
     rho11 = b.rho11.to_tensor()
@@ -850,10 +813,10 @@ def check_p48ii(b: Bundle) -> Optional[str]:
         (-2, b.pairE_J(b.xi3, b.xi3)),
         (1, b.pairJ(b.xi3, b.xi3)),
     )
-    return _witness(rho_chern - rhs)
+    return [(None, rho_chern - rhs)]
 
 
-def check_p410(b: Bundle) -> Optional[str]:
+def check_p410(b: Bundle) -> Parts:
     n = b.n
     comb = b.curv.comb_split
     lhs = (comb.trace_part + comb.sym_invariant_part).scaled(R(Fraction(1, 2)))
@@ -876,10 +839,10 @@ def check_p410(b: Bundle) -> Optional[str]:
         (Fraction(n - 6, 2), x3),
         (-2, x3.transpose((1, 0))),
     )
-    return _witness(lhs - rhs)
+    return [(None, lhs - rhs)]
 
 
-def check_c411(b: Bundle) -> Optional[str]:
+def check_c411(b: Bundle) -> Parts:
     n = b.n
     rw = form_inner(b.r_min, b.S.omega)
     rhs = (
@@ -890,22 +853,17 @@ def check_c411(b: Bundle) -> Optional[str]:
         + R(2) * b.norms["W2"]
         - R(4) * b.norms["W3"]
     )
-    w = _witness(b.curv.s + R(3) * b.curv.s_star - rhs)
-    if w is not None:
-        return f"combined trace: {w}"
-    w = _witness(b.curv.s - b.curv.s_from_torsion)
-    if w is not None:
-        return f"scalar curvature route: {w}"
-    w = _witness(b.curv.s_star - b.curv.s_star_from_torsion)
-    if w is not None:
-        return f"star scalar curvature route: {w}"
-    return None
+    curv = b.curv
+    return [
+        ("combined trace", curv.s + R(3) * curv.s_star - rhs),
+        ("scalar curvature route", curv.s - curv.s_from_torsion),
+        ("star scalar curvature route", curv.s_star - curv.s_star_from_torsion),
+    ]
 
 
-def check_r47(b: Bundle) -> Optional[str]:
+def check_r47(b: Bundle) -> Parts:
     su = b.A.su
-    res = b.r_min + exterior_derivative(b.S.L, su.eta_hat).scaled(R(b.n))
-    return _witness(res)
+    return [(None, b.r_min + exterior_derivative(b.S.L, su.eta_hat).scaled(R(b.n)))]
 
 
 # -- applicability guards ------------------------------------------------------
@@ -1019,15 +977,13 @@ def run_suite(
             if reason is not None:
                 results.append(IdentityCheck(ident, desc, "skip", reason))
                 continue
-            witness = fn(b)
+            detail = witness(fn(b))
         except Exception as exc:
             detail = f"error: {type(exc).__name__}: {exc}"
-            results.append(IdentityCheck(ident, desc, "fail", detail))
-            continue
-        if witness is None:
+        if detail is None:
             results.append(IdentityCheck(ident, desc, "pass"))
         else:
-            results.append(IdentityCheck(ident, desc, "fail", witness))
+            results.append(IdentityCheck(ident, desc, "fail", detail))
     return AuditReport(S.name or "unnamed", results)
 
 

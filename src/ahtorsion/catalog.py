@@ -58,16 +58,20 @@ def structure_from_data(data: dict, source: str = "<data>") -> AlmostHermitianSt
     if not isinstance(dim, int) or dim < 4 or dim % 2:
         raise FileFormatError(f"{source}: dimension must be an even integer >= 4")
     name = data.get("name", source)
-    params = tuple(data.get("parameters", ()))
-    if not all(isinstance(p, str) for p in params):
+    params = data.get("parameters", [])
+    if not isinstance(params, list) or not all(isinstance(p, str) for p in params):
         raise FileFormatError(f"{source}: parameters must be a list of names")
+    params = tuple(params)
     d = data.get("sqrt_extension", 0)
     if not isinstance(d, int) or d < 0:
         raise FileFormatError(f"{source}: sqrt_extension must be a nonnegative integer")
     parsed: Dict[str, Scalar] = {}
 
+    brackets_data = data.get("brackets", [])
+    if not isinstance(brackets_data, list):
+        raise FileFormatError(f"{source}: brackets must be a list")
     brackets: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-    for pos, entry in enumerate(data.get("brackets", [])):
+    for pos, entry in enumerate(brackets_data):
         ctx = f"{source}: brackets[{pos}]"
         if not isinstance(entry, dict):
             raise FileFormatError(f"{ctx}: expected an object")
@@ -140,8 +144,8 @@ def structure_from_data(data: dict, source: str = "<data>") -> AlmostHermitianSt
     psi_plus = None
     cv = data.get("complex_volume")
     if cv is not None:
-        if not isinstance(cv, dict) or "psi_plus" not in cv:
-            raise FileFormatError(f"{source}: complex_volume must hold psi_plus")
+        if not isinstance(cv, dict) or not isinstance(cv.get("psi_plus"), list):
+            raise FileFormatError(f"{source}: complex_volume must hold a psi_plus list")
         degree = dim // 2
         psi_plus = Form(dim, degree)
         for pos, entry in enumerate(cv["psi_plus"]):

@@ -226,12 +226,6 @@ class Form:
         return f"Form({format_form(self)})"
 
 
-def perm_sign_of(base: Sequence[int], perm: Sequence[int]) -> int:
-    """Sign of the permutation carrying ``base`` to ``perm`` (both repeat-free)."""
-    pos = {v: i for i, v in enumerate(base)}
-    return sort_with_sign([pos[v] for v in perm])[1]
-
-
 class Tensor:
     """Covariant tensor over the fixed orthonormal basis, stored sparsely.
 
@@ -400,22 +394,12 @@ class Tensor:
         return _dot(self.coeffs, other.coeffs)
 
     def antisymmetrize_to_form(self) -> Form:
-        """Project a fully antisymmetric tensor back onto its form; exact check."""
+        """The form of a fully antisymmetric tensor: its entries on strictly
+        increasing indices.  Antisymmetry is the caller's to ensure; it is not
+        checked here."""
         f = Form(self.dim, self.rank)
-        seen = set()
-        for k, v in self.coeffs.items():
-            key, sign = sort_with_sign(k)
-            if sign == 0:
-                raise GeometryError("repeated index with nonzero coefficient")
-            if key in seen:
-                continue
-            seen.add(key)
-            f.coeffs[key] = v if sign == 1 else -v
-        # verify full antisymmetry
-        for key, v in f.coeffs.items():
-            for perm in itertools.permutations(key):
-                if self(*perm) != (v if perm_sign_of(key, perm) == 1 else -v):
-                    raise GeometryError("tensor is not antisymmetric")
+        f.coeffs = {k: v for k, v in self.coeffs.items()
+                    if all(a < c for a, c in zip(k, k[1:]))}
         return f
 
 

@@ -562,6 +562,8 @@ def parse_scalar(text: str, d: int = 0, parameters: Iterable[str] = ()) -> Scala
             kind, val = peek()
             if kind != "num":
                 raise ScalarError(f"expected denominator in {text!r}")
+            if val == 0:
+                raise ScalarError(f"zero denominator in {text!r}")
             i += 1
             return Fraction(num, val)
         return Fraction(num)

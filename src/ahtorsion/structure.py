@@ -155,10 +155,11 @@ def su_partner(S: AlmostHermitianStructure, psi_plus: Form) -> Form:
     n = S.n
     if psi_plus.degree != n:
         raise StructureError(f"psi_plus must have degree {n}")
-    try:
-        psi_minus = psi_plus.to_tensor().apply_J(0, S.J).antisymmetrize_to_form()
-    except GeometryError as exc:
-        raise StructureError(f"J_(1) psi_plus is not a form: {exc}") from exc
+    # J_(1) psi_+ is a form exactly when psi_+ has type (n,0)+(0,n)
+    rotated = psi_plus.to_tensor().apply_J(0, S.J)
+    psi_minus = rotated.antisymmetrize_to_form()
+    if psi_minus.to_tensor() != rotated:
+        raise StructureError("J_(1) psi_plus is not a form: tensor is not antisymmetric")
     if n == 2:
         # psi+ ^ psi+ = psi- ^ psi- = -2 Vol and psi+ ^ psi- = 0
         want = S.vol.scaled(Scalar.rational(-2))

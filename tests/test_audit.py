@@ -97,7 +97,7 @@ class TestRandomizedAudit:
 
 class TestReporting:
     def test_failure_is_reported_not_raised(self, monkeypatch):
-        broken = ("XX", "always fails", audit._always, lambda b: "forced witness")
+        broken = ("XX", "always fails", audit._always, lambda b: [("forced witness", False)])
         monkeypatch.setattr(audit, "CHECKS", audit.CHECKS + [broken])
         rep = run_suite(get("flat-kaehler-torus").build())
         assert not rep.ok
@@ -139,19 +139,19 @@ class TestCheckOwners:
 
     def test_f6_reports_a_component_outside_its_class(self):
         b = audit.Bundle(analyze(get("example-5.1").build()))
-        assert audit.check_f6(b) is None
+        assert audit.witness(audit.check_f6(b)) is None
         # skew in the last two slots but not anticommuting with J, added to
         # xi and xi2 alike so that the components still sum to xi
         delta = Tensor(4, 3, {(0, 0, 1): ONE, (0, 1, 0): -ONE})
         b.xi, b.xi2 = b.xi + delta, b.xi2 + delta
-        assert audit.check_f6(b) == (
+        assert audit.witness(audit.check_f6(b)) == (
             "component W2: xi does not anticommute with J in the target slot"
         )
 
     def test_f6_reports_w3_in_dimension_four(self):
         b = audit.Bundle(analyze(get("example-5.1").build()))
         b.xi3, b.xi4 = b.xi3 + b.xi4, Tensor(4, 3)
-        assert audit.check_f6(b) == "W1 and W3 must vanish in dimension four"
+        assert audit.witness(audit.check_f6(b)) == "W1 and W3 must vanish in dimension four"
 
     def test_p34r_alone_reports_an_omega_trace_in_dtheta(self, monkeypatch):
         real = decomposition.split_two_form
@@ -178,7 +178,7 @@ class TestCheckOwners:
 
     def test_f2_reports_a_curvature_off_the_first_bianchi_identity(self):
         b = audit.Bundle(analyze(get("example-5.4").build()))
-        assert audit.check_f2(b) is None
+        assert audit.witness(audit.check_f2(b)) is None
         # skew in both pairs and pair-symmetric, so only the cyclic sum is off
         delta = {}
         for (i, j, k, l) in ((0, 1, 2, 3), (2, 3, 0, 1)):
@@ -186,7 +186,7 @@ class TestCheckOwners:
                 for e, f, t in ((k, l, 1), (l, k, -1)):
                     delta[(a, c, e, f)] = R(s * t)
         b.curv.Rm = b.curv.Rm + Tensor(6, 4, delta)
-        assert audit.check_f2(b) == "first Bianchi identity: entry (1, 2, 3, 4): 1"
+        assert audit.witness(audit.check_f2(b)) == "first Bianchi identity: entry (1, 2, 3, 4): 1"
 
     def test_f3_reports_a_minimal_connection_that_moves_omega(self, monkeypatch):
         # the pipeline no longer re-checks the minimal connection: F3 owns it
@@ -201,6 +201,21 @@ class TestCheckOwners:
         S = get("example-5.4").build()
         f3 = next(c for c in run_suite(S, analyze(S)).checks if c.identifier == "F3")
         assert (f3.status, f3.detail) == ("fail", "omega not parallel: entry (1, 1, 2): -1/2*r")
+
+    def test_analyze_returns_for_a_non_metric_minimal_connection(self, monkeypatch):
+        # the Ricci forms project their tensors onto forms without re-checking
+        # antisymmetry, so the report is built and F3 names the fault
+        real = curvature.minimal_connection
+
+        def non_metric(S, nabla, xi):
+            conn = real(S, nabla, xi)
+            delta = Tensor(conn.dim, 3, {(0, 1, 1): ONE})
+            return Connection(conn.dim, conn.gamma + delta, kind="minimal")
+
+        monkeypatch.setattr(curvature, "minimal_connection", non_metric)
+        S = get("example-5.4").build()
+        f3 = next(c for c in run_suite(S, analyze(S)).checks if c.identifier == "F3")
+        assert (f3.status, f3.detail) == ("fail", "not metric")
 
     @pytest.mark.parametrize("name, field, key, p34h, p34s", [
         ("example-5.4", "xi1", (0, 1, 2), None, "entry (1, 6): -1/4"),
@@ -217,7 +232,8 @@ class TestCheckOwners:
         part = getattr(A.torsion, field)
         setattr(A.torsion, field, part + Tensor(part.dim, 3, {key: R(2)}))
         b = audit.Bundle(A)
-        assert (audit.check_p34h(b), audit.check_p34s(b)) == (p34h, p34s)
+        assert (audit.witness(audit.check_p34h(b)),
+                audit.witness(audit.check_p34s(b))) == (p34h, p34s)
 
     def test_f7_reports_a_lee_form_off_the_torsion_trace(self, monkeypatch):
         real = curvature.lee_form
@@ -240,14 +256,14 @@ class TestCheckOwners:
         other = rotated_structure(b.S, random.Random(seed), "foreign-J")
         b.S = copy.copy(b.S)
         b.S.J = other.J
-        assert (audit.check_f1(b), audit.check_f3(b)) == (f1, f3)
+        assert (audit.witness(audit.check_f1(b)), audit.witness(audit.check_f3(b))) == (f1, f3)
 
     def test_f2_reports_a_curvature_not_skew_in_its_last_pair(self):
         # riemann no longer asserts (k, l)-skewness: F2 owns it
         b = audit.Bundle(analyze(get("example-5.1").build()))
-        assert audit.check_f2(b) is None
+        assert audit.witness(audit.check_f2(b)) is None
         b.curv.Rm = b.curv.Rm + Tensor(4, 4, {(0, 1, 2, 3): ONE})
-        assert audit.check_f2(b) == "curvature not skew in (k, l): entry (1, 2, 3, 4): 1"
+        assert audit.witness(audit.check_f2(b)) == "curvature not skew in (k, l): entry (1, 2, 3, 4): 1"
 
     def test_riemann_returns_for_a_non_metric_connection_that_f3_reports(self):
         A = analyze(get("example-5.4").build())
@@ -255,7 +271,7 @@ class TestCheckOwners:
         A.minimal = Connection(mc.dim, mc.gamma + Tensor(mc.dim, 3, {(0, 1, 1): ONE}),
                                kind="minimal")
         assert not curvature.riemann(A.structure.L, A.minimal).is_antisymmetric_pair(2, 3)
-        assert audit.check_f3(audit.Bundle(A)) == "not metric"
+        assert audit.witness(audit.check_f3(audit.Bundle(A))) == "not metric"
 
 
 # -- applicability guards against the hand-written ones they replaced ----------

@@ -91,6 +91,15 @@ class TestParsing:
         with pytest.raises(FileFormatError, match="duplicate"):
             structure_from_data(bad)
 
+    def test_psi_plus_of_mixed_type_rejected(self):
+        # omega has type (1,1), so J_(1) omega is the symmetric -g, not a form
+        doc = dict(get("example-5.1").document)
+        doc["complex_volume"] = {"psi_plus": [
+            {"indices": [e["i"], e["j"]], "c": e["c"]} for e in doc["kaehler_form"]
+        ]}
+        with pytest.raises(FileFormatError, match=r"J_\(1\) psi_plus is not a form"):
+            structure_from_data(doc)
+
     def test_malformed_json_gets_line_and_column(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"dimension": 4,\n  "brackets": [')
@@ -174,6 +183,21 @@ class TestCommands:
         path = tmp_path / "bad.json"
         path.write_text("{")
         assert main(["analyze", str(path)]) == 1
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"brackets": 3}, "brackets must be a list"),
+        ({"parameters": 5}, "parameters must be a list of names"),
+        ({"complex_volume": {"psi_plus": 3}}, "complex_volume must hold a psi_plus list"),
+        ({"kaehler_form": [{"i": 1, "j": 2, "c": "1/0"}, {"i": 3, "j": 4, "c": "1"}]},
+         "kaehler_form[0]: zero denominator in '1/0'"),
+    ], ids=["brackets", "parameters", "psi_plus", "zero-denominator"])
+    def test_analyze_mistyped_field_names_it(self, tmp_path, capsys, overrides, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(minimal_file(**overrides)))
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"{path}: {message}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["analyze", "audit"])
     def test_unknown_catalog_entry_prints_the_plain_message(self, command, capsys):

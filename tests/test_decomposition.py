@@ -145,8 +145,8 @@ class TestDThetaReport:
             A = analyze(get(name).build())
             assert not A.dtheta.trivial_at_n2
             b = audit.Bundle(A)
-            assert audit.check_p34h(b) is None
-            assert audit.check_p34s(b) is None
+            assert audit.witness(audit.check_p34h(b)) is None
+            assert audit.witness(audit.check_p34s(b)) is None
 
     def test_degenerate_flag_in_dimension_four(self):
         A = analyze(get("example-5.1").build())
@@ -158,5 +158,5 @@ class TestDThetaReport:
         base = get("example-5.4").build()
         for tag in range(2):
             b = audit.Bundle(analyze(rotated_structure(base, rng, str(tag))))
-            assert audit.check_p34h(b) is None
-            assert audit.check_p34s(b) is None
+            assert audit.witness(audit.check_p34h(b)) is None
+            assert audit.witness(audit.check_p34s(b)) is None

@@ -4,7 +4,7 @@ Thirteen checks write each side of an identity as one linear combination of
 whole rank-2 tensors.  The references below are the per-(j, k) functions
 those checks evaluated before, one scalar at a time.  On every catalog
 entry, two seeded rotated samples and one generated single-parameter file,
-the residual tensor a check hands to ``_witness`` must equal its reference,
+the last residual part a check returns must equal its reference,
 also where the identity's hypotheses fail and the residual is not zero.  On
 corrupted bundles every one of the thirteen checks must fail with the
 witness that the per-entry code reported.
@@ -191,7 +191,7 @@ def ref_e44(b):
         v = v + R(Fraction(n, 2)) * th_xi2(j, k)
         return v
 
-    return b.ric_star_skew() - _tensor_from(rhs, d)
+    return b.ric_star_skew - _tensor_from(rhs, d)
 
 
 def ref_e45(b):
@@ -213,7 +213,7 @@ def ref_e45(b):
         v = v - R(Fraction(n - 1, 2)) * th_xi3(j, k)
         return v
 
-    return b.ric_star_skew() - _tensor_from(rhs, d)
+    return b.ric_star_skew - _tensor_from(rhs, d)
 
 
 def ref_p44(b):
@@ -241,7 +241,7 @@ def ref_p43i(b):
         v = v + R(Fraction(n, 2)) * th_xi2(j, k)
         return v
 
-    return b.ric_star_skew() - _tensor_from(rhs, d)
+    return b.ric_star_skew - _tensor_from(rhs, d)
 
 
 def ref_p43ib(b):
@@ -255,7 +255,7 @@ def ref_p43ib(b):
         v = v + th_xi2(j, k)
         return v
 
-    return b.ric_star_skew() - _tensor_from(rhs, d)
+    return b.ric_star_skew - _tensor_from(rhs, d)
 
 
 def ref_p43iia(b):
@@ -269,7 +269,7 @@ def ref_p43iia(b):
         return v
 
     t = _tensor_from(rhs, d).scaled(R(Fraction(n - 1, n - 2)))
-    return b.ric_star_skew() - t
+    return b.ric_star_skew - t
 
 
 def ref_p46ii(b):
@@ -406,18 +406,9 @@ FORMULAS = {
 }
 
 
-def last_residual(check, b, monkeypatch) -> Tensor:
-    """The last tensor ``check`` hands to ``_witness``, every earlier stage passing."""
-    seen = []
-
-    def record(obj):
-        seen.append(obj)
-        return None
-
-    with monkeypatch.context() as m:
-        m.setattr(audit, "_witness", record)
-        check(b)
-    return seen[-1]
+def last_residual(check, b) -> Tensor:
+    """The residual of the last part ``check`` returns."""
+    return check(b)[-1][1]
 
 
 # -- structures ----------------------------------------------------------------
@@ -462,12 +453,12 @@ def corrupted(bundle):
 
 
 @pytest.mark.parametrize("ident", list(FORMULAS))
-def test_formula_residual_matches_the_per_entry_reference(bundle, corrupted, ident, monkeypatch):
+def test_formula_residual_matches_the_per_entry_reference(bundle, corrupted, ident):
     check, ref, applies = FORMULAS[ident]
     if not applies(bundle):
         pytest.skip("the check evaluates another formula on this structure")
-    assert last_residual(check, bundle, monkeypatch) == ref(bundle)
-    residual = last_residual(check, corrupted, monkeypatch)
+    assert last_residual(check, bundle) == ref(bundle)
+    residual = last_residual(check, corrupted)
     assert residual == ref(corrupted)
     assert not residual.is_zero()
 
@@ -503,17 +494,16 @@ CORRUPTED = [
     "ident, name, field, key, witness", CORRUPTED,
     ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in CORRUPTED],
 )
-def test_corrupted_bundle_fails_with_the_per_entry_witness(ident, name, field, key, witness,
-                                                           monkeypatch):
+def test_corrupted_bundle_fails_with_the_per_entry_witness(ident, name, field, key, witness):
     b = audit.Bundle(analyze(BUILDERS[name]()))
     guard, check = next((g, fn) for i, _, g, fn in audit.CHECKS if i == ident)
-    assert guard(b) is None and check(b) is None
+    assert guard(b) is None and audit.witness(check(b)) is None
     b = audit.Bundle(b.A)
     corrupt(b, field, key)
-    assert check(b) == witness
+    assert audit.witness(check(b)) == witness
     _, ref, applies = FORMULAS[ident]
     if applies(b):
-        assert last_residual(check, b, monkeypatch) == ref(b)
+        assert last_residual(check, b) == ref(b)
 
 
 def test_every_formula_check_fails_on_some_corruption():
@@ -525,9 +515,10 @@ def test_a_replaced_field_is_rotated_again():
     # rotated xi3, a corrupted copy put in its place must be rotated afresh;
     # the witnesses are the ones the code without the memo reported
     b = audit.Bundle(analyze(BUILDERS["example-5.4"]()))
-    assert audit.check_p46iii(b) is None and audit.check_p48ii(b) is None
+    assert audit.witness(audit.check_p46iii(b)) is None
+    assert audit.witness(audit.check_p48ii(b)) is None
     # at this entry the rotation kept for the old xi3 gives other witnesses:
     # "componentwise expansion: entry (2, 3): -1/2*r" and "entry (2, 3): 3/2*r"
     corrupt(b, "xi3", (1, 2, 5))
-    assert audit.check_p46iii(b) == "componentwise expansion: entry (1, 3): -1/4"
-    assert audit.check_p48ii(b) == "entry (1, 3): 1/2"
+    assert audit.witness(audit.check_p46iii(b)) == "componentwise expansion: entry (1, 3): -1/4"
+    assert audit.witness(audit.check_p48ii(b)) == "entry (1, 3): 1/2"

@@ -117,3 +117,46 @@ def test_j_matrix_read_is_found():
         "x = K[m][k]\n"
     )
     assert j_matrix_reads(source) == [1, 2, 3, 4]
+
+
+def witness_text_outside_the_formatter(source: str):
+    """Lines where audit code writes witness text itself: a ``check_*``
+    function that returns a string constant or an f-string, or a reference
+    to ``format_scalar`` outside ``witness``.  Checks return their parts and
+    ``audit.witness`` alone turns them into text."""
+    lines = set()
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef) and top.name == "witness":
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id == "format_scalar":
+                lines.add(node.lineno)
+        if isinstance(top, ast.FunctionDef) and top.name.startswith("check_"):
+            for node in ast.walk(top):
+                if isinstance(node, ast.Return) and (
+                    isinstance(node.value, ast.JoinedStr)
+                    or (isinstance(node.value, ast.Constant) and isinstance(node.value.value, str))
+                ):
+                    lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_audit_writes_witness_text_in_one_place():
+    assert witness_text_outside_the_formatter((SOURCE / "audit.py").read_text()) == []
+
+
+def test_witness_text_outside_the_formatter_is_found():
+    source = (
+        "from .scalars import format_scalar\n"
+        "def witness(parts):\n"
+        "    return format_scalar(parts[0][1])\n"
+        "def check_a(b):\n"
+        "    return 'not metric'\n"
+        "def check_b(b):\n"
+        "    return f'entry {b}'\n"
+        "def check_c(b):\n"
+        "    return [('label', b.x)]\n"
+        "def helper(v):\n"
+        "    return format_scalar(v)\n"
+    )
+    assert witness_text_outside_the_formatter(source) == [5, 7, 11]
