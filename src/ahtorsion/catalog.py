@@ -44,8 +44,16 @@ def _scalar(value, ctx: str, d: int, params, parsed: Dict[str, Scalar]) -> Scala
     return s
 
 
+def _is_int(value) -> bool:
+    """Whether a decoded JSON value is an integer; JSON true and false are not,
+    though Python's bool is an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _index(value, ctx: str, dim: int) -> int:
-    if not isinstance(value, int) or not 1 <= value <= dim:
+    if not _is_int(value):
+        raise FileFormatError(f"{ctx}: index {value!r} is not an integer")
+    if not 1 <= value <= dim:
         raise FileFormatError(f"{ctx}: index {value!r} is not in 1..{dim}")
     return value - 1
 
@@ -55,7 +63,7 @@ def structure_from_data(data: dict, source: str = "<data>") -> AlmostHermitianSt
     if not isinstance(data, dict):
         raise FileFormatError(f"{source}: top level must be a JSON object")
     dim = data.get("dimension")
-    if not isinstance(dim, int) or dim < 4 or dim % 2:
+    if not _is_int(dim) or dim < 4 or dim % 2:
         raise FileFormatError(f"{source}: dimension must be an even integer >= 4")
     name = data.get("name", source)
     params = data.get("parameters", [])
@@ -63,7 +71,7 @@ def structure_from_data(data: dict, source: str = "<data>") -> AlmostHermitianSt
         raise FileFormatError(f"{source}: parameters must be a list of names")
     params = tuple(params)
     d = data.get("sqrt_extension", 0)
-    if not isinstance(d, int) or d < 0:
+    if not _is_int(d) or d < 0:
         raise FileFormatError(f"{source}: sqrt_extension must be a nonnegative integer")
     parsed: Dict[str, Scalar] = {}
 

@@ -16,7 +16,8 @@ from .multilinear import (
     sort_with_sign,
 )
 from .scalars import (
-    HALF, ZERO, Accumulator, Fraction, RatLike, Scalar, format_scalar, rational_roots,
+    HALF, ZERO, Accumulator, Fraction, RatLike, Scalar, affine_roots, format_scalar,
+    rational_roots,
 )
 from .structure import AlmostHermitianStructure, StructureError
 
@@ -144,22 +145,29 @@ def classify(dec: TorsionDecomposition) -> GHClass:
         label = " + ".join(nonzero)
         if "W1" not in nonzero and "W2" not in nonzero:
             label += " (Hermitian)"
-    # Parameter values at which a nonzero component degenerates: rational
-    # roots of the squared-norm polynomials.  The listing is complete only
-    # when xi is linear in the parameter, so that a norm is a sum of squares
-    # of linear rational polynomials; otherwise an irrational root can be
-    # missed ((q^2 - 3)^2 / 2 vanishes at q = +-sqrt(3), which is not listed).
-    # Root listing is univariate: a norm in several parameters is named in
+    # Rational parameter values at which a nonzero component vanishes.  It
+    # vanishes where all its entries do, and its norm is the sum of their
+    # squares, so the entries and the norm give the same rational values.
+    # When every entry is affine in the parameter they are read from the
+    # entries, one division each; otherwise they are the rational roots of
+    # the norm.  Only rational values are listed, so the listing is complete
+    # when every entry is affine in the parameter with rational coefficients;
+    # otherwise a real root can be missed ((q^2 - 3)^2 / 2 and q - sqrt(3)
+    # vanish at q = sqrt(3), which is not listed).  Root listing is
+    # univariate: a norm in several parameters is named in
     # ``special_unlisted`` instead.
     special: Dict[str, List[Fraction]] = {}
     unlisted: List[str] = []
+    parts = dict(dec.parts())
     for name, norm in dec.norms.items():
         if norm.is_zero():
             continue
         if len(norm.parameters()) > 1:
             unlisted.append(name)
             continue
-        roots = rational_roots(norm)
+        roots = affine_roots(parts[name].coeffs.values())
+        if roots is None:
+            roots = rational_roots(norm)
         if roots:
             for r in roots:
                 special.setdefault(format_scalar(Scalar.rational(r)), []).append(name)

@@ -4,17 +4,28 @@ A Scalar is a polynomial in declared parameters whose coefficients live in
 Q(sqrt(d)) for a single square-free d >= 0 (d = 0 means plain rationals).
 All arithmetic is exact; equality is decidable by canonical form.
 
-Coefficients are stored as integers over one common denominator, as in
-FLINT's ``fmpq_poly``: each monomial maps to a pair (a, b) of integers
-meaning (a + b*sqrt(d)) / den, with one positive integer ``den`` shared by
-all monomials.  Each ring operation works on the integers and normalises
+A monomial is one int with packed exponents, as in Monagan and Pearce's POLY
+(Maple 17): each parameter owns a 16-bit field, whose top bit is a guard
+bit, and a process-wide append-only table gives each parameter name its
+field in order of first use.  A monomial product is one integer addition; a
+guard bit it sets is an exponent overflow, a ScalarError.  The public form of
+a monomial, a tuple of (name, exponent) pairs sorted by name, appears only at
+the edges: ``terms``, ``parameters()``, ``evaluate``, ``format_scalar``,
+``rational_roots`` and ``Scalar(terms, d)``.  Pickling goes through
+``terms``, so field numbers never leave the process.
+
+Coefficients are integers over one common denominator, as in FLINT's
+``fmpq_poly``: ``_a`` maps each monomial to the numerator of its rational
+part and ``_b`` to the numerator of its sqrt(d) part, both over one positive
+integer ``_den``.  Each ring operation works on the integers and normalises
 its result once, so ``Fraction`` objects appear only at the public edges
 (``terms``, ``constant_pair``, ``as_fraction`` and the literal grammar).
 
-Sums of many products go through ``Accumulator``: it adds the raw integer
-products per monomial over a running common denominator and normalises each
-sum once, where a fold of ``+`` and ``*`` normalises after every operation.
-The tensor kernels build every output entry this way.
+Sums of many products go through ``Accumulator``: it adds the integer
+products straight into the two maps of each sum over a running common
+denominator and normalises each sum once, where a fold of ``+`` and ``*``
+normalises after every operation.  The tensor kernels build every output
+entry this way.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Union
 
-Monomial = tuple  # tuple of (name, exponent) pairs, sorted by name, exponent > 0
+Monomial = tuple  # public form: (name, exponent) pairs, sorted by name, exponent > 0
 RatLike = Union[int, Fraction]
 
 
@@ -60,30 +71,77 @@ def _join_d(da: int, db: int) -> int:
     return da
 
 
-def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    exps: dict = {}
-    for name, e in m1:
-        exps[name] = exps.get(name, 0) + e
-    for name, e in m2:
-        exps[name] = exps.get(name, 0) + e
-    return tuple(sorted((n, e) for n, e in exps.items() if e != 0))
+# -- packed monomials ------------------------------------------------------------
+
+_BITS = 16
+_FIELD = (1 << _BITS) - 1
+MAX_EXPONENT = (1 << (_BITS - 1)) - 1
+
+_FIELDS: dict = {}  # parameter name -> field index, in order of first use
+_NAMES: list = []  # field index -> parameter name
+_GUARD = 0  # the guard bit of every field in use
+_UNPACKED: dict = {0: ()}  # packed monomial -> public form
+
+
+def _unit(name: str) -> int:
+    """The packed monomial ``name``^1; the first use of a name gives it a field."""
+    global _GUARD
+    i = _FIELDS.get(name)
+    if i is None:
+        i = _FIELDS[name] = len(_NAMES)
+        _NAMES.append(name)
+        _GUARD |= 1 << (_BITS * i + _BITS - 1)
+    return 1 << (_BITS * i)
+
+
+def _overflow():
+    raise ScalarError(f"an exponent of a product exceeds {MAX_EXPONENT}")
+
+
+def _pack(mono) -> int:
+    """The packed form of (name, exponent) pairs; a repeated name adds up."""
+    m = 0
+    for name, e in mono:
+        if type(e) is not int or not 0 <= e <= MAX_EXPONENT:
+            raise ScalarError(f"exponent {e!r} of {name} is not in 0..{MAX_EXPONENT}")
+        m += e * _unit(name)
+        if m & _GUARD:
+            _overflow()
+    return m
+
+
+def _unpack(m: int) -> Monomial:
+    t = _UNPACKED.get(m)
+    if t is None:
+        pairs = []
+        i, k = 0, m
+        while k:
+            if k & _FIELD:
+                pairs.append((_NAMES[i], k & _FIELD))
+            k >>= _BITS
+            i += 1
+        t = _UNPACKED[m] = tuple(sorted(pairs))
+    return t
 
 
 class Scalar:
     """Element of Q(sqrt(d))[parameters], stored canonically.
 
-    Internally ``_num`` maps a monomial to a pair (a, b) of integers and
-    ``_den`` is a positive integer; the coefficient of the monomial is
-    (a + b*sqrt(d)) / _den.  The canonical form stores no (0, 0) pair, has
-    gcd(_den, every a and b) = 1 (so zero is ``{}`` over 1), and carries
-    d = 0 when every b is 0.  A parameter-free scalar has the single key ().
+    ``_a`` and ``_b`` map packed monomials to integers and ``_den`` is a
+    positive integer; the coefficient of monomial m is
+    (_a[m] + _b[m]*sqrt(d)) / _den, a missing key reading as 0.  The
+    canonical form stores no zero value, has gcd(_den, every value) = 1 (so
+    zero is two empty maps over 1), and carries d = 0 exactly when ``_b`` is
+    empty.  Every Scalar without a sqrt(d) part shares one empty ``_b``,
+    which is never mutated.  A parameter-free scalar has the single key 0.
 
-    ``Scalar(terms, d)`` validates its input: ``terms`` maps monomials to
-    (p, q) pairs of rationals meaning p + q*sqrt(d).  The ``terms``
-    property gives the same read-only view back, with Fractions.
+    ``Scalar(terms, d)`` validates its input: ``terms`` maps monomials in
+    their public form to (p, q) pairs of rationals meaning p + q*sqrt(d).
+    The ``terms`` property gives the same read-only view back, with
+    Fractions.
     """
 
-    __slots__ = ("d", "_num", "_den")
+    __slots__ = ("d", "_a", "_b", "_den")
 
     def __new__(cls, terms: Optional[Mapping[Monomial, tuple]] = None, d: int = 0):
         if not is_square_free(d) and d != 0:
@@ -95,13 +153,15 @@ class Scalar:
                 q = Fraction(q)
                 if d == 0 and q != 0:
                     raise ScalarError("sqrt coefficient present without an extension")
-                pairs[tuple(mono)] = (p, q)
+                m = _pack(mono)
+                if m in pairs:
+                    p0, q0 = pairs[m]
+                    p, q = p0 + p, q0 + q
+                pairs[m] = (p, q)
         den = math.lcm(*(c.denominator for pq in pairs.values() for c in pq))
         return _canonical(
-            {
-                m: (p.numerator * (den // p.denominator), q.numerator * (den // q.denominator))
-                for m, (p, q) in pairs.items()
-            },
+            {m: p.numerator * (den // p.denominator) for m, (p, _) in pairs.items()},
+            {m: q.numerator * (den // q.denominator) for m, (_, q) in pairs.items()},
             den,
             d,
         )
@@ -109,24 +169,30 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    def __reduce__(self):
+        return Scalar, (dict(self.terms), self.d)
+
     @property
     def terms(self) -> Mapping[Monomial, tuple]:
         """Read-only view: monomial -> (p, q) Fractions meaning p + q*sqrt(d)."""
-        den = self._den
-        return MappingProxyType(
-            {m: (Fraction(a, den), Fraction(b, den)) for m, (a, b) in self._num.items()}
-        )
+        den, a, b = self._den, self._a, self._b
+        out = {_unpack(m): (Fraction(c, den), Fraction(b.get(m, 0), den))
+               for m, c in a.items()}
+        for m, c in b.items():
+            if m not in a:
+                out[_unpack(m)] = (Fraction(0), Fraction(c, den))
+        return MappingProxyType(out)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def rational(cls, value: RatLike) -> "Scalar":
         if type(value) is int:
-            return _make({(): (value, 0)}, 1, 0) if value else ZERO
+            return _make({0: value}, _EMPTY, 1, 0) if value else ZERO
         v = Fraction(value)
         if v == 0:
             return ZERO
-        return _make({(): (v.numerator, 0)}, v.denominator, 0)
+        return _make({0: v.numerator}, _EMPTY, v.denominator, 0)
 
     @classmethod
     def root(cls, d: int, coeff: RatLike = 1) -> "Scalar":
@@ -137,38 +203,44 @@ class Scalar:
 
     @classmethod
     def parameter(cls, name: str) -> "Scalar":
-        return _make({((name, 1),): (1, 0)}, 1, 0)
+        return _make({_unit(name): 1}, _EMPTY, 1, 0)
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._num
+        return not (self._a or self._b)
 
     def is_constant(self) -> bool:
-        return self._num.keys() <= {()}
+        return not any(self._a) and not any(self._b)
 
     def is_rational(self) -> bool:
-        return self.is_constant() and self.d == 0
+        return self.d == 0 and not any(self._a)
 
     def parameters(self) -> set:
-        names = set()
-        for mono in self._num:
-            for n, _ in mono:
-                names.add(n)
+        m = 0
+        for k in self._a:
+            m |= k
+        for k in self._b:
+            m |= k
+        names: set = set()
+        i = 0
+        while m:
+            if m & _FIELD:
+                names.add(_NAMES[i])
+            m >>= _BITS
+            i += 1
         return names
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ScalarError(f"not a plain rational: {self}")
-        a, _ = self._num.get((), (0, 0))
-        return Fraction(a, self._den)
+        return Fraction(self._a.get(0, 0), self._den)
 
     def constant_pair(self) -> tuple:
         """The (p, q) pair of a parameter-free scalar."""
         if not self.is_constant():
             raise ScalarError(f"not parameter-free: {self}")
-        a, b = self._num.get((), (0, 0))
-        return Fraction(a, self._den), Fraction(b, self._den)
+        return Fraction(self._a.get(0, 0), self._den), Fraction(self._b.get(0, 0), self._den)
 
     # -- ring operations -----------------------------------------------
 
@@ -185,9 +257,9 @@ class Scalar:
             other = Scalar._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if not other._num:
+        if not (other._a or other._b):
             return self
-        if not self._num:
+        if not (self._a or self._b):
             return other
         d = self.d if self.d == other.d else _join_d(self.d, other.d)
         return _sum(self, other, 1, d)
@@ -195,17 +267,17 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return _make({m: (-a, -b) for m, (a, b) in self._num.items()}, self._den, self.d)
+        return _negated(self)
 
     def __sub__(self, other) -> "Scalar":
         if type(other) is not Scalar:
             other = Scalar._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if not other._num:
+        if not (other._a or other._b):
             return self
-        if not self._num:
-            return -other
+        if not (self._a or self._b):
+            return _negated(other)
         d = self.d if self.d == other.d else _join_d(self.d, other.d)
         return _sum(self, other, -1, d)
 
@@ -217,11 +289,30 @@ class Scalar:
             other = Scalar._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        n1, n2 = self._num, other._num
-        if not n1 or not n2:
+        xa, ya = self._a, other._a
+        xb, yb = self._b, other._b
+        if not (xa or xb) or not (ya or yb):
             return ZERO
         d = self.d if self.d == other.d else _join_d(self.d, other.d)
-        return _canonical(_product(n1, n2, d), self._den * other._den, d)
+        den = self._den * other._den
+        if len(xa) + len(xb) == 1 == len(ya) + len(yb):
+            # one monomial each, with a rational or a sqrt(d) coefficient
+            [(m1, c1)] = (xa or xb).items()
+            [(m2, c2)] = (ya or yb).items()
+            m = m1 + m2
+            if m & _GUARD:
+                _overflow()
+            c = c1 * c2
+            if xb and yb:
+                c *= d
+            g = math.gcd(c, den)
+            if bool(xb) != bool(yb):  # one sqrt(d) factor
+                return _make({}, {m: c // g}, den // g, d)
+            return _make({m: c // g}, _EMPTY, den // g, 0)
+        a: dict = {}
+        b: dict = {}
+        _add_product(a, b, xa, xb, ya, yb, d, 1)
+        return _canonical(a, b, den, d)
 
     __rmul__ = __mul__
 
@@ -239,25 +330,26 @@ class Scalar:
             raise ZeroDivisionError("division by zero scalar")
         d = _join_d(self.d, c.d)
         # 1 / ((a + b*sqrt(d)) / den) = den * (a - b*sqrt(d)) / (a^2 - d*b^2)
-        a, b = c._num[()]
+        a, b = c._a.get(0, 0), c._b.get(0, 0)
         norm = a * a - d * b * b
         if norm == 0:
             raise ZeroDivisionError("division by zero scalar")
         k = c._den if norm > 0 else -c._den
-        return self * _canonical({(): (k * a, -k * b)}, abs(norm), c.d)
+        return self * _canonical({0: k * a}, {0: -k * b}, abs(norm), c.d)
 
     def __eq__(self, other) -> bool:
         if type(other) is not Scalar:
             other = Scalar._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        return self.d == other.d and self._den == other._den and self._num == other._num
+        return (self.d == other.d and self._den == other._den
+                and self._a == other._a and self._b == other._b)
 
     def __hash__(self) -> int:
-        return hash((self.d, self._den, frozenset(self._num.items())))
+        return hash((self.d, self._den, frozenset(self._a.items()), frozenset(self._b.items())))
 
     def __bool__(self) -> bool:
-        return bool(self._num)
+        return bool(self._a or self._b)
 
     # -- evaluation ------------------------------------------------------
 
@@ -265,14 +357,17 @@ class Scalar:
         missing = self.parameters() - set(bindings)
         if missing:
             raise ScalarError(f"unbound parameters: {sorted(missing)}")
-        p = q = Fraction(0)
-        for mono, (a, b) in self._num.items():
-            factor = Fraction(1)
-            for name, e in mono:
-                factor *= Fraction(bindings[name]) ** e
-            p += a * factor
-            q += b * factor
-        return Scalar({(): (p / self._den, q / self._den)}, d=self.d)
+
+        def value(part: dict) -> Fraction:
+            total = Fraction(0)
+            for m, c in part.items():
+                factor = Fraction(1)
+                for name, e in _unpack(m):
+                    factor *= Fraction(bindings[name]) ** e
+                total += c * factor
+            return total / self._den
+
+        return Scalar({(): (value(self._a), value(self._b))}, d=self.d)
 
     # -- presentation ------------------------------------------------------
 
@@ -284,79 +379,111 @@ class Scalar:
 
 
 _new_scalar = object.__new__
-_set = object.__setattr__
+# the slots' own setters, which bypass Scalar.__setattr__
+_set_a, _set_b, _set_den, _set_d = (
+    Scalar._a.__set__, Scalar._b.__set__, Scalar._den.__set__, Scalar.d.__set__)
+_EMPTY: dict = {}  # the sqrt(d) map of every Scalar without one; never mutated
 
 
-def _make(num: dict, den: int, d: int) -> Scalar:
-    """Trusted constructor: ``num`` over ``den`` is already canonical."""
+def _make(a: dict, b: dict, den: int, d: int) -> Scalar:
+    """Trusted constructor: ``a`` and ``b`` over ``den`` are already canonical."""
     s = _new_scalar(Scalar)
-    _set(s, "_num", num)
-    _set(s, "_den", den)
-    _set(s, "d", d)
+    _set_a(s, a)
+    _set_b(s, b)
+    _set_den(s, den)
+    _set_d(s, d)
     return s
 
 
-def _canonical(num: dict, den: int, d: int) -> Scalar:
-    """Normalise integer pairs over ``den`` > 0 and wrap them without re-validation.
+def _canonical(a: dict, b: dict, den: int, d: int) -> Scalar:
+    """Normalise integer maps over ``den`` > 0 and wrap them without re-validation.
 
-    Drops (0, 0) pairs, divides by gcd(den, every a and b), and sets d = 0
-    when no sqrt coefficient is left.
+    Drops zero values, divides by gcd(den, every value), and sets d = 0 and
+    the shared empty ``_b`` when no sqrt coefficient is left.  Neither map
+    is mutated.
     """
-    out = {}
-    g = den
-    root = False
-    for m, ab in num.items():
-        a, b = ab
-        if b:
-            root = True
-        elif not a:
-            continue
-        out[m] = ab
+    if 0 in a.values():
+        a = {m: c for m, c in a.items() if c}
+    if b and 0 in b.values():
+        b = {m: c for m, c in b.items() if c}
+    if not b:
+        if not a:
+            return ZERO
+        b, d = _EMPTY, 0
+    if den != 1:
+        g = math.gcd(den, *a.values(), *b.values())
         if g != 1:
-            g = math.gcd(g, a, b)
-    if not out:
-        return ZERO
-    if g != 1:
-        den //= g
-        out = {m: (a // g, b // g) for m, (a, b) in out.items()}
-    return _make(out, den, d if root else 0)
+            den //= g
+            a = {m: c // g for m, c in a.items()}
+            if b:
+                b = {m: c // g for m, c in b.items()}
+    return _make(a, b, den, d)
 
 
-def _product(n1: dict, n2: dict, d: int) -> dict:
-    """Raw integer pairs of the product of two numerator maps over Q(sqrt(d))."""
-    out: dict = {}
-    for m1, (a1, b1) in n1.items():
-        for m2, (a2, b2) in n2.items():
-            m = m2 if not m1 else m1 if not m2 else _mul_monomials(m1, m2)
-            a = a1 * a2 + d * b1 * b2
-            b = a1 * b2 + b1 * a2
-            x = out.get(m)
-            out[m] = (a, b) if x is None else (x[0] + a, x[1] + b)
-    return out
+def _negated(x: Scalar) -> Scalar:
+    if not (x._a or x._b):
+        return x
+    b = x._b
+    return _make({m: -c for m, c in x._a.items()},
+                 {m: -c for m, c in b.items()} if b else _EMPTY, x._den, x.d)
+
+
+def _add_product(a: dict, b: dict, xa: dict, xb: dict, ya: dict, yb: dict, d: int, f: int):
+    """Add f * x * y into the integer maps ``a`` (rational part) and ``b``
+    (sqrt(d) part), x and y given by their maps; ``b`` is written only when
+    x or y has a sqrt(d) part."""
+    guard = _GUARD
+    for m1, c1 in xa.items():
+        c1 *= f
+        for m2, c2 in ya.items():
+            m = m1 + m2
+            if m & guard:
+                _overflow()
+            a[m] = a.get(m, 0) + c1 * c2
+        for m2, c2 in yb.items():
+            m = m1 + m2
+            if m & guard:
+                _overflow()
+            b[m] = b.get(m, 0) + c1 * c2
+    for m1, c1 in xb.items():
+        c1 *= f
+        for m2, c2 in ya.items():
+            m = m1 + m2
+            if m & guard:
+                _overflow()
+            b[m] = b.get(m, 0) + c1 * c2
+        c1 *= d
+        for m2, c2 in yb.items():
+            m = m1 + m2
+            if m & guard:
+                _overflow()
+            a[m] = a.get(m, 0) + c1 * c2
 
 
 def _sum(x: Scalar, y: Scalar, sign: int, d: int) -> Scalar:
     """x + sign*y for nonzero x, y over the joined extension d."""
     dx, dy = x._den, y._den
+    xb, yb = x._b, y._b
     if dx == dy:
-        out = dict(x._num)
+        a = x._a.copy()
+        b = xb.copy() if yb else xb
         fy = sign
     else:
         g = math.gcd(dx, dy)
         fx = dy // g
         fy = sign * (dx // g)
         dx *= fx
-        out = {m: (a * fx, b * fx) for m, (a, b) in x._num.items()}
-    for m, (a, b) in y._num.items():
-        z = out.get(m)
-        if z is None:
-            out[m] = (a * fy, b * fy)
-        else:
-            out[m] = (z[0] + a * fy, z[1] + b * fy)
-    return _canonical(out, dx, d)
+        a = {m: c * fx for m, c in x._a.items()}
+        b = {m: c * fx for m, c in xb.items()} if xb or yb else _EMPTY
+    for m, c in y._a.items():
+        a[m] = a.get(m, 0) + c * fy
+    if yb:
+        for m, c in yb.items():
+            b[m] = b.get(m, 0) + c * fy
+    return _canonical(a, b, dx, d)
 
 
-ZERO = _make({}, 1, 0)
+ZERO = _make({}, _EMPTY, 1, 0)
 ONE = Scalar.rational(1)
 HALF = Scalar.rational(Fraction(1, 2))
 
@@ -366,84 +493,128 @@ class Accumulator:
 
     ``add(key, x, y, sign)`` adds sign * x * y (sign * x when y is None) to
     the sum at ``key`` without normalising it: each sum keeps raw integer
-    pairs per monomial over a running common denominator, the least common
-    multiple of the denominators added.  ``result()`` normalises every sum
-    once and returns the nonzero ones.  Canonical form is unique, so each sum
-    equals the left-to-right fold of ``+`` and ``*`` over the same terms, and
-    mixing two square-root extensions raises ExtensionMismatch exactly where
-    that fold would.
+    maps, as a Scalar does, over a running common denominator, the least
+    common multiple of the denominators added, and products go straight
+    into them.  ``result()`` normalises every sum once and returns the
+    nonzero ones.  Canonical form is unique, so each sum equals the
+    left-to-right fold of ``+`` and ``*`` over the same terms, and mixing two
+    square-root extensions raises ExtensionMismatch exactly where that fold
+    would.
     """
 
     __slots__ = ("_sums",)
 
     def __init__(self):
-        self._sums: dict = {}  # key -> Scalar, or [numerator map, den, d]
+        self._sums: dict = {}  # key -> Scalar, or [a map, b map, den, d]
 
     def add(self, key, x: Scalar, y: Optional[Scalar] = None, sign: int = 1) -> None:
-        terms = x._num
-        if not terms:
+        xa, xb = x._a, x._b
+        if not (xa or xb):
             return
+        sums = self._sums
+        s = sums.get(key)
         if y is None:
+            if s is None:
+                # a single Scalar is its own normal form until a second term comes
+                sums[key] = x if sign == 1 else _negated(x)
+                return
             den, d = x._den, x.d
         else:
-            if not y._num:
+            ya, yb = y._a, y._b
+            if not (ya or yb):
                 return
             d = x.d if x.d == y.d else _join_d(x.d, y.d)
             den = x._den * y._den
-            if len(terms) == 1 and len(y._num) == 1:
-                [(m1, (a1, b1))] = terms.items()
-                [(m2, (a2, b2))] = y._num.items()
-                m = m2 if not m1 else m1 if not m2 else _mul_monomials(m1, m2)
-                terms = {m: (a1 * a2 + d * b1 * b2, a1 * b2 + b1 * a2)}
-            else:
-                terms = _product(terms, y._num, d)
-        s = self._sums.get(key)
         if s is None:
-            if sign != 1:
-                terms = {m: (-a, -b) for m, (a, b) in terms.items()}
-            # a single Scalar is its own normal form until a second term comes
-            self._sums[key] = (
-                (x if sign == 1 else _make(terms, den, d)) if y is None else [terms, den, d]
-            )
-            return
-        if type(s) is Scalar:
-            s = self._sums[key] = [dict(s._num), s._den, s.d]
-        num, sden, sd = s
-        if d != sd:
-            if not sd:
-                s[2] = d
-            elif d:
-                # two extensions meet: only a sum or a term without a sqrt
-                # part may take the other's, as in the fold
-                if not any(b for _, b in num.values()):
-                    s[2] = d
-                elif any(b for _, b in terms.values()):
-                    _join_d(sd, d)
-        if sden == den:
+            sa: dict = {}
+            sb: dict = {}
+            sums[key] = [sa, sb, den, d]
             f = sign
-        elif sden % den == 0:
-            f = sign * (sden // den)
         else:
-            lcm = sden // math.gcd(sden, den) * den
-            g = lcm // sden
-            for m, (a, b) in num.items():
-                num[m] = (a * g, b * g)
-            s[1] = lcm
-            f = sign * (lcm // den)
-        for m, (a, b) in terms.items():
-            z = num.get(m)
-            num[m] = (a * f, b * f) if z is None else (z[0] + a * f, z[1] + b * f)
+            if type(s) is Scalar:
+                s = sums[key] = [s._a.copy(), s._b.copy(), s._den, s.d]
+            sa, sb, sden, sd = s
+            if d != sd:
+                if not sd:
+                    s[3] = d
+                elif d:
+                    # two extensions meet: only a sum or a term without a sqrt
+                    # part may take the other's, as in the fold
+                    if not any(sb.values()):
+                        s[3] = d
+                    elif xb if y is None else _product_has_root(xa, xb, ya, yb, d):
+                        _join_d(sd, d)
+            if sden == den:
+                f = sign
+            elif sden % den == 0:
+                f = sign * (sden // den)
+            else:
+                lcm = sden // math.gcd(sden, den) * den
+                g = lcm // sden
+                for m in sa:
+                    sa[m] *= g
+                for m in sb:
+                    sb[m] *= g
+                s[2] = lcm
+                f = sign * (lcm // den)
+        if y is None:
+            for m, c in xa.items():
+                sa[m] = sa.get(m, 0) + c * f
+            if xb:
+                for m, c in xb.items():
+                    sb[m] = sb.get(m, 0) + c * f
+        elif not d:
+            if len(xa) == 1 == len(ya):
+                [(m1, c1)] = xa.items()
+                [(m2, c2)] = ya.items()
+                m = m1 + m2
+                if m & _GUARD:
+                    _overflow()
+                sa[m] = sa.get(m, 0) + f * c1 * c2
+            else:
+                guard = _GUARD
+                for m1, c1 in xa.items():
+                    c1 *= f
+                    for m2, c2 in ya.items():
+                        m = m1 + m2
+                        if m & guard:
+                            _overflow()
+                        sa[m] = sa.get(m, 0) + c1 * c2
+        elif len(xa) + len(xb) == 1 == len(ya) + len(yb):
+            # one monomial each, with a rational or a sqrt(d) coefficient
+            [(m1, c1)] = (xa or xb).items()
+            [(m2, c2)] = (ya or yb).items()
+            m = m1 + m2
+            if m & _GUARD:
+                _overflow()
+            if xb and yb:
+                c1 *= d
+            t = sb if bool(xb) != bool(yb) else sa  # sb: one sqrt(d) factor
+            t[m] = t.get(m, 0) + f * c1 * c2
+        else:
+            _add_product(sa, sb, xa, xb, ya, yb, d, f)
 
     def result(self) -> dict:
-        """key -> the normalised sum, for every sum that does not vanish."""
+        """key -> the normalised sum, for every sum that does not vanish.
+
+        Each sum is kept as its Scalar, which may hold the sum's maps, so a
+        later ``add`` copies them first."""
         out = {}
-        for key, s in self._sums.items():
+        sums = self._sums
+        for key, s in sums.items():
             if type(s) is not Scalar:
-                s = _canonical(*s)
-                if not s._num:
+                s = sums[key] = _canonical(*s)
+                if s is ZERO:
                     continue
             out[key] = s
         return out
+
+
+def _product_has_root(xa: dict, xb: dict, ya: dict, yb: dict, d: int) -> bool:
+    """Whether x * y keeps a nonzero sqrt(d) part."""
+    b: dict = {}
+    _add_product({}, b, xa, xb, ya, yb, d, 1)
+    return any(b.values())
 
 
 def fraction_sqrt(f: Fraction) -> Optional[Fraction]:
@@ -518,8 +689,14 @@ def _tokenize(text: str):
                 raise ScalarError(f"bad scalar literal near {text[pos:]!r}")
             break
         pos = m.end()
-        if m.group("num"):
-            toks.append(("num", int(m.group("num"))))
+        digits = m.group("num")
+        if digits:
+            try:
+                toks.append(("num", int(digits)))
+            except ValueError:  # longer than the interpreter's int-string limit
+                raise ScalarError(
+                    f"number of {len(digits)} digits in scalar literal is too long"
+                ) from None
         elif m.group("name"):
             toks.append(("name", m.group("name")))
         else:
@@ -598,6 +775,8 @@ def parse_scalar(text: str, d: int = 0, parameters: Iterable[str] = ()) -> Scala
                         raise ScalarError(f"expected exponent in {text!r}")
                     i += 1
                     e = val2
+                    if e > MAX_EXPONENT:
+                        raise ScalarError(f"exponent {e} exceeds {MAX_EXPONENT}")
                 if val == "r":
                     if e != 1:
                         raise ScalarError("powers of r are not part of the grammar")
@@ -616,14 +795,16 @@ def parse_scalar(text: str, d: int = 0, parameters: Iterable[str] = ()) -> Scala
                 continue
             break
         c = Fraction(1) if coeff is None else coeff
-        mono = tuple(sorted(exps.items()))
+        m = _pack(exps.items())
         if has_root:
             if d == 0:
                 raise ScalarError("r used but no sqrt extension declared")
-            return Scalar({mono: (Fraction(0), c)}, d=d)
-        return Scalar({mono: (c, Fraction(0))})
+            if not is_square_free(d):
+                raise ScalarError(f"extension {d} is not square-free")
+            return _make({}, {m: c.numerator}, c.denominator, d) if c else ZERO
+        return _make({m: c.numerator}, _EMPTY, c.denominator, 0) if c else ZERO
 
-    result = Scalar()
+    result = ZERO
     sign = 1
     kind, val = peek()
     if kind == "op" and val in "+-":
@@ -654,17 +835,27 @@ def _format_term(coeff: Fraction, root: bool, mono: Monomial) -> str:
     return "*".join(parts)
 
 
+def _format_order(m: int) -> tuple:
+    mono = _unpack(m)
+    return len(mono), mono
+
+
 def format_scalar(s: Scalar) -> str:
     """Render in the literal grammar; parse_scalar inverts this exactly."""
     if s.is_zero():
         return "0"
     pieces = []
-    for mono in sorted(s._num, key=lambda m: (len(m), m)):
-        a, b = s._num[mono]
+    sa, sb, den = s._a, s._b, s._den
+    keys = sa.keys() | sb.keys() if sb else sa.keys()
+    if len(keys) > 1:
+        keys = sorted(keys, key=_format_order)
+    for m in keys:
+        mono = _unpack(m) if m else ()
+        a, b = sa.get(m), sb.get(m)
         if a:
-            pieces.append((a < 0, _format_term(Fraction(a, s._den), False, mono)))
+            pieces.append((a < 0, _format_term(Fraction(a, den), False, mono)))
         if b:
-            pieces.append((b < 0, _format_term(Fraction(b, s._den), True, mono)))
+            pieces.append((b < 0, _format_term(Fraction(b, den), True, mono)))
     out = ("-" if pieces[0][0] else "") + pieces[0][1]
     for neg, text in pieces[1:]:
         out += (" - " if neg else " + ") + text
@@ -711,6 +902,12 @@ def _rational_roots_of(coeffs: dict) -> Optional[set]:
     return roots
 
 
+def _exponent(m: int) -> int:
+    """The exponent of a packed monomial in at most one parameter."""
+    mono = _unpack(m)
+    return mono[0][1] if mono else 0
+
+
 def rational_roots(s: Scalar) -> Optional[set]:
     """Rational values of the single parameter at which ``s`` vanishes.
 
@@ -726,12 +923,8 @@ def rational_roots(s: Scalar) -> Optional[set]:
         return set()
     # One parameter: each monomial is a distinct power of it.  The common
     # denominator does not move the roots, so the integer numerators serve.
-    p_poly: dict = {}
-    q_poly: dict = {}
-    for mono, (a, b) in s._num.items():
-        e = mono[0][1] if mono else 0
-        p_poly[e] = a
-        q_poly[e] = b
+    p_poly = {_exponent(m): c for m, c in s._a.items()}
+    q_poly = {_exponent(m): c for m, c in s._b.items()}
     rp = _rational_roots_of(p_poly)
     rq = _rational_roots_of(q_poly)
     if rp is None:
@@ -739,3 +932,39 @@ def rational_roots(s: Scalar) -> Optional[set]:
     if rq is None:
         return rp
     return rp & rq
+
+
+def affine_roots(entries: Iterable[Scalar]) -> Optional[set]:
+    """Rational values of one parameter q at which every entry vanishes, read
+    from the coefficients of entries affine in q.
+
+    At a rational q an entry vanishes where both its rational and its
+    sqrt(d) part, each c0 + c1*q, do: a part with c1 != 0 only at -c0/c1, a
+    nonzero constant part nowhere, a zero part everywhere.  The intersection
+    of these sets holds at most one value; it is returned as soon as it is
+    empty, else once every entry is read.  Returns None when an entry read is
+    not affine in one parameter shared by all, and when no entry bounds q.
+    """
+    unit = 0  # the packed monomial q^1
+    root = None  # (-c0, c1) of the first part that names a value
+    for s in entries:
+        for part in (s._a, s._b):
+            if not part:
+                continue
+            c0 = c1 = 0
+            for m, c in part.items():
+                if not m:
+                    c0 = c
+                elif m == unit:
+                    c1 = c
+                elif unit or [e for _, e in _unpack(m)] != [1]:
+                    return None
+                else:
+                    unit, c1 = m, c
+            if not c1:
+                return set()
+            if root is None:
+                root = (-c0, c1)
+            elif root[0] * c1 != -c0 * root[1]:
+                return set()
+    return None if root is None else {Fraction(*root)}

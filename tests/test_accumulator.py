@@ -2,8 +2,8 @@
 
 ``Accumulator`` adds raw integer products per output key and normalises each
 sum once.  Canonical form is unique, so every sum must be the very Scalar the
-fold ``acc[key] = acc[key] + x * y`` builds, down to its numerators, common
-denominator, extension and hash, and it must raise ExtensionMismatch on
+fold ``acc[key] = acc[key] + x * y`` builds, down to its two numerator maps,
+common denominator, extension and hash, and it must raise ExtensionMismatch on
 exactly the inputs where the fold does.
 """
 
@@ -73,7 +73,7 @@ def assert_identical(got, want):
     assert got.keys() == want.keys()
     for key, w in want.items():
         g = got[key]
-        assert (g.terms, g.d, g._den, g._num) == (w.terms, w.d, w._den, w._num)
+        assert (g._a, g._b, g._den, g.d, g.terms) == (w._a, w._b, w._den, w.d, w.terms)
         assert g == w and hash(g) == hash(w)
 
 

@@ -190,7 +190,22 @@ class TestCommands:
         ({"complex_volume": {"psi_plus": 3}}, "complex_volume must hold a psi_plus list"),
         ({"kaehler_form": [{"i": 1, "j": 2, "c": "1/0"}, {"i": 3, "j": 4, "c": "1"}]},
          "kaehler_form[0]: zero denominator in '1/0'"),
-    ], ids=["brackets", "parameters", "psi_plus", "zero-denominator"])
+        ({"sqrt_extension": True}, "sqrt_extension must be a nonnegative integer"),
+        ({"dimension": True}, "dimension must be an even integer >= 4"),
+        ({"kaehler_form": [{"i": True, "j": 2, "c": "1"}, {"i": 3, "j": 4, "c": "1"}]},
+         "kaehler_form[0]: index True is not an integer"),
+        ({"brackets": [{"i": 1, "j": True, "coeffs": {"2": "1"}}]},
+         "brackets[0]: index True is not an integer"),
+        ({"complex_volume": {"psi_plus": [{"indices": [1, False], "c": "1"}]}},
+         "complex_volume.psi_plus[0]: index False is not an integer"),
+        ({"kaehler_form": [{"i": 1, "j": 2, "c": "1" + "0" * 5000}, {"i": 3, "j": 4, "c": "1"}]},
+         "kaehler_form[0]: number of 5001 digits in scalar literal is too long"),
+        ({"parameters": ["q"],
+          "kaehler_form": [{"i": 1, "j": 2, "c": "q^32768"}, {"i": 3, "j": 4, "c": "1"}]},
+         "kaehler_form[0]: exponent 32768 exceeds 32767"),
+    ], ids=["brackets", "parameters", "psi_plus", "zero-denominator", "sqrt_extension-true",
+            "dimension-true", "index-true", "bracket-index-true", "psi_plus-index-false",
+            "overlong-number", "exponent-bound"])
     def test_analyze_mistyped_field_names_it(self, tmp_path, capsys, overrides, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(minimal_file(**overrides)))

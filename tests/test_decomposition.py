@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from ahtorsion import audit
+from ahtorsion import audit, scalars
 from ahtorsion.audit import rotated_structure
-from ahtorsion.catalog import get, names
+from ahtorsion.catalog import get, names, structure_from_data
 from ahtorsion.curvature import analyze
 from ahtorsion.decomposition import (
     classify,
@@ -87,6 +87,43 @@ class TestClassification:
         gh = classify(dec)
         assert gh.nonzero == ("W4",)
         assert gh.special_parameters == {}
+
+    @staticmethod
+    def _solvable_file(brackets):
+        """A four-dimensional file in q: [e_i, e_4] = sum_j coeffs[j] e_j."""
+        return structure_from_data({
+            "name": "solvable", "dimension": 4, "parameters": ["q"],
+            "brackets": [{"i": i, "j": 4, "coeffs": coeffs} for i, coeffs in brackets],
+            "kaehler_form": [{"i": 1, "j": 2, "c": "1"}, {"i": 3, "j": 4, "c": "1"}],
+        })
+
+    @pytest.fixture
+    def no_trial_division(self, monkeypatch):
+        def refuse(coeffs):
+            raise AssertionError("trial division of a norm")
+        monkeypatch.setattr(scalars, "_rational_roots_of", refuse)
+
+    def test_30_bit_coefficients_are_read_from_the_entries(self, no_trial_division):
+        # the squared norms have 60-bit coefficients, which trial division
+        # of the norm does not factor in any reasonable time
+        big = "998244353 + 1000000007*q"
+        gh = analyze(self._solvable_file([(1, {"1": big, "2": "1"}), (3, {"1": "1"})])).gh_class
+        assert gh.nonzero == ("W2", "W4")
+        assert gh.special_parameters == {}
+        gh = analyze(self._solvable_file([(1, {"1": big})])).gh_class
+        assert gh.special_parameters == {"-998244353/1000000007": ["W2", "W4"]}
+
+    @pytest.mark.parametrize("factors", [6, 15])
+    def test_mixed_rotations_are_read_from_the_entries(self, no_trial_division, factors):
+        base = get("example-5.2").build()
+        S = audit.rotated_structure(base, random.Random(3), "mixed", factors=factors)
+        gh = analyze(S).gh_class
+        assert gh.nonzero == ("W2", "W4")
+        assert gh.special_parameters == {}
+
+    def test_entries_not_affine_fall_back_to_the_norm(self):
+        gh = analyze(self._solvable_file([(1, {"1": "q^2 - 1"})])).gh_class
+        assert gh.special_parameters == {"-1": ["W2", "W4"], "1": ["W2", "W4"]}
 
 
 class TestTwoFormSplit:

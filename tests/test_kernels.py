@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from ahtorsion import audit, multilinear, structure
+from ahtorsion import audit, multilinear, scalars, structure
 from ahtorsion.catalog import ENTRIES, get, structure_from_data
 from ahtorsion.cli import report_data
 from ahtorsion.curvature import analyze, riemann
@@ -517,9 +517,10 @@ def _bundle_roots(b):
 def assert_canonical(s: Scalar):
     # a non-canonical Scalar can print like a canonical one and still compare unequal
     assert s._den > 0
-    assert all(pair != (0, 0) for pair in s._num.values())
-    assert math.gcd(s._den, *(c for pair in s._num.values() for c in pair)) == 1
-    assert (s.d == 0) == all(b == 0 for _, b in s._num.values())
+    assert all(c != 0 for c in s._a.values()) and all(c != 0 for c in s._b.values())
+    assert math.gcd(s._den, *s._a.values(), *s._b.values()) == 1
+    assert (s.d == 0) == (not s._b)
+    assert s._b or s._b is scalars._EMPTY
 
 
 def test_every_stored_entry_is_canonical(bundle):

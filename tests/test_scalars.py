@@ -1,22 +1,33 @@
 """Ring axioms, literal grammar, and root handling of the scalar type."""
 
+import os
+import pickle
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import ahtorsion
 from ahtorsion.scalars import (
+    MAX_EXPONENT,
+    Accumulator,
     ExtensionMismatch,
     ONE,
     Scalar,
     ScalarError,
     ZERO,
+    affine_roots,
     format_scalar,
     parse_scalar,
     rational_roots,
     scalar_sqrt,
 )
+
+PARAMS = ("p", "q", "s")  # three parameters; r is the grammar's sqrt(d)
 
 
 fractions = st.fractions(
@@ -25,7 +36,7 @@ fractions = st.fractions(
 
 
 @st.composite
-def scalars(draw, d=3, params=("q",)):
+def scalars(draw, d=3, params=PARAMS):
     s = Scalar()
     for _ in range(draw(st.integers(0, 4))):
         term = Scalar.rational(draw(fractions))
@@ -66,7 +77,8 @@ class TestRingAxioms:
 # integer representation must agree with it operation by operation, including
 # the canonical ``terms`` view.
 
-MONOMIALS = [(), (("q", 1),), (("q", 2),), (("p", 1),), (("p", 1), ("q", 1))]
+MONOMIALS = [(), (("q", 1),), (("q", 2),), (("p", 1),), (("p", 1), ("q", 1)),
+             (("s", 1),), (("p", 2), ("s", 1)), (("p", 1), ("q", 1), ("s", 3))]
 
 
 def model_canon(terms):
@@ -204,7 +216,7 @@ class TestExtension:
 class TestLiteralGrammar:
     @given(scalars())
     def test_format_parse_round_trip(self, s):
-        assert parse_scalar(format_scalar(s), d=3, parameters=("q",)) == s
+        assert parse_scalar(format_scalar(s), d=3, parameters=PARAMS) == s
 
     def test_examples(self):
         q = Scalar.parameter("q")
@@ -248,3 +260,119 @@ class TestRoots:
         assert s.evaluate({"q": Fraction(2)}) == Scalar.rational(5)
         with pytest.raises(ScalarError):
             s.evaluate({})
+
+
+class TestPackedMonomials:
+    def test_exponent_overflow_in_a_product_raises(self):
+        q, s = Scalar.parameter("q"), Scalar.parameter("s")
+        top = Scalar({(("q", MAX_EXPONENT),): (1, 0)})
+        half = Scalar({(("q", 1 << 14),): (1, 0)})
+        assert format_scalar(top * s) == f"q^{MAX_EXPONENT}*s"
+        assert half * Scalar({(("q", (1 << 14) - 1),): (1, 0)}) == top
+        for x, y in ((top, q), (half, half), (top + 1, q + s), (Scalar.root(3) * top, q)):
+            with pytest.raises(ScalarError):
+                x * y
+            acc = Accumulator()
+            with pytest.raises(ScalarError):
+                acc.add("k", x, y)
+        # an operand that overflows in one field leaves the others alone
+        assert (top * s * s).parameters() == {"q", "s"}
+
+    def test_literal_exponent_bound(self):
+        top = parse_scalar(f"q^{MAX_EXPONENT}", parameters=("q",))
+        assert dict(top.terms) == {(("q", MAX_EXPONENT),): (1, 0)}
+        for text in (f"q^{MAX_EXPONENT + 1}", "q^20000*q^20000", f"2*q^{10 ** 30}"):
+            with pytest.raises(ScalarError):
+                parse_scalar(text, parameters=("q",))
+        with pytest.raises(ScalarError):
+            Scalar({(("q", MAX_EXPONENT + 1),): (1, 0)})
+        with pytest.raises(ScalarError):
+            Scalar({(("q", -1),): (1, 0)})
+
+    def test_public_monomials_are_sorted_and_merged(self):
+        x = Scalar({(("s", 1), ("p", 2)): (1, 0), (("p", 2), ("s", 1)): (2, 0), (("q", 0),): (5, 0)})
+        assert dict(x.terms) == {(("p", 2), ("s", 1)): (3, 0), (): (5, 0)}
+        assert format_scalar(x) == "5 + 3*p^2*s"
+        assert x.parameters() == {"p", "s"}
+
+    def test_overlong_number_literal_is_a_scalar_error(self):
+        with pytest.raises(ScalarError, match="5001 digits"):
+            parse_scalar("1" + "0" * 5000)
+
+    def test_pickle_round_trip_across_processes(self):
+        # The child process gives the parameter names their fields in another
+        # order, so an unpickled Scalar that kept this process's field numbers
+        # would read as a different polynomial there.
+        x = parse_scalar("-1/2 + 3*p*q^2 - 1/7*r*s^3 + q", d=3, parameters=PARAMS)
+        assert pickle.loads(pickle.dumps(x)) == x
+        child = (
+            "import pickle, sys\n"
+            "from ahtorsion.scalars import Scalar, format_scalar, parse_scalar\n"
+            "for name in ('zz', 's', 'q', 'p'):\n"
+            "    Scalar.parameter(name)\n"
+            "x = pickle.loads(sys.stdin.buffer.read())\n"
+            "text = format_scalar(x)\n"
+            "assert x == parse_scalar(text, d=3, parameters=('p', 'q', 's')), text\n"
+            "assert x * Scalar.parameter('zz') != x * Scalar.parameter('s')\n"
+            "sys.stdout.buffer.write(pickle.dumps((text, x * x)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(ahtorsion.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-c", child], input=pickle.dumps(x),
+                             capture_output=True, env=env, check=True).stdout
+        text, square = pickle.loads(out)
+        assert text == format_scalar(x)
+        assert square == x * x
+        assert pickle.loads(pickle.dumps(ZERO)) is ZERO
+
+
+coefficients = st.integers(-(1 << 16), 1 << 16)
+
+
+@st.composite
+def affine_entries(draw):
+    """Up to four entries (a0 + a1*q) + (b0 + b1*q)*sqrt(3), coefficients up to
+    2^16; most parts are zero, constant, or c*(k*q - n) for one shared n/k."""
+    n, k = draw(st.integers(-(1 << 8), 1 << 8)), draw(st.integers(1, 1 << 8))
+    q = Scalar.parameter("q")
+
+    def part():
+        kind = draw(st.sampled_from(["zero", "constant", "shared", "shared", "any"]))
+        if kind == "zero":
+            return ZERO
+        if kind == "constant":
+            return Scalar.rational(draw(coefficients.filter(bool)))
+        if kind == "shared":
+            return Scalar.rational(draw(st.integers(1, 1 << 8))) * (k * q - n)
+        return draw(coefficients) + draw(coefficients) * q
+
+    entries = []
+    for _ in range(draw(st.integers(1, 4))):
+        a, b = part(), part()
+        if draw(st.booleans()):
+            b = ZERO
+        entries.append(a + b * Scalar.root(3))
+    return [e for e in entries if e]
+
+
+class TestAffineRoots:
+    @settings(max_examples=60, deadline=None)
+    @given(affine_entries())
+    def test_entries_give_the_roots_of_the_norm(self, entries):
+        norm = ZERO
+        for e in entries:
+            norm = norm + e * e
+        if norm.is_zero():
+            assert affine_roots(entries) is None
+            return
+        assert affine_roots(entries) == rational_roots(norm)
+
+    def test_examples(self):
+        q = Scalar.parameter("q")
+        assert affine_roots([3 * q - 2, 6 * q - 4]) == {Fraction(2, 3)}
+        assert affine_roots([3 * q - 2, q]) == set()
+        assert affine_roots([q - 1, Scalar.root(3) * (q - 1)]) == {Fraction(1)}
+        assert affine_roots([q - 1 + Scalar.root(3)]) == set()  # vanishes at 1 - sqrt(3)
+        assert affine_roots([q - 1, ONE]) == set()
+        assert affine_roots([q * q - 1]) is None
+        assert affine_roots([q - 1, Scalar.parameter("p")]) is None
+        assert affine_roots([ZERO * q]) is None
