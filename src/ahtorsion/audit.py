@@ -25,9 +25,7 @@ from .curvature import Analysis, analyze
 from .decomposition import (
     BilinearSplit,
     _combine,
-    _div_trace,
     _pair_xi,
-    _trace_slot,
     _xi_at_vector,
     contract_trace_vector,
     domega_from_torsion,
@@ -134,21 +132,34 @@ def _outer(u: Form, v: Form) -> Tensor:
 # -- the evaluation bundle ----------------------------------------------------
 
 
+def _trace_field(k: int, slot: int) -> cached_property:
+    """A bundle field: D^min of the analysis's xi_k, traced against ``slot``."""
+    return cached_property(
+        lambda b: b.A.minimal.covariant_trace(getattr(b.A.torsion, f"xi{k}"), slot))
+
+
 class Bundle:
     """Everything the checks contract against, computed once per structure.
 
     The checks combine whole tensors: each side of an identity is one linear
     combination of rank-2 tensors built from these fields (``_combine``).
-    Terms derived from ``Dxi``, ``Dth`` or ``jth_form`` and the
-    [lambda^{1,1}] parts of 2-forms are built on first use, so a field
-    corrupted before a check reads it reaches that check.  J rotations of the
-    operands are kept per operand object (``rotated``): a field replaced by
-    another tensor is rotated afresh, so operands must not change in place.
+    D^min xi_k enters only through its traces (``trace1`` to ``trace4``,
+    ``div2``, ``div3``), fused from the analysis's xi_k.  These, ``Dxi``, terms
+    derived from ``Dth`` or ``jth_form`` and the [lambda^{1,1}] parts of
+    2-forms are built on first use, so a field corrupted before a check reads
+    it reaches that check.  J rotations and pair contractions are kept per
+    operand object (``_memoised``): a replaced field is rotated and contracted
+    afresh, so operands must not change in place.
     """
+
+    # (j, k) -> sum_i <(D^min_{e_i} xi_k)_{e_i} e_j, e_k>
+    trace1, trace2, trace3, trace4 = (_trace_field(k, 0) for k in range(1, 5))
+    # (j, k) -> sum_i <(D^min_{e_i} xi_k)_{e_j} e_k, e_i>
+    div2, div3 = (_trace_field(k, 2) for k in (2, 3))
 
     def __init__(self, analysis: Analysis):
         self.A = analysis
-        self._rotations: Dict[Tuple[int, int], Tuple[Tensor, Endomorphism, Tensor]] = {}
+        self._memo: Dict[tuple, Tuple[tuple, Endomorphism, Tensor]] = {}
         S = analysis.structure
         self.S = S
         self.dim = S.L.dim
@@ -162,13 +173,6 @@ class Bundle:
         self.th = [self.theta.coeffs.get((t,), ZERO) for t in range(d)]
         self.jth_form = S.J_oneform(self.theta)
         self.jth = [self.jth_form.coeffs.get((t,), ZERO) for t in range(d)]
-        mc = analysis.minimal
-        self.Dxi1 = mc.covariant_derivative(dec.xi1)
-        self.Dxi2 = mc.covariant_derivative(dec.xi2)
-        self.Dxi3 = mc.covariant_derivative(dec.xi3)
-        self.Dxi4 = mc.covariant_derivative(dec.xi4)
-        # D is linear and xi = xi1 + xi2 + xi3 + xi4 (checked by F6)
-        self.Dxi = _combine((1, self.Dxi1), (1, self.Dxi2), (1, self.Dxi3), (1, self.Dxi4))
         self.Dth = analysis.nabla.covariant_derivative(self.theta.to_tensor())
         self.omega_t = S.omega.to_tensor()
         self.g = metric_tensor(d)
@@ -182,28 +186,42 @@ class Bundle:
         self.r_min = curv.minimal.r
         self.rho_min = curv.minimal.rho
 
-    def rotated(self, t: Tensor, slot: int) -> Tensor:
-        """J_(slot) t, computed once per operand object, slot and J."""
+    def _memoised(self, kind, operands: tuple, build: Callable[[], Tensor]) -> Tensor:
+        """build(), computed once per kind, operand objects and J."""
         J = self.S.J
-        hit = self._rotations.get((id(t), slot))
-        # the memo holds t, so its id is not reused while the entry lives
+        key = (kind,) + tuple(id(t) for t in operands)
+        hit = self._memo.get(key)
+        # the memo holds the operands, so their ids are not reused while the entry lives
         if hit is None or hit[1] is not J:
-            hit = self._rotations[(id(t), slot)] = (t, J, t.apply_J(slot, J))
+            hit = self._memo[key] = (operands, J, build())
         return hit[2]
+
+    def rotated(self, t: Tensor, slot: int) -> Tensor:
+        """J_(slot) t."""
+        return self._memoised(slot, (t,), lambda: t.apply_J(slot, self.S.J))
 
     # contraction shapes shared by several identities, each the whole (j, k) tensor
 
+    def pair(self, a: Tensor, b: Tensor) -> Tensor:
+        """(j, k) -> <a_{e_j} e_i, b_{e_k} e_i> summed over i."""
+        return self._memoised("pair", (a, b), lambda: _pair_xi(a, b))
+
     def pairJ(self, a: Tensor, b: Tensor) -> Tensor:
         """(j, k) -> <a_{e_j} e_i, b_{e_k} J e_i> summed over i."""
-        return -_pair_xi(a, self.rotated(b, 1))
+        return self._memoised("pairJ", (a, b), lambda: -_pair_xi(a, self.rotated(b, 1)))
 
     def pairE(self, a: Tensor, b: Tensor) -> Tensor:
         """(j, k) -> <a_{e_i} e_j, b_{e_i} e_k> summed over i."""
-        return _pair_xi(a, b, 0)
+        return self._memoised("pairE", (a, b), lambda: _pair_xi(a, b, 0))
 
     def pairE_J(self, a: Tensor, b: Tensor) -> Tensor:
         """(j, k) -> <a_{e_i} e_j, b_{J e_i} e_k> summed over i."""
-        return -_pair_xi(a, self.rotated(b, 0), 0)
+        return self._memoised("pairE_J", (a, b), lambda: -_pair_xi(a, self.rotated(b, 0), 0))
+
+    @cached_property
+    def Dxi(self) -> Tensor:
+        """D^min xi, read by the curvature gap and the torsion trace tensor."""
+        return self.A.minimal.covariant_derivative(self.A.xi)
 
     @cached_property
     def curvature_gap(self) -> Tensor:
@@ -416,15 +434,11 @@ def check_f6(b: Bundle) -> Parts:
 def check_f7(b: Bundle) -> Parts:
     """Differential consistency around the Lee form."""
     # the torsion-trace route to theta: sum_i (xi_{e_i} e_i)^flat = ((n-1)/2) theta
-    trace = Form(b.dim, 1)
-    two = R(Fraction(2, b.n - 1))
-    for k, acc in enumerate(contract_trace_vector(b.xi)):
-        if not acc.is_zero():
-            trace.coeffs[(k,)] = two * acc
+    trace = Form(b.dim, 1, {(k,): v for k, v in enumerate(contract_trace_vector(b.xi))})
     return [
         ("d(d omega) != 0", exterior_derivative(b.S.L, b.A.domega)),
         ("d(d theta) != 0", exterior_derivative(b.S.L, b.A.dtheta.dtheta)),
-        (None, trace - b.theta),
+        (None, trace.scaled(R(Fraction(2, b.n - 1))) - b.theta),
     ]
 
 
@@ -440,21 +454,21 @@ def check_l31b(b: Bundle) -> Parts:
     coef = Fraction(b.n - 2, b.n - 1)
     a = _combine(
         (-coef, b.Dxi4vec),
-        (-2, _div_trace(b.Dxi3)),
+        (-2, b.div3),
         (-coef, b.S.rotate_bilinear(b.Dxi4vec)),
-        (-3, _pair_xi(b.xi1, b.xi2)),
+        (-3, b.pair(b.xi1, b.xi2)),
     )
     return [(None, a - a.transpose((1, 0)))]
 
 
 def check_l31c(b: Bundle) -> Parts:
     n, v4 = b.n, b.xi4vec
-    p31 = _pair_xi(b.xi3, b.xi1)
-    p32 = _pair_xi(b.xi3, b.xi2)
+    p31 = b.pair(b.xi3, b.xi1)
+    p32 = b.pair(b.xi3, b.xi2)
     rhs = _combine(
-        (3, _trace_slot(b.Dxi1)),
-        (-1, _trace_slot(b.Dxi3)),
-        (n - 2, _trace_slot(b.Dxi4)),
+        (3, b.trace1),
+        (-1, b.trace3),
+        (n - 2, b.trace4),
         (-1, p31),
         (1, p31.transpose((1, 0))),
         (Fraction(1, 2), p32),
@@ -514,13 +528,12 @@ def check_p34r(b: Bundle) -> Parts:
 def check_p34h(b: Bundle) -> Parts:
     # the [lambda_0^{1,1}] identity of the dtheta proposition, left side - right side
     half_nm2 = Fraction(b.n - 2, 2)
-    div3 = _div_trace(b.Dxi3)
     x3 = _xi_at_vector(b.xi3, b.th, 2)
-    p12 = _pair_xi(b.xi1, b.xi2)
+    p12 = b.pair(b.xi1, b.xi2)
     return [(None, _combine(
         (half_nm2, b.A.dtheta.split.lambda0_part.to_tensor()),
-        (1, div3),
-        (-1, div3.transpose((1, 0))),
+        (1, b.div3),
+        (-1, b.div3.transpose((1, 0))),
         (-half_nm2, x3),
         (half_nm2, x3.transpose((1, 0))),
         (Fraction(3, 2), p12),
@@ -531,12 +544,12 @@ def check_p34h(b: Bundle) -> Parts:
 def check_p34s(b: Bundle) -> Parts:
     # the [[lambda^{2,0}]] identity, left side - right side
     n = b.n
-    p31 = _pair_xi(b.xi3, b.xi1)
-    p32 = _pair_xi(b.xi3, b.xi2)
+    p31 = b.pair(b.xi3, b.xi1)
+    p32 = b.pair(b.xi3, b.xi2)
     return [(None, _combine(
         (Fraction(n - 2, 2), b.A.dtheta.split.lambda20_part.to_tensor()),
-        (3, _trace_slot(b.Dxi1)),
-        (-1, _trace_slot(b.Dxi3)),
+        (3, b.trace1),
+        (-1, b.trace3),
         (-1, p31),
         (1, p31.transpose((1, 0))),
         (Fraction(1, 2), p32),
@@ -591,12 +604,12 @@ def check_e41(b: Bundle) -> Parts:
 
 def check_e42(b: Bundle) -> Parts:
     n = b.n
-    p12 = _pair_xi(b.xi1, b.xi2)
+    p12 = b.pair(b.xi1, b.xi2)
     rhs = _combine(
-        (-2, _div_trace(b.Dxi3)),
+        (-2, b.div3),
         (-Fraction(n - 2, 2), b.dth_mixed),
         (R(Fraction(1, 2)) * (b.dstar_theta + R(Fraction(2 * n - 3, 2)) * b.tn), b.g),
-        (4, _pair_xi(b.xi1, b.xi1)),
+        (4, b.pair(b.xi1, b.xi1)),
         (-2, b.pairE(b.xi2, b.xi2)),
         (-Fraction(n - 2, 4), _outer(b.theta, b.theta)),
         (-Fraction(n - 2, 4), _outer(b.jth_form, b.jth_form)),
@@ -621,11 +634,11 @@ def check_l41(b: Bundle) -> Parts:
 
 def check_e44(b: Bundle) -> Parts:
     n = b.n
-    p13 = _pair_xi(b.xi1, b.xi3)
-    p23 = _pair_xi(b.xi2, b.xi3)
+    p13 = b.pair(b.xi1, b.xi3)
+    p23 = b.pair(b.xi2, b.xi3)
     rhs = _combine(
-        (2, _trace_slot(b.Dxi1)),
-        (-1, _trace_slot(b.Dxi2)),
+        (2, b.trace1),
+        (-1, b.trace2),
         (Fraction(n - 1, 2), b.dtheta_lam20),
         (1, p13),
         (-1, p13.transpose((1, 0))),
@@ -640,9 +653,9 @@ def check_e44(b: Bundle) -> Parts:
 def check_e45(b: Bundle) -> Parts:
     n = b.n
     rhs = _combine(
-        (-1, _trace_slot(b.Dxi1)),
-        (-1, _trace_slot(b.Dxi2)),
-        (1, _trace_slot(b.Dxi3)),
+        (-1, b.trace1),
+        (-1, b.trace2),
+        (1, b.trace3),
         (Fraction(1, 2), b.dtheta_lam20),
         (Fraction(n - 3, 2), _xi_at_vector(b.xi1, b.th)),
         (Fraction(n, 2), _xi_at_vector(b.xi2, b.th)),
@@ -661,10 +674,9 @@ def check_p44(b: Bundle) -> Parts:
     """Class-restricted form of the anti-invariant Ricci identity."""
     if b.n == 2:
         # closed form valid in dimension four
-        div2 = _div_trace(b.Dxi2)
         rhs = _combine(
-            (-1, div2),
-            (-1, div2.transpose((1, 0))),
+            (-1, b.div2),
+            (-1, b.div2.transpose((1, 0))),
             (Fraction(-1, 4), b.dth_sym_anti),
             (Fraction(-1, 4), _outer(b.theta, b.theta)),
             (Fraction(1, 4), _outer(b.jth_form, b.jth_form)),
@@ -676,7 +688,7 @@ def check_p44(b: Bundle) -> Parts:
 def check_p43i(b: Bundle) -> Parts:
     n = b.n
     rhs = _combine(
-        (-1, _trace_slot(b.Dxi2)),
+        (-1, b.trace2),
         (Fraction(n + 1, 6), b.dtheta_lam20),
         (Fraction(n, 2), _xi_at_vector(b.xi2, b.th)),
     )
@@ -693,7 +705,7 @@ def check_p43ia(b: Bundle) -> Parts:
 
 def check_p43ib(b: Bundle) -> Parts:
     rhs = _combine(
-        (-1, _trace_slot(b.Dxi2)),
+        (-1, b.trace2),
         (Fraction(1, 2), b.dtheta_lam20),
         (1, _xi_at_vector(b.xi2, b.th)),
     )
@@ -705,7 +717,7 @@ def check_p43iia(b: Bundle) -> Parts:
     parts: Parts = [(None, b.ric_star_skew - b.dtheta_lam20.scaled(R(Fraction(n - 1, 2))))]
     if n > 2:
         t = _combine(
-            (1, _trace_slot(b.Dxi3)),
+            (1, b.trace3),
             (-Fraction(n - 1, 2), _xi_at_vector(b.xi3, b.th)),
         ).scaled(R(Fraction(n - 1, n - 2)))
         parts.append((None, b.ric_star_skew - t))
@@ -795,8 +807,8 @@ def check_p48ii(b: Bundle) -> Parts:
     rho11 = b.rho11.to_tensor()
     dJth11 = b.dJth11.to_tensor()
     rho_chern = cc.rho.to_tensor()
-    # (j, k) -> sum_{i,l} J_li (D xi3)_ijkl
-    div_j = b.Dxi3.trace_J(0, 3, b.S.J)
+    # (j, k) -> sum_{i,l} J_li (D xi3)_ijkl; no other check needs D^min xi3 whole
+    div_j = b.A.minimal.covariant_derivative(b.A.torsion.xi3).trace_J(0, 3, b.S.J)
     tj = _outer(b.theta, b.jth_form)
     x3 = _xi_at_vector(b.xi3, b.jth, 2)
     rhs = _combine(
@@ -821,17 +833,17 @@ def check_p410(b: Bundle) -> Parts:
     comb = b.curv.comb_split
     lhs = (comb.trace_part + comb.sym_invariant_part).scaled(R(Fraction(1, 2)))
     rmin11 = b.rmin11.to_tensor()
-    p12 = _pair_xi(b.xi1, b.xi2)
+    p12 = b.pair(b.xi1, b.xi2)
     x3 = _xi_at_vector(b.xi3, b.th, 2)
     rhs = _combine(
         (2, rmin11.apply_J(1, b.S.J)),
-        (-1, _div_trace(b.Dxi3)),
+        (-1, b.div3),
         (-Fraction(n - 2, 4), b.dth_mixed),
         (R(Fraction(1, 4)) * (b.dstar_theta + R(Fraction(2 * n - 7, 2)) * b.tn), b.g),
-        (4, _pair_xi(b.xi1, b.xi1)),
-        (2, _pair_xi(b.xi2, b.xi2)),
+        (4, b.pair(b.xi1, b.xi1)),
+        (2, b.pair(b.xi2, b.xi2)),
         (-1, b.pairE(b.xi2, b.xi2)),
-        (-2, _pair_xi(b.xi3, b.xi3)),
+        (-2, b.pair(b.xi3, b.xi3)),
         (-Fraction(n - 6, 8), _outer(b.theta, b.theta)),
         (-Fraction(n - 6, 8), _outer(b.jth_form, b.jth_form)),
         (1, p12),

@@ -269,6 +269,8 @@ def cmd_catalog(args) -> int:
 
 
 def _batch_one(path: str) -> Tuple[str, bool, str]:
+    """One file's report, or the error that stopped it: a file that cannot be
+    loaded, analysed or audited fails alone, and the other reports print."""
     try:
         S = load_structure(path)
         analysis = analyze(S)
@@ -276,6 +278,8 @@ def _batch_one(path: str) -> Tuple[str, bool, str]:
         return path, audit.ok, report_text(analysis, audit)
     except (FileFormatError, GeometryError, ScalarError) as exc:
         return path, False, f"error: {exc}\n"
+    except Exception as exc:
+        return path, False, f"error: {type(exc).__name__}: {exc}\n"
 
 
 def cmd_batch(args) -> int:
@@ -283,8 +287,10 @@ def cmd_batch(args) -> int:
     if not paths:
         print(f"no .json structure files in {args.directory}", file=sys.stderr)
         return 1
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool starts every worker up front: no more than there are files
+    workers = min(args.jobs, len(paths))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_batch_one, paths))
     else:
         results = [_batch_one(p) for p in paths]

@@ -275,16 +275,6 @@ def _combine(*terms: Tuple[Union[Scalar, RatLike], Tensor]) -> Tensor:
     return Tensor.of_nonzero(terms[0][1].dim, terms[0][1].rank, acc.result())
 
 
-def _div_trace(Dxi: Tensor) -> Tensor:
-    """(j, k) -> sum_i <(nabla^{U(n)}_{e_i} xi_part)_{e_j} e_k, e_i>."""
-    return Dxi.contract(0, 3)
-
-
-def _trace_slot(Dxi: Tensor) -> Tensor:
-    """(j, k) -> sum_i <(nabla^{U(n)}_{e_i} xi_part)_{e_i} e_j, e_k>."""
-    return Dxi.contract(0, 1)
-
-
 def _pair_xi(a: Tensor, b: Tensor, slot: int = 1) -> Tensor:
     """(j, k) -> a and b contracted on ``slot`` and on their last slot.
 

@@ -205,6 +205,38 @@ class Connection:
                     add((i,) + idx[:slot] + (j,) + idx[slot + 1 :], g, v, -1)
         return Tensor.of_nonzero(self.dim, t.rank + 1, acc.result())
 
+    def covariant_trace(self, t: Tensor, slot: int) -> Tensor:
+        """sum_i (D_{e_i} t)(..., e_i in ``slot``, ...): the covariant derivative
+        traced against one slot of t, the other slots kept in order, without
+        building Dt.  It equals ``covariant_derivative(t).contract(0, slot + 1)``.
+        """
+        if not t.coeffs:
+            # most torsion components of a structure vanish: skip grouping Gamma
+            return Tensor.of_nonzero(self.dim, t.rank - 1, {})
+        # Of the terms -Gamma_{i, K_a, j} t_{K[a -> j]} of (Dt)_{i,K}, the one
+        # rewriting ``slot`` lands on the trace through the diagonal
+        # Gamma_{j, j, m}, summed over j once; one rewriting another slot a
+        # lands on it when i is the index in ``slot``, through the Gamma
+        # entries grouped by their first and last index.
+        acc = Accumulator()
+        for (i, j, m), g in self.gamma.coeffs.items():
+            if i == j:
+                acc.add(m, g)
+        diag = acc.result()
+        by_ends = self.gamma.group_by(0, 2)
+        acc = Accumulator()
+        add = acc.add
+        for idx, v in t.coeffs.items():
+            c = idx[slot]
+            rest = idx[:slot] + idx[slot + 1 :]
+            g = diag.get(c)
+            if g is not None:
+                add(rest, g, v, -1)
+            for a, m in enumerate(rest):
+                for (_, j, _), g in by_ends.get((c, m), ()):
+                    add(rest[:a] + (j,) + rest[a + 1 :], g, v, -1)
+        return Tensor.of_nonzero(self.dim, t.rank - 1, acc.result())
+
     def derive_endomorphism(self, A: Endomorphism) -> Tensor:
         """(i, k, j) -> (D_{e_i} A)^k_j for an invariant skew endomorphism A,
         such as J.

@@ -269,6 +269,72 @@ class TestCommands:
     def test_batch_empty_directory(self, tmp_path, capsys):
         assert main(["batch", str(tmp_path)]) == 1
 
+    def test_batch_jobs_two_prints_what_jobs_one_prints(self, tmp_path, capsys):
+        # the pool path: two catalog documents and one malformed file
+        for name in ("example-5.1", "flat-kaehler-torus"):
+            (tmp_path / f"{name}.json").write_text(structure_file(name))
+        (tmp_path / "broken.json").write_text("not json")
+        runs = []
+        for jobs in ("1", "2"):
+            status = main(["batch", str(tmp_path), "--jobs", jobs])
+            runs.append((status, capsys.readouterr().out))
+        assert runs[0] == runs[1]
+        status, out = runs[0]
+        assert status == 1 and out.count("ok ==") == 2 and "broken.json FAIL" in out
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_batch_reports_an_unexpected_error_as_that_files_failure(
+        self, tmp_path, capsys, monkeypatch, jobs
+    ):
+        from ahtorsion import cli
+
+        real = cli.analyze
+
+        def failing(S):
+            if S.name == "example-5.1":
+                raise ZeroDivisionError("division by zero")
+            return real(S)
+
+        # the pool forks its workers, which inherit the patch
+        monkeypatch.setattr(cli, "analyze", failing)
+        for name in ("example-5.1", "flat-kaehler-torus"):
+            (tmp_path / f"{name}.json").write_text(structure_file(name))
+        assert main(["batch", str(tmp_path), "--jobs", jobs]) == 1
+        out = capsys.readouterr().out
+        path = tmp_path / "example-5.1.json"
+        assert f"== {path} FAIL ==\nerror: ZeroDivisionError: division by zero\n" in out
+        assert "flat-kaehler-torus.json ok ==" in out
+
+    def test_batch_starts_no_more_workers_than_files(self, tmp_path, capsys, monkeypatch):
+        from ahtorsion import cli
+
+        started = []
+
+        class RecordingPool:
+            """Records its worker count and maps in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        (tmp_path / "flat-kaehler-torus.json").write_text(structure_file("flat-kaehler-torus"))
+        # one file needs no worker process
+        assert main(["batch", str(tmp_path), "--jobs", "64"]) == 0
+        assert started == []
+        (tmp_path / "example-5.1.json").write_text(structure_file("example-5.1"))
+        assert main(["batch", str(tmp_path), "--jobs", "64"]) == 0
+        assert started == [2]
+        assert capsys.readouterr().out.count("ok ==") == 3
+
     @pytest.mark.parametrize(
         "metric, message",
         [

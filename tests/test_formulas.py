@@ -21,13 +21,7 @@ import pytest
 from ahtorsion import audit
 from ahtorsion.catalog import ENTRIES, get, structure_from_data
 from ahtorsion.curvature import analyze
-from ahtorsion.decomposition import (
-    _div_trace,
-    _pair_xi,
-    _trace_slot,
-    _xi_at_vector,
-    split_two_form,
-)
+from ahtorsion.decomposition import _pair_xi, _xi_at_vector, split_two_form
 from ahtorsion.multilinear import Tensor, exterior_derivative
 from ahtorsion.scalars import ZERO, Fraction, Scalar
 
@@ -94,7 +88,7 @@ def ref_l31b(b):
         for j in range(d)
     ]
     p12 = _pair_xi(b.xi1, b.xi2)
-    div3 = _div_trace(b.Dxi3)
+    div3 = b.div3
 
     def rhs(j, k):
         v = -coef * dv[j][k] + coef * dv[k][j]
@@ -123,9 +117,9 @@ def ref_l31c(b):
     v4 = b.xi4vec
     p31 = _pair_xi(b.xi3, b.xi1)
     p32 = _pair_xi(b.xi3, b.xi2)
-    ts1 = _trace_slot(b.Dxi1)
-    ts3 = _trace_slot(b.Dxi3)
-    ts4 = _trace_slot(b.Dxi4)
+    ts1 = b.trace1
+    ts3 = b.trace3
+    ts4 = b.trace4
     v4_xi1 = _xi_at_vector(b.xi1, v4)
     v4_xi2 = _xi_at_vector(b.xi2, v4)
     v4_xi3 = _xi_at_vector(b.xi3, v4)
@@ -151,7 +145,7 @@ def ref_e42(b):
     p11 = _pair_xi(b.xi1, b.xi1)
     p12 = _pair_xi(b.xi1, b.xi2)
     e22 = b.pairE(b.xi2, b.xi2)
-    div3 = _div_trace(b.Dxi3)
+    div3 = b.div3
 
     def rhs(j, k):
         v = R(-2) * div3(j, k)
@@ -177,8 +171,8 @@ def ref_e44(b):
     p23 = _pair_xi(b.xi2, b.xi3)
     th_xi1 = _xi_at_vector(b.xi1, b.th)
     th_xi2 = _xi_at_vector(b.xi2, b.th)
-    ts1 = _trace_slot(b.Dxi1)
-    ts2 = _trace_slot(b.Dxi2)
+    ts1 = b.trace1
+    ts2 = b.trace2
 
     def rhs(j, k):
         v = R(2) * ts1(j, k)
@@ -199,9 +193,9 @@ def ref_e45(b):
     th_xi1 = _xi_at_vector(b.xi1, b.th)
     th_xi2 = _xi_at_vector(b.xi2, b.th)
     th_xi3 = _xi_at_vector(b.xi3, b.th)
-    ts1 = _trace_slot(b.Dxi1)
-    ts2 = _trace_slot(b.Dxi2)
-    ts3 = _trace_slot(b.Dxi3)
+    ts1 = b.trace1
+    ts2 = b.trace2
+    ts3 = b.trace3
 
     def rhs(j, k):
         v = -ts1(j, k)
@@ -218,7 +212,7 @@ def ref_e45(b):
 
 def ref_p44(b):
     d = b.dim
-    div2 = _div_trace(b.Dxi2)
+    div2 = b.div2
 
     def rhs(j, k):
         v = -div2(j, k) - div2(k, j)
@@ -233,7 +227,7 @@ def ref_p44(b):
 def ref_p43i(b):
     d, n = b.dim, b.n
     th_xi2 = _xi_at_vector(b.xi2, b.th)
-    ts2 = _trace_slot(b.Dxi2)
+    ts2 = b.trace2
 
     def rhs(j, k):
         v = -ts2(j, k)
@@ -247,7 +241,7 @@ def ref_p43i(b):
 def ref_p43ib(b):
     d = b.dim
     th_xi2 = _xi_at_vector(b.xi2, b.th)
-    ts2 = _trace_slot(b.Dxi2)
+    ts2 = b.trace2
 
     def rhs(j, k):
         v = -ts2(j, k)
@@ -261,7 +255,7 @@ def ref_p43ib(b):
 def ref_p43iia(b):
     d, n = b.dim, b.n
     th_xi3 = _xi_at_vector(b.xi3, b.th)
-    ts3 = _trace_slot(b.Dxi3)
+    ts3 = b.trace3
 
     def rhs(j, k):
         v = ts3(j, k)
@@ -330,9 +324,10 @@ def ref_p48ii(b):
     rho_chern = cc.rho.to_tensor()
     e33 = b.pairE_J(b.xi3, b.xi3)
     j33 = b.pairJ(b.xi3, b.xi3)
+    Dxi3 = b.A.minimal.covariant_derivative(b.A.torsion.xi3)
     div_j = _tensor_from(
         lambda j, k: sum(
-            (S.J[l][i] * b.Dxi3(i, j, k, l) for i in range(d) for l in range(d)), ZERO
+            (S.J[l][i] * Dxi3(i, j, k, l) for i in range(d) for l in range(d)), ZERO
         ),
         d,
     )
@@ -365,7 +360,7 @@ def ref_p410(b):
     p33 = _pair_xi(b.xi3, b.xi3)
     p12 = _pair_xi(b.xi1, b.xi2)
     e22 = b.pairE(b.xi2, b.xi2)
-    div3 = _div_trace(b.Dxi3)
+    div3 = b.div3
 
     def rhs(j, k):
         v = R(-2) * sum((rmin11(j, m) * S.J[m][k] for m in range(d)), ZERO)
@@ -444,11 +439,17 @@ def corrupted(bundle):
     """The same structure with entries of every field the formulas read changed,
     on every trace and contraction pattern, so that no residual is zero."""
     b = audit.Bundle(bundle.A)
-    for field in ("Dxi1", "Dxi2", "Dxi3", "Dxi4", "Dth", "xi1", "xi2", "xi3", "omega_t"):
+    for field in ("Dth", "xi1", "xi2", "xi3", "omega_t"):
         rank = getattr(b, field).rank
         for s in range(b.dim):
             for key in ((s, s, 1, s), (s, 0, s, 2)):
                 corrupt(b, field, key[:rank], s + 1)
+    # the same entries changed on each D^min xi_k, as the trace fields see them
+    delta = Tensor(b.dim, 4, {key: R(s + 1) for s in range(b.dim)
+                              for key in ((s, s, 1, s), (s, 0, s, 2))})
+    for field, slots in (("trace1", (0, 1)), ("trace2", (0, 1)), ("trace3", (0, 1)),
+                         ("trace4", (0, 1)), ("div2", (0, 3)), ("div3", (0, 3))):
+        setattr(b, field, getattr(b, field) + delta.contract(*slots))
     return b
 
 
@@ -471,17 +472,20 @@ def test_every_formula_check_is_listed_once():
 # -- corrupted input -----------------------------------------------------------
 
 # (check id, structure, bundle field, index given +2, witness): the witnesses
-# are the ones the per-entry code reported on the same corruption
+# are the ones the per-entry code reported on the same corruption.  The rows
+# on trace fields once changed D^min xi_k at the entry that projects to their
+# index: D^min xi3 at (1, 0, 2, 1) for div3 at (0, 2), D^min xi4 and D^min
+# xi3 at (0, 0, 0, 1) for trace4 and trace3 at (0, 1).
 CORRUPTED = [
-    ("L3.1b", "example-5.4", "Dxi3", (1, 0, 2, 1), "entry (1, 3): -4"),
+    ("L3.1b", "example-5.4", "div3", (0, 2), "entry (1, 3): -4"),
     ("L3.1b", "example-5.4-rotated-7", "xi1", (0, 1, 2), "entry (1, 5): -18/125*r"),
-    ("L3.1c", "example-5.4", "Dxi4", (0, 0, 0, 1), "entry (1, 2): 2"),
+    ("L3.1c", "example-5.4", "trace4", (0, 1), "entry (1, 2): 2"),
     ("E4.2", "example-5.4", "Dth", (0, 1), "entry (1, 2): 1"),
     ("E4.4", "example-5.2", "xi1", (1, 0, 3), "entry (1, 4): -2*q"),
     ("E4.5", "example-5.2", "xi3", (1, 0, 3), "entry (1, 4): q"),
     ("P4.3i", "example-5.2", "xi2", (1, 0, 3), "entry (1, 4): -2*q"),
     ("P4.3ib", "example-5.2", "xi2", (1, 0, 3), "entry (1, 4): -2*q"),
-    ("P4.3iia", "example-5.4", "Dxi3", (0, 0, 0, 1), "entry (1, 2): -4"),
+    ("P4.3iia", "example-5.4", "trace3", (0, 1), "entry (1, 2): -4"),
     ("P4.4", "example-5.1", "Dth", (0, 0), "entry (1, 1): 1"),
     ("P4.6ii", "example-5.4", "xi3", (0, 1, 4), "componentwise expansion: entry (1, 3): 1/8"),
     ("P4.6iii", "example-5.1", "omega_t", (0, 2), "componentwise expansion: entry (1, 3): 5/4"),

@@ -6,9 +6,10 @@ iterate stored entries only, and every J contraction among them goes through
 straightforward loops over every index tuple, or the hand-written J loops,
 that those kernels replaced; on every catalog entry, two seeded rotated
 samples and one generated single-parameter file, both must give identical
-exact results.  The audit's curvature-transfer
-checks are also pinned on corrupted input: their witnesses must be the ones
-the dense loops reported.
+exact results.  ``Connection.covariant_trace`` must equal the contraction of
+the full derivative there and on random sparse tensors over Q(sqrt 3).  The
+audit's curvature-transfer checks are also pinned on corrupted input: their
+witnesses must be the ones the dense loops reported.
 """
 
 from __future__ import annotations
@@ -21,15 +22,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ahtorsion import audit, multilinear, scalars, structure
 from ahtorsion.catalog import ENTRIES, get, structure_from_data
 from ahtorsion.cli import report_data
 from ahtorsion.curvature import analyze, riemann
-from ahtorsion.decomposition import _div_trace, _pair_xi, _trace_slot, _xi_at_vector
+from ahtorsion.decomposition import _pair_xi, _xi_at_vector
 from ahtorsion.multilinear import Form, Tensor, exterior_derivative, gram_schmidt, sort_with_sign
 from ahtorsion.scalars import ONE, ZERO, Accumulator, Scalar
-from ahtorsion.structure import check_torsion_tensor, chern_connection, nijenhuis, transform_form
+from ahtorsion.structure import (
+    Connection, check_torsion_tensor, chern_connection, nijenhuis, transform_form,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import generate  # noqa: E402
@@ -352,6 +356,46 @@ def test_covariant_derivative_matches_dense_loop(bundle):
             assert conn.covariant_derivative(t) == ref_covariant_derivative(conn, t)
 
 
+def test_covariant_trace_is_the_traced_derivative(bundle):
+    tensors = [bundle.xi, bundle.xi1, bundle.xi2, bundle.xi3, bundle.xi4,
+               bundle.omega_t, bundle.theta.to_tensor(), bundle.curv.Rm]
+    for conn in _connections(bundle):
+        for t in tensors:
+            D = conn.covariant_derivative(t)
+            for slot in range(t.rank):
+                assert conn.covariant_trace(t, slot) == D.contract(0, slot + 1)
+
+
+sqrt3_entries = st.builds(
+    lambda a, b: R(a) + R(b) * Scalar.root(3),
+    st.fractions(min_value=-6, max_value=6, max_denominator=4),
+    st.fractions(min_value=-6, max_value=6, max_denominator=4),
+)
+
+
+def sparse_tensors(dim: int, rank: int):
+    keys = st.tuples(*[st.integers(0, dim - 1)] * rank)
+    return st.dictionaries(keys, sqrt3_entries, max_size=8).map(
+        lambda coeffs: Tensor(dim, rank, coeffs))
+
+
+@st.composite
+def connections_and_tensors(draw):
+    dim = draw(st.integers(2, 4))
+    gamma = draw(sparse_tensors(dim, 3))
+    return Connection(dim, gamma), draw(sparse_tensors(dim, draw(st.integers(2, 3))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(connections_and_tensors())
+def test_covariant_trace_on_random_sparse_tensors_over_sqrt3(case):
+    conn, t = case
+    D = conn.covariant_derivative(t)
+    assert D == ref_covariant_derivative(conn, t)
+    for slot in range(t.rank):
+        assert conn.covariant_trace(t, slot) == D.contract(0, slot + 1)
+
+
 def test_derive_endomorphism_matches_dense_loop(bundle):
     for conn in _connections(bundle):
         assert conn.derive_endomorphism(bundle.S.J) == ref_derive_endomorphism(conn, bundle.S.J)
@@ -440,7 +484,8 @@ def test_transform_form_matches_the_minor_expansion(monkeypatch):
 
 def test_trace_J_matches_the_stored_entry_loop(bundle):
     J = bundle.S.J
-    tensors = [bundle.curv.Rm, bundle.curv.minimal.Rm, bundle.Dxi3, bundle.xi,
+    Dxi3 = bundle.A.minimal.covariant_derivative(bundle.xi3)
+    tensors = [bundle.curv.Rm, bundle.curv.minimal.Rm, Dxi3, bundle.xi,
                bundle.Dxi4vec, bundle.g, bundle.omega_t]
     for t in tensors:
         for a, b in itertools.permutations(range(t.rank), 2):
@@ -467,18 +512,33 @@ def test_pair_contractions_match_dense_loops(bundle):
             assert bundle.pairE(a, c) == ref_pairE(S, a, c)
             assert bundle.pairE_J(a, c) == ref_pairE_J(S, a, c)
             assert _pair_xi(a, c) == ref_pair_xi(S, a, c)
+            assert bundle.pair(a, c) == ref_pair_xi(S, a, c)
+
+
+def _component_derivatives(b):
+    """D^min xi_1, ..., D^min xi_4, built here from the analysis's components."""
+    return [b.A.minimal.covariant_derivative(part) for _, part in b.A.torsion.parts()]
 
 
 def test_trace_contractions_match_dense_loops(bundle):
-    for D in (bundle.Dxi, bundle.Dxi1, bundle.Dxi2, bundle.Dxi3, bundle.Dxi4):
-        assert (_div_trace(D), _trace_slot(D)) == ref_traces(D)
+    # the fused traces of xi and of each xi_k, the last four the fields the
+    # checks read, against dense loops over derivatives built here
+    mc = bundle.A.minimal
+    parts = [bundle.xi] + [part for _, part in bundle.A.torsion.parts()]
+    traces = [ref_traces(D) for D in [bundle.Dxi] + _component_derivatives(bundle)]
+    for part, (div, slot) in zip(parts, traces):
+        assert (mc.covariant_trace(part, 2), mc.covariant_trace(part, 0)) == (div, slot)
+    fields = [bundle.trace1, bundle.trace2, bundle.trace3, bundle.trace4]
+    assert fields == [slot for _, slot in traces[1:]]
+    assert [bundle.div2, bundle.div3] == [traces[2][0], traces[3][0]]
     for part in (bundle.xi1, bundle.xi2, bundle.xi3):
         for vec in (bundle.th, bundle.jth, bundle.xi4vec):
             assert _xi_at_vector(part, vec) == ref_xi_at_vector(part, vec)
 
 
 def test_dxi_is_the_sum_of_the_component_derivatives(bundle):
-    assert bundle.Dxi == bundle.A.minimal.covariant_derivative(bundle.xi)
+    D1, D2, D3, D4 = _component_derivatives(bundle)
+    assert bundle.Dxi == D1 + D2 + D3 + D4
 
 
 # -- every stored entry is canonical --------------------------------------------
@@ -509,9 +569,10 @@ def _bundle_roots(b):
             fn(b)
     chern, _ = chern_connection(b.S, b.A.nabla, b.xi)
     # the analysis holds Gamma, Rm, Ric, Ric*, the Ricci forms and every split;
-    # the bundle adds each D^min xi_k, D theta and the curvature gap
-    return [b.A, b, chern.gamma, b.Dxi, b.Dxi1, b.Dxi2, b.Dxi3, b.Dxi4, b.Dth,
-            b.curvature_gap, b.torsion_trace_rhs]
+    # the bundle adds D^min xi, the traces of each D^min xi_k, D theta and the
+    # curvature gap
+    return [b.A, b, chern.gamma, b.Dxi, b.trace1, b.trace2, b.trace3, b.trace4,
+            b.div2, b.div3, b.Dth, b.curvature_gap, b.torsion_trace_rhs]
 
 
 def assert_canonical(s: Scalar):
