@@ -2,16 +2,19 @@
 
 The structure-file grammar and the catalog documents, which are complete
 examples of it, live in the catalog module.  The process exits nonzero
-exactly when a file fails to parse, a report cannot be written, or an
-identity audit fails.
+exactly when a file fails to parse, a report cannot be written, an identity
+audit fails, or an error stops a structure's analysis.
 """
 
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
+import itertools
 import json
+import multiprocessing
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -23,6 +26,9 @@ from .multilinear import Form, GeometryError, Tensor
 from .render import format_bilinear, format_form, format_torsion
 from .scalars import ScalarError, format_scalar
 from .structure import AlmostHermitianStructure
+
+# batch uses no pool; bench/tracing.py still wraps this name when it traces a run
+ProcessPoolExecutor = concurrent.futures.ProcessPoolExecutor
 
 
 # -- reports --------------------------------------------------------------------
@@ -198,6 +204,22 @@ def _resolve_targets(args) -> List[AlmostHermitianStructure]:
     return [load_structure(args.file)]
 
 
+def _error_text(exc: Exception) -> str:
+    """An error's message, after its type unless it is one of the library's."""
+    if isinstance(exc, (FileFormatError, GeometryError, ScalarError)):
+        return str(exc)
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _source(args, S: AlmostHermitianStructure) -> str:
+    return S.name if args.catalog is not None else args.file
+
+
+def _print_error(source: str, exc: Exception) -> None:
+    """The error boundary's report: one line, never a traceback."""
+    print(f"{source}: {_error_text(exc)}", file=sys.stderr)
+
+
 def cmd_analyze(args) -> int:
     try:
         structures = _resolve_targets(args)
@@ -208,8 +230,13 @@ def cmd_analyze(args) -> int:
     status = 0
     docs = []
     for S in structures:
-        analysis = analyze(S)
-        audit = run_suite(S, analysis)
+        try:
+            analysis = analyze(S)
+            audit = run_suite(S, analysis)
+        except Exception as exc:
+            _print_error(_source(args, S), exc)
+            status = 1
+            continue
         if not audit.ok:
             status = 1
         if args.report == "json":
@@ -248,12 +275,22 @@ def cmd_audit(args) -> int:
         return 1
     status = 0
     for S in structures:
-        rep = run_suite(S)
+        try:
+            rep = run_suite(S, analyze(S))
+        except Exception as exc:
+            _print_error(_source(args, S), exc)
+            status = 1
+            continue
         _print_audit(rep)
         if not rep.ok:
             status = 1
     if args.samples:
-        for rep in random_suite(args.samples, args.seed):
+        try:
+            samples = random_suite(args.samples, args.seed)
+        except Exception as exc:
+            _print_error(f"random samples (seed {args.seed})", exc)
+            return 1
+        for rep in samples:
             _print_audit(rep)
             if not rep.ok:
                 status = 1
@@ -268,18 +305,49 @@ def cmd_catalog(args) -> int:
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def _batch_one(path: str) -> Tuple[str, bool, str]:
+def _batch_one(path: str) -> Tuple[bool, str]:
     """One file's report, or the error that stopped it: a file that cannot be
     loaded, analysed or audited fails alone, and the other reports print."""
     try:
         S = load_structure(path)
         analysis = analyze(S)
         audit = run_suite(S, analysis)
-        return path, audit.ok, report_text(analysis, audit)
-    except (FileFormatError, GeometryError, ScalarError) as exc:
-        return path, False, f"error: {exc}\n"
+        return audit.ok, report_text(analysis, audit)
     except Exception as exc:
-        return path, False, f"error: {type(exc).__name__}: {exc}\n"
+        return False, f"error: {_error_text(exc)}\n"
+
+
+def _claim_next(counter) -> int:
+    """The next unclaimed file index, from the counter every process shares."""
+    with counter.get_lock():
+        i = counter.value
+        counter.value = i + 1
+    return i
+
+
+def _batch_share(paths: List[str], claim) -> List[Tuple[int, bool, str]]:
+    """Analyse the files whose indices `claim` hands out, until none is left."""
+    done = []
+    i = claim()
+    while i < len(paths):
+        done.append((i, *_batch_one(paths[i])))
+        i = claim()
+    return done
+
+
+def _batch_worker(paths: List[str], claim, conn) -> None:
+    conn.send(_batch_share(paths, claim))
+    conn.close()
+
+
+def _start_worker(ctx, paths: List[str], claim):
+    """Start one daemonic worker process; return it and the end of its pipe
+    that receives its results."""
+    recv, send = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_batch_worker, args=(paths, claim, send), daemon=True)
+    proc.start()
+    send.close()  # the worker holds the only write end, so its death reads as EOF
+    return proc, recv
 
 
 def cmd_batch(args) -> int:
@@ -287,20 +355,46 @@ def cmd_batch(args) -> int:
     if not paths:
         print(f"no .json structure files in {args.directory}", file=sys.stderr)
         return 1
-    # the pool starts every worker up front: no more than there are files
-    workers = min(args.jobs, len(paths))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_batch_one, paths))
+    # `--jobs` processes share the files, this one included, and each claims
+    # the next file in path order when it is free
+    processes = min(args.jobs, len(paths))
+    workers = []
+    if processes > 1:
+        ctx = multiprocessing.get_context()
+        claim = partial(_claim_next, ctx.Value("i", 0))
+        workers = [_start_worker(ctx, paths, claim) for _ in range(processes - 1)]
     else:
-        results = [_batch_one(p) for p in paths]
+        claim = itertools.count().__next__
+    results = {i: (ok, text) for i, ok, text in _batch_share(paths, claim)}
+    dead = []
+    for proc, recv in workers:
+        try:
+            results.update((i, (ok, text)) for i, ok, text in recv.recv())
+        except EOFError:
+            dead.append(proc)
+        recv.close()
+        proc.join()
+    # what a dead worker had claimed has no result
+    codes = " or ".join(sorted({str(proc.exitcode) for proc in dead}))
+    lost = (False, f"error: worker process exited with code {codes}\n")
     status = 0
-    for path, ok, text in results:
+    for i, path in enumerate(paths):
+        ok, text = results.get(i, lost)
         print(f"== {path} {'ok' if ok else 'FAIL'} ==")
         sys.stdout.write(text)
         if not ok:
             status = 1
     return status
+
+
+def _job_count(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError("--jobs must be at least 1")
+    return jobs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="analyze every structure file in a directory")
     p.add_argument("directory")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=_job_count, default=1,
+                   help="files analysed at once, by this process and workers")
     p.set_defaults(fn=cmd_batch)
     return parser
 

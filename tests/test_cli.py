@@ -1,10 +1,15 @@
 """Structure files, report emission, and the command line entry points."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import ahtorsion
 from ahtorsion.catalog import ENTRIES, get, structure_from_data
 from ahtorsion.cli import FileFormatError, load_structure, main
 from ahtorsion.scalars import parse_scalar
@@ -269,18 +274,43 @@ class TestCommands:
     def test_batch_empty_directory(self, tmp_path, capsys):
         assert main(["batch", str(tmp_path)]) == 1
 
-    def test_batch_jobs_two_prints_what_jobs_one_prints(self, tmp_path, capsys):
-        # the pool path: two catalog documents and one malformed file
-        for name in ("example-5.1", "flat-kaehler-torus"):
-            (tmp_path / f"{name}.json").write_text(structure_file(name))
+    def test_batch_prints_the_same_for_any_jobs(self, tmp_path, capsys):
+        # every catalog document, a flat torus and one malformed file
+        for entry in ENTRIES:
+            (tmp_path / f"{entry.name}.json").write_text(structure_file(entry.name))
+        (tmp_path / "torus.json").write_text(json.dumps(minimal_file()))
         (tmp_path / "broken.json").write_text("not json")
         runs = []
-        for jobs in ("1", "2"):
+        for jobs in ("1", "2", "3"):
             status = main(["batch", str(tmp_path), "--jobs", jobs])
             runs.append((status, capsys.readouterr().out))
-        assert runs[0] == runs[1]
+        assert runs[0] == runs[1] == runs[2]
         status, out = runs[0]
-        assert status == 1 and out.count("ok ==") == 2 and "broken.json FAIL" in out
+        assert status == 1 and out.count("ok ==") == len(ENTRIES) + 1
+        assert out.count("FAIL ==") == 1 and "broken.json FAIL" in out
+
+    def test_batch_redirected_to_a_file_prints_each_line_once(self, tmp_path):
+        files = tmp_path / "files"
+        files.mkdir()
+        for name in ("example-5.1", "flat-kaehler-torus", "example-5.4"):
+            (files / f"{name}.json").write_text(structure_file(name))
+        env = dict(os.environ, PYTHONPATH=str(Path(ahtorsion.__file__).resolve().parents[1]))
+        # the last run leaves a line in this process's buffer before the fork
+        printed_first = (
+            "import sys; from ahtorsion.cli import main; print('first');"
+            f" main(['batch', {str(files)!r}, '--jobs', '2'])"
+        )
+        outputs = []
+        for argv in (["-m", "ahtorsion.cli", "batch", str(files), "--jobs", "1"],
+                     ["-m", "ahtorsion.cli", "batch", str(files), "--jobs", "2"],
+                     ["-c", printed_first]):
+            out = tmp_path / "out.txt"
+            with open(out, "w") as fh:
+                subprocess.run([sys.executable, *argv], stdout=fh, env=env, check=True, timeout=120)
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1]
+        assert outputs[2] == "first\n" + outputs[0]
+        assert outputs[0].count("ok ==") == 3
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_batch_reports_an_unexpected_error_as_that_files_failure(
@@ -295,7 +325,7 @@ class TestCommands:
                 raise ZeroDivisionError("division by zero")
             return real(S)
 
-        # the pool forks its workers, which inherit the patch
+        # forked workers inherit the patch
         monkeypatch.setattr(cli, "analyze", failing)
         for name in ("example-5.1", "flat-kaehler-torus"):
             (tmp_path / f"{name}.json").write_text(structure_file(name))
@@ -305,35 +335,130 @@ class TestCommands:
         assert f"== {path} FAIL ==\nerror: ZeroDivisionError: division by zero\n" in out
         assert "flat-kaehler-torus.json ok ==" in out
 
+    def test_batch_worker_that_dies_fails_only_its_files(self, tmp_path, capsys, monkeypatch):
+        from ahtorsion import cli
+
+        real = cli._batch_one
+        parent = os.getpid()
+        died = tmp_path / "died"
+
+        def dying(path):
+            if os.getpid() != parent:
+                if path.endswith("d.json"):
+                    died.touch()
+                    os._exit(3)
+            else:
+                # hold this process's first file until the worker has died,
+                # so that the worker claims d.json
+                deadline = time.monotonic() + 60
+                while not died.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            return real(path)
+
+        monkeypatch.setattr(cli, "_batch_one", dying)
+        files = tmp_path / "files"
+        files.mkdir()
+        for name in "abcde":
+            (files / f"{name}.json").write_text(json.dumps(minimal_file(name=name)))
+        assert main(["batch", str(files), "--jobs", "2"]) == 1
+        captured = capsys.readouterr()
+        lost = "FAIL ==\nerror: worker process exited with code 3\n"
+        sections = {
+            name: captured.out.split(f"== {files / name}.json ")[1].split("\n== ")[0]
+            for name in "abcde"
+        }
+        assert sections["d"] + "\n" == lost
+        assert sections["e"].startswith("ok ==\nstructure e ")
+        # this process's first file is one of a, b and c; the worker's
+        # results for the others died with it
+        first = [name for name in "abc" if sections[name].startswith("ok ==")]
+        assert len(first) == 1
+        assert captured.out.count(lost) == 3
+        assert "Traceback" not in captured.err
+
     def test_batch_starts_no_more_workers_than_files(self, tmp_path, capsys, monkeypatch):
         from ahtorsion import cli
 
         started = []
 
-        class RecordingPool:
-            """Records its worker count and maps in this process."""
+        class IdleWorker:
+            """Stands in for a worker process and its pipe; it claims no file."""
 
-            def __init__(self, max_workers):
-                started.append(max_workers)
+            exitcode = 0
 
-            def __enter__(self):
-                return self
+            def recv(self):
+                return []
 
-            def __exit__(self, *exc):
-                return False
+            def close(self):
+                pass
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def join(self):
+                pass
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        def start(ctx, paths, claim):
+            started.append(paths)
+            worker = IdleWorker()
+            return worker, worker
+
+        monkeypatch.setattr(cli, "_start_worker", start)
         (tmp_path / "flat-kaehler-torus.json").write_text(structure_file("flat-kaehler-torus"))
-        # one file needs no worker process
+        # this process analyses files too: one file needs no worker
         assert main(["batch", str(tmp_path), "--jobs", "64"]) == 0
         assert started == []
         (tmp_path / "example-5.1.json").write_text(structure_file("example-5.1"))
         assert main(["batch", str(tmp_path), "--jobs", "64"]) == 0
-        assert started == [2]
+        assert len(started) == 1
         assert capsys.readouterr().out.count("ok ==") == 3
+
+    def test_batch_processes_claim_each_file_once(self, monkeypatch):
+        # more processes than cores, racing for the shared counter: a lost
+        # update would hand one index to two processes
+        import multiprocessing
+        from functools import partial
+
+        from ahtorsion import cli
+
+        monkeypatch.setattr(cli, "_batch_one", lambda path: (True, ""))
+        paths = [str(i) for i in range(3000)]
+        ctx = multiprocessing.get_context()
+        claim = partial(cli._claim_next, ctx.Value("i", 0))
+        workers = [cli._start_worker(ctx, paths, claim) for _ in range(3)]
+        claimed = [i for i, _, _ in cli._batch_share(paths, claim)]
+        for proc, recv in workers:
+            assert recv.poll(60)
+            claimed += [i for i, _, _ in recv.recv()]
+            proc.join(60)
+            assert proc.exitcode == 0
+        assert sorted(claimed) == list(range(len(paths)))
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_batch_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["batch", str(tmp_path), "--jobs", jobs])
+        assert exit_info.value.code == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, source", [
+        (["analyze", "FILE"], "FILE"),
+        (["audit", "--catalog", "example-5.1"], "example-5.1"),
+    ], ids=["analyze-file", "audit-catalog"])
+    def test_unexpected_error_prints_its_source_and_type(
+        self, tmp_path, capsys, monkeypatch, argv, source
+    ):
+        from ahtorsion import cli
+
+        def failing(S):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(cli, "analyze", failing)
+        path = tmp_path / "test.json"
+        path.write_text(json.dumps(minimal_file()))
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        source = str(path) if source == "FILE" else source
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"{source}: ZeroDivisionError: division by zero\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "metric, message",
