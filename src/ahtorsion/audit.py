@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction as PyFraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from .curvature import Analysis, analyze
 from .decomposition import (
@@ -144,8 +144,9 @@ class Bundle:
     The checks combine whole tensors: each side of an identity is one linear
     combination of rank-2 tensors built from these fields (``_combine``).
     D^min xi_k enters only through its traces (``trace1`` to ``trace4``,
-    ``div2``, ``div3``), fused from the analysis's xi_k.  These, ``Dxi``, terms
-    derived from ``Dth`` or ``jth_form`` and the [lambda^{1,1}] parts of
+    ``div2``, ``div3``), fused from the analysis's xi_k, and D^min xi is never
+    built whole.  These, terms derived from ``Dth`` or ``jth_form``, the
+    curvature gap and the [lambda^{1,1}] parts of
     2-forms are built on first use, so a field corrupted before a check reads
     it reaches that check.  J rotations and pair contractions are kept per
     operand object (``_memoised``): a replaced field is rotated and contracted
@@ -219,27 +220,28 @@ class Bundle:
         return self._memoised("pairE_J", (a, b), lambda: -_pair_xi(a, self.rotated(b, 0), 0))
 
     @cached_property
-    def Dxi(self) -> Tensor:
-        """D^min xi, read by the curvature gap and the torsion trace tensor."""
-        return self.A.minimal.covariant_derivative(self.A.xi)
-
-    @cached_property
     def curvature_gap(self) -> Tensor:
         """F_ackl for a < c: the torsion side of Rm - Rm^{U(n)} in R3.3 and E3.1.
 
         F = (D xi)_ackl - (D xi)_cakl + <xi_{xi_a e_c - xi_c e_a} e_k, e_l>
             - <[xi_a, xi_c] e_k, e_l>,
 
-        built from stored entries only, once per bundle.
+        built from stored entries only, once per bundle.  D xi is not built:
+        each term of ``covariant_derivative``'s loop goes straight to the
+        (a, c)-sorted key, negated when c < a.
         """
         xi = self.xi
         acc = Accumulator()
         add = acc.add
-        for (a, c, k, l), v in self.Dxi.coeffs.items():
-            if a < c:
-                add((a, c, k, l), v)
-            elif c < a:
-                add((c, a, k, l), v, sign=-1)
+        by_last = self.A.minimal.gamma.group_by(2)
+        for idx, v in xi.coeffs.items():
+            for slot, m in enumerate(idx):
+                for (a, j, _), g in by_last.get((m,), ()):
+                    c, k, l = idx[:slot] + (j,) + idx[slot + 1 :]
+                    if a < c:
+                        add((a, c, k, l), g, v, -1)
+                    elif c < a:
+                        add((c, a, k, l), g, v)
         # xi_a e_c - xi_c e_a = sum_m w_m e_m: a stored xi_pqm with p != q adds
         # to w for the pair (p, q), negated when p > q
         by_first = xi.group_by(0)
@@ -316,15 +318,19 @@ class Bundle:
         """The torsion-side tensor whose traces reproduce Ric - Ric*:
 
         2 sum_i (-(D xi)_ijki + (D xi)_jiki) + 2 sum_{i,m} (-xi_ijm + xi_jim) xi_mki.
+
+        D xi enters through two traces: sum_i (D xi)_ijki, against xi's last
+        slot, and sum_i (D xi)_jiki, D^min of the 1-form sum_i xi_iki as the
+        connection is metric.
         """
+        mc = self.A.minimal
         two = R(2)
         acc = Accumulator()
         add = acc.add
-        for (a, b, c, e), v in self.Dxi.coeffs.items():
-            if e == a:
-                add((b, c), two, v, -1)
-            if e == b:
-                add((a, c), two, v)
+        for key, v in mc.covariant_trace(self.xi, 2).coeffs.items():
+            add(key, two, v, -1)
+        for key, v in mc.covariant_derivative(self.xi.contract(0, 2)).coeffs.items():
+            add(key, two, v)
         by_ends = self.xi.group_by(0, 2)
         for (p, q, m), v in self.xi.coeffs.items():
             v2 = two * v
@@ -385,7 +391,7 @@ def check_f3(b: Bundle) -> Parts:
 
 def check_f4(b: Bundle) -> Parts:
     """Intrinsic torsion invariants and its connection difference."""
-    msg = check_torsion_tensor(b.S, b.xi, b.rotated)
+    msg = check_torsion_tensor(b.S, b.xi)
     return [
         ("xi not skew in the last two slots", b.xi.is_antisymmetric_pair(1, 2)),
         (msg, msg is None),
@@ -414,7 +420,7 @@ def check_f6(b: Bundle) -> Parts:
     comps = [b.xi1, b.xi2, b.xi3, b.xi4]
     parts: Parts = [("components do not sum to xi", b.xi1 + b.xi2 + b.xi3 + b.xi4 - b.xi)]
     for k, comp in enumerate(comps):
-        msg = check_torsion_tensor(b.S, comp, b.rotated)
+        msg = check_torsion_tensor(b.S, comp)
         parts.append((f"component W{k + 1}: {msg}", msg is None))
     for x, y in itertools.combinations(range(4), 2):
         parts.append((f"components {x + 1} and {y + 1} not orthogonal",
@@ -491,15 +497,20 @@ def check_e31(b: Bundle) -> Parts:
     """Second exterior derivative of omega expanded through the torsion."""
     # G_acxy = (F_ac omega)(e_x, e_y) = -sum_l F_acxl w_ly - sum_l w_xl F_acyl for
     # the endomorphisms F_ac = F(a, c, ., .) of the curvature gap, scattered
-    # from its stored entries
+    # from its stored entries; the quadruple sum reads G only for x < y and
+    # a, c, x, y distinct, so no other entry is built
     acc = Accumulator()
     by_row = b.omega_t.group_by(0)
     by_col = b.omega_t.group_by(1)
     for (a, c, k, l), v in b.curvature_gap.coeffs.items():
+        if k == a or k == c:
+            continue
         for (_, y), w in by_row.get((l,), ()):
-            acc.add((a, c, k, y), v, w, -1)
+            if k < y and y != a and y != c:
+                acc.add((a, c, k, y), v, w, -1)
         for (x, _), w in by_col.get((l,), ()):
-            acc.add((a, c, x, k), w, v, -1)
+            if x < k and x != a and x != c:
+                acc.add((a, c, x, k), w, v, -1)
     G = acc.result()
     # the signed sum over the pair splittings of each increasing quadruple
     total = Accumulator()
@@ -1036,15 +1047,29 @@ def rotated_structure(
     return build_structure(base.L, omega, name=f"{base.name}-sample-{tag}")
 
 
-def random_suite(samples: int, seed: int) -> List[AuditReport]:
-    """Audit randomized compatible forms over the catalog algebras."""
+def random_audits(samples: int, seed: int) -> Iterator[Tuple[str, Union[AuditReport, Exception]]]:
+    """Each randomized sample's name with its audit report, or with the
+    exception that stopped it; the samples after it still run, drawn from
+    the random stream as they would have been."""
     from .catalog import ENTRIES
 
     rng = random.Random(seed)
     bases = [e.build() for e in ENTRIES]
-    reports = []
     for k in range(samples):
         base = bases[k % len(bases)]
-        S = rotated_structure(base, rng, str(k))
-        reports.append(run_suite(S))
+        try:
+            outcome = run_suite(rotated_structure(base, rng, str(k)))
+        except Exception as exc:
+            outcome = exc
+        yield f"{base.name}-sample-{k}", outcome
+
+
+def random_suite(samples: int, seed: int) -> List[AuditReport]:
+    """Audit randomized compatible forms over the catalog algebras; the
+    first sample that raises raises."""
+    reports = []
+    for _, outcome in random_audits(samples, seed):
+        if isinstance(outcome, Exception):
+            raise outcome
+        reports.append(outcome)
     return reports

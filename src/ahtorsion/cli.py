@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from . import catalog
-from .audit import AuditReport, random_suite, run_suite
+from .audit import AuditReport, random_audits, run_suite
 from .catalog import FileFormatError, load_structure
 from .curvature import Analysis, analyze
 from .multilinear import Form, GeometryError, Tensor
@@ -286,14 +286,18 @@ def cmd_audit(args) -> int:
             status = 1
     if args.samples:
         try:
-            samples = random_suite(args.samples, args.seed)
+            # each sample prints when it is done; one that raises fails alone
+            for name, outcome in random_audits(args.samples, args.seed):
+                if isinstance(outcome, Exception):
+                    _print_error(name, outcome)
+                    status = 1
+                    continue
+                _print_audit(outcome)
+                if not outcome.ok:
+                    status = 1
         except Exception as exc:
             _print_error(f"random samples (seed {args.seed})", exc)
             return 1
-        for rep in samples:
-            _print_audit(rep)
-            if not rep.ok:
-                status = 1
     return status
 
 

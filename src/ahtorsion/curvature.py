@@ -100,13 +100,15 @@ def trace(b: Tensor) -> Scalar:
 
 
 def ricci_form(S: AlmostHermitianStructure, Rm: Tensor) -> Form:
-    """rho_D(X, Y) = -1/2 <R_D(e_i, Je_i) X, Y> = -1/2 sum J_mi Rm_imjk."""
-    return Rm.trace_J(0, 1, S.J).scaled(_MINUS_HALF).antisymmetrize_to_form()
+    """rho_D(X, Y) = -1/2 <R_D(e_i, Je_i) X, Y> = -1/2 sum J_mi Rm_imjk,
+    summed on increasing (j, k) only."""
+    return Rm.trace_J(0, 1, S.J, increasing=True).antisymmetrize_to_form().scaled(_MINUS_HALF)
 
 
 def transposed_ricci_form(S: AlmostHermitianStructure, Rm: Tensor) -> Form:
-    """r_D(X, Y) = -1/2 <R_D(X, Y) e_i, Je_i> = -1/2 sum J_mi Rm_jkim."""
-    return Rm.trace_J(2, 3, S.J).scaled(_MINUS_HALF).antisymmetrize_to_form()
+    """r_D(X, Y) = -1/2 <R_D(X, Y) e_i, Je_i> = -1/2 sum J_mi Rm_jkim,
+    summed on increasing (j, k) only."""
+    return Rm.trace_J(2, 3, S.J, increasing=True).antisymmetrize_to_form().scaled(_MINUS_HALF)
 
 
 @dataclass
@@ -233,7 +235,7 @@ def three_form_pure_part(S: AlmostHermitianStructure, alpha: Form) -> Form:
     t = alpha.to_tensor()
     quarter = Scalar.rational(Fraction(1, 4))
     terms = [(quarter, t)] + [
-        (-quarter, t.apply_J(a, S.J).apply_J(b, S.J)) for a, b in ((0, 1), (0, 2), (1, 2))
+        (-quarter, t.apply_J(a, S.J, b)) for a, b in ((0, 1), (0, 2), (1, 2))
     ]
     return _combine(*terms).antisymmetrize_to_form()
 

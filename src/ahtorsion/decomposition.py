@@ -55,7 +55,7 @@ def _t_involution(S: AlmostHermitianStructure, xi: Tensor) -> Tensor:
 
     (T xi)_ijk = sum_{l,m} J_li J_mk xi_ljm, which is J_(1) J_(3) xi.
     """
-    return xi.apply_J(0, S.J).apply_J(2, S.J)
+    return xi.apply_J(0, S.J, 2)
 
 
 def _xi4_tensor(S: AlmostHermitianStructure, theta: Form) -> Tensor:

@@ -11,14 +11,18 @@ the full index cube reading absent entries.  Each adds its products into one
 and normalises each output entry once, when the result is built; where a
 kernel joins two tensors on a slot, it first groups one operand's entries by
 that slot (``Tensor.group_by``).  The almost complex structure J acts only
-through ``Tensor.apply_J`` (on one slot) and ``Tensor.trace_J`` (a J-weighted
-trace over two slots): no other code reads the entries of the J matrix.
-``S.J`` is an ``Endomorphism``: it still indexes as the matrix, and it
-carries its stored rows, built once when the structure is built, which the
-two primitives read on every call.  When J is a signed permutation (each row
-one +-1 entry), ``apply_J`` moves each stored entry to its new index instead
-of summing.  Tensors built from ``Accumulator.result()`` are taken as they
-are (``Tensor.of_nonzero``), since those maps never hold a zero.
+through ``Tensor.apply_J`` (on one slot, or on two in one pass: J_(a) J_(b) t
+or J_(a) t +- J_(b) t) and ``Tensor.trace_J`` (a J-weighted trace over two
+slots): no other code reads the entries of the J matrix.  ``S.J`` is an
+``Endomorphism``: it still indexes as the matrix, and it carries its stored
+rows, built once when the structure is built, and the products of pairs of
+row entries, built on first use, which the two primitives read on every
+call.  When J is a signed permutation (each row one +-1 entry), ``apply_J``
+moves each stored entry to its new index instead of summing.  Tensors built
+from ``Accumulator.result()`` are taken as they are (``Tensor.of_nonzero``),
+since those maps never hold a zero.  The difference of two tensors or forms
+with equal entries is the empty one, found by comparing the maps, with no
+arithmetic: canonical entries are equal exactly when their values are.
 """
 
 from __future__ import annotations
@@ -173,7 +177,10 @@ class Form:
         return f
 
     def __sub__(self, other: "Form") -> "Form":
-        return self + (-other)
+        self._check_like(other)
+        f = Form(self.dim, self.degree)
+        f.coeffs = _difference(self.coeffs, other.coeffs)
+        return f
 
     def scaled(self, s) -> "Form":
         s = s if isinstance(s, Scalar) else Scalar.rational(s)
@@ -282,7 +289,7 @@ class Tensor:
 
     def __sub__(self, other: "Tensor") -> "Tensor":
         self._check_like(other)
-        return Tensor.of_nonzero(self.dim, self.rank, _sum_entries(self.coeffs, other.coeffs, -1))
+        return Tensor.of_nonzero(self.dim, self.rank, _difference(self.coeffs, other.coeffs))
 
     def scaled(self, s) -> "Tensor":
         s = s if isinstance(s, Scalar) else Scalar.rational(s)
@@ -319,37 +326,73 @@ class Tensor:
                 acc.add(k[:a] + k[a + 1 : b] + k[b + 1 :], v)
         return Tensor.of_nonzero(self.dim, r - 2, acc.result())
 
-    def apply_J(self, slot: int, J: "Endomorphism") -> "Tensor":
-        """The J_(i) operator: (J_(i) t)(..., X_i, ...) = -t(..., J X_i, ...)."""
+    def apply_J(self, slot: int, J: "Endomorphism", other: Optional[int] = None,
+                sign: int = 0) -> "Tensor":
+        """The J_(i) operator: (J_(i) t)(..., X_i, ...) = -t(..., J X_i, ...).
+
+        With a second slot ``other``, J acts on both in one pass: the
+        composite J_(slot) J_(other) t when ``sign`` is 0, and the signed sum
+        J_(slot) t + sign * J_(other) t when ``sign`` is +-1.
+        """
+        if other == slot:
+            raise GeometryError(f"J acts twice on slot {slot}")
         # t has index m in this slot; J X with X = e_j hits m with weight J[m][j].
         perm = J.signed_perm
         if perm is not None:
+            if other is not None and sign:
+                # each reindexed copy is exact; __sub__ of equal copies is free
+                first, second = self.apply_J(slot, J), self.apply_J(other, J)
+                return first + second if sign == 1 else first - second
             # one weight -+1 per m, each in its own column: every stored entry
             # moves to its own new index, as itself or negated
             coeffs = {}
             for k, v in self.coeffs.items():
-                j, sign = perm[k[slot]]
-                coeffs[k[:slot] + (j,) + k[slot + 1 :]] = v if sign == 1 else -v
+                j, s = perm[k[slot]]
+                key = k[:slot] + (j,) + k[slot + 1 :]
+                if other is not None:
+                    j, u = perm[k[other]]
+                    key = key[:other] + (j,) + key[other + 1 :]
+                    s *= u
+                coeffs[key] = v if s == 1 else -v
             return Tensor.of_nonzero(self.dim, self.rank, coeffs)
         # a weight of +-1 adds the entry itself: no product, and an output
         # entry that receives one term needs no normalisation
-        rows = J.rows
         acc = Accumulator()
         add = acc.add
-        for k, v in self.coeffs.items():
-            for j, (w, unit) in rows[k[slot]].items():
-                key = k[:slot] + (j,) + k[slot + 1 :]
-                if unit:
-                    add(key, v, sign=-unit)
-                else:
-                    add(key, w, v, -1)
+        if other is not None and not sign:
+            # the two minus signs cancel: t's entry times the product of the
+            # two weights, read from the table J prepares once; the two
+            # rotations commute, so the lower slot is taken first
+            a, b = min(slot, other), max(slot, other)
+            products = J.row_products
+            for k, v in self.coeffs.items():
+                head, mid, tail = k[:a], k[a + 1 : b], k[b + 1 :]
+                for j, i, w, unit in products[k[a]][k[b]]:
+                    key = head + (j,) + mid + (i,) + tail
+                    if unit:
+                        add(key, v, sign=unit)
+                    else:
+                        add(key, w, v)
+            return Tensor.of_nonzero(self.dim, self.rank, acc.result())
+        rows = J.rows
+        for s, f in [(slot, -1)] if other is None else [(slot, -1), (other, -sign)]:
+            for k, v in self.coeffs.items():
+                for j, (w, unit) in rows[k[s]].items():
+                    key = k[:s] + (j,) + k[s + 1 :]
+                    if unit:
+                        add(key, v, sign=f * unit)
+                    else:
+                        add(key, w, v, f)
         return Tensor.of_nonzero(self.dim, self.rank, acc.result())
 
-    def trace_J(self, slot_a: int, slot_b: int, J: "Endomorphism") -> "Tensor":
+    def trace_J(self, slot_a: int, slot_b: int, J: "Endomorphism",
+                increasing: bool = False) -> "Tensor":
         """J-weighted trace over two slots: sum_{x, y} J_yx t(..., x, ..., y, ...)
         with x in ``slot_a`` and y in ``slot_b``, the other slots kept in order.
 
         The J analogue of ``contract``, fused: no rotated copy of t is built.
+        With ``increasing``, only the entries on strictly increasing indices
+        are summed, the ones a form keeps.
         """
         r = self.rank
         if not (0 <= slot_a < r and 0 <= slot_b < r) or slot_a == slot_b:
@@ -362,6 +405,8 @@ class Tensor:
             if hit is not None:
                 w, unit = hit
                 key = k[:a] + k[a + 1 : b] + k[b + 1 :]
+                if increasing and not all(x < y for x, y in zip(key, key[1:])):
+                    continue
                 if unit:
                     acc.add(key, v, sign=unit)
                 else:
@@ -411,6 +456,11 @@ def _stored_rows(M: Matrix) -> List[List[Tuple[int, Scalar]]]:
     return [[(j, w) for j, w in enumerate(row) if w] for row in M]
 
 
+def _unit(w: Scalar) -> int:
+    """The sign of w when w = +-1, else 0."""
+    return 1 if w == ONE else -1 if w == _MINUS_ONE else 0
+
+
 class Endomorphism:
     """A square matrix A with its action on tensor slots prepared once.
 
@@ -424,7 +474,7 @@ class Endomorphism:
     def __init__(self, matrix: Matrix):
         self._matrix = [list(row) for row in matrix]
         self.rows: List[Dict[int, Tuple[Scalar, int]]] = [
-            {j: (w, 1 if w == ONE else -1 if w == _MINUS_ONE else 0) for j, w in row}
+            {j: (w, _unit(w)) for j, w in row}
             for row in _stored_rows(self._matrix)
         ]
         single = [next(iter(row.items())) for row in self.rows if len(row) == 1]
@@ -432,6 +482,25 @@ class Endomorphism:
         self.signed_perm: Optional[List[Tuple[int, int]]] = (
             [(j, -unit) for j, (_, unit) in single] if len(columns) == len(self.rows) else None
         )
+
+    @cached_property
+    def row_products(self) -> List[List[List[Tuple[int, int, Scalar, int]]]]:
+        """``row_products[m][p]``: (j, i, x * y, u) for each stored entry x of
+        row m, in column j, and y of row p, in column i, u being the sign of
+        x * y when that is +-1 and 0 otherwise; ``Tensor.apply_J`` reads it
+        to act on two slots in one pass."""
+        table = []
+        for row_m in self.rows:
+            line = []
+            for row_p in self.rows:
+                cell = []
+                for j, (x, _) in row_m.items():
+                    for i, (y, _) in row_p.items():
+                        w = x * y
+                        cell.append((j, i, w, _unit(w)))
+                line.append(cell)
+            table.append(line)
+        return table
 
     def __getitem__(self, i: int) -> List[Scalar]:
         return self._matrix[i]
@@ -460,6 +529,13 @@ def _sum_entries(a: dict, b: dict, sign: int) -> dict:
     for k, v in b.items():
         acc.add(k, v, sign=sign)
     return acc.result()
+
+
+def _difference(a: dict, b: dict) -> dict:
+    """Entry-wise a - b; an empty map when the two are equal, which for
+    canonical entries means equal in value, so a residual that cancels is
+    never summed."""
+    return {} if a == b else _sum_entries(a, b, -1)
 
 
 def identity_matrix(dim: int) -> Matrix:

@@ -7,7 +7,7 @@ identity throughout and musical isomorphisms act on raw components.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from .multilinear import (
     Endomorphism,
@@ -82,12 +82,11 @@ class AlmostHermitianStructure:
         """alpha(J., J.) as a 2-form."""
         if alpha.degree != 2:
             raise StructureError("rotate_two_form expects a 2-form")
-        t = alpha.to_tensor().apply_J(0, self.J).apply_J(1, self.J)
-        return t.antisymmetrize_to_form()
+        return alpha.to_tensor().apply_J(0, self.J, 1).antisymmetrize_to_form()
 
     def rotate_bilinear(self, b: Tensor) -> Tensor:
         """b(J., J.)."""
-        return b.apply_J(0, self.J).apply_J(1, self.J)
+        return b.apply_J(0, self.J, 1)
 
 
 def kaehler_volume(omega: Form, n: int) -> Form:
@@ -244,8 +243,7 @@ class Connection:
         (D_i A)^k_j = sum_m A^m_j Gamma_imk - Gamma_ijm A^k_m, which for skew A
         is -(A_(2) Gamma + A_(3) Gamma)_ijk, A acting as in ``apply_J``.
         """
-        g = self.gamma
-        return -(g.apply_J(1, A) + g.apply_J(2, A)).transpose((0, 2, 1))
+        return -self.gamma.apply_J(1, A, 2, sign=1).transpose((0, 2, 1))
 
 
 def nijenhuis(S: AlmostHermitianStructure) -> Tensor:
@@ -253,8 +251,7 @@ def nijenhuis(S: AlmostHermitianStructure) -> Tensor:
     # with C_ijk = <[e_i, e_j], e_k>: <J[JX, Y], Z> = -C(JX, Y, JZ), which is
     # -(J_(1) J_(3) C)(X, Y, Z), and likewise for the other three terms
     C, J = S.L.C, S.J
-    C1 = C.apply_J(0, J)
-    return C - C1.apply_J(2, J) - C.apply_J(1, J).apply_J(2, J) - C1.apply_J(1, J)
+    return C - C.apply_J(0, J, 2) - C.apply_J(1, J, 2) - C.apply_J(0, J, 1)
 
 
 def levi_civita(S: AlmostHermitianStructure) -> Connection:
@@ -274,23 +271,13 @@ def intrinsic_torsion(S: AlmostHermitianStructure, nabla: Connection) -> Tensor:
     return dJ.transpose((0, 2, 1)).apply_J(2, S.J).scaled(-HALF)
 
 
-def check_torsion_tensor(
-    S: AlmostHermitianStructure,
-    xi: Tensor,
-    rotate: Optional[Callable[[Tensor, int], Tensor]] = None,
-) -> Optional[str]:
-    """Both membership invariants of an intrinsic-torsion tensor; None when fine.
-
-    ``rotate(t, slot)`` gives J_(slot) t, by default ``t.apply_J(slot, S.J)``;
-    the audit passes its memo of rotations.
-    """
+def check_torsion_tensor(S: AlmostHermitianStructure, xi: Tensor) -> Optional[str]:
+    """Both membership invariants of an intrinsic-torsion tensor; None when fine."""
     if not xi.is_antisymmetric_pair(1, 2):
         return "xi_ijk is not antisymmetric in the last two slots"
     # J xi_X Y + xi_X (JY) = 0  <=>  sum_m xi_ijm J_km + J_mj xi_imk = 0, that is
-    # J_(2) xi = J_(3) xi
-    if rotate is None:
-        rotate = lambda t, slot: t.apply_J(slot, S.J)
-    if rotate(xi, 1) != rotate(xi, 2):
+    # J_(2) xi = J_(3) xi, tested as one signed sum
+    if not xi.apply_J(1, S.J, 2, sign=-1).is_zero():
         return "xi does not anticommute with J in the target slot"
     return None
 

@@ -460,6 +460,33 @@ class TestCommands:
         assert captured.err == f"{source}: ZeroDivisionError: division by zero\n"
         assert captured.out == ""
 
+    def test_a_random_sample_that_raises_fails_alone(self, capsys, monkeypatch):
+        from ahtorsion import audit
+
+        expected = audit.random_suite(3, seed=3)
+        real = audit.run_suite
+
+        def failing(S, analysis=None):
+            if S.name.endswith("-sample-1"):
+                raise ZeroDivisionError("division by zero")
+            return real(S, analysis)
+
+        monkeypatch.setattr(audit, "run_suite", failing)
+        assert main(["audit", "--catalog", "example-5.1", "--samples", "3", "--seed", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "example-5.2-sample-1: ZeroDivisionError: division by zero\n"
+        # the samples either side still print, drawn from the same random stream
+        lines = captured.out.splitlines()
+        assert lines[0].startswith("example-5.1: ok ")
+        assert lines[1:] == [
+            f"{r.structure}: ok (pass={r.counts()['pass']} fail=0 skip={r.counts()['skip']})"
+            for r in (expected[0], expected[2])
+        ]
+        assert [r.structure for r in expected] == [
+            "example-5.1-sample-0", "example-5.2-sample-1", "example-5.4-sample-2"]
+        with pytest.raises(ZeroDivisionError):
+            audit.random_suite(3, seed=3)
+
     @pytest.mark.parametrize(
         "metric, message",
         [

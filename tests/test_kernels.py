@@ -8,6 +8,11 @@ that those kernels replaced; on every catalog entry, two seeded rotated
 samples and one generated single-parameter file, both must give identical
 exact results.  ``Connection.covariant_trace`` must equal the contraction of
 the full derivative there and on random sparse tensors over Q(sqrt 3).  The
+one-pass J kernels (``apply_J`` on two slots, as a composite or a signed
+sum, and ``trace_J`` on increasing keys) must equal entry-by-entry loops on
+the catalog, on rotated samples and on random tensors over Q(sqrt 3).  The
+audit bundle never builds D^min xi; the tests build it here, and the curvature
+gap and the torsion trace tensor must equal the sums read off it.  The
 audit's curvature-transfer checks are also pinned on corrupted input: their
 witnesses must be the ones the dense loops reported.
 """
@@ -27,12 +32,17 @@ from hypothesis import given, settings, strategies as st
 from ahtorsion import audit, multilinear, scalars, structure
 from ahtorsion.catalog import ENTRIES, get, structure_from_data
 from ahtorsion.cli import report_data
-from ahtorsion.curvature import analyze, riemann
-from ahtorsion.decomposition import _pair_xi, _xi_at_vector
-from ahtorsion.multilinear import Form, Tensor, exterior_derivative, gram_schmidt, sort_with_sign
+from ahtorsion.curvature import (
+    analyze, ricci_form, riemann, three_form_pure_part, transposed_ricci_form,
+)
+from ahtorsion.decomposition import _pair_xi, _t_involution, _xi_at_vector
+from ahtorsion.multilinear import (
+    Endomorphism, Form, Tensor, exterior_derivative, gram_schmidt, sort_with_sign,
+)
 from ahtorsion.scalars import ONE, ZERO, Accumulator, Scalar
 from ahtorsion.structure import (
-    Connection, check_torsion_tensor, chern_connection, nijenhuis, transform_form,
+    Connection, check_torsion_tensor, chern_connection, intrinsic_torsion, levi_civita,
+    nijenhuis, transform_form,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -296,6 +306,41 @@ def ref_pair_xi(S, a: Tensor, b: Tensor) -> Tensor:
     return _dense2(at, S.L.dim)
 
 
+def ref_curvature_gap(b, Dxi: Tensor) -> Tensor:
+    """F_ackl for a < c, term by term from the whole D^min xi:
+    (D xi)_ackl - (D xi)_cakl + <xi_{xi_a e_c - xi_c e_a} e_k, e_l>
+    - <[xi_a, xi_c] e_k, e_l>."""
+    n, xi = b.dim, b.xi
+    out = Tensor(n, 4)
+    for a, c in itertools.combinations(range(n), 2):
+        for k in range(n):
+            for l in range(n):
+                acc = Dxi(a, c, k, l) - Dxi(c, a, k, l)
+                for m in range(n):
+                    w = xi(a, c, m) - xi(c, a, m)
+                    if not w.is_zero():
+                        acc = acc + w * xi(m, k, l)
+                    acc = acc - xi(c, k, m) * xi(a, m, l) + xi(a, k, m) * xi(c, m, l)
+                out.set((a, c, k, l), acc)
+    return out
+
+
+def ref_torsion_trace_rhs(b, Dxi: Tensor) -> Tensor:
+    """2 sum_i (-(D xi)_ijki + (D xi)_jiki) + 2 sum_{i,m} (-xi_ijm + xi_jim) xi_mki."""
+    n, xi = b.dim, b.xi
+    two = R(2)
+
+    def at(j, k):
+        acc = ZERO
+        for i in range(n):
+            acc = acc + two * (Dxi(j, i, k, i) - Dxi(i, j, k, i))
+            for m in range(n):
+                acc = acc + two * (xi(j, i, m) - xi(i, j, m)) * xi(m, k, i)
+        return acc
+
+    return _dense2(at, n)
+
+
 def ref_traces(Dxi: Tensor):
     d = Dxi.dim
     div = _dense2(lambda j, k: sum((Dxi(i, j, k, i) for i in range(d)), ZERO), d)
@@ -408,10 +453,12 @@ def test_check_torsion_tensor_matches_dense_loop(bundle):
 
 
 def test_anticommutation_residual_matches_the_scatter(bundle):
-    # the whole residual, also where it is not zero: a Gamma is no torsion tensor
+    # the whole residual, also where it is not zero: a Gamma is no torsion
+    # tensor; J_(2) t - J_(3) t is the signed sum check_torsion_tensor tests
     S = bundle.S
     for t in (bundle.xi, bundle.xi3, bundle.A.nabla.gamma, bundle.A.minimal.gamma):
         assert t.apply_J(2, S.J) - t.apply_J(1, S.J) == ref_anticommutator(S, t)
+        assert -t.apply_J(1, S.J, 2, sign=-1) == ref_anticommutator(S, t)
 
 
 def test_nijenhuis_matches_the_bracket_vector_loop(bundle):
@@ -525,7 +572,8 @@ def test_trace_contractions_match_dense_loops(bundle):
     # checks read, against dense loops over derivatives built here
     mc = bundle.A.minimal
     parts = [bundle.xi] + [part for _, part in bundle.A.torsion.parts()]
-    traces = [ref_traces(D) for D in [bundle.Dxi] + _component_derivatives(bundle)]
+    Dxi = mc.covariant_derivative(bundle.xi)
+    traces = [ref_traces(D) for D in [Dxi] + _component_derivatives(bundle)]
     for part, (div, slot) in zip(parts, traces):
         assert (mc.covariant_trace(part, 2), mc.covariant_trace(part, 0)) == (div, slot)
     fields = [bundle.trace1, bundle.trace2, bundle.trace3, bundle.trace4]
@@ -538,7 +586,211 @@ def test_trace_contractions_match_dense_loops(bundle):
 
 def test_dxi_is_the_sum_of_the_component_derivatives(bundle):
     D1, D2, D3, D4 = _component_derivatives(bundle)
-    assert bundle.Dxi == D1 + D2 + D3 + D4
+    assert bundle.A.minimal.covariant_derivative(bundle.xi) == D1 + D2 + D3 + D4
+
+
+def test_bundle_reads_dxi_through_the_sums_of_the_whole_derivative(bundle):
+    # the curvature gap scatters D^min xi itself, and the torsion trace tensor
+    # reads it through two traces; both against D^min xi built here
+    Dxi = bundle.A.minimal.covariant_derivative(bundle.xi)
+    assert bundle.curvature_gap == ref_curvature_gap(bundle, Dxi)
+    assert bundle.torsion_trace_rhs == ref_torsion_trace_rhs(bundle, Dxi)
+
+
+# -- one-pass J kernels ----------------------------------------------------------
+
+
+def ref_rotate_twice(t: Tensor, J, a: int, b: int) -> Tensor:
+    """J_(a) J_(b) t at every index tuple: sum_{m, p} J[m][x] J[p][y] t(...)
+    with m in slot a and p in slot b, x and y the tuple's indices there."""
+    n = t.dim
+    out = Tensor(n, t.rank)
+    for idx in itertools.product(range(n), repeat=t.rank):
+        acc = ZERO
+        for m in range(n):
+            x = J[m][idx[a]]
+            if x.is_zero():
+                continue
+            for p in range(n):
+                y = J[p][idx[b]]
+                if y.is_zero():
+                    continue
+                src = list(idx)
+                src[a], src[b] = m, p
+                acc = acc + x * y * t(*src)
+        out.set(idx, acc)
+    return out
+
+
+def ref_ricci_forms(S, Rm: Tensor):
+    """(rho, r) on every increasing (j, k): -1/2 sum_{i,m} J[m][i] Rm_imjk and
+    -1/2 sum_{i,m} J[m][i] Rm_jkim."""
+    n = S.L.dim
+    rho, r = Form(n, 2), Form(n, 2)
+    for j, k in itertools.combinations(range(n), 2):
+        first = second = ZERO
+        for i in range(n):
+            for m in range(n):
+                w = S.J[m][i]
+                if not w.is_zero():
+                    first = first + w * Rm(i, m, j, k)
+                    second = second + w * Rm(j, k, i, m)
+        for form, v in ((rho, first), (r, second)):
+            if not v.is_zero():
+                form.coeffs[(j, k)] = v * R(scalars.Fraction(-1, 2))
+    return rho, r
+
+
+def assert_one_pass_rotations(t: Tensor, J) -> None:
+    """Every two-slot J action on t against the entry loop, for composites,
+    and the sum of two single-slot loops, for signed sums."""
+    for a, b in itertools.permutations(range(t.rank), 2):
+        assert t.apply_J(a, J, b) == ref_rotate_twice(t, J, a, b)
+        first, second = ref_apply_J(t, J, a), ref_apply_J(t, J, b)
+        assert t.apply_J(a, J, b, sign=1) == first + second
+        assert t.apply_J(a, J, b, sign=-1) == first - second
+
+
+def test_one_pass_rotations_match_entry_loops(bundle):
+    S, A = bundle.S, bundle.A
+    for t in (bundle.xi, A.minimal.gamma, S.L.C, bundle.curv.ric_star, bundle.Dth):
+        assert_one_pass_rotations(t, S.J)
+    # the kernels that act on two slots at once
+    for b in (bundle.curv.ric, bundle.curv.ric_star, bundle.Dth):
+        assert S.rotate_bilinear(b) == ref_rotate_twice(b, S.J, 0, 1)
+    for alpha in (S.omega, bundle.curv.rho, bundle.dJth):
+        want = ref_rotate_twice(alpha.to_tensor(), S.J, 0, 1).antisymmetrize_to_form()
+        assert S.rotate_two_form(alpha) == want
+    assert _t_involution(S, bundle.xi) == ref_rotate_twice(bundle.xi, S.J, 0, 2)
+    if bundle.dim == 6:
+        t = A.domega.to_tensor()
+        terms = [t] + [-ref_rotate_twice(t, S.J, a, b) for a, b in ((0, 1), (0, 2), (1, 2))]
+        want = sum(terms[1:], terms[0]).scaled(R(scalars.Fraction(1, 4)))
+        assert three_form_pure_part(S, A.domega) == want.antisymmetrize_to_form()
+
+
+def test_membership_test_matches_the_dense_loop_off_the_torsion_space(bundle):
+    # a metric Gamma is skew in its last two slots, so the signed sum decides
+    S = bundle.S
+    # xi plus the structure constants moved to be skew in the last two slots
+    for t in (bundle.A.nabla.gamma, bundle.A.minimal.gamma, bundle.xi + S.L.C.transpose((1, 2, 0))):
+        assert check_torsion_tensor(S, t) == ref_check_torsion_tensor(S, t)
+
+
+def test_ricci_forms_sum_only_increasing_keys_and_match_entry_loops(bundle):
+    S = bundle.S
+    curvatures = [bundle.curv.Rm, bundle.curv.minimal.Rm]
+    if bundle.curv.chern is not None:
+        curvatures.append(bundle.curv.chern.Rm)
+    for Rm in curvatures:
+        assert (ricci_form(S, Rm), transposed_ricci_form(S, Rm)) == ref_ricci_forms(S, Rm)
+        for a, b in ((0, 1), (2, 3), (1, 3)):
+            want = {k: v for k, v in ref_trace_J(Rm, S.J, a, b).coeffs.items() if k[0] < k[1]}
+            assert Rm.trace_J(a, b, S.J, increasing=True).coeffs == want
+
+
+@pytest.mark.parametrize("factors", [3, 6])
+@pytest.mark.parametrize("name", [e.name for e in ENTRIES])
+def test_one_pass_kernels_on_rotated_samples(name, factors):
+    S = audit.rotated_structure(get(name).build(), random.Random(factors), "mix", factors)
+    nabla = levi_civita(S)
+    xi = intrinsic_torsion(S, nabla)
+    for t in (S.L.C, nabla.gamma):
+        assert_one_pass_rotations(t, S.J)
+    assert nabla.derive_endomorphism(S.J) == ref_derive_endomorphism(nabla, S.J)
+    for t in (xi, nabla.gamma):
+        assert check_torsion_tensor(S, t) == ref_check_torsion_tensor(S, t)
+    Rm = riemann(S.L, nabla)
+    assert (ricci_form(S, Rm), transposed_ricci_form(S, Rm)) == ref_ricci_forms(S, Rm)
+
+
+@st.composite
+def endomorphisms(draw, dim: int):
+    """A skew matrix over Q(sqrt 3), sparse and random, or a signed
+    permutation that pairs the basis vectors, which apply_J reindexes."""
+    if draw(st.booleans()):
+        M = [[ZERO] * dim for _ in range(dim)]
+        for i, j in itertools.combinations(range(dim), 2):
+            if draw(st.booleans()):
+                w = draw(sqrt3_entries)
+                M[i][j], M[j][i] = w, -w
+        return Endomorphism(M)
+    order = draw(st.permutations(range(dim)))
+    M = [[ZERO] * dim for _ in range(dim)]
+    for p in range(0, dim, 2):
+        i, j = order[p], order[p + 1]
+        s = draw(st.sampled_from([ONE, -ONE]))
+        M[i][j], M[j][i] = s, -s
+    return Endomorphism(M)
+
+
+@st.composite
+def j_kernel_cases(draw):
+    dim = draw(st.sampled_from([2, 4]))
+    J = draw(endomorphisms(dim))
+    t = draw(sparse_tensors(dim, draw(st.integers(2, 3))))
+    return J, t, Connection(dim, draw(sparse_tensors(dim, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(j_kernel_cases())
+def test_one_pass_kernels_on_random_tensors_over_sqrt3(case):
+    J, t, conn = case
+    assert_one_pass_rotations(t, J)
+    for a, b in itertools.permutations(range(t.rank), 2):
+        want = {k: v for k, v in ref_trace_J(t, J, a, b).coeffs.items()
+                if all(x < y for x, y in zip(k, k[1:]))}
+        assert t.trace_J(a, b, J, increasing=True).coeffs == want
+    assert conn.derive_endomorphism(J) == ref_derive_endomorphism(conn, J)
+
+
+def test_apply_J_refuses_to_act_twice_on_one_slot():
+    S = get("example-5.4").build()
+    with pytest.raises(multilinear.GeometryError):
+        S.L.C.apply_J(1, S.J, 1)
+
+
+# -- equal operands ------------------------------------------------------------
+
+
+def test_difference_of_equal_operands_is_empty_and_stores_no_zero(bundle):
+    for t in (bundle.xi, bundle.curv.Rm, bundle.omega_t):
+        copy = Tensor(t.dim, t.rank, dict(t.coeffs))
+        for diff in (t - t, t - copy):
+            assert diff.coeffs == {} and diff.rank == t.rank and diff.is_zero()
+    for alpha in (bundle.S.omega, bundle.curv.rho, bundle.A.domega):
+        copy = Form(alpha.dim, alpha.degree, dict(alpha.coeffs))
+        for diff in (alpha - alpha, alpha - copy):
+            assert diff.coeffs == {} and diff.degree == alpha.degree and diff.is_zero()
+
+
+def test_difference_of_unequal_operands_sums_every_entry():
+    a = Tensor(4, 2, {(0, 1): R(1), (2, 3): R(2)})
+    b = Tensor(4, 2, {(0, 1): R(1), (1, 2): R(5)})
+    assert (a - b).coeffs == {(2, 3): R(2), (1, 2): R(-5)}
+    f, g = Form(4, 2, {(0, 1): R(3)}), Form(4, 2, {(0, 1): R(3), (1, 3): R(1)})
+    assert (f - g).coeffs == {(1, 3): R(-1)}
+
+
+@pytest.mark.parametrize("name", ["example-5.2", "example-5.4", "nearly-kaehler-s3s3"])
+def test_corrupted_operand_keeps_the_old_witness(name):
+    # pinned from the implementation that subtracted equal operands entry by
+    # entry: the residuals that now cancel without arithmetic still report
+    # the corrupted entry when one operand is off
+    A = analyze(get(name).build())
+    Rm = A.curvature.minimal.Rm
+    Rm = Tensor(Rm.dim, 4, dict(Rm.coeffs))
+    Rm.set((0, 1, 2, 3), Rm(0, 1, 2, 3) + R(2))
+    A.curvature.minimal.Rm = Rm
+    assert audit.witness(audit.check_r33(audit.Bundle(A))) == "entry (1,2,3,4): -2"
+    A = analyze(get(name).build())
+    A.curvature.rho = A.curvature.rho + Form(A.curvature.rho.dim, 2, {(0, 1): R(1)})
+    assert (audit.witness(audit.check_p46ii(audit.Bundle(A)))
+            == "star Ricci against the first Ricci form: entry (1, 2): -1")
+    A = analyze(get(name).build())
+    A.curvature.r = A.curvature.r + Form(A.curvature.r.dim, 2, {(1, 3): R(-3)})
+    assert (audit.witness(audit.check_p46ii(audit.Bundle(A)))
+            == "the two Ricci forms disagree: entry (2, 4): 3")
 
 
 # -- every stored entry is canonical --------------------------------------------
@@ -569,9 +821,10 @@ def _bundle_roots(b):
             fn(b)
     chern, _ = chern_connection(b.S, b.A.nabla, b.xi)
     # the analysis holds Gamma, Rm, Ric, Ric*, the Ricci forms and every split;
-    # the bundle adds D^min xi, the traces of each D^min xi_k, D theta and the
-    # curvature gap
-    return [b.A, b, chern.gamma, b.Dxi, b.trace1, b.trace2, b.trace3, b.trace4,
+    # the bundle adds the traces of each D^min xi_k, D theta and the curvature
+    # gap; D^min xi, which the bundle never builds, is built here
+    return [b.A, b, chern.gamma, b.A.minimal.covariant_derivative(b.xi),
+            b.trace1, b.trace2, b.trace3, b.trace4,
             b.div2, b.div3, b.Dth, b.curvature_gap, b.torsion_trace_rhs]
 
 
@@ -630,12 +883,17 @@ def test_corrupted_torsion_component_is_reported():
     ],
 )
 def test_curvature_transfer_checks_fail_on_a_corrupted_derivative(name, key, r33, e31):
-    # witnesses pinned from the dense-loop implementation of R3.3 and E3.1
+    # witnesses pinned from the dense-loop implementation of R3.3 and E3.1,
+    # which added 2 to D^min xi at ``key``; that entry reaches the curvature
+    # gap at its (a, c)-sorted key, negated when a > c
     b = audit.Bundle(analyze(get(name).build()))
     assert audit.witness(audit.check_r33(b)) is None
     assert audit.witness(audit.check_e31(b)) is None
     b = audit.Bundle(b.A)
-    b.Dxi.set(key, b.Dxi(*key) + R(2))
+    a, c, k, l = key
+    gap_key, amount = ((a, c, k, l), R(2)) if a < c else ((c, a, k, l), R(-2))
+    gap = b.curvature_gap
+    gap.set(gap_key, gap(*gap_key) + amount)
     assert audit.witness(audit.check_r33(b)) == r33
     assert audit.witness(audit.check_e31(b)) == e31
 

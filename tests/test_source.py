@@ -160,3 +160,40 @@ def test_witness_text_outside_the_formatter_is_found():
         "    return format_scalar(v)\n"
     )
     assert witness_text_outside_the_formatter(source) == [5, 7, 11]
+
+
+def chained_rotations(source: str):
+    """Lines with a ``.apply_J(...).apply_J(...)`` chain, which rotates twice
+    through two accumulators.  Outside ``multilinear``, J acts on two slots
+    through one call, ``apply_J(a, J, b)``, which makes one pass."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "apply_J"
+            and isinstance(node.func.value, ast.Call)
+            and isinstance(node.func.value.func, ast.Attribute)
+            and node.func.value.func.attr == "apply_J"
+        ):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", J_CLIENTS, ids=[p.name for p in J_CLIENTS])
+def test_module_rotates_two_slots_in_one_pass(path):
+    assert chained_rotations(path.read_text()) == []
+
+
+def test_chained_rotation_is_found():
+    source = (
+        "t = b.apply_J(0, S.J).apply_J(1, S.J)\n"
+        "u = b.apply_J(0, S.J, 1)\n"
+        "v = (\n"
+        "    xi.apply_J(0, J)\n"
+        "    .apply_J(2, J)\n"
+        ")\n"
+        "w = b.apply_J(0, J).trace_J(0, 1, J)\n"
+        "x = b.trace_J(0, 1, J).apply_J(1, J)\n"
+    )
+    assert chained_rotations(source) == [1, 4]
