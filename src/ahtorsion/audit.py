@@ -209,7 +209,7 @@ class Bundle:
 
     def pairJ(self, a: Tensor, b: Tensor) -> Tensor:
         """(j, k) -> <a_{e_j} e_i, b_{e_k} J e_i> summed over i."""
-        return self._memoised("pairJ", (a, b), lambda: -_pair_xi(a, self.rotated(b, 1)))
+        return self._memoised("pairJ", (a, b), lambda: _pair_xi(a, self.rotated(b, 1), sign=-1))
 
     def pairE(self, a: Tensor, b: Tensor) -> Tensor:
         """(j, k) -> <a_{e_i} e_j, b_{e_i} e_k> summed over i."""
@@ -217,7 +217,7 @@ class Bundle:
 
     def pairE_J(self, a: Tensor, b: Tensor) -> Tensor:
         """(j, k) -> <a_{e_i} e_j, b_{J e_i} e_k> summed over i."""
-        return self._memoised("pairE_J", (a, b), lambda: -_pair_xi(a, self.rotated(b, 0), 0))
+        return self._memoised("pairE_J", (a, b), lambda: _pair_xi(a, self.rotated(b, 0), 0, -1))
 
     @cached_property
     def curvature_gap(self) -> Tensor:

@@ -65,6 +65,13 @@ def structure_from_data(data: dict, source: str = "<data>") -> AlmostHermitianSt
     dim = data.get("dimension")
     if not _is_int(dim) or dim < 4 or dim % 2:
         raise FileFormatError(f"{source}: dimension must be an even integer >= 4")
+    # k simple 2-forms have rank at most 2k: this bounds every allocation below
+    entries = data.get("kaehler_form")
+    if not isinstance(entries, list) or not entries:
+        raise FileFormatError(f"{source}: kaehler_form must be a nonempty list")
+    if dim > 2 * len(entries):
+        raise FileFormatError(
+            f"{source}: dimension exceeds twice the number of kaehler_form entries")
     name = data.get("name", source)
     params = data.get("parameters", [])
     if not isinstance(params, list) or not all(isinstance(p, str) for p in params):
@@ -106,9 +113,6 @@ def structure_from_data(data: dict, source: str = "<data>") -> AlmostHermitianSt
     except (StructureError, ScalarError, ValueError) as exc:
         raise FileFormatError(f"{source}: {exc}") from exc
 
-    entries = data.get("kaehler_form")
-    if not isinstance(entries, list) or not entries:
-        raise FileFormatError(f"{source}: kaehler_form must be a nonempty list")
     omega = Form(dim, 2)
     for pos, entry in enumerate(entries):
         ctx = f"{source}: kaehler_form[{pos}]"
@@ -180,10 +184,14 @@ def structure_from_data(data: dict, source: str = "<data>") -> AlmostHermitianSt
 
 def load_structure(path: str) -> AlmostHermitianStructure:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text") from exc
+    except RecursionError as exc:
+        raise FileFormatError(f"{path}: JSON nested too deeply") from exc
     except json.JSONDecodeError as exc:
         raise FileFormatError(
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"

@@ -220,12 +220,20 @@ def _print_error(source: str, exc: Exception) -> None:
     print(f"{source}: {_error_text(exc)}", file=sys.stderr)
 
 
-def cmd_analyze(args) -> int:
+def _load_targets(args) -> Optional[List[AlmostHermitianStructure]]:
+    """The structures to analyse, or None after printing in one line why not."""
     try:
-        structures = _resolve_targets(args)
+        return _resolve_targets(args)
     except (FileFormatError, KeyError) as exc:
-        # the plain message: str() of a KeyError quotes it
-        print(*exc.args, file=sys.stderr)
+        print(*exc.args, file=sys.stderr)  # the plain message: str() of a KeyError quotes it
+    except Exception as exc:
+        _print_error(args.file if args.catalog is None else args.catalog, exc)
+    return None
+
+
+def cmd_analyze(args) -> int:
+    structures = _load_targets(args)
+    if structures is None:
         return 1
     status = 0
     docs = []
@@ -267,11 +275,8 @@ def _print_audit(rep: AuditReport) -> None:
 
 
 def cmd_audit(args) -> int:
-    try:
-        structures = _resolve_targets(args)
-    except (FileFormatError, KeyError) as exc:
-        # the plain message: str() of a KeyError quotes it
-        print(*exc.args, file=sys.stderr)
+    structures = _load_targets(args)
+    if structures is None:
         return 1
     status = 0
     for S in structures:

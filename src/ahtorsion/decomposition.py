@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple, Union
 
 from .multilinear import (
-    Form, Tensor, codifferential, exterior_derivative, form_inner, metric_tensor,
-    sort_with_sign,
+    Form, Tensor, codifferential, exterior_derivative, form_inner, linear_combination,
+    metric_tensor, sort_with_sign,
 )
 from .scalars import (
     HALF, ZERO, Accumulator, Fraction, RatLike, Scalar, affine_roots, format_scalar,
@@ -22,8 +22,6 @@ from .scalars import (
 from .structure import AlmostHermitianStructure, StructureError
 
 _MINUS_HALF = -HALF
-_THIRD = Scalar.rational(Fraction(1, 3))
-_QUARTER = Scalar.rational(Fraction(1, 4))
 
 
 class DecompositionError(StructureError):
@@ -66,8 +64,8 @@ def _xi4_tensor(S: AlmostHermitianStructure, theta: Form) -> Tensor:
     that is A - A^T in the last two slots for A = g (x) theta - J^T (x) J theta,
     where -J^T = J_(1) g.
     """
-    th = theta.to_tensor().scaled(_QUARTER)
-    jth = S.J_oneform(theta).to_tensor().scaled(_QUARTER)
+    th = theta.to_tensor().scaled(Fraction(1, 4))
+    jth = S.J_oneform(theta).to_tensor().scaled(Fraction(1, 4))
     g = metric_tensor(S.L.dim)
     A = g.tensor(th) + g.apply_J(0, S.J).tensor(jth)
     return A - A.transpose((0, 2, 1))
@@ -77,10 +75,10 @@ def _cyclic_part(t: Tensor) -> Tensor:
     """1/3 (t_ijk + t_jki + t_kij); each stored t_abc lands at abc, cab and bca."""
     acc = Accumulator()
     for (a, b, c), v in t.coeffs.items():
-        acc.add((a, b, c), _THIRD, v)
-        acc.add((c, a, b), _THIRD, v)
-        acc.add((b, c, a), _THIRD, v)
-    return Tensor.of_nonzero(t.dim, 3, acc.result())
+        acc.add((a, b, c), v)
+        acc.add((c, a, b), v)
+        acc.add((b, c, a), v)
+    return Tensor.of_nonzero(t.dim, 3, acc.result(3))
 
 
 @dataclass
@@ -255,28 +253,16 @@ class DThetaReport:
 
 
 def _combine(*terms: Tuple[Union[Scalar, RatLike], Tensor]) -> Tensor:
-    """The sum of c * t over (coefficient, tensor) terms of one rank.
-
-    Each coefficient becomes a Scalar once per term, not once per entry; a
-    coefficient of 1 or -1 adds the entries as they are.
-    """
-    acc = Accumulator()
-    add = acc.add
-    for c, t in terms:
-        if type(c) is not Scalar:
-            if c == 1 or c == -1:
-                sign = int(c)
-                for k, v in t.coeffs.items():
-                    add(k, v, sign=sign)
-                continue
-            c = Scalar.rational(c)
-        for k, v in t.coeffs.items():
-            add(k, c, v)
-    return Tensor.of_nonzero(terms[0][1].dim, terms[0][1].rank, acc.result())
+    """The sum of c * t over (coefficient, tensor) terms of one rank
+    (``multilinear.linear_combination``)."""
+    first = terms[0][1]
+    return Tensor.of_nonzero(first.dim, first.rank,
+                             linear_combination([(c, t.coeffs) for c, t in terms]))
 
 
-def _pair_xi(a: Tensor, b: Tensor, slot: int = 1) -> Tensor:
-    """(j, k) -> a and b contracted on ``slot`` and on their last slot.
+def _pair_xi(a: Tensor, b: Tensor, slot: int = 1, sign: int = 1) -> Tensor:
+    """(j, k) -> ``sign`` times a and b contracted on ``slot`` and on their
+    last slot.
 
     ``slot`` is 0 or 1; the other of the first two slots carries j in a and k
     in b.  With the default slot this is <a_{e_j} e_i, b_{e_k} e_i> summed
@@ -288,7 +274,7 @@ def _pair_xi(a: Tensor, b: Tensor, slot: int = 1) -> Tensor:
     add = acc.add
     for idx, v in a.coeffs.items():
         for kidx, u in by_pair.get((idx[slot], idx[2]), ()):
-            add((idx[free], kidx[free]), v, u)
+            add((idx[free], kidx[free]), v, u, sign)
     return Tensor.of_nonzero(a.dim, 2, acc.result())
 
 

@@ -10,31 +10,33 @@ the full index cube reading absent entries.  Each adds its products into one
 ``scalars.Accumulator`` keyed by output index, which keeps raw integer sums
 and normalises each output entry once, when the result is built; where a
 kernel joins two tensors on a slot, it first groups one operand's entries by
-that slot (``Tensor.group_by``).  The almost complex structure J acts only
-through ``Tensor.apply_J`` (on one slot, or on two in one pass: J_(a) J_(b) t
-or J_(a) t +- J_(b) t) and ``Tensor.trace_J`` (a J-weighted trace over two
-slots): no other code reads the entries of the J matrix.  ``S.J`` is an
-``Endomorphism``: it still indexes as the matrix, and it carries its stored
-rows, built once when the structure is built, and the products of pairs of
-row entries, built on first use, which the two primitives read on every
-call.  When J is a signed permutation (each row one +-1 entry), ``apply_J``
-moves each stored entry to its new index instead of summing.  Tensors built
-from ``Accumulator.result()`` are taken as they are (``Tensor.of_nonzero``),
-since those maps never hold a zero.  The difference of two tensors or forms
-with equal entries is the empty one, found by comparing the maps, with no
-arithmetic: canonical entries are equal exactly when their values are.
+that slot (``Tensor.group_by``).  Constant rational weights enter as integer
+factors over the lcm of their denominators, divided out once per entry.
+The almost complex structure J acts only through ``Tensor.apply_J`` (on one
+slot, or on two in one pass: J_(a) J_(b) t or J_(a) t +- J_(b) t) and
+``Tensor.trace_J`` (a J-weighted trace over two slots): no other code reads
+the entries of the J matrix.  ``S.J`` is an ``Endomorphism``: it still
+indexes as the matrix, and it carries its stored rows, scaled to integers
+where its entries are rational and built once when the structure is built,
+and the products of pairs of row entries, built on first use, which the two
+primitives read on every call.  When J is a signed permutation (each row one
++-1 entry), ``apply_J`` moves each stored entry to its new index instead of
+summing.  Tensors built from ``Accumulator.result()`` are taken as they are
+(``Tensor.of_nonzero``), since those maps never hold a zero.  The difference
+of two tensors or forms with equal entries is the empty one, found by
+comparing the maps, with no arithmetic: canonical entries are equal exactly
+when their values are.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .scalars import ONE, ZERO, Accumulator, Scalar, scalar_sqrt
-
-
-_MINUS_ONE = -ONE
 
 
 class GeometryError(ValueError):
@@ -52,6 +54,13 @@ def sort_with_sign(indices: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
             if idx[i] > idx[j]:
                 sign = -sign
     return tuple(sorted(idx)), sign
+
+
+def _picker(slots: Sequence[int]):
+    """The function taking an index tuple to the tuple of its indices in ``slots``."""
+    if len(slots) > 1:
+        return operator.itemgetter(*slots)
+    return (lambda k, s=slots[0]: (k[s],)) if slots else (lambda k: ())
 
 
 class LieAlgebra:
@@ -183,10 +192,8 @@ class Form:
         return f
 
     def scaled(self, s) -> "Form":
-        s = s if isinstance(s, Scalar) else Scalar.rational(s)
         f = Form(self.dim, self.degree)
-        if not s.is_zero():
-            f.coeffs = {k: s * v for k, v in self.coeffs.items()}
+        f.coeffs = linear_combination([(s, self.coeffs)])
         return f
 
     def __eq__(self, other) -> bool:
@@ -218,14 +225,14 @@ class Form:
 
     def to_tensor(self) -> "Tensor":
         # the sign of each slot permutation, found once rather than per entry
-        perms = [(perm, sort_with_sign(perm)[1] == 1)
+        perms = [(_picker(perm), sort_with_sign(perm)[1] == 1)
                  for perm in itertools.permutations(range(self.degree))]
         coeffs: Dict[Tuple[int, ...], Scalar] = {}
         for key, val in self.coeffs.items():
             neg = -val
-            for perm, even in perms:
-                coeffs[tuple(key[s] for s in perm)] = val if even else neg
-        return Tensor(self.dim, self.degree, coeffs)
+            for pick, even in perms:
+                coeffs[pick(key)] = val if even else neg
+        return Tensor.of_nonzero(self.dim, self.degree, coeffs)
 
     def __repr__(self) -> str:
         from .render import format_form
@@ -272,8 +279,9 @@ class Tensor:
     def group_by(self, *slots: int) -> Dict[Tuple[int, ...], List[Tuple[Tuple[int, ...], Scalar]]]:
         """Stored entries (index, value) keyed by their indices in ``slots``."""
         out: Dict[Tuple[int, ...], List[Tuple[Tuple[int, ...], Scalar]]] = {}
+        key = _picker(slots)
         for k, v in self.coeffs.items():
-            out.setdefault(tuple(k[s] for s in slots), []).append((k, v))
+            out.setdefault(key(k), []).append((k, v))
         return out
 
     def _check_like(self, other: "Tensor"):
@@ -292,10 +300,7 @@ class Tensor:
         return Tensor.of_nonzero(self.dim, self.rank, _difference(self.coeffs, other.coeffs))
 
     def scaled(self, s) -> "Tensor":
-        s = s if isinstance(s, Scalar) else Scalar.rational(s)
-        if s.is_zero():
-            return Tensor(self.dim, self.rank)
-        return Tensor(self.dim, self.rank, {k: s * v for k, v in self.coeffs.items()})
+        return Tensor.of_nonzero(self.dim, self.rank, linear_combination([(s, self.coeffs)]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tensor):
@@ -355,8 +360,8 @@ class Tensor:
                     s *= u
                 coeffs[key] = v if s == 1 else -v
             return Tensor.of_nonzero(self.dim, self.rank, coeffs)
-        # a weight of +-1 adds the entry itself: no product, and an output
-        # entry that receives one term needs no normalisation
+        # J's weights are scaled by D: an integer weight adds t's entry times
+        # it, with no product, and D (D^2 for two weights) is divided out once
         acc = Accumulator()
         add = acc.add
         if other is not None and not sign:
@@ -367,23 +372,23 @@ class Tensor:
             products = J.row_products
             for k, v in self.coeffs.items():
                 head, mid, tail = k[:a], k[a + 1 : b], k[b + 1 :]
-                for j, i, w, unit in products[k[a]][k[b]]:
+                for j, i, w, n in products[k[a]][k[b]]:
                     key = head + (j,) + mid + (i,) + tail
-                    if unit:
-                        add(key, v, sign=unit)
+                    if n:
+                        add(key, v, sign=n)
                     else:
                         add(key, w, v)
-            return Tensor.of_nonzero(self.dim, self.rank, acc.result())
+            return Tensor.of_nonzero(self.dim, self.rank, acc.result(J.den * J.den))
         rows = J.rows
         for s, f in [(slot, -1)] if other is None else [(slot, -1), (other, -sign)]:
             for k, v in self.coeffs.items():
-                for j, (w, unit) in rows[k[s]].items():
+                for j, (w, n) in rows[k[s]].items():
                     key = k[:s] + (j,) + k[s + 1 :]
-                    if unit:
-                        add(key, v, sign=f * unit)
+                    if n:
+                        add(key, v, sign=f * n)
                     else:
                         add(key, w, v, f)
-        return Tensor.of_nonzero(self.dim, self.rank, acc.result())
+        return Tensor.of_nonzero(self.dim, self.rank, acc.result(J.den))
 
     def trace_J(self, slot_a: int, slot_b: int, J: "Endomorphism",
                 increasing: bool = False) -> "Tensor":
@@ -403,15 +408,15 @@ class Tensor:
         for k, v in self.coeffs.items():
             hit = rows[k[slot_b]].get(k[slot_a])
             if hit is not None:
-                w, unit = hit
+                w, n = hit
                 key = k[:a] + k[a + 1 : b] + k[b + 1 :]
                 if increasing and not all(x < y for x, y in zip(key, key[1:])):
                     continue
-                if unit:
-                    acc.add(key, v, sign=unit)
+                if n:
+                    acc.add(key, v, sign=n)
                 else:
                     acc.add(key, w, v)
-        return Tensor.of_nonzero(self.dim, r - 2, acc.result())
+        return Tensor.of_nonzero(self.dim, r - 2, acc.result(J.den))
 
     def transpose(self, perm: Sequence[int]) -> "Tensor":
         """Reorder slots: result(i_perm[0], ..., i_perm[r-1]) = self(i_0, ..., i_{r-1})."""
@@ -419,8 +424,8 @@ class Tensor:
         inv = [0] * self.rank
         for src, dst in enumerate(perm):
             inv[dst] = src
-        return Tensor.of_nonzero(self.dim, self.rank,
-                                 {tuple(k[s] for s in inv): v for k, v in self.coeffs.items()})
+        pick = _picker(inv)
+        return Tensor.of_nonzero(self.dim, self.rank, {pick(k): v for k, v in self.coeffs.items()})
 
     def is_antisymmetric_pair(self, a: int, b: int) -> bool:
         """Whether swapping slots a and b negates the tensor: each stored entry
@@ -456,48 +461,55 @@ def _stored_rows(M: Matrix) -> List[List[Tuple[int, Scalar]]]:
     return [[(j, w) for j, w in enumerate(row) if w] for row in M]
 
 
-def _unit(w: Scalar) -> int:
-    """The sign of w when w = +-1, else 0."""
-    return 1 if w == ONE else -1 if w == _MINUS_ONE else 0
+def _weight(w: Scalar, den: int, r: Optional[Tuple[int, int]]) -> Tuple[Scalar, int]:
+    """(w * den, n) for w of ratio r: n is w * den if that is an integer, else 0."""
+    if r is None or den % r[1]:
+        return (w * den if den != 1 else w), 0
+    n = r[0] * (den // r[1])
+    return (w if den == 1 else Scalar.rational(n)), n
 
 
 class Endomorphism:
     """A square matrix A with its action on tensor slots prepared once.
 
-    It indexes as the matrix, ``A[i][j]``.  ``rows[m]`` maps the column j of
-    each stored entry w of row m to (w, u), where u is the sign of w when
-    w = +-1 and 0 otherwise.  ``signed_perm`` is None unless every row holds
-    a single +-1 in a column of its own; then ``signed_perm[m]`` is that
-    row's (column, -w), the sign ``Tensor.apply_J`` gives the moved entry.
+    It indexes as the matrix, ``A[i][j]``.  ``den`` is D, the lcm of the
+    denominators of its plain-rational entries.  ``rows[m]`` maps the column
+    j of each stored entry w of row m to (w * D, n), n being the integer
+    w * D, or 0 when that is none and the kernels take the product with
+    w * D.  ``signed_perm`` is None unless every row holds a single +-1 in a
+    column of its own; then ``signed_perm[m]`` is that row's (column, -w),
+    the sign ``Tensor.apply_J`` gives the moved entry.
     """
 
     def __init__(self, matrix: Matrix):
         self._matrix = [list(row) for row in matrix]
+        stored = [[(j, w, w.ratio()) for j, w in row] for row in _stored_rows(self._matrix)]
+        self.den = math.lcm(*(r[1] for row in stored for _, _, r in row if r))
         self.rows: List[Dict[int, Tuple[Scalar, int]]] = [
-            {j: (w, _unit(w)) for j, w in row}
-            for row in _stored_rows(self._matrix)
+            {j: _weight(w, self.den, r) for j, w, r in row} for row in stored
         ]
         single = [next(iter(row.items())) for row in self.rows if len(row) == 1]
-        columns = {j for j, (_, unit) in single if unit}
+        columns = {j for j, (_, n) in single if n in (1, -1)}
         self.signed_perm: Optional[List[Tuple[int, int]]] = (
-            [(j, -unit) for j, (_, unit) in single] if len(columns) == len(self.rows) else None
+            [(j, -n) for j, (_, n) in single] if self.den == 1 and len(columns) == len(self.rows)
+            else None
         )
 
     @cached_property
     def row_products(self) -> List[List[List[Tuple[int, int, Scalar, int]]]]:
-        """``row_products[m][p]``: (j, i, x * y, u) for each stored entry x of
-        row m, in column j, and y of row p, in column i, u being the sign of
-        x * y when that is +-1 and 0 otherwise; ``Tensor.apply_J`` reads it
-        to act on two slots in one pass."""
+        """``row_products[m][p]``: (j, i, x * y * D^2, n) for each stored entry
+        x of row m, in column j, and y of row p, in column i, n being the
+        integer x * y * D^2 when that is one and 0 otherwise; ``Tensor.apply_J``
+        reads it to act on two slots in one pass."""
         table = []
         for row_m in self.rows:
             line = []
             for row_p in self.rows:
                 cell = []
-                for j, (x, _) in row_m.items():
-                    for i, (y, _) in row_p.items():
-                        w = x * y
-                        cell.append((j, i, w, _unit(w)))
+                for j, (x, nx) in row_m.items():
+                    for i, (y, ny) in row_p.items():
+                        w = Scalar.rational(nx * ny) if nx and ny else x * y
+                        cell.append((j, i, *_weight(w, 1, w.ratio())))
                 line.append(cell)
             table.append(line)
         return table
@@ -529,6 +541,30 @@ def _sum_entries(a: dict, b: dict, sign: int) -> dict:
     for k, v in b.items():
         acc.add(k, v, sign=sign)
     return acc.result()
+
+
+def linear_combination(terms) -> dict:
+    """The entries of the sum of c * t over (coefficient, coefficient map) terms.
+
+    The rational coefficients enter as integer factors over their lcm D,
+    which is divided out once per output entry; any other c enters as the
+    product c * D.
+    """
+    # (numerator, denominator) of each rational c, None for any other Scalar
+    ratios = [c.ratio() if type(c) is Scalar else (c.numerator, c.denominator) for c, _ in terms]
+    den = math.lcm(*(r[1] for r in ratios if r))
+    acc = Accumulator()
+    add = acc.add
+    for r, (c, t) in zip(ratios, terms):
+        if r is None:
+            c = c * den
+            for k, v in t.items():
+                add(k, c, v)
+        elif r[0]:
+            n = r[0] * (den // r[1])
+            for k, v in t.items():
+                add(k, v, None, n)
+    return acc.result(den)
 
 
 def _difference(a: dict, b: dict) -> dict:

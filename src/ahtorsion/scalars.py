@@ -24,8 +24,9 @@ its result once, so ``Fraction`` objects appear only at the public edges
 Sums of many products go through ``Accumulator``: it adds the integer
 products straight into the two maps of each sum over a running common
 denominator and normalises each sum once, where a fold of ``+`` and ``*``
-normalises after every operation.  The tensor kernels build every output
-entry this way.
+normalises after every operation.  A constant rational weight p/q enters as
+the integer factor p, and the one denominator q is divided out in that same
+normalisation.  The tensor kernels build every output entry this way.
 """
 
 from __future__ import annotations
@@ -236,6 +237,10 @@ class Scalar:
             raise ScalarError(f"not a plain rational: {self}")
         return Fraction(self._a.get(0, 0), self._den)
 
+    def ratio(self) -> Optional[tuple]:
+        """(numerator, denominator) of a plain rational, in lowest terms; else None."""
+        return (self._a.get(0, 0), self._den) if self.is_rational() else None
+
     def constant_pair(self) -> tuple:
         """The (p, q) pair of a parameter-free scalar."""
         if not self.is_constant():
@@ -321,6 +326,15 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         return self.divide_by_constant(other)
+
+    def times_ratio(self, p: int, q: int) -> "Scalar":
+        """p/q times this scalar, for integers p and q > 0: the numerators
+        times p over the denominator times q, normalised once."""
+        a, b = self._a, self._b
+        if p != 1:
+            a = {m: c * p for m, c in a.items()}
+            b = {m: c * p for m, c in b.items()} if b else b
+        return _canonical(a, b, self._den * q, self.d)
 
     def divide_by_constant(self, c) -> "Scalar":
         c = Scalar._coerce(c)
@@ -492,20 +506,23 @@ class Accumulator:
     """Sums of Scalars and of products of two Scalars, one sum per key.
 
     ``add(key, x, y, sign)`` adds sign * x * y (sign * x when y is None) to
-    the sum at ``key`` without normalising it: each sum keeps raw integer
-    maps, as a Scalar does, over a running common denominator, the least
-    common multiple of the denominators added, and products go straight
-    into them.  ``result()`` normalises every sum once and returns the
-    nonzero ones.  Canonical form is unique, so each sum equals the
-    left-to-right fold of ``+`` and ``*`` over the same terms, and mixing two
-    square-root extensions raises ExtensionMismatch exactly where that fold
-    would.
+    the sum at ``key`` without normalising it; ``sign`` is any nonzero
+    integer factor.  Each sum keeps raw integer maps, as a Scalar does, over
+    a running common denominator, the least common multiple of the
+    denominators added, and products go straight into them; a sum of one
+    term x is kept as that Scalar, and one of f * x as the pair (x, f).
+    ``result(den)`` divides every sum by the positive integer ``den`` and
+    normalises it, once (a lone f * x with f = +-den is +-x as it is), and
+    returns the nonzero ones; the sums stay undivided.  Canonical form is
+    unique, so each sum equals the left-to-right fold of ``+`` and ``*`` over
+    the same terms, and mixing two square-root extensions raises
+    ExtensionMismatch exactly where that fold would.
     """
 
     __slots__ = ("_sums",)
 
     def __init__(self):
-        self._sums: dict = {}  # key -> Scalar, or [a map, b map, den, d]
+        self._sums: dict = {}  # key -> Scalar, (Scalar, factor), or [a map, b map, den, d]
 
     def add(self, key, x: Scalar, y: Optional[Scalar] = None, sign: int = 1) -> None:
         xa, xb = x._a, x._b
@@ -515,8 +532,7 @@ class Accumulator:
         s = sums.get(key)
         if y is None:
             if s is None:
-                # a single Scalar is its own normal form until a second term comes
-                sums[key] = x if sign == 1 else _negated(x)
+                sums[key] = x if sign == 1 else (x, sign)
                 return
             den, d = x._den, x.d
         else:
@@ -531,8 +547,9 @@ class Accumulator:
             sums[key] = [sa, sb, den, d]
             f = sign
         else:
-            if type(s) is Scalar:
-                s = sums[key] = [s._a.copy(), s._b.copy(), s._den, s.d]
+            if type(s) is not list:
+                s = sums[key] = ([s._a.copy(), s._b.copy(), s._den, s.d] if type(s) is Scalar
+                                 else _raw(*s))
             sa, sb, sden, sd = s
             if d != sd:
                 if not sd:
@@ -594,20 +611,35 @@ class Accumulator:
         else:
             _add_product(sa, sb, xa, xb, ya, yb, d, f)
 
-    def result(self) -> dict:
-        """key -> the normalised sum, for every sum that does not vanish.
+    def result(self, den: int = 1) -> dict:
+        """key -> the sum divided by ``den``, normalised, for every sum that
+        does not vanish.
 
-        Each sum is kept as its Scalar, which may hold the sum's maps, so a
-        later ``add`` copies them first."""
+        A sum's maps may be held by the Scalar returned, so the sum is kept
+        as that Scalar times ``den``, and a later ``add`` copies it first."""
         out = {}
         sums = self._sums
         for key, s in sums.items():
-            if type(s) is not Scalar:
-                s = sums[key] = _canonical(*s)
-                if s is ZERO:
-                    continue
-            out[key] = s
+            if type(s) is list:
+                s = _canonical(s[0], s[1], s[2] * den, s[3])
+                sums[key] = s if den == 1 and s is not ZERO else (s, den)
+            elif type(s) is Scalar:
+                if den != 1:
+                    s = _canonical(s._a, s._b, s._den * den, s.d)
+            else:
+                x, f = s
+                if f == den or f == -den:
+                    s = x if f == den else _negated(x)
+                else:
+                    s = x.times_ratio(f, den)
+            if s is not ZERO:
+                out[key] = s
         return out
+
+
+def _raw(x: Scalar, f: int) -> list:
+    """The raw sum of the one term f * x: new maps, over x's denominator."""
+    return [{m: c * f for m, c in x._a.items()}, {m: c * f for m, c in x._b.items()}, x._den, x.d]
 
 
 def _product_has_root(xa: dict, xb: dict, ya: dict, yb: dict, d: int) -> bool:
@@ -824,17 +856,6 @@ def parse_scalar(text: str, d: int = 0, parameters: Iterable[str] = ()) -> Scala
     return result
 
 
-def _format_term(coeff: Fraction, root: bool, mono: Monomial) -> str:
-    parts = []
-    if abs(coeff) != 1 or (not root and not mono):
-        parts.append(str(abs(coeff)))
-    if root:
-        parts.append("r")
-    for name, e in mono:
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
-
-
 def _format_order(m: int) -> tuple:
     mono = _unpack(m)
     return len(mono), mono
@@ -850,12 +871,14 @@ def format_scalar(s: Scalar) -> str:
     if len(keys) > 1:
         keys = sorted(keys, key=_format_order)
     for m in keys:
-        mono = _unpack(m) if m else ()
-        a, b = sa.get(m), sb.get(m)
-        if a:
-            pieces.append((a < 0, _format_term(Fraction(a, den), False, mono)))
-        if b:
-            pieces.append((b < 0, _format_term(Fraction(b, den), True, mono)))
+        names = [name if e == 1 else f"{name}^{e}" for name, e in _unpack(m)] if m else []
+        for c, root in ((sa.get(m), []), (sb.get(m), ["r"])):
+            if c:
+                g = math.gcd(c, den)
+                num, q = abs(c) // g, den // g
+                coeff = [] if num == q == 1 and (root or names) else [
+                    str(num) if q == 1 else f"{num}/{q}"]
+                pieces.append((c < 0, "*".join(coeff + root + names)))
     out = ("-" if pieces[0][0] else "") + pieces[0][1]
     for neg, text in pieces[1:]:
         out += (" - " if neg else " + ") + text

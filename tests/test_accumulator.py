@@ -1,10 +1,11 @@
 """The sum-of-products primitive against a plain fold of ``+`` and ``*``.
 
-``Accumulator`` adds raw integer products per output key and normalises each
-sum once.  Canonical form is unique, so every sum must be the very Scalar the
-fold ``acc[key] = acc[key] + x * y`` builds, down to its two numerator maps,
-common denominator, extension and hash, and it must raise ExtensionMismatch on
-exactly the inputs where the fold does.
+``Accumulator`` adds raw integer products per output key, each times an
+integer factor, and divides each sum by one denominator and normalises it
+once.  Canonical form is unique, so every sum must be the very Scalar the
+fold ``acc[key] = acc[key] + k * x * y``, divided by the denominator, builds,
+down to its two numerator maps, common denominator, extension and hash, and
+it must raise ExtensionMismatch on exactly the inputs where the fold does.
 """
 
 from __future__ import annotations
@@ -52,21 +53,32 @@ def term_lists(draw, extensions=(3,)):
     return terms
 
 
-def fold(terms):
+def fold(terms, den=1):
     acc = {}
     for key, x, y, sign in terms:
         p = x if y is None else x * y
         if sign == -1:
             p = -p
+        elif sign != 1:
+            p = Scalar.rational(sign) * p
         acc[key] = acc[key] + p if key in acc else p
-    return {key: v for key, v in acc.items() if not v.is_zero()}
+    inv = Scalar.rational(Fraction(1, den))
+    return {key: v * inv for key, v in acc.items() if not v.is_zero()}
 
 
-def accumulate(terms):
+def accumulate(terms, den=1):
     acc = Accumulator()
     for key, x, y, sign in terms:
         acc.add(key, x, y, sign)
-    return acc.result()
+    return acc.result(den)
+
+
+@st.composite
+def factor_cases(draw, extensions=(3,)):
+    """Terms whose factors are +-1, 2, 3 or 6, and two denominators."""
+    terms = [(key, x, y, sign * draw(st.sampled_from([1, 2, 3, 6])))
+             for key, x, y, sign in draw(term_lists(extensions))]
+    return terms, draw(st.integers(1, 12)), draw(st.integers(1, 12))
 
 
 def assert_identical(got, want):
@@ -95,6 +107,37 @@ def test_mixed_extensions_raise_where_the_fold_raises(terms):
         assert_identical(accumulate(terms), want)
 
 
+@settings(max_examples=100, deadline=None)
+@given(factor_cases())
+def test_integer_factors_over_one_denominator_equal_the_fold(case):
+    terms, den, later = case
+    assert_identical(accumulate(terms, den), fold(terms, den))
+    # a result divides its output, not the sums: later terms add to the
+    # undivided sums, whichever denominator the next result takes
+    half = len(terms) // 2
+    acc = Accumulator()
+    for key, x, y, sign in terms[:half]:
+        acc.add(key, x, y, sign)
+    assert_identical(acc.result(den), fold(terms[:half], den))
+    for key, x, y, sign in terms[half:]:
+        acc.add(key, x, y, sign)
+    assert_identical(acc.result(later), fold(terms, later))
+    assert_identical(acc.result(), fold(terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(factor_cases(extensions=(2, 3)))
+def test_integer_factors_raise_where_the_fold_raises(case):
+    terms, den, _ = case
+    try:
+        want = fold(terms, den)
+    except ExtensionMismatch:
+        with pytest.raises(ExtensionMismatch):
+            accumulate(terms, den)
+    else:
+        assert_identical(accumulate(terms, den), want)
+
+
 def test_examples():
     r3, q = Scalar.root(3), Scalar.parameter("q")
     half = Scalar.rational(Fraction(1, 2))
@@ -114,3 +157,7 @@ def test_examples():
         accumulate([("c", r3, Scalar.root(2), 1)])
     # sums that cancel are dropped; zero operands add nothing
     assert accumulate([("d", q, third, 1), ("d", third, q, -1), ("e", ZERO, q, 1)]) == {}
+    # a factor of 3 over 3 gives the term itself; over 2, half of it
+    assert accumulate([("f", q, None, 3)], 3) == {"f": q}
+    assert accumulate([("f", q, third, 3), ("f", r3, None, -2)], 2) == {
+        "f": (q - 2 * r3) * Scalar.rational(Fraction(1, 2))}

@@ -95,6 +95,67 @@ class TestRandomizedAudit:
         assert rep.ok
 
 
+def direct_sum(a: dict, b: dict) -> dict:
+    """The structure file of the direct sum of two: b's basis follows a's, its
+    brackets and Kaehler form shifted, the metrics in blocks, the parameter
+    names joined.  The two share one square-root extension, or one has none.
+    The complex volume is dropped: the identities that read it are stated at
+    n = 3."""
+    shift = a["dimension"]
+    extensions = {a.get("sqrt_extension", 0), b.get("sqrt_extension", 0)} - {0}
+    if len(extensions) > 1:
+        raise ValueError(f"two square-root extensions: {sorted(extensions)}")
+
+    def moved(doc, s):
+        brackets = [{"i": e["i"] + s, "j": e["j"] + s,
+                     "coeffs": {str(int(k) + s): c for k, c in e["coeffs"].items()}}
+                    for e in doc.get("brackets", [])]
+        return brackets, [{**e, "i": e["i"] + s, "j": e["j"] + s} for e in doc["kaehler_form"]]
+
+    def metric(doc):
+        n, m = doc["dimension"], doc.get("metric", "identity")
+        return m if m != "identity" else [["1" if i == j else "0" for j in range(n)]
+                                          for i in range(n)]
+
+    brackets_a, omega_a = moved(a, 0)
+    brackets_b, omega_b = moved(b, shift)
+    doc = {
+        "name": f"{a['name']}+{b['name']}",
+        "dimension": shift + b["dimension"],
+        "parameters": list(dict.fromkeys(a.get("parameters", []) + b.get("parameters", []))),
+        "sqrt_extension": extensions.pop() if extensions else 0,
+        "brackets": brackets_a + brackets_b,
+        "kaehler_form": omega_a + omega_b,
+    }
+    if "metric" in a or "metric" in b:
+        doc["metric"] = ([row + ["0"] * b["dimension"] for row in metric(a)]
+                         + [["0"] * shift + row for row in metric(b)])
+    return doc
+
+
+class TestDirectSums:
+    """Past n = 3: many identities carry coefficients in n, which two values
+    of n cannot pin down; sums of catalog entries reach n = 4 to 6."""
+
+    @pytest.mark.parametrize("first, second, n, passed, skipped", [
+        ("example-5.2", "example-5.1", 4, 30, 9),
+        ("example-5.2", "example-5.4", 5, 30, 9),
+        ("example-5.4", "example-5.4", 6, 30, 9),
+        ("nearly-kaehler-s3s3", "flat-kaehler-torus", 5, 31, 8),
+    ], ids=["5.2+5.1", "5.2+5.4", "5.4+5.4", "s3s3+torus"])
+    def test_sum_audits_ok(self, first, second, n, passed, skipped):
+        S = structure_from_data(direct_sum(get(first).document, get(second).document))
+        assert S.n == n
+        rep = run_suite(S)
+        assert rep.ok, [(c.identifier, c.detail) for c in rep.failures]
+        assert rep.counts() == {"pass": passed, "fail": 0, "skip": skipped}
+
+    def test_sum_of_two_extensions_is_refused(self):
+        other = dict(get("example-5.4").document, sqrt_extension=2)
+        with pytest.raises(ValueError, match="two square-root extensions"):
+            direct_sum(get("example-5.4").document, other)
+
+
 class TestReporting:
     def test_failure_is_reported_not_raised(self, monkeypatch):
         broken = ("XX", "always fails", audit._always, lambda b: [("forced witness", False)])

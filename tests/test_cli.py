@@ -460,6 +460,70 @@ class TestCommands:
         assert captured.err == f"{source}: ZeroDivisionError: division by zero\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("content, message", [
+        (b'{"name": "caf\xe9"}', "not UTF-8 text"),
+        (b"[" * 200_000 + b"]" * 200_000, "JSON nested too deeply"),
+    ], ids=["latin-1", "deep-array"])
+    @pytest.mark.parametrize("command", ["analyze", "audit"])
+    def test_unreadable_file_is_one_line_not_a_traceback(
+        self, tmp_path, capsys, command, content, message
+    ):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"{path}: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["analyze", "audit"])
+    def test_unexpected_error_while_loading_prints_its_source_and_type(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        from ahtorsion import cli
+
+        def failing(path):
+            raise MemoryError("out of memory")
+
+        monkeypatch.setattr(cli, "load_structure", failing)
+        path = tmp_path / "test.json"
+        path.write_text(json.dumps(minimal_file()))
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"{path}: MemoryError: out of memory\n"
+        assert captured.out == ""
+
+    def test_dimension_beyond_the_kaehler_form_rank_is_rejected(self):
+        # three simple 2-forms have rank at most 6
+        three = [{"i": 1, "j": 2, "c": "1"}, {"i": 3, "j": 4, "c": "1"},
+                 {"i": 5, "j": 6, "c": "1"}]
+        structure_from_data(minimal_file(dimension=6, kaehler_form=three))
+        for dim in (8, 10**30):
+            with pytest.raises(FileFormatError) as err:
+                structure_from_data(minimal_file(dimension=dim, kaehler_form=three))
+            assert str(err.value) == (
+                "<data>: dimension exceeds twice the number of kaehler_form entries")
+
+    def test_huge_dimension_is_rejected_within_a_memory_limit(self, tmp_path):
+        # run in a child under RLIMIT_AS: a loader that allocated anything of
+        # size dimension would exhaust the limit there, not this process
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(minimal_file(dimension=10**30)))
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from ahtorsion.cli import main\n"
+            "sys.exit(main(['analyze', sys.argv[1]]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(ahtorsion.__file__).resolve().parents[1]))
+        start = time.perf_counter()
+        out = subprocess.run([sys.executable, "-c", child, str(path)], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 1
+        assert out.stderr == (
+            f"{path}: dimension exceeds twice the number of kaehler_form entries\n")
+        assert out.stdout == ""
+        assert time.perf_counter() - start < 30
+
     def test_a_random_sample_that_raises_fails_alone(self, capsys, monkeypatch):
         from ahtorsion import audit
 

@@ -10,7 +10,10 @@ exact results.  ``Connection.covariant_trace`` must equal the contraction of
 the full derivative there and on random sparse tensors over Q(sqrt 3).  The
 one-pass J kernels (``apply_J`` on two slots, as a composite or a signed
 sum, and ``trace_J`` on increasing keys) must equal entry-by-entry loops on
-the catalog, on rotated samples and on random tensors over Q(sqrt 3).  The
+the catalog, on rotated samples and on random tensors over Q(sqrt 3), and
+dense folds of + and * where J's rows become integers over one denominator:
+J with rational Givens entries, with sqrt 3, with a parameter, and with
+integers beside non-integer rationals.  The
 audit bundle never builds D^min xi; the tests build it here, and the curvature
 gap and the torsion trace tensor must equal the sums read off it.  The
 audit's curvature-transfer checks are also pinned on corrupted input: their
@@ -742,6 +745,89 @@ def test_one_pass_kernels_on_random_tensors_over_sqrt3(case):
                 if all(x < y for x, y in zip(k, k[1:]))}
         assert t.trace_J(a, b, J, increasing=True).coeffs == want
     assert conn.derive_endomorphism(J) == ref_derive_endomorphism(conn, J)
+
+
+# -- J weights as integers over one denominator ---------------------------------
+
+
+def dense_apply_J(t: Tensor, J, slot: int) -> Tensor:
+    """J_(slot) t at every index tuple: -sum_m J[m][x] t(...) with m in
+    ``slot`` and x the tuple's index there, a fold of + and *."""
+    n = t.dim
+    out = Tensor(n, t.rank)
+    for idx in itertools.product(range(n), repeat=t.rank):
+        acc = ZERO
+        for m in range(n):
+            src = idx[:slot] + (m,) + idx[slot + 1 :]
+            acc = acc - J[m][idx[slot]] * t(*src)
+        out.set(idx, acc)
+    return out
+
+
+def dense_trace_J(t: Tensor, J, a: int, b: int, increasing: bool = False) -> Tensor:
+    """sum_{x, y} J[y][x] t(...) with x in slot a and y in slot b, at every
+    tuple of the other slots (only increasing ones with ``increasing``)."""
+    n = t.dim
+    out = Tensor(n, t.rank - 2)
+    for rest in itertools.product(range(n), repeat=t.rank - 2):
+        if increasing and not all(x < y for x, y in zip(rest, rest[1:])):
+            continue
+        acc = ZERO
+        for x in range(n):
+            for y in range(n):
+                idx = list(rest)
+                for slot, v in sorted(((a, x), (b, y))):
+                    idx.insert(slot, v)
+                acc = acc + J[y][x] * t(*idx)
+        out.set(rest, acc)
+    return out
+
+
+def _weighted_matrices():
+    """Four matrices whose entries are: rational with denominators (a product
+    of Givens rotations), in Q(sqrt 3), in Q[q], and integers beside
+    non-integer rationals."""
+    r3, q, h = Scalar.root(3), Scalar.parameter("q"), R(scalars.Fraction(1, 2))
+    sqrt3 = [[h, h * r3, ZERO, ZERO], [-h * r3, h, ZERO, ZERO],
+             [ZERO, ZERO, ZERO, ONE], [ZERO, ZERO, -ONE, R(2)]]
+    param = [[ZERO, q, ZERO, ZERO], [-q, ZERO, ZERO, R(scalars.Fraction(1, 3))],
+             [ZERO, ZERO, R(3), ONE], [ZERO, R(scalars.Fraction(-1, 3)), q * q - ONE, ZERO]]
+    mixed = [[R(2), R(scalars.Fraction(1, 3)), ZERO, ZERO],
+             [-ONE, ZERO, R(scalars.Fraction(3, 4)), ZERO],
+             [ZERO, ZERO, ZERO, ONE], [ZERO, R(5), -ONE, R(scalars.Fraction(-5, 6))]]
+    return {"rotation": audit.random_rotation(4, random.Random(5), 4),
+            "sqrt3": sqrt3, "parameter": param, "mixed": mixed}
+
+
+WEIGHTED = _weighted_matrices()
+
+
+def test_weighted_matrices_scale_by_the_lcm_of_their_rational_denominators():
+    dens = {name: Endomorphism(M).den for name, M in WEIGHTED.items()}
+    assert dens["sqrt3"] == 2 and dens["parameter"] == 3 and dens["mixed"] == 12
+    assert dens["rotation"] > 1
+    for name, M in WEIGHTED.items():
+        J = Endomorphism(M)
+        assert J.signed_perm is None
+        for m, row in enumerate(J.rows):
+            for j, (w, n) in row.items():
+                assert w == M[m][j] * R(J.den)
+                assert n == (w.as_fraction() if w.is_rational() else 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(WEIGHTED)), st.integers(2, 4).flatmap(lambda r: sparse_tensors(4, r)))
+def test_weighted_J_kernels_match_dense_loops(name, t):
+    J = Endomorphism(WEIGHTED[name])
+    single = [dense_apply_J(t, J, slot) for slot in range(t.rank)]
+    for slot in range(t.rank):
+        assert t.apply_J(slot, J) == single[slot]
+    for a, b in itertools.permutations(range(t.rank), 2):
+        assert t.apply_J(a, J, b) == ref_rotate_twice(t, J, a, b)
+        assert t.apply_J(a, J, b, sign=1) == single[a] + single[b]
+        assert t.apply_J(a, J, b, sign=-1) == single[a] - single[b]
+        for increasing in (False, True):
+            assert t.trace_J(a, b, J, increasing) == dense_trace_J(t, J, a, b, increasing)
 
 
 def test_apply_J_refuses_to_act_twice_on_one_slot():
