@@ -375,7 +375,7 @@ class Tensor:
                 for j, i, w, n in products[k[a]][k[b]]:
                     key = head + (j,) + mid + (i,) + tail
                     if n:
-                        add(key, v, sign=n)
+                        add(key, v, None, n)
                     else:
                         add(key, w, v)
             return Tensor.of_nonzero(self.dim, self.rank, acc.result(J.den * J.den))
@@ -385,7 +385,7 @@ class Tensor:
                 for j, (w, n) in rows[k[s]].items():
                     key = k[:s] + (j,) + k[s + 1 :]
                     if n:
-                        add(key, v, sign=f * n)
+                        add(key, v, None, f * n)
                     else:
                         add(key, w, v, f)
         return Tensor.of_nonzero(self.dim, self.rank, acc.result(J.den))
@@ -413,7 +413,7 @@ class Tensor:
                 if increasing and not all(x < y for x, y in zip(key, key[1:])):
                     continue
                 if n:
-                    acc.add(key, v, sign=n)
+                    acc.add(key, v, None, n)
                 else:
                     acc.add(key, w, v)
         return Tensor.of_nonzero(self.dim, r - 2, acc.result(J.den))
@@ -429,12 +429,12 @@ class Tensor:
 
     def is_antisymmetric_pair(self, a: int, b: int) -> bool:
         """Whether swapping slots a and b negates the tensor: each stored entry
-        and the one at its swapped index must sum to zero."""
+        and the one at its swapped index must be each other's negatives."""
         a, b = min(a, b), max(a, b)
         coeffs = self.coeffs
         for k, v in coeffs.items():
             w = coeffs.get(k[:a] + (k[b],) + k[a + 1 : b] + (k[a],) + k[b + 1 :])
-            if w is None or not (v + w).is_zero():
+            if w is None or not v.is_negation_of(w):
                 return False
         return True
 
@@ -539,7 +539,7 @@ def _sum_entries(a: dict, b: dict, sign: int) -> dict:
     for k, v in a.items():
         acc.add(k, v)
     for k, v in b.items():
-        acc.add(k, v, sign=sign)
+        acc.add(k, v, None, sign)
     return acc.result()
 
 

@@ -21,6 +21,10 @@ integer ``_den``.  Each ring operation works on the integers and normalises
 its result once, so ``Fraction`` objects appear only at the public edges
 (``terms``, ``constant_pair``, ``as_fraction`` and the literal grammar).
 
+A Scalar is immutable, and ``_make`` is its one birth: plain slot stores fill
+an instance of the slot class ``_Body``, which then becomes a Scalar, whose
+``__setattr__`` refuses every assignment.  A sum that cancels is ``ZERO``.
+
 Sums of many products go through ``Accumulator``: it adds the integer
 products straight into the two maps of each sum over a running common
 denominator and normalises each sum once, where a fold of ``+`` and ``*``
@@ -125,7 +129,11 @@ def _unpack(m: int) -> Monomial:
     return t
 
 
-class Scalar:
+class _Body:
+    __slots__ = ("d", "_a", "_b", "_den")  # a Scalar's slots; only _make stores into them
+
+
+class Scalar(_Body):
     """Element of Q(sqrt(d))[parameters], stored canonically.
 
     ``_a`` and ``_b`` map packed monomials to integers and ``_den`` is a
@@ -140,9 +148,13 @@ class Scalar:
     their public form to (p, q) pairs of rationals meaning p + q*sqrt(d).
     The ``terms`` property gives the same read-only view back, with
     Fractions.
+
+    Every Scalar is born in ``_make``, the one place that writes its slots.
+    Nothing changes them afterwards (assignment raises AttributeError), so
+    Scalars may share maps and serve as dict keys.
     """
 
-    __slots__ = ("d", "_a", "_b", "_den")
+    __slots__ = ()
 
     def __new__(cls, terms: Optional[Mapping[Monomial, tuple]] = None, d: int = 0):
         if not is_square_free(d) and d != 0:
@@ -167,8 +179,10 @@ class Scalar:
             d,
         )
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("Scalar is immutable")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         return Scalar, (dict(self.terms), self.d)
@@ -210,6 +224,13 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return not (self._a or self._b)
+
+    def is_negation_of(self, other: "Scalar") -> bool:
+        """Whether self == -other, read from the canonical forms without arithmetic."""
+        xa, xb, ya, yb = self._a, self._b, other._a, other._b
+        return (self._den == other._den and self.d == other.d and len(xa) == len(ya)
+                and len(xb) == len(yb) and all(ya.get(m) == -c for m, c in xa.items())
+                and all(yb.get(m) == -c for m, c in xb.items()))
 
     def is_constant(self) -> bool:
         return not any(self._a) and not any(self._b)
@@ -392,20 +413,19 @@ class Scalar:
         return format_scalar(self)
 
 
-_new_scalar = object.__new__
-# the slots' own setters, which bypass Scalar.__setattr__
-_set_a, _set_b, _set_den, _set_d = (
-    Scalar._a.__set__, Scalar._b.__set__, Scalar._den.__set__, Scalar.d.__set__)
+_new_body = object.__new__
 _EMPTY: dict = {}  # the sqrt(d) map of every Scalar without one; never mutated
 
 
 def _make(a: dict, b: dict, den: int, d: int) -> Scalar:
-    """Trusted constructor: ``a`` and ``b`` over ``den`` are already canonical."""
-    s = _new_scalar(Scalar)
-    _set_a(s, a)
-    _set_b(s, b)
-    _set_den(s, den)
-    _set_d(s, d)
+    """The one birth of every Scalar; ``a`` and ``b`` over ``den`` are already
+    canonical.  Plain slot stores fill a ``_Body``, which then becomes a Scalar."""
+    s = _new_body(_Body)
+    s._a = a
+    s._b = b
+    s._den = den
+    s.d = d
+    s.__class__ = Scalar
     return s
 
 
@@ -417,6 +437,8 @@ def _canonical(a: dict, b: dict, den: int, d: int) -> Scalar:
     is mutated.
     """
     if 0 in a.values():
+        if not (any(a.values()) or any(b.values())):
+            return ZERO  # a sum that cancels: no filtered map to build
         a = {m: c for m, c in a.items() if c}
     if b and 0 in b.values():
         b = {m: c for m, c in b.items() if c}
@@ -639,7 +661,8 @@ class Accumulator:
 
 def _raw(x: Scalar, f: int) -> list:
     """The raw sum of the one term f * x: new maps, over x's denominator."""
-    return [{m: c * f for m, c in x._a.items()}, {m: c * f for m, c in x._b.items()}, x._den, x.d]
+    return [{m: c * f for m, c in x._a.items()},
+            {m: c * f for m, c in x._b.items()} if x._b else {}, x._den, x.d]
 
 
 def _product_has_root(xa: dict, xb: dict, ya: dict, yb: dict, d: int) -> bool:

@@ -150,10 +150,44 @@ class TestDirectSums:
         assert rep.ok, [(c.identifier, c.detail) for c in rep.failures]
         assert rep.counts() == {"pass": passed, "fail": 0, "skip": skipped}
 
+    def test_rotated_sum_audits_ok(self):
+        # omega moved by d(d-1)/2 = 28 Givens factors: every class is present
+        S = structure_from_data(direct_sum(get("example-5.2").document,
+                                           get("example-5.1").document))
+        T = rotated_structure(S, random.Random(3), "mixed", factors=28)
+        assert T.n == 4 and T.omega != S.omega
+        rep = run_suite(T)
+        assert rep.ok, [(c.identifier, c.detail) for c in rep.failures]
+        assert rep.counts() == {"pass": 26, "fail": 0, "skip": 13}
+
     def test_sum_of_two_extensions_is_refused(self):
         other = dict(get("example-5.4").document, sqrt_extension=2)
         with pytest.raises(ValueError, match="two square-root extensions"):
             direct_sum(get("example-5.4").document, other)
+
+
+class TestAntisymmetricPlusLee:
+    """W2 + W4 at n >= 3, the class of P3.6i (a closed Lee form), which no
+    catalog entry, rotated sample or direct sum reaches: the almost abelian
+    R^{2n-1} x| R with [e_{2k-1}, e_{2n}] = e_{2k-1} for k < n and omega =
+    e12 + e34 + ... .  Direct sums do not reach it: a summand with a Lee
+    form has a W4 part that is not the sum's, and the difference is a W3
+    part (this family plus a flat torus, or plus itself, is W2 + W3 + W4)."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_closed_lee_form_check_passes(self, n):
+        d = 2 * n
+        S = structure_from_data({
+            "name": f"almost-abelian-w2w4-{d}",
+            "dimension": d,
+            "brackets": [{"i": i, "j": d, "coeffs": {str(i): "1"}} for i in range(1, d - 1, 2)],
+            "kaehler_form": [{"i": i, "j": i + 1, "c": "1"} for i in range(1, d, 2)],
+        })
+        assert analyze(S).gh_class.nonzero == ("W2", "W4")
+        rep = run_suite(S)
+        assert rep.ok, [(c.identifier, c.detail) for c in rep.failures]
+        assert rep.counts() == {"pass": 28, "fail": 0, "skip": 11}
+        assert next(c for c in rep.checks if c.identifier == "P3.6i").status == "pass"
 
 
 class TestReporting:

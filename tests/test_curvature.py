@@ -6,13 +6,17 @@ an independent torsion-side route inside the library (the scalar curvature
 formulas and the identity audit).
 """
 
+import random
+
 import pytest
 
+from ahtorsion.audit import random_rotation
 from ahtorsion.catalog import get, names
 from ahtorsion.curvature import analyze
-from ahtorsion.multilinear import exterior_derivative
+from ahtorsion.multilinear import exterior_derivative, transform_algebra
 from ahtorsion.render import format_bilinear, format_form
-from ahtorsion.scalars import Fraction, Scalar, format_scalar
+from ahtorsion.scalars import ONE, ZERO, Fraction, Scalar, format_scalar
+from ahtorsion.structure import build_structure, transform_form
 
 R = Scalar.rational
 
@@ -215,3 +219,37 @@ class TestExtremes:
         assert a.su is not None
         assert a.su.w1_plus == R(Fraction(1, 3))
         assert dec.norms["W1"] == R(6) * a.su.w1_plus * a.su.w1_plus
+
+
+def invariants(A) -> dict:
+    """What a report prints that no choice of orthonormal frame may change,
+    each scalar as its ``format_scalar`` text."""
+    c, gh = A.curvature, A.gh_class
+    return {
+        "label": gh.label,
+        "special parameters": {k: [str(v) for v in vs] for k, vs in gh.special_parameters.items()},
+        "special parameters unlisted": gh.special_unlisted,
+        **{f"|{k}|^2": format_scalar(v) for k, v in A.torsion.norms.items()},
+        "s": format_scalar(c.s),
+        "s*": format_scalar(c.s_star),
+        "s from the torsion": format_scalar(c.s_from_torsion),
+        "s* from the torsion": format_scalar(c.s_star_from_torsion),
+        "d*theta": format_scalar(c.dstar_theta),
+        "|theta|^2": format_scalar(c.theta_norm2),
+    }
+
+
+@pytest.mark.parametrize("name", names())
+def test_isomorphic_copy_has_the_same_invariants(name):
+    # P is exact and orthogonal, so f_a = sum_j P[a][j] e_j is another
+    # orthonormal frame of the same algebra, metric and Kaehler form
+    S = get(name).build()
+    d = S.L.dim
+    P = random_rotation(d, random.Random(11), d * (d - 1) // 2)
+    for i in range(d):
+        for j in range(d):
+            assert sum((P[i][k] * P[j][k] for k in range(d)), ZERO) == (ONE if i == j else ZERO)
+    copy = build_structure(transform_algebra(S.L, P), transform_form(S.omega, P),
+                           name=f"{name}-copy")
+    assert copy.omega != S.omega
+    assert invariants(analyze(copy)) == invariants(analyze(S))

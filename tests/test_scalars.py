@@ -25,6 +25,9 @@ from ahtorsion.scalars import (
     parse_scalar,
     rational_roots,
     scalar_sqrt,
+    _EMPTY,
+    _canonical,
+    _negated,
 )
 
 PARAMS = ("p", "q", "s")  # three parameters; r is the grammar's sqrt(d)
@@ -192,6 +195,114 @@ class TestIntegerRepresentation:
         with pytest.raises(TypeError):
             s.terms[()] = (Fraction(1), Fraction(0))
         assert s.terms[()] == (Fraction(0), Fraction(1, 2))
+
+
+class TestBirth:
+    """Every Scalar is born in one place and cannot be changed afterwards."""
+
+    def births(self):
+        p, r = Scalar.parameter("p"), Scalar.root(3)
+        [pm] = p._a  # p's packed monomial
+        acc = Accumulator()
+        acc.add("sum", p, r)
+        acc.add("sum", ONE)
+        acc.add("ratio", p, None, 2)
+        sums = acc.result(3)
+        return {
+            "Scalar(...)": Scalar({(("p", 1),): (Fraction(1, 2), 3)}, d=3),
+            "rational": Scalar.rational(Fraction(-2, 3)),
+            "rational int": Scalar.rational(5),
+            "parameter": p,
+            "root": r,
+            "_canonical": _canonical({0: 2, pm: 0}, {pm: 4}, 6, 3),
+            "_negated": _negated(p + r),
+            "times_ratio": (p + r).times_ratio(2, 7),
+            "one-monomial __mul__": p * r,
+            "Accumulator.result": sums["sum"],
+            "Accumulator.result ratio": sums["ratio"],
+            "parse_scalar": parse_scalar("-1/2 + 1/2*r*q", d=3, parameters=("q",)),
+        }
+
+    def test_every_site_gives_an_immutable_scalar(self):
+        for site, s in self.births().items():
+            assert type(s) is Scalar, site
+            assert not hasattr(s, "__dict__"), site
+            assert pickle.loads(pickle.dumps(s)) == s, site
+            for slot in ("d", "_a", "_b", "_den"):
+                before = getattr(s, slot)
+                with pytest.raises(AttributeError):
+                    setattr(s, slot, before)
+                with pytest.raises(AttributeError):
+                    delattr(s, slot)
+                assert getattr(s, slot) is before, (site, slot)
+            with pytest.raises(AttributeError):
+                s.extra = 1
+
+    def test_sites_give_canonical_values(self):
+        got = {site: format_scalar(s) for site, s in self.births().items()}
+        assert got == {
+            "Scalar(...)": "1/2*p + 3*r*p",
+            "rational": "-2/3",
+            "rational int": "5",
+            "parameter": "p",
+            "root": "r",
+            "_canonical": "1/3 + 2/3*r*p",
+            "_negated": "-r - p",
+            "times_ratio": "2/7*r + 2/7*p",
+            "one-monomial __mul__": "r*p",
+            "Accumulator.result": "1/3 + 1/3*r*p",
+            "Accumulator.result ratio": "2/3*p",
+            "parse_scalar": "-1/2 + 1/2*r*q",
+        }
+
+    @pytest.mark.parametrize("a, b", [
+        ({0: 0}, {}),
+        ({0: 0, 1: 0}, _EMPTY),
+        ({}, {0: 0}),
+        ({}, {0: 0, 1: 0}),
+        ({0: 0}, {1: 0}),
+        ({0: 0, 1: 0}, {0: 0, 1: 0}),
+    ], ids=["rational", "rational, shared empty", "root", "root, two keys",
+            "both", "both, two keys"])
+    def test_a_cancelled_sum_is_the_zero_object(self, a, b):
+        for den, d in ((1, 0), (6, 3)):
+            assert _canonical(dict(a), dict(b), den, d) is ZERO
+        assert a == {k: 0 for k in a} and b == {k: 0 for k in b}  # not mutated
+
+    def test_a_partial_cancellation_keeps_the_rest(self):
+        s = _canonical({0: 0}, {0: 2, 1: 0}, 4, 3)
+        assert s == Scalar.root(3, Fraction(1, 2)) and s._b == {0: 1} and s._den == 2
+
+
+class TestNegation:
+    @given(scalars(params=("p", "q")), scalars(params=("p", "q")), st.integers(0, 5))
+    def test_agrees_with_a_vanishing_sum(self, x, y, how):
+        # y itself, or a value made to be or to miss -x
+        y = [y, -x, x, ZERO, -x + Fraction(1, 7), (-x).divide_by_constant(3) * 3][how]
+        assert x.is_negation_of(y) == (x + y).is_zero()
+        assert y.is_negation_of(x) == x.is_negation_of(y)
+
+    def test_examples(self):
+        p, r = Scalar.parameter("p"), Scalar.root(3)
+        half, third = Scalar.rational(Fraction(1, 2)), Scalar.rational(Fraction(1, 3))
+        cases = [
+            (p, p, False),  # equal
+            (ZERO, ZERO, True),  # zero is its own negation
+            (p, ZERO, False),
+            (ZERO, -p, False),
+            (half, -half, True),
+            (half, -third, False),  # different denominators
+            (half * p, -third * p, False),
+            (r * p, -r * p, True),  # sqrt(3) parts only
+            (r * p, r * p, False),
+            (r, Scalar.rational(-1), False),  # same numerator, other part
+            (r + p, -r - p, True),
+            (r + p, -r + p, False),
+            (r + p, -r, False),
+        ]
+        for x, y, want in cases:
+            assert x.is_negation_of(y) is want, (x, y)
+            assert (x + y).is_zero() is want, (x, y)
 
 
 class TestExtension:

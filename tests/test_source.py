@@ -197,3 +197,72 @@ def test_chained_rotation_is_found():
         "x = b.trace_J(0, 1, J).apply_J(1, J)\n"
     )
     assert chained_rotations(source) == [1, 4]
+
+
+def scalar_births(source: str):
+    """(function, line) of each place that makes an object without its
+    ``__new__``/``__init__`` or changes an object's class: a reference to
+    ``object.__new__`` or to a module-level alias of it, and an
+    assignment to ``__class__``.  Functions are named by their qualified
+    name, the module level by ``<module>``.  A Scalar is born in one
+    function, ``scalars._make``, and nowhere else."""
+    tree = ast.parse(source)
+    aliases = {}  # alias name -> the module-level assignment binding it
+
+    def is_object_new(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "__new__"
+                and isinstance(node.value, ast.Name) and node.value.id == "object")
+
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and is_object_new(node.value):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    aliases[target.id] = node.value
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
+        if is_object_new(node) and node not in aliases.values():
+            found.add((scope, node.lineno))
+        elif (isinstance(node, ast.Name) and node.id in aliases
+              and isinstance(node.ctx, ast.Load)):
+            found.add((scope, node.lineno))
+        elif isinstance(node, ast.Attribute) and node.attr == "__class__" and isinstance(
+                node.ctx, (ast.Store, ast.Del)):
+            found.add((scope, node.lineno))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("setattr", "delattr") and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant) and node.args[1].value == "__class__"):
+            found.add((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return sorted(found, key=lambda f: f[1])
+
+
+def test_a_scalar_is_born_in_one_function():
+    births = {(path.name, scope) for path in MODULES
+              for scope, _ in scalar_births(path.read_text())}
+    assert births == {("scalars.py", "_make")}
+
+
+def test_scalar_birth_elsewhere_is_found():
+    source = (
+        "_new = object.__new__\n"
+        "def _make(a):\n"
+        "    s = _new(Body)\n"
+        "    s.__class__ = Scalar\n"
+        "    return s\n"
+        "def other(s):\n"
+        "    t = object.__new__(Scalar)\n"
+        "    setattr(s, '__class__', Body)\n"
+        "    return _new\n"
+        "class K:\n"
+        "    def f(self, x):\n"
+        "        x.__class__, y = K, 1\n"
+        "        return x.__class__\n"
+    )
+    assert scalar_births(source) == [
+        ("_make", 3), ("_make", 4), ("other", 7), ("other", 8), ("other", 9), ("K.f", 12)]
