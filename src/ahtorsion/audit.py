@@ -24,7 +24,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 from .curvature import Analysis, analyze
 from .decomposition import (
     BilinearSplit,
-    _combine,
     _pair_xi,
     _xi_at_vector,
     contract_trace_vector,
@@ -37,6 +36,7 @@ from .multilinear import (
     Form,
     Matrix,
     Tensor,
+    _combine,
     exterior_derivative,
     form_inner,
     identity_matrix,

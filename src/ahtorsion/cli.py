@@ -196,6 +196,8 @@ def report_text(analysis: Analysis, audit: AuditReport) -> str:
 
 def _resolve_targets(args) -> List[AlmostHermitianStructure]:
     if args.catalog is not None:
+        if args.file is not None:
+            raise FileFormatError("give a file path or --catalog, not both")
         if args.catalog == "all":
             return [e.build() for e in catalog.ENTRIES]
         return [catalog.get(args.catalog).build()]
@@ -396,14 +398,14 @@ def cmd_batch(args) -> int:
     return status
 
 
-def _job_count(text: str) -> int:
+def _count(option: str, least: int, text: str) -> int:
     try:
-        jobs = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError("--jobs must be at least 1")
-    return jobs
+    if value < least:
+        raise argparse.ArgumentTypeError(f"{option} must be at least {least}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="run the identity audit")
     p.add_argument("file", nargs="?", help="structure file (JSON)")
     p.add_argument("--catalog", help="built-in structure name, or 'all'")
-    p.add_argument("--samples", type=int, default=0, help="extra randomized forms")
+    p.add_argument("--samples", type=partial(_count, "--samples", 0), default=0,
+                   help="extra randomized forms")
     p.add_argument("--seed", type=int, default=0, help="seed for the random forms")
     p.set_defaults(fn=cmd_audit)
 
@@ -434,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="analyze every structure file in a directory")
     p.add_argument("directory")
-    p.add_argument("--jobs", type=_job_count, default=1,
+    p.add_argument("--jobs", type=partial(_count, "--jobs", 1), default=1,
                    help="files analysed at once, by this process and workers")
     p.set_defaults(fn=cmd_batch)
     return parser

@@ -16,7 +16,6 @@ from .decomposition import (
     DThetaReport,
     GHClass,
     TorsionDecomposition,
-    _combine,
     classify,
     dtheta_report,
     lee_form,
@@ -27,6 +26,7 @@ from .multilinear import (
     Form,
     LieAlgebra,
     Tensor,
+    _combine,
     codifferential,
     exterior_derivative,
     form_inner,
@@ -196,7 +196,8 @@ def curvature_report(
     s_star = trace(ric_star)
     min_cc = connection_curvature(S, minimal)
 
-    chern_conn, unitary = chern_connection(S, nabla, xi)
+    integrable = dec.xi1.is_zero() and dec.xi2.is_zero()  # else Chern is not unitary
+    chern_conn, unitary = chern_connection(S, nabla, xi) if integrable else (None, False)
     chern_cc = connection_curvature(S, chern_conn) if unitary else None
 
     dstar_theta_form = codifferential(S.L, dec.theta, S.vol)

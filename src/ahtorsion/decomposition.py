@@ -9,15 +9,15 @@ phrased in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, Union
+from functools import cached_property
+from typing import Dict, List, Tuple
 
 from .multilinear import (
-    Form, Tensor, codifferential, exterior_derivative, form_inner, linear_combination,
-    metric_tensor, sort_with_sign,
+    Form, Tensor, _combine, codifferential, exterior_derivative, form_inner, metric_tensor,
+    sort_with_sign,
 )
 from .scalars import (
-    HALF, ZERO, Accumulator, Fraction, RatLike, Scalar, affine_roots, format_scalar,
-    rational_roots,
+    HALF, ZERO, Accumulator, Fraction, Scalar, affine_roots, format_scalar, rational_roots,
 )
 from .structure import AlmostHermitianStructure, StructureError
 
@@ -201,39 +201,49 @@ def split_two_form(S: AlmostHermitianStructure, alpha: Form) -> TwoFormSplit:
     return TwoFormSplit(r_part, invariant - r_part, anti)
 
 
-@dataclass
 class BilinearSplit:
-    trace_part: Tensor
-    sym_invariant_part: Tensor  # [lambda_0^{1,1}] as a symmetric tensor
-    sym_anti_part: Tensor  # [[sigma^{2,0}]]
-    skew_invariant_part: Tensor  # [lambda^{1,1}] as a 2-form-shaped tensor
-    skew_anti_part: Tensor  # [[lambda^{2,0}]]
+    """The U(n)-split of a rank-2 tensor b, not necessarily symmetric.  Each part is
+    computed on first read and kept; the reports and the audit read only symmetric ones."""
+
+    def __init__(self, S: AlmostHermitianStructure, b: Tensor):
+        self.S, self.b = S, b
+
+    def _rotated_half(self, c: Scalar) -> Tuple[Tensor, Tensor]:
+        """(h, h(J., J.)) for h the symmetric (c = 1/2) or skew (c = -1/2) half of b."""
+        h = _combine((HALF, self.b), (c, self.b.transpose((1, 0))))
+        return h, self.S.rotate_bilinear(h)
+
+    def _mean(self, half: Tuple[Tensor, Tensor], c: Scalar) -> Tensor:
+        """1/2 h + c h(J., J.) for half = (h, h(J., J.))."""
+        return _combine((HALF, half[0]), (c, half[1]))
+
+    _sym = cached_property(lambda self: self._rotated_half(HALF))
+    _skew = cached_property(lambda self: self._rotated_half(_MINUS_HALF))
+
+    @cached_property
+    def trace_part(self) -> Tensor:
+        """(tr b / dim) g: J is orthogonal, so b(J., J.) and b have one trace."""
+        dim = self.b.dim
+        coeff = sum((self.b(i, i) for i in range(dim)), ZERO) * Scalar.rational(Fraction(1, dim))
+        return Tensor(dim, 2, {(i, i): coeff for i in range(dim)})
+
+    @cached_property
+    def sym_invariant_part(self) -> Tensor:
+        """[lambda_0^{1,1}] as a symmetric tensor."""
+        sym, rot = self._sym
+        return _combine((HALF, sym), (HALF, rot), (-1, self.trace_part))
+
+    # [[sigma^{2,0}]], then [lambda^{1,1}] as a 2-form-shaped tensor and [[lambda^{2,0}]]
+    sym_anti_part = cached_property(lambda self: self._mean(self._sym, _MINUS_HALF))
+    skew_invariant_part = cached_property(lambda self: self._mean(self._skew, HALF))
+    skew_anti_part = cached_property(lambda self: self._mean(self._skew, _MINUS_HALF))
 
 
 def split_bilinear(S: AlmostHermitianStructure, b: Tensor) -> BilinearSplit:
     """Full U(n)-split of a rank-2 tensor (not necessarily symmetric)."""
     if b.rank != 2:
         raise DecompositionError("split_bilinear expects a rank-2 tensor")
-    dim = S.L.dim
-    flipped = b.transpose((1, 0))
-    sym = _combine((HALF, b), (HALF, flipped))
-    skew = _combine((HALF, b), (_MINUS_HALF, flipped))
-
-    sym_rot = S.rotate_bilinear(sym)
-    sym_inv = _combine((HALF, sym), (HALF, sym_rot))
-    sym_anti = _combine((HALF, sym), (_MINUS_HALF, sym_rot))
-    tr = sum((sym_inv(i, i) for i in range(dim)), ZERO)
-    trace_part = Tensor(dim, 2)
-    coeff = tr * Scalar.rational(Fraction(1, dim))
-    if not coeff.is_zero():
-        for i in range(dim):
-            trace_part.set((i, i), coeff)
-    sym_inv0 = sym_inv - trace_part
-
-    skew_rot = S.rotate_bilinear(skew)
-    skew_inv = _combine((HALF, skew), (HALF, skew_rot))
-    skew_anti = _combine((HALF, skew), (_MINUS_HALF, skew_rot))
-    return BilinearSplit(trace_part, sym_inv0, sym_anti, skew_inv, skew_anti)
+    return BilinearSplit(S, b)
 
 
 # -- dtheta and the three displayed component identities ---------------------
@@ -250,14 +260,6 @@ class DThetaReport:
     dtheta: Form
     split: TwoFormSplit
     trivial_at_n2: bool
-
-
-def _combine(*terms: Tuple[Union[Scalar, RatLike], Tensor]) -> Tensor:
-    """The sum of c * t over (coefficient, tensor) terms of one rank
-    (``multilinear.linear_combination``)."""
-    first = terms[0][1]
-    return Tensor.of_nonzero(first.dim, first.rank,
-                             linear_combination([(c, t.coeffs) for c, t in terms]))
 
 
 def _pair_xi(a: Tensor, b: Tensor, slot: int = 1, sign: int = 1) -> Tensor:

@@ -34,9 +34,9 @@ import itertools
 import math
 import operator
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .scalars import ONE, ZERO, Accumulator, Scalar, scalar_sqrt
+from .scalars import ONE, ZERO, Accumulator, RatLike, Scalar, scalar_sqrt
 
 
 class GeometryError(ValueError):
@@ -565,6 +565,14 @@ def linear_combination(terms) -> dict:
             for k, v in t.items():
                 add(k, v, None, n)
     return acc.result(den)
+
+
+def _combine(*terms: Tuple[Union[Scalar, RatLike], "Tensor"]) -> "Tensor":
+    """The sum of c * t over (coefficient, tensor) terms of one rank
+    (``linear_combination``)."""
+    first = terms[0][1]
+    return Tensor.of_nonzero(first.dim, first.rank,
+                             linear_combination([(c, t.coeffs) for c, t in terms]))
 
 
 def _difference(a: dict, b: dict) -> dict:

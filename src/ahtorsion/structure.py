@@ -16,6 +16,7 @@ from .multilinear import (
     LieAlgebra,
     Matrix,
     Tensor,
+    _combine,
     gram_schmidt,
     metric_tensor,
     transform_algebra,
@@ -251,7 +252,7 @@ def nijenhuis(S: AlmostHermitianStructure) -> Tensor:
     # with C_ijk = <[e_i, e_j], e_k>: <J[JX, Y], Z> = -C(JX, Y, JZ), which is
     # -(J_(1) J_(3) C)(X, Y, Z), and likewise for the other three terms
     C, J = S.L.C, S.J
-    return C - C.apply_J(0, J, 2) - C.apply_J(1, J, 2) - C.apply_J(0, J, 1)
+    return _combine((1, C), *((-1, C.apply_J(a, J, b)) for a, b in ((0, 2), (1, 2), (0, 1))))
 
 
 def levi_civita(S: AlmostHermitianStructure) -> Connection:
@@ -266,9 +267,9 @@ def intrinsic_torsion(S: AlmostHermitianStructure, nabla: Connection) -> Tensor:
     """xi_X = -1/2 J (nabla_X J), as the 3-tensor xi_ijk = <xi_{e_i} e_j, e_k>."""
     if nabla.kind != "levi_civita":
         raise StructureError("intrinsic torsion must be taken from Levi-Civita")
-    # xi_ijk = -1/2 sum_m J_km (D_i J)^m_j, and J_km = -J_mk
-    dJ = nabla.derive_endomorphism(S.J)
-    return dJ.transpose((0, 2, 1)).apply_J(2, S.J).scaled(-HALF)
+    # xi_ijk = -1/2 sum_m J_km (D_i J)^m_j = 1/2 (J_(3) (J_(2) + J_(3)) Gamma)_ijk
+    # by ``derive_endomorphism``, that is 1/2 (J_(2) J_(3) Gamma - Gamma)_ijk
+    return _combine((HALF, nabla.gamma.apply_J(1, S.J, 2)), (-HALF, nabla.gamma))
 
 
 def check_torsion_tensor(S: AlmostHermitianStructure, xi: Tensor) -> Optional[str]:

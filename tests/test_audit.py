@@ -133,16 +133,21 @@ def direct_sum(a: dict, b: dict) -> dict:
     return doc
 
 
+# (first, second, n, passed, skipped) of each sum the audit is pinned on
+SUM_AUDITS = [
+    ("example-5.2", "example-5.1", 4, 30, 9),
+    ("example-5.2", "example-5.4", 5, 30, 9),
+    ("example-5.4", "example-5.4", 6, 30, 9),
+    ("nearly-kaehler-s3s3", "flat-kaehler-torus", 5, 31, 8),
+]
+SUM_IDS = ["5.2+5.1", "5.2+5.4", "5.4+5.4", "s3s3+torus"]
+
+
 class TestDirectSums:
     """Past n = 3: many identities carry coefficients in n, which two values
     of n cannot pin down; sums of catalog entries reach n = 4 to 6."""
 
-    @pytest.mark.parametrize("first, second, n, passed, skipped", [
-        ("example-5.2", "example-5.1", 4, 30, 9),
-        ("example-5.2", "example-5.4", 5, 30, 9),
-        ("example-5.4", "example-5.4", 6, 30, 9),
-        ("nearly-kaehler-s3s3", "flat-kaehler-torus", 5, 31, 8),
-    ], ids=["5.2+5.1", "5.2+5.4", "5.4+5.4", "s3s3+torus"])
+    @pytest.mark.parametrize("first, second, n, passed, skipped", SUM_AUDITS, ids=SUM_IDS)
     def test_sum_audits_ok(self, first, second, n, passed, skipped):
         S = structure_from_data(direct_sum(get(first).document, get(second).document))
         assert S.n == n
@@ -166,6 +171,19 @@ class TestDirectSums:
             direct_sum(get("example-5.4").document, other)
 
 
+def antisymmetric_plus_lee(n: int) -> dict:
+    """The structure file of the almost abelian R^{2n-1} x| R with
+    [e_{2k-1}, e_{2n}] = e_{2k-1} for k < n and omega = e12 + e34 + ...,
+    which is W2 + W4 for n >= 3."""
+    d = 2 * n
+    return {
+        "name": f"almost-abelian-w2w4-{d}",
+        "dimension": d,
+        "brackets": [{"i": i, "j": d, "coeffs": {str(i): "1"}} for i in range(1, d - 1, 2)],
+        "kaehler_form": [{"i": i, "j": i + 1, "c": "1"} for i in range(1, d, 2)],
+    }
+
+
 class TestAntisymmetricPlusLee:
     """W2 + W4 at n >= 3, the class of P3.6i (a closed Lee form), which no
     catalog entry, rotated sample or direct sum reaches: the almost abelian
@@ -176,13 +194,7 @@ class TestAntisymmetricPlusLee:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_closed_lee_form_check_passes(self, n):
-        d = 2 * n
-        S = structure_from_data({
-            "name": f"almost-abelian-w2w4-{d}",
-            "dimension": d,
-            "brackets": [{"i": i, "j": d, "coeffs": {str(i): "1"}} for i in range(1, d - 1, 2)],
-            "kaehler_form": [{"i": i, "j": i + 1, "c": "1"} for i in range(1, d, 2)],
-        })
+        S = structure_from_data(antisymmetric_plus_lee(n))
         assert analyze(S).gh_class.nonzero == ("W2", "W4")
         rep = run_suite(S)
         assert rep.ok, [(c.identifier, c.detail) for c in rep.failures]

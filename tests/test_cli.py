@@ -438,6 +438,24 @@ class TestCommands:
         assert exit_info.value.code == 2
         assert "--jobs must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples", ["-1", "-3"])
+    def test_audit_negative_samples_is_a_usage_error(self, capsys, samples):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["audit", "--catalog", "example-5.1", "--samples", samples])
+        assert exit_info.value.code == 2
+        assert "--samples must be at least 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "audit"])
+    @pytest.mark.parametrize("catalog", ["example-5.1", "all"])
+    def test_file_and_catalog_together_are_refused(self, tmp_path, capsys, command, catalog):
+        # neither target is silently dropped for the other
+        path = tmp_path / "example-5.4.json"
+        path.write_text(structure_file("example-5.4"))
+        assert main([command, str(path), "--catalog", catalog]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "give a file path or --catalog, not both\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv, source", [
         (["analyze", "FILE"], "FILE"),
         (["audit", "--catalog", "example-5.1"], "example-5.1"),

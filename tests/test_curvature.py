@@ -7,16 +7,26 @@ formulas and the identity audit).
 """
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from ahtorsion.audit import random_rotation
-from ahtorsion.catalog import get, names
+from ahtorsion import curvature
+from ahtorsion.audit import random_rotation, rotated_structure
+from ahtorsion.catalog import ENTRIES, get, names, structure_from_data
 from ahtorsion.curvature import analyze
-from ahtorsion.multilinear import exterior_derivative, transform_algebra
+from ahtorsion.decomposition import lee_form, split_torsion
+from ahtorsion.multilinear import Tensor, exterior_derivative, transform_algebra
 from ahtorsion.render import format_bilinear, format_form
-from ahtorsion.scalars import ONE, ZERO, Fraction, Scalar, format_scalar
-from ahtorsion.structure import build_structure, transform_form
+from ahtorsion.scalars import ONE, ZERO, Fraction, Scalar, format_scalar, parse_scalar
+from ahtorsion.structure import (
+    build_structure, chern_connection, intrinsic_torsion, levi_civita, transform_form,
+)
+from test_audit import SUM_AUDITS, SUM_IDS, antisymmetric_plus_lee, direct_sum
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import generate  # noqa: E402
 
 R = Scalar.rational
 
@@ -253,3 +263,104 @@ def test_isomorphic_copy_has_the_same_invariants(name):
                            name=f"{name}-copy")
     assert copy.omega != S.omega
     assert invariants(analyze(copy)) == invariants(analyze(S))
+
+
+# -- the Chern connection is built for integrable structures only ---------------
+
+
+def chern_cases():
+    """(id, structure): the catalog, the first ten samples of audit seeds 7
+    and 11, the parametric files of benchmark seed 7, the audited direct sums
+    and the W2 + W4 family."""
+    bases = [e.build() for e in ENTRIES]
+    yield from ((S.name, S) for S in bases)
+    for seed in (7, 11):
+        rng = random.Random(seed)  # drawn as ``audit.random_audits`` draws them
+        for k in range(10):
+            yield f"seed{seed}-{k}", rotated_structure(bases[k % len(bases)], rng, str(k))
+    yield from ((doc["name"], structure_from_data(doc)) for doc in generate.documents(7))
+    for (first, second, *_), ident in zip(SUM_AUDITS, SUM_IDS):
+        yield ident, structure_from_data(direct_sum(get(first).document, get(second).document))
+    for n in (3, 4, 5):
+        yield f"w2w4-{n}", structure_from_data(antisymmetric_plus_lee(n))
+
+
+def test_chern_reference_is_unitary_exactly_for_integrable_structures():
+    # the reference builds nabla + xi^h on every structure and tests it by
+    # derive_endomorphism and is_metric, whatever the class
+    integrable = 0
+    for ident, S in chern_cases():
+        nabla = levi_civita(S)
+        xi = intrinsic_torsion(S, nabla)
+        dec = split_torsion(S, xi, lee_form(S))
+        conn, _ = chern_connection(S, nabla, xi)
+        unitary = conn.derive_endomorphism(S.J).is_zero() and conn.is_metric()
+        assert unitary == (dec.xi1.is_zero() and dec.xi2.is_zero()), ident
+        integrable += unitary
+    assert 0 < integrable
+
+
+def test_analyze_builds_no_chern_connection_without_integrability(monkeypatch):
+    calls = []
+    monkeypatch.setattr(curvature, "chern_connection",
+                        lambda *args: calls.append(args) or chern_connection(*args))
+    A = analyze(structure_from_data(antisymmetric_plus_lee(3)))
+    assert A.gh_class.nonzero == ("W2", "W4")
+    assert calls == [] and A.curvature.chern is None
+    assert analyze(get("example-5.1").build()).curvature.chern is not None
+    assert len(calls) == 1
+
+
+# -- oracles: scaling the brackets, and direct sums ------------------------------
+
+
+def scaled_document(doc: dict, lam: Fraction) -> dict:
+    """The structure file with every structure constant multiplied by lam."""
+    d, params = doc.get("sqrt_extension", 0), tuple(doc.get("parameters", []))
+
+    def scaled(c: str) -> str:
+        return format_scalar(parse_scalar(c, d=d, parameters=params) * R(lam))
+
+    brackets = [{**e, "coeffs": {k: scaled(c) for k, c in e["coeffs"].items()}}
+                for e in doc.get("brackets", [])]
+    return {**doc, "name": f"{doc['name']}-scaled", "brackets": brackets}
+
+
+@pytest.mark.parametrize("lam", [Fraction(2), Fraction(-1, 3)], ids=["2", "-1/3"])
+@pytest.mark.parametrize("name", names())
+def test_scaling_the_brackets_scales_torsion_by_lambda_and_curvature_by_its_square(name, lam):
+    A = analyze(get(name).build())
+    B = analyze(structure_from_data(scaled_document(get(name).document, lam)))
+    one, two = R(lam), R(lam * lam)
+    assert B.xi == A.xi.scaled(one) and B.theta == A.theta.scaled(one)
+    ca, cb = A.curvature, B.curvature
+    for field in ("Rm", "ric", "ric_star"):
+        assert getattr(cb, field) == getattr(ca, field).scaled(two), field
+    for field in ("s", "s_star", "dstar_theta", "theta_norm2"):
+        assert getattr(cb, field) == getattr(ca, field) * two, field
+    assert B.torsion.norms == {k: v * two for k, v in A.torsion.norms.items()}
+    assert B.gh_class.label == A.gh_class.label
+    assert B.gh_class.special_parameters == A.gh_class.special_parameters
+
+
+def block_sum(a: Tensor, b: Tensor) -> Tensor:
+    """The block-diagonal bilinear form with a on the first a.dim indices and
+    b on the next b.dim."""
+    shift = a.dim
+    return Tensor(a.dim + b.dim, 2, {**a.coeffs, **{(i + shift, j + shift): v
+                                                    for (i, j), v in b.coeffs.items()}})
+
+
+@pytest.mark.parametrize("first, second", [case[:2] for case in SUM_AUDITS], ids=SUM_IDS)
+def test_direct_sum_is_additive(first, second):
+    A, B = (analyze(get(name).build()) for name in (first, second))
+    AB = analyze(structure_from_data(direct_sum(get(first).document, get(second).document)))
+    ca, cb, cab = A.curvature, B.curvature, AB.curvature
+    assert cab.s == ca.s + cb.s and cab.s_star == ca.s_star + cb.s_star
+
+    def torsion_norm(X):
+        return sum(X.torsion.norms.values(), ZERO)
+
+    assert torsion_norm(AB) == torsion_norm(A) + torsion_norm(B)
+    assert cab.ric == block_sum(ca.ric, cb.ric)
+    assert cab.ric_star == block_sum(ca.ric_star, cb.ric_star)

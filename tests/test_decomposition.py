@@ -9,13 +9,14 @@ from ahtorsion.audit import rotated_structure
 from ahtorsion.catalog import get, names, structure_from_data
 from ahtorsion.curvature import analyze
 from ahtorsion.decomposition import (
+    _combine,
     classify,
     domega_from_torsion,
     split_bilinear,
     split_two_form,
 )
 from ahtorsion.multilinear import Form, Tensor, form_inner
-from ahtorsion.scalars import Fraction, Scalar, ZERO
+from ahtorsion.scalars import HALF, Fraction, Scalar, ZERO
 
 R = Scalar.rational
 
@@ -147,18 +148,51 @@ class TestTwoFormSplit:
         assert sp.lambda0_part.is_zero() and sp.lambda20_part.is_zero()
 
 
+def eager_split(S, b):
+    """The five parts (trace, sym invariant, sym anti, skew invariant, skew
+    anti) computed all at once, each symmetric half rotated once: the
+    reference for the parts ``split_bilinear`` computes on demand."""
+    dim = S.L.dim
+    flipped = b.transpose((1, 0))
+    sym = _combine((HALF, b), (HALF, flipped))
+    skew = _combine((HALF, b), (-HALF, flipped))
+
+    sym_rot = S.rotate_bilinear(sym)
+    sym_inv = _combine((HALF, sym), (HALF, sym_rot))
+    sym_anti = _combine((HALF, sym), (-HALF, sym_rot))
+    tr = sum((sym_inv(i, i) for i in range(dim)), ZERO)
+    trace_part = Tensor(dim, 2)
+    coeff = tr * Scalar.rational(Fraction(1, dim))
+    if not coeff.is_zero():
+        for i in range(dim):
+            trace_part.set((i, i), coeff)
+    sym_inv0 = sym_inv - trace_part
+
+    skew_rot = S.rotate_bilinear(skew)
+    skew_inv = _combine((HALF, skew), (HALF, skew_rot))
+    skew_anti = _combine((HALF, skew), (-HALF, skew_rot))
+    return trace_part, sym_inv0, sym_anti, skew_inv, skew_anti
+
+
+PARTS = ("trace_part", "sym_invariant_part", "sym_anti_part", "skew_invariant_part",
+         "skew_anti_part")
+
+
+def dense_bilinear(dim: int, rng: random.Random) -> Tensor:
+    b = Tensor(dim, 2)
+    for i in range(dim):
+        for j in range(dim):
+            b.set((i, j), R(rng.randrange(-3, 4)))
+    return b
+
+
 class TestBilinearSplit:
     def test_five_pieces_reassemble(self):
         rng = random.Random(31)
         S = get("example-5.4").build()
-        dim = S.L.dim
-        b = Tensor(dim, 2)
-        for i in range(dim):
-            for j in range(dim):
-                c = R(rng.randrange(-3, 4))
-                if not c.is_zero():
-                    b.set((i, j), c)
+        b = dense_bilinear(S.L.dim, rng)
         sp = split_bilinear(S, b)
+        assert tuple(getattr(sp, name) for name in PARTS) == eager_split(S, b)
         total = (
             sp.trace_part
             + sp.sym_invariant_part
@@ -169,6 +203,49 @@ class TestBilinearSplit:
         assert total == b
         assert sp.sym_invariant_part == sp.sym_invariant_part.transpose((1, 0))
         assert sp.skew_anti_part == sp.skew_anti_part.transpose((1, 0)).scaled(R(-1))
+
+    @pytest.fixture(scope="class")
+    def rotated(self):
+        # a generic frame: J is not a signed permutation and b has no zero entry
+        rng = random.Random(41)
+        S = rotated_structure(get("example-5.4").build(), rng, "lazy")
+        assert S.J.signed_perm is None
+        b = dense_bilinear(S.L.dim, rng)
+        b.set((0, 1), b(0, 1) + Scalar.parameter("q"))
+        return S, b
+
+    def test_parts_are_computed_on_first_read(self, rotated, monkeypatch):
+        S, b = rotated
+        calls = []
+        apply_J = Tensor.apply_J
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[0])
+            return apply_J(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "apply_J", counted)
+        sp = split_bilinear(S, b)
+        assert calls == []
+        anti = sp.sym_anti_part
+        assert len(calls) == 1
+        # read again, or read the other symmetric parts: no further rotation
+        assert sp.sym_anti_part is anti
+        for name in ("trace_part", "sym_invariant_part"):
+            getattr(sp, name)
+        assert len(calls) == 1
+        parts = tuple(getattr(sp, name) for name in PARTS)
+        assert len(calls) == 2
+        assert parts == eager_split(S, b)
+
+    def test_parts_reassemble_over_a_rotated_frame(self, rotated):
+        S, b = rotated
+        sp = split_bilinear(S, b)
+        assert sum((getattr(sp, name) for name in PARTS[1:]), sp.trace_part) == b
+
+    @pytest.mark.parametrize("which", ["diff_split", "comb_split"])
+    def test_curvature_splits_match_the_reference(self, analysis, which):
+        sp = getattr(analysis.curvature, which)
+        assert tuple(getattr(sp, name) for name in PARTS) == eager_split(analysis.structure, sp.b)
 
 
 class TestDThetaReport:
