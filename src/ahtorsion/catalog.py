@@ -113,7 +113,9 @@ def structure_from_data(data: dict, source: str = "<data>") -> AlmostHermitianSt
     except (StructureError, ScalarError, ValueError) as exc:
         raise FileFormatError(f"{source}: {exc}") from exc
 
-    omega = Form(dim, 2)
+    # each entry is stored on its sorted key, zeros too, so that a duplicate
+    # key is caught; Form drops the zeros
+    raw: Dict[Tuple[int, ...], Scalar] = {}
     for pos, entry in enumerate(entries):
         ctx = f"{source}: kaehler_form[{pos}]"
         if not isinstance(entry, dict):
@@ -123,12 +125,11 @@ def structure_from_data(data: dict, source: str = "<data>") -> AlmostHermitianSt
         if i == j:
             raise FileFormatError(f"{ctx}: repeated index {i + 1}")
         v = _scalar(entry.get("c"), ctx, d, params, parsed)
-        key, sign = (i, j), v
-        if i > j:
-            key, sign = (j, i), -v
-        if key in omega.coeffs:
+        key = (min(i, j), max(i, j))
+        if key in raw:
             raise FileFormatError(f"{ctx}: duplicate entry for e^{key[0]+1}{key[1]+1}")
-        omega.coeffs[key] = sign
+        raw[key] = v if i < j else -v
+    omega = Form(dim, 2, raw)
 
     metric_data = data.get("metric", "identity")
     metric: Optional[Matrix] = None
@@ -148,10 +149,6 @@ def structure_from_data(data: dict, source: str = "<data>") -> AlmostHermitianSt
             ]
             for i in range(dim)
         ]
-        for i in range(dim):
-            for j in range(dim):
-                if metric[i][j] != metric[j][i]:
-                    raise FileFormatError(f"{source}: metric is not symmetric")
 
     psi_plus = None
     cv = data.get("complex_volume")
@@ -159,20 +156,21 @@ def structure_from_data(data: dict, source: str = "<data>") -> AlmostHermitianSt
         if not isinstance(cv, dict) or not isinstance(cv.get("psi_plus"), list):
             raise FileFormatError(f"{source}: complex_volume must hold a psi_plus list")
         degree = dim // 2
-        psi_plus = Form(dim, degree)
+        raw = {}
         for pos, entry in enumerate(cv["psi_plus"]):
             ctx = f"{source}: complex_volume.psi_plus[{pos}]"
             idx = entry.get("indices") if isinstance(entry, dict) else None
             if not isinstance(idx, list) or len(idx) != degree:
                 raise FileFormatError(f"{ctx}: indices must list {degree} entries")
-            raw = tuple(_index(k, ctx, dim) for k in idx)
-            if len(set(raw)) != degree:
+            indices = tuple(_index(k, ctx, dim) for k in idx)
+            if len(set(indices)) != degree:
                 raise FileFormatError(f"{ctx}: repeated index")
             v = _scalar(entry.get("c"), ctx, d, params, parsed)
-            key, sign = sort_with_sign(raw)
-            if key in psi_plus.coeffs:
+            key, sign = sort_with_sign(indices)
+            if key in raw:
                 raise FileFormatError(f"{ctx}: duplicate entry")
-            psi_plus.coeffs[key] = v if sign == 1 else -v
+            raw[key] = v if sign == 1 else -v
+        psi_plus = Form(dim, degree, raw)
 
     # build_structure checks the Jacobi identity before it changes frame, so a
     # witness names the file's own indices

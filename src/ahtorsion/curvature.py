@@ -200,7 +200,7 @@ def curvature_report(
     chern_conn, unitary = chern_connection(S, nabla, xi) if integrable else (None, False)
     chern_cc = connection_curvature(S, chern_conn) if unitary else None
 
-    dstar_theta_form = codifferential(S.L, dec.theta, S.vol)
+    dstar_theta_form = codifferential(S.L, dec.theta)
     dstar_theta = dstar_theta_form.coeffs.get((), ZERO)
     theta_norm2 = form_inner(dec.theta, dec.theta)
     s_t, s_star_t = scalar_curvatures_from_torsion(S, dec, min_cc.r, dstar_theta, theta_norm2)
@@ -289,9 +289,7 @@ def su_refinement(
     sum_form = Form(S.L.dim, 1)
     for psi in (psi_plus, psi_minus):
         dpsi = exterior_derivative(S.L, psi)
-        sum_form = sum_form + hodge_star(
-            hodge_star(dpsi, S.vol).wedge(psi), S.vol
-        )
+        sum_form = sum_form + hodge_star(hodge_star(dpsi).wedge(psi))
     if n == 2:
         eta = (theta + sum_form).scaled(Scalar.rational(Fraction(1, 4)))
     else:

@@ -40,7 +40,7 @@ def lee_form(S: AlmostHermitianStructure) -> Form:
     n = S.n
     if n < 2:
         raise DecompositionError("the Lee form needs dimension at least 4")
-    dstar = codifferential(S.L, S.omega, S.vol)
+    dstar = codifferential(S.L, S.omega)
     inv = Scalar.rational(Fraction(-1, n - 1))
     return S.J_oneform(dstar).scaled(inv)
 

@@ -665,18 +665,12 @@ def form_inner(alpha: Form, beta: Form) -> Scalar:
     return _dot(alpha.coeffs, beta.coeffs)
 
 
-def volume_coefficient(vol: Form) -> Scalar:
-    if vol.degree != vol.dim or len(vol.coeffs) != 1:
-        raise GeometryError("volume form must be a single top-degree term")
-    v = vol.coeffs.get(tuple(range(vol.dim)), ZERO)
-    if v.is_zero() or v.parameters():
-        raise GeometryError("volume coefficient must be an invertible constant")
-    return v
-
-
-def hodge_star(alpha: Form, vol: Form) -> Form:
-    """Defined by a ^ *b = <a, b> Vol for same-degree a, b."""
-    v = volume_coefficient(vol)
+def hodge_star(alpha: Form) -> Form:
+    """Defined by a ^ *b = <a, b> e^{1...2n} for same-degree a, b: the frame's
+    own orientation.  The Kaehler volume (-1)^(n(n+1)/2) omega^n / n! is
+    +-e^{1...2n}, as Pf(omega)^2 = det J = 1, and every reader applies *
+    twice (d* = -*d*, and *(*d psi ^ psi)), so its sign cancels.
+    """
     n = alpha.dim
     out = Form(n, n - alpha.degree)
     full = set(range(n))
@@ -684,16 +678,16 @@ def hodge_star(alpha: Form, vol: Form) -> Form:
     for idx, val in alpha.coeffs.items():
         comp = tuple(sorted(full - set(idx)))
         _, sign = sort_with_sign(idx + comp)
-        acc.add(comp, v, val, sign)
+        acc.add(comp, val, None, sign)
     out.coeffs = acc.result()
     return out
 
 
-def codifferential(L: LieAlgebra, alpha: Form, vol: Form) -> Form:
+def codifferential(L: LieAlgebra, alpha: Form) -> Form:
     """d* = -*d* on all degrees in even dimension."""
     if alpha.degree == 0:
         raise GeometryError("codifferential needs degree >= 1")
-    return -hodge_star(exterior_derivative(L, hodge_star(alpha, vol)), vol)
+    return -hodge_star(exterior_derivative(L, hodge_star(alpha)))
 
 
 def gram_schmidt(G: Matrix, ambient_d: int = 0) -> Matrix:

@@ -20,7 +20,6 @@ from .multilinear import (
     gram_schmidt,
     metric_tensor,
     transform_algebra,
-    volume_coefficient,
 )
 from .scalars import HALF, ONE, Accumulator, Fraction, Scalar
 
@@ -57,7 +56,6 @@ class AlmostHermitianStructure:
         L: LieAlgebra,
         omega: Form,
         J: Endomorphism,
-        vol: Form,
         psi_plus: Optional[Form] = None,
         psi_minus: Optional[Form] = None,
         name: str = "",
@@ -65,7 +63,6 @@ class AlmostHermitianStructure:
         self.L = L
         self.omega = omega
         self.J = J
-        self.vol = vol
         self.psi_plus = psi_plus
         self.psi_minus = psi_minus
         self.name = name
@@ -88,17 +85,6 @@ class AlmostHermitianStructure:
     def rotate_bilinear(self, b: Tensor) -> Tensor:
         """b(J., J.)."""
         return b.apply_J(0, self.J, 1)
-
-
-def kaehler_volume(omega: Form, n: int) -> Form:
-    """Vol = (-1)^(n(n+1)/2) omega^n / n!."""
-    acc = omega
-    fact = 1
-    for k in range(2, n + 1):
-        acc = acc.wedge(omega)
-        fact *= k
-    sign = -1 if (n * (n + 1) // 2) % 2 else 1
-    return acc.scaled(Scalar.rational(Fraction(sign, fact)))
 
 
 def build_structure(
@@ -139,11 +125,7 @@ def build_structure(
             "omega does not define an almost complex structure (J^2 != -Id)"
         )
 
-    n = n2 // 2
-    vol = kaehler_volume(omega, n)
-    volume_coefficient(vol)  # raises if degenerate
-
-    S = AlmostHermitianStructure(L, omega, J, vol, name=name)
+    S = AlmostHermitianStructure(L, omega, J, name=name)
     if psi_plus is not None:
         S.psi_minus = su_partner(S, psi_plus)
         S.psi_plus = psi_plus
@@ -160,15 +142,19 @@ def su_partner(S: AlmostHermitianStructure, psi_plus: Form) -> Form:
     psi_minus = rotated.antisymmetrize_to_form()
     if psi_minus.to_tensor() != rotated:
         raise StructureError("J_(1) psi_plus is not a form: tensor is not antisymmetric")
+    # the volume relations, stated against omega: Vol = (-1)^(n(n+1)/2) omega^n / n!
+    omega = S.omega
     if n == 2:
-        # psi+ ^ psi+ = psi- ^ psi- = -2 Vol and psi+ ^ psi- = 0
-        want = S.vol.scaled(Scalar.rational(-2))
+        # psi+ ^ psi+ = psi- ^ psi- = -2 Vol = omega ^ omega and psi+ ^ psi- = 0
+        want = omega.wedge(omega)
         if psi_plus.wedge(psi_plus) != want or psi_minus.wedge(psi_minus) != want:
             raise StructureError("psi_plus fails the volume relation psi^2 = -2 Vol")
         if not psi_plus.wedge(psi_minus).is_zero():
             raise StructureError("psi_plus ^ psi_minus must vanish")
     elif n == 3:
-        if psi_plus.wedge(psi_minus).scaled(Scalar.rational(Fraction(-1, 4))) != S.vol:
+        # -1/4 psi+ ^ psi- = Vol = omega^3 / 6, that is -3/2 psi+ ^ psi- = omega^3
+        if (psi_plus.wedge(psi_minus).scaled(Scalar.rational(Fraction(-3, 2)))
+                != omega.wedge(omega).wedge(omega)):
             raise StructureError("psi fails the volume relation -1/4 psi+ ^ psi- = Vol")
     else:
         raise StructureError("SU data is supported for n = 2 and n = 3 only")

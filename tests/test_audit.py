@@ -202,6 +202,23 @@ class TestAntisymmetricPlusLee:
         assert next(c for c in rep.checks if c.identifier == "P3.6i").status == "pass"
 
 
+def test_flat_torus_in_dimension_64_audits_ok():
+    # building takes no volume form, so it is polynomial in the dimension
+    d = 64
+    S = structure_from_data({
+        "name": f"flat-torus-{d}",
+        "dimension": d,
+        "brackets": [],
+        "kaehler_form": [{"i": i, "j": i + 1, "c": "1"} for i in range(1, d, 2)],
+    })
+    assert S.n == 32
+    A = analyze(S)
+    assert A.gh_class.nonzero == () and A.theta.is_zero()
+    rep = run_suite(S)
+    assert rep.ok, [(c.identifier, c.detail) for c in rep.failures]
+    assert rep.counts() == {"pass": 34, "fail": 0, "skip": 5}
+
+
 class TestReporting:
     def test_failure_is_reported_not_raised(self, monkeypatch):
         broken = ("XX", "always fails", audit._always, lambda b: [("forced witness", False)])

@@ -1,5 +1,6 @@
 """Structure files, report emission, and the command line entry points."""
 
+import copy
 import json
 import os
 import subprocess
@@ -104,6 +105,58 @@ class TestParsing:
         ]}
         with pytest.raises(FileFormatError, match=r"J_\(1\) psi_plus is not a form"):
             structure_from_data(doc)
+
+    @pytest.mark.parametrize("name, message", [
+        ("example-5.1", "psi_plus fails the volume relation psi^2 = -2 Vol"),
+        ("example-5.4", "psi fails the volume relation -1/4 psi+ ^ psi- = Vol"),
+    ])
+    def test_psi_plus_off_the_volume_is_rejected(self, name, message):
+        # 2 psi+ still has type (n,0)+(0,n), but it is off the volume by 4
+        doubled = {"1": "2", "-1": "-2", "-1/2": "-1", "1/2*r": "r", "-1/2*r": "-r"}
+        doc = dict(get(name).document)
+        doc["complex_volume"] = {"psi_plus": [
+            {"indices": e["indices"], "c": doubled[e["c"]]}
+            for e in doc["complex_volume"]["psi_plus"]
+        ]}
+        with pytest.raises(FileFormatError) as info:
+            structure_from_data(doc, source="doubled.json")
+        assert str(info.value) == f"doubled.json: {message}"
+
+    @pytest.mark.parametrize("field, zero", [
+        ("kaehler_form", {"i": 1, "j": 2, "c": "0"}),
+        ("psi_plus", {"indices": [1, 3], "c": "0"}),
+    ])
+    def test_zero_entry_reports_as_without_it(self, tmp_path, capsys, field, zero):
+        doc = copy.deepcopy(get("example-5.1").document)
+        entries = doc[field] if field == "kaehler_form" else doc["complex_volume"][field]
+        reports = []
+        for tag in ("without", "with"):
+            if tag == "with":
+                entries.append(zero)
+            path = tmp_path / tag / "example.json"
+            path.parent.mkdir()
+            path.write_text(json.dumps(doc))
+            assert main(["analyze", str(path), "--report", "json"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("field, entries", [
+        ("kaehler_form", [{"i": 1, "j": 2, "c": "0"}, {"i": 2, "j": 1, "c": "1"}]),
+        ("psi_plus", [{"indices": [1, 3], "c": "0"}, {"indices": [3, 1], "c": "1"}]),
+    ])
+    def test_duplicate_after_a_zero_entry_rejected(self, field, entries):
+        doc = copy.deepcopy(get("example-5.1").document)
+        target = doc[field] if field == "kaehler_form" else doc["complex_volume"][field]
+        target.extend(entries)
+        with pytest.raises(FileFormatError, match="duplicate entry"):
+            structure_from_data(doc)
+
+    def test_asymmetric_metric_rejected(self):
+        metric = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+        metric[0][1] = "1/2"
+        with pytest.raises(FileFormatError) as info:
+            structure_from_data(minimal_file(metric=metric), source="bad.json")
+        assert str(info.value) == "bad.json: metric matrix must be symmetric"
 
     def test_malformed_json_gets_line_and_column(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -1,10 +1,12 @@
 """Exterior algebra, differentials, and Hodge duality on Lie algebras."""
 
+import math
 import random
 
 import pytest
 
-from ahtorsion.catalog import get, names
+from ahtorsion.audit import random_rotation
+from ahtorsion.catalog import get, names, structure_from_data
 from ahtorsion.multilinear import (
     Form,
     GeometryError,
@@ -13,8 +15,12 @@ from ahtorsion.multilinear import (
     exterior_derivative,
     form_inner,
     hodge_star,
+    sort_with_sign,
+    transform_algebra,
 )
-from ahtorsion.scalars import ONE, Scalar
+from ahtorsion.scalars import ONE, Fraction, Scalar
+from ahtorsion.structure import build_structure, transform_form
+from test_audit import SUM_AUDITS, SUM_IDS, direct_sum
 
 R = Scalar.rational
 
@@ -74,36 +80,90 @@ class TestDifferential:
         assert lhs == rhs
 
 
+def frame_volume(dim):
+    """e^{1...2n}: the orientation the Hodge star uses."""
+    return Form.basis(dim, range(dim))
+
+
 class TestHodge:
     def test_wedge_with_star_gives_inner_product(self, structure):
         rng = random.Random(15)
-        vol = structure.vol
         L = structure.L
+        vol = frame_volume(L.dim)
         for degree in (1, 2):
             a = random_form(L, degree, rng)
             b = random_form(L, degree, rng)
-            assert a.wedge(hodge_star(b, vol)) == vol.scaled(form_inner(a, b))
+            assert a.wedge(hodge_star(b)) == vol.scaled(form_inner(a, b))
 
     def test_star_is_involutive_up_to_sign(self, structure):
         rng = random.Random(16)
-        vol = structure.vol
         dim = structure.L.dim
         for degree in (1, 2, 3):
             if degree > dim - 1:
                 continue
             a = random_form(structure.L, degree, rng)
             sign = R((-1) ** (degree * (dim - degree)))
-            assert hodge_star(hodge_star(a, vol), vol) == a.scaled(sign)
+            assert hodge_star(hodge_star(a)) == a.scaled(sign)
 
     def test_codifferential_is_minus_star_d_star(self, structure):
         rng = random.Random(17)
-        L, vol = structure.L, structure.vol
+        L = structure.L
         a = random_form(L, 2, rng)
-        direct = codifferential(L, a, vol)
-        by_hand = hodge_star(
-            exterior_derivative(L, hodge_star(a, vol)), vol
-        ).scaled(R(-1))
+        direct = codifferential(L, a)
+        by_hand = hodge_star(exterior_derivative(L, hodge_star(a))).scaled(R(-1))
         assert direct == by_hand
+
+
+def kaehler_volume(omega, n):
+    """Vol = (-1)^(n(n+1)/2) omega^n / n!, by n - 1 wedges."""
+    acc = omega
+    for _ in range(n - 1):
+        acc = acc.wedge(omega)
+    sign = -1 if (n * (n + 1) // 2) % 2 else 1
+    return acc.scaled(R(Fraction(sign, math.factorial(n))))
+
+
+def star_on(alpha, vol):
+    """The star of a ^ *b = <a, b> vol, for vol a constant multiple of e^{1...2n}."""
+    (v,) = vol.coeffs.values()
+    out = {}
+    for idx, val in alpha.coeffs.items():
+        comp = tuple(k for k in range(alpha.dim) if k not in idx)
+        out[comp] = v * val * R(sort_with_sign(idx + comp)[1])
+    return Form(alpha.dim, alpha.dim - alpha.degree, out)
+
+
+def volume_cases():
+    """(id, structure): the catalog, a copy of each in a frame moved by
+    d(d-1)/2 Givens factors, and the audited direct sums at n = 4 to 6."""
+    for name in names():
+        S = get(name).build()
+        yield name, S
+        d = S.L.dim
+        P = random_rotation(d, random.Random(11), d * (d - 1) // 2)
+        yield f"{name}-copy", build_structure(
+            transform_algebra(S.L, P), transform_form(S.omega, P))
+    for (first, second, _, _, _), sum_id in zip(SUM_AUDITS, SUM_IDS):
+        yield sum_id, structure_from_data(direct_sum(get(first).document,
+                                                     get(second).document))
+
+
+VOLUME_CASES = list(volume_cases())
+
+
+@pytest.mark.parametrize("S", [S for _, S in VOLUME_CASES],
+                         ids=[case_id for case_id, _ in VOLUME_CASES])
+def test_kaehler_volume_sign_cancels_in_the_codifferential(S):
+    # the Kaehler volume is +-e^{1...2n} with a constant sign, and d* taken
+    # against it agrees with d* on the frame's own orientation
+    L, d = S.L, S.L.dim
+    vol = kaehler_volume(S.omega, S.n)
+    (v,) = vol.coeffs.values()
+    assert v in (ONE, -ONE)
+    assert vol == frame_volume(d).scaled(v)
+    rng = random.Random(18)
+    for a in (S.omega, random_form(L, 1, rng), random_form(L, 2, rng), random_form(L, 3, rng)):
+        assert codifferential(L, a) == -star_on(exterior_derivative(L, star_on(a, vol)), vol)
 
 
 class TestLieAlgebra:
