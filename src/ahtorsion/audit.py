@@ -24,7 +24,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 from .curvature import Analysis, analyze
 from .decomposition import (
     BilinearSplit,
-    _pair_xi,
     _xi_at_vector,
     contract_trace_vector,
     domega_from_torsion,
@@ -37,6 +36,7 @@ from .multilinear import (
     Matrix,
     Tensor,
     _combine,
+    _pair_xi,
     exterior_derivative,
     form_inner,
     identity_matrix,
@@ -124,11 +124,6 @@ def witness(parts: Parts) -> Optional[str]:
     return None
 
 
-def _outer(u: Form, v: Form) -> Tensor:
-    """(j, k) -> u_j v_k for two 1-forms."""
-    return u.to_tensor().tensor(v.to_tensor())
-
-
 # -- the evaluation bundle ----------------------------------------------------
 
 
@@ -148,9 +143,10 @@ class Bundle:
     built whole.  These, terms derived from ``Dth`` or ``jth_form``, the
     curvature gap and the [lambda^{1,1}] parts of
     2-forms are built on first use, so a field corrupted before a check reads
-    it reaches that check.  J rotations and pair contractions are kept per
-    operand object (``_memoised``): a replaced field is rotated and contracted
-    afresh, so operands must not change in place.
+    it reaches that check.  Pair contractions, parts at a vector and outer
+    products are kept per operand object (``_memoised``): a replaced field is
+    contracted afresh, so operands must not change in place.  No rotation is
+    kept: J enters pairs and combinations as weights.
     """
 
     # (j, k) -> sum_i <(D^min_{e_i} xi_k)_{e_i} e_j, e_k>
@@ -197,10 +193,6 @@ class Bundle:
             hit = self._memo[key] = (operands, J, build())
         return hit[2]
 
-    def rotated(self, t: Tensor, slot: int) -> Tensor:
-        """J_(slot) t."""
-        return self._memoised(slot, (t,), lambda: t.apply_J(slot, self.S.J))
-
     # contraction shapes shared by several identities, each the whole (j, k) tensor
 
     def pair(self, a: Tensor, b: Tensor) -> Tensor:
@@ -209,7 +201,7 @@ class Bundle:
 
     def pairJ(self, a: Tensor, b: Tensor) -> Tensor:
         """(j, k) -> <a_{e_j} e_i, b_{e_k} J e_i> summed over i."""
-        return self._memoised("pairJ", (a, b), lambda: _pair_xi(a, self.rotated(b, 1), sign=-1))
+        return self._memoised("pairJ", (a, b), lambda: _pair_xi(a, b, 1, -1, self.S.J))
 
     def pairE(self, a: Tensor, b: Tensor) -> Tensor:
         """(j, k) -> <a_{e_i} e_j, b_{e_i} e_k> summed over i."""
@@ -217,7 +209,15 @@ class Bundle:
 
     def pairE_J(self, a: Tensor, b: Tensor) -> Tensor:
         """(j, k) -> <a_{e_i} e_j, b_{J e_i} e_k> summed over i."""
-        return self._memoised("pairE_J", (a, b), lambda: _pair_xi(a, self.rotated(b, 0), 0, -1))
+        return self._memoised("pairE_J", (a, b), lambda: _pair_xi(a, b, 0, -1, self.S.J))
+
+    def at_vector(self, part: Tensor, vec: List[Scalar], slot: int = 0) -> Tensor:
+        """(j, k) -> ``part`` with ``vec`` in ``slot`` (``_xi_at_vector``)."""
+        return self._memoised(("at", slot), (part, vec), lambda: _xi_at_vector(part, vec, slot))
+
+    def outer(self, u: Form, v: Form) -> Tensor:
+        """(j, k) -> u_j v_k for two 1-forms."""
+        return self._memoised("outer", (u, v), lambda: u.to_tensor().tensor(v.to_tensor()))
 
     @cached_property
     def curvature_gap(self) -> Tensor:
@@ -285,8 +285,10 @@ class Bundle:
         return self.A.minimal.covariant_derivative(self.xi4.contract(0, 1))
 
     def _lam11(self, alpha: Form) -> Form:
-        """The [lambda^{1,1}] part (alpha + alpha(J., J.)) / 2 of a 2-form."""
-        return (alpha + self.S.rotate_two_form(alpha)).scaled(HALF)
+        """The [lambda^{1,1}] part (alpha + alpha(J., J.)) / 2 of a 2-form, in
+        one pass: alpha(J., J.) is J_(1) J_(2) alpha."""
+        t = alpha.to_tensor()
+        return _combine((HALF, t), (HALF, t, (0, 1)), J=self.S.J).antisymmetrize_to_form()
 
     @cached_property
     def dJth(self) -> Form:
@@ -355,10 +357,11 @@ def check_f1(b: Bundle) -> Parts:
     build_structure owns the Jacobi identity and J^2 = -Id = -J^T J.
     """
     S = b.S
-    # J as a tensor, J_ij = <J e_j, e_i>, is -J_(2) g
+    omega_t = S.omega.to_tensor()
+    # J as a tensor, J_ij = <J e_j, e_i>, is -J_(2) g; omega(J., J.) is J_(1) J_(2) omega
     return [
-        ("omega/J mismatch at ({idx[0]},{idx[1]})", S.omega.to_tensor() + b.g.apply_J(1, S.J)),
-        (None, S.rotate_two_form(S.omega) - S.omega),
+        ("omega/J mismatch at ({idx[0]},{idx[1]})", _combine((1, omega_t), (1, b.g, (1,)), J=S.J)),
+        (None, _combine((1, omega_t, (0, 1)), (-1, omega_t), J=S.J).antisymmetrize_to_form()),
     ]
 
 
@@ -461,8 +464,9 @@ def check_l31b(b: Bundle) -> Parts:
     a = _combine(
         (-coef, b.Dxi4vec),
         (-2, b.div3),
-        (-coef, b.S.rotate_bilinear(b.Dxi4vec)),
+        (-coef, b.Dxi4vec, (0, 1)),
         (-3, b.pair(b.xi1, b.xi2)),
+        J=b.S.J,
     )
     return [(None, a - a.transpose((1, 0)))]
 
@@ -479,9 +483,9 @@ def check_l31c(b: Bundle) -> Parts:
         (1, p31.transpose((1, 0))),
         (Fraction(1, 2), p32),
         (Fraction(-1, 2), p32.transpose((1, 0))),
-        (-Fraction(n - 5, n - 1), _xi_at_vector(b.xi1, v4)),
-        (-Fraction(n - 2, n - 1), _xi_at_vector(b.xi2, v4)),
-        (1, _xi_at_vector(b.xi3, v4)),
+        (-Fraction(n - 5, n - 1), b.at_vector(b.xi1, v4)),
+        (-Fraction(n - 2, n - 1), b.at_vector(b.xi2, v4)),
+        (1, b.at_vector(b.xi3, v4)),
     )
     return [(None, rhs)]
 
@@ -539,7 +543,7 @@ def check_p34r(b: Bundle) -> Parts:
 def check_p34h(b: Bundle) -> Parts:
     # the [lambda_0^{1,1}] identity of the dtheta proposition, left side - right side
     half_nm2 = Fraction(b.n - 2, 2)
-    x3 = _xi_at_vector(b.xi3, b.th, 2)
+    x3 = b.at_vector(b.xi3, b.th, 2)
     p12 = b.pair(b.xi1, b.xi2)
     return [(None, _combine(
         (half_nm2, b.A.dtheta.split.lambda0_part.to_tensor()),
@@ -565,8 +569,8 @@ def check_p34s(b: Bundle) -> Parts:
         (1, p31.transpose((1, 0))),
         (Fraction(1, 2), p32),
         (Fraction(-1, 2), p32.transpose((1, 0))),
-        (-Fraction(3 * (n - 3), 2), _xi_at_vector(b.xi1, b.th)),
-        (Fraction(n - 1, 2), _xi_at_vector(b.xi3, b.th)),
+        (-Fraction(3 * (n - 3), 2), b.at_vector(b.xi1, b.th)),
+        (Fraction(n - 1, 2), b.at_vector(b.xi3, b.th)),
     ))]
 
 
@@ -622,11 +626,11 @@ def check_e42(b: Bundle) -> Parts:
         (R(Fraction(1, 2)) * (b.dstar_theta + R(Fraction(2 * n - 3, 2)) * b.tn), b.g),
         (4, b.pair(b.xi1, b.xi1)),
         (-2, b.pairE(b.xi2, b.xi2)),
-        (-Fraction(n - 2, 4), _outer(b.theta, b.theta)),
-        (-Fraction(n - 2, 4), _outer(b.jth_form, b.jth_form)),
+        (-Fraction(n - 2, 4), b.outer(b.theta, b.theta)),
+        (-Fraction(n - 2, 4), b.outer(b.jth_form, b.jth_form)),
         (-2, p12),
         (1, p12.transpose((1, 0))),
-        (n - 2, _xi_at_vector(b.xi3, b.th, 2)),
+        (n - 2, b.at_vector(b.xi3, b.th, 2)),
     )
     sp = b.curv.diff_split
     return [(None, sp.trace_part + sp.sym_invariant_part - rhs)]
@@ -653,10 +657,10 @@ def check_e44(b: Bundle) -> Parts:
         (Fraction(n - 1, 2), b.dtheta_lam20),
         (1, p13),
         (-1, p13.transpose((1, 0))),
-        (-(n - 3), _xi_at_vector(b.xi1, b.th)),
+        (-(n - 3), b.at_vector(b.xi1, b.th)),
         (Fraction(-1, 2), p23),
         (Fraction(1, 2), p23.transpose((1, 0))),
-        (Fraction(n, 2), _xi_at_vector(b.xi2, b.th)),
+        (Fraction(n, 2), b.at_vector(b.xi2, b.th)),
     )
     return [(None, b.ric_star_skew - rhs)]
 
@@ -668,9 +672,9 @@ def check_e45(b: Bundle) -> Parts:
         (-1, b.trace2),
         (1, b.trace3),
         (Fraction(1, 2), b.dtheta_lam20),
-        (Fraction(n - 3, 2), _xi_at_vector(b.xi1, b.th)),
-        (Fraction(n, 2), _xi_at_vector(b.xi2, b.th)),
-        (-Fraction(n - 1, 2), _xi_at_vector(b.xi3, b.th)),
+        (Fraction(n - 3, 2), b.at_vector(b.xi1, b.th)),
+        (Fraction(n, 2), b.at_vector(b.xi2, b.th)),
+        (-Fraction(n - 1, 2), b.at_vector(b.xi3, b.th)),
     )
     return [(None, b.ric_star_skew - rhs)]
 
@@ -689,8 +693,8 @@ def check_p44(b: Bundle) -> Parts:
             (-1, b.div2),
             (-1, b.div2.transpose((1, 0))),
             (Fraction(-1, 4), b.dth_sym_anti),
-            (Fraction(-1, 4), _outer(b.theta, b.theta)),
-            (Fraction(1, 4), _outer(b.jth_form, b.jth_form)),
+            (Fraction(-1, 4), b.outer(b.theta, b.theta)),
+            (Fraction(1, 4), b.outer(b.jth_form, b.jth_form)),
         )
         return [(None, b.curv.diff_split.sym_anti_part - rhs)]
     return check_sigma(b)
@@ -701,7 +705,7 @@ def check_p43i(b: Bundle) -> Parts:
     rhs = _combine(
         (-1, b.trace2),
         (Fraction(n + 1, 6), b.dtheta_lam20),
-        (Fraction(n, 2), _xi_at_vector(b.xi2, b.th)),
+        (Fraction(n, 2), b.at_vector(b.xi2, b.th)),
     )
     return [(None, b.ric_star_skew - rhs)]
 
@@ -718,7 +722,7 @@ def check_p43ib(b: Bundle) -> Parts:
     rhs = _combine(
         (-1, b.trace2),
         (Fraction(1, 2), b.dtheta_lam20),
-        (1, _xi_at_vector(b.xi2, b.th)),
+        (1, b.at_vector(b.xi2, b.th)),
     )
     return [(None, b.ric_star_skew - rhs)]
 
@@ -729,7 +733,7 @@ def check_p43iia(b: Bundle) -> Parts:
     if n > 2:
         t = _combine(
             (1, b.trace3),
-            (-Fraction(n - 1, 2), _xi_at_vector(b.xi3, b.th)),
+            (-Fraction(n - 1, 2), b.at_vector(b.xi3, b.th)),
         ).scaled(R(Fraction(n - 1, n - 2)))
         parts.append((None, b.ric_star_skew - t))
     return parts
@@ -754,26 +758,27 @@ def check_p46i(b: Bundle) -> Parts:
 
 
 def check_p46ii(b: Bundle) -> Parts:
-    ricstar_J = -b.curv.ric_star.apply_J(1, b.S.J)
     rho_t = b.curv.rho.to_tensor()
     r_t = b.curv.r.to_tensor()
     rmin_t = b.r_min.to_tensor()
     comps = [b.xi1, b.xi2, b.xi3]
     terms = [(1, rmin_t)]
     for a in comps:
-        x = _xi_at_vector(a, b.jth, 2)
+        x = b.at_vector(a, b.jth, 2)
         terms += [(1, b.pairJ(a, a)), (-1, x), (1, x.transpose((1, 0)))]
     for a, c in itertools.combinations(comps, 2):
         q = b.pairJ(a, c)
         terms += [(1, q), (-1, q.transpose((1, 0)))]
-    tj = _outer(b.theta, b.jth_form)
+    tj = b.outer(b.theta, b.jth_form)
     terms += [
         (R(Fraction(-1, 4)) * b.tn, b.omega_t),
         (Fraction(-1, 4), tj),
         (Fraction(1, 4), tj.transpose((1, 0))),
     ]
     return [
-        ("star Ricci against the first Ricci form", ricstar_J - rho_t),
+        # Ric*(X, JY) is -J_(2) Ric*
+        ("star Ricci against the first Ricci form", _combine(
+            (-1, b.curv.ric_star, (1,)), (-1, rho_t), J=b.S.J)),
         ("the two Ricci forms disagree", rho_t - r_t),
         ("transfer to the minimal connection", r_t - rmin_t - b.pairJ(b.xi, b.xi)),
         ("componentwise expansion", r_t - _combine(*terms)),
@@ -789,8 +794,8 @@ def check_p46iii(b: Bundle) -> Parts:
     for a, c in itertools.combinations(comps, 2):
         q = b.pairE_J(a, c)
         terms += [(1, q), (-1, q.transpose((1, 0)))]
-    x3 = _xi_at_vector(b.xi3, b.jth, 2)
-    tj = _outer(b.theta, b.jth_form)
+    x3 = b.at_vector(b.xi3, b.jth, 2)
+    tj = b.outer(b.theta, b.jth_form)
     terms += [
         (Fraction(-1, 2), x3),
         (Fraction(1, 2), x3.transpose((1, 0))),
@@ -820,8 +825,8 @@ def check_p48ii(b: Bundle) -> Parts:
     rho_chern = cc.rho.to_tensor()
     # (j, k) -> sum_{i,l} J_li (D xi3)_ijkl; no other check needs D^min xi3 whole
     div_j = b.A.minimal.covariant_derivative(b.A.torsion.xi3).trace_J(0, 3, b.S.J)
-    tj = _outer(b.theta, b.jth_form)
-    x3 = _xi_at_vector(b.xi3, b.jth, 2)
+    tj = b.outer(b.theta, b.jth_form)
+    x3 = b.at_vector(b.xi3, b.jth, 2)
     rhs = _combine(
         (1, rho11),
         (-1, div_j),
@@ -845,9 +850,9 @@ def check_p410(b: Bundle) -> Parts:
     lhs = (comb.trace_part + comb.sym_invariant_part).scaled(R(Fraction(1, 2)))
     rmin11 = b.rmin11.to_tensor()
     p12 = b.pair(b.xi1, b.xi2)
-    x3 = _xi_at_vector(b.xi3, b.th, 2)
+    x3 = b.at_vector(b.xi3, b.th, 2)
     rhs = _combine(
-        (2, rmin11.apply_J(1, b.S.J)),
+        (2, rmin11, (1,)),
         (-1, b.div3),
         (-Fraction(n - 2, 4), b.dth_mixed),
         (R(Fraction(1, 4)) * (b.dstar_theta + R(Fraction(2 * n - 7, 2)) * b.tn), b.g),
@@ -855,12 +860,13 @@ def check_p410(b: Bundle) -> Parts:
         (2, b.pair(b.xi2, b.xi2)),
         (-1, b.pairE(b.xi2, b.xi2)),
         (-2, b.pair(b.xi3, b.xi3)),
-        (-Fraction(n - 6, 8), _outer(b.theta, b.theta)),
-        (-Fraction(n - 6, 8), _outer(b.jth_form, b.jth_form)),
+        (-Fraction(n - 6, 8), b.outer(b.theta, b.theta)),
+        (-Fraction(n - 6, 8), b.outer(b.jth_form, b.jth_form)),
         (1, p12),
         (Fraction(5, 2), p12.transpose((1, 0))),
         (Fraction(n - 6, 2), x3),
         (-2, x3.transpose((1, 0))),
+        J=b.S.J,
     )
     return [(None, lhs - rhs)]
 

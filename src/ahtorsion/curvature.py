@@ -234,11 +234,9 @@ def three_form_pure_part(S: AlmostHermitianStructure, alpha: Form) -> Form:
     if alpha.degree != 3:
         raise CurvatureError("pure-part projection expects a 3-form")
     t = alpha.to_tensor()
-    quarter = Scalar.rational(Fraction(1, 4))
-    terms = [(quarter, t)] + [
-        (-quarter, t.apply_J(a, S.J, b)) for a, b in ((0, 1), (0, 2), (1, 2))
-    ]
-    return _combine(*terms).antisymmetrize_to_form()
+    quarter = Fraction(1, 4)
+    terms = [(quarter, t)] + [(-quarter, t, ab) for ab in ((0, 1), (0, 2), (1, 2))]
+    return _combine(*terms, J=S.J).antisymmetrize_to_form()
 
 
 @dataclass
@@ -252,20 +250,21 @@ class SURefinement:
 
 
 def su_refinement(
-    S: AlmostHermitianStructure, theta: Form, domega: Form
+    S: AlmostHermitianStructure, dec: TorsionDecomposition, domega: Form
 ) -> Optional[SURefinement]:
     """eta and the function w1+ of the SU(n)-refined structure, n = 2 or 3.
 
     When psi_plus was not supplied and n = 3, a complex volume form is built
     from the pure part of d omega whenever that part is nonzero and its norm
-    has a square root in the scalar ring.  Returns None when no SU data is
-    available.
+    has a square root in the scalar ring.  The pure part is the image of
+    xi1, so it vanishes exactly when xi1 does, and is not projected then.
+    Returns None when no SU data is available.
     """
     n = S.n
     psi_plus, psi_minus = S.psi_plus, S.psi_minus
     auto = False
     if psi_plus is None:
-        if n != 3:
+        if n != 3 or dec.xi1.is_zero():
             return None
         pure = three_form_pure_part(S, domega)
         if pure.is_zero():
@@ -291,9 +290,9 @@ def su_refinement(
         dpsi = exterior_derivative(S.L, psi)
         sum_form = sum_form + hodge_star(hodge_star(dpsi).wedge(psi))
     if n == 2:
-        eta = (theta + sum_form).scaled(Scalar.rational(Fraction(1, 4)))
+        eta = (dec.theta + sum_form).scaled(Scalar.rational(Fraction(1, 4)))
     else:
-        eta = sum_form.scaled(Scalar.rational(Fraction(1, 12))) + theta.scaled(
+        eta = sum_form.scaled(Scalar.rational(Fraction(1, 12))) + dec.theta.scaled(
             Scalar.rational(Fraction(1, 3))
         )
     eta_hat = S.J_oneform(eta)
@@ -330,7 +329,7 @@ def analyze(S: AlmostHermitianStructure) -> Analysis:
     rep = dtheta_report(S, theta)
     domega = exterior_derivative(S.L, S.omega)
     curv = curvature_report(S, nabla, minimal, dec, xi)
-    su = su_refinement(S, theta, domega) if S.n in (2, 3) else None
+    su = su_refinement(S, dec, domega) if S.n in (2, 3) else None
     return Analysis(
         structure=S,
         nabla=nabla,

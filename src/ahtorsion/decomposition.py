@@ -13,8 +13,8 @@ from functools import cached_property
 from typing import Dict, List, Tuple
 
 from .multilinear import (
-    Form, Tensor, _combine, codifferential, exterior_derivative, form_inner, metric_tensor,
-    sort_with_sign,
+    Form, Tensor, _combine, add_rotated, codifferential, exterior_derivative, form_inner,
+    metric_tensor,
 )
 from .scalars import (
     HALF, ZERO, Accumulator, Fraction, Scalar, affine_roots, format_scalar, rational_roots,
@@ -262,24 +262,6 @@ class DThetaReport:
     trivial_at_n2: bool
 
 
-def _pair_xi(a: Tensor, b: Tensor, slot: int = 1, sign: int = 1) -> Tensor:
-    """(j, k) -> ``sign`` times a and b contracted on ``slot`` and on their
-    last slot.
-
-    ``slot`` is 0 or 1; the other of the first two slots carries j in a and k
-    in b.  With the default slot this is <a_{e_j} e_i, b_{e_k} e_i> summed
-    over i, with slot 0 it is <a_{e_i} e_j, b_{e_i} e_k>.
-    """
-    free = 1 - slot
-    by_pair = b.group_by(slot, 2)
-    acc = Accumulator()
-    add = acc.add
-    for idx, v in a.coeffs.items():
-        for kidx, u in by_pair.get((idx[slot], idx[2]), ()):
-            add((idx[free], kidx[free]), v, u, sign)
-    return Tensor.of_nonzero(a.dim, 2, acc.result())
-
-
 def _xi_at_vector(xi_part: Tensor, vec: List[Scalar], slot: int = 0) -> Tensor:
     """(j, k) -> xi_part with ``vec`` in ``slot`` and j, k in the other two.
 
@@ -312,13 +294,17 @@ def domega_from_torsion(S: AlmostHermitianStructure, xi: Tensor) -> Form:
 
     <xi_a e_b, J e_c> = sum_m xi_abm J_mc is -(J_(3) xi)_abc, which enters the
     coefficient of the sorted triple when (a, b, c) is one of its cyclic
-    orders, that is an even permutation of it.
+    orders, that is an even permutation of it.  The weights of -2 J_(3) xi
+    go straight to the sorted triple: no rotated copy of xi is built.
     """
     acc = Accumulator()
-    for idx, v in xi.apply_J(2, S.J).coeffs.items():
-        key, sign = sort_with_sign(idx)
-        if sign == 1:
-            acc.add(key, v)
+
+    def add_cyclic(key, x, y, f):
+        a, b, c = key
+        if a < b < c or b < c < a or c < a < b:  # a cyclic order of the sorted triple
+            acc.add(tuple(sorted(key)), x, y, f)
+
+    den = add_rotated(add_cyclic, xi.coeffs, -2, (2,), S.J)
     out = Form(S.L.dim, 3)
-    out.coeffs = acc.result()
-    return out.scaled(-2)
+    out.coeffs = acc.result(den)
+    return out

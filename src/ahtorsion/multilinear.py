@@ -12,20 +12,22 @@ and normalises each output entry once, when the result is built; where a
 kernel joins two tensors on a slot, it first groups one operand's entries by
 that slot (``Tensor.group_by``).  Constant rational weights enter as integer
 factors over the lcm of their denominators, divided out once per entry.
-The almost complex structure J acts only through ``Tensor.apply_J`` (on one
-slot, or on two in one pass: J_(a) J_(b) t or J_(a) t +- J_(b) t) and
-``Tensor.trace_J`` (a J-weighted trace over two slots): no other code reads
-the entries of the J matrix.  ``S.J`` is an ``Endomorphism``: it still
-indexes as the matrix, and it carries its stored rows, scaled to integers
-where its entries are rational and built once when the structure is built,
-and the products of pairs of row entries, built on first use, which the two
-primitives read on every call.  When J is a signed permutation (each row one
-+-1 entry), ``apply_J`` moves each stored entry to its new index instead of
-summing.  Tensors built from ``Accumulator.result()`` are taken as they are
-(``Tensor.of_nonzero``), since those maps never hold a zero.  The difference
-of two tensors or forms with equal entries is the empty one, found by
-comparing the maps, with no arithmetic: canonical entries are equal exactly
-when their values are.
+The almost complex structure J acts only through four primitives here:
+``Tensor.apply_J`` (on one slot, or on two in one pass: J_(a) J_(b) t or
+J_(a) t +- J_(b) t), ``Tensor.trace_J`` (a J-weighted trace over two
+slots), the rotated terms of ``_combine`` and ``linear_combination``, whose
+J weights enter the sum as factors (``add_rotated``), and the pair kernel
+``_pair_xi`` with J; no other code reads J's tables, and no rotated copy is
+built only to be summed or contracted once.  ``S.J`` is an
+``Endomorphism``: it indexes as the matrix and carries its stored rows,
+scaled to integers over one denominator where rational, and the products
+of pairs of row entries, built on first use.  When J is a signed
+permutation (each row one +-1 entry), ``apply_J`` moves each stored entry
+to its new index instead of summing.  Tensors built from
+``Accumulator.result()`` are taken as they are (``Tensor.of_nonzero``),
+since those maps never hold a zero.  The difference of two tensors or forms
+with equal entries is the empty one, found by comparing the maps, with no
+arithmetic: canonical entries are equal exactly when their values are.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ import itertools
 import math
 import operator
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .scalars import ONE, ZERO, Accumulator, RatLike, Scalar, scalar_sqrt
+from .scalars import ONE, ZERO, Accumulator, Scalar, scalar_sqrt
 
 
 class GeometryError(ValueError):
@@ -360,35 +362,11 @@ class Tensor:
                     s *= u
                 coeffs[key] = v if s == 1 else -v
             return Tensor.of_nonzero(self.dim, self.rank, coeffs)
-        # J's weights are scaled by D: an integer weight adds t's entry times
-        # it, with no product, and D (D^2 for two weights) is divided out once
-        acc = Accumulator()
-        add = acc.add
         if other is not None and not sign:
-            # the two minus signs cancel: t's entry times the product of the
-            # two weights, read from the table J prepares once; the two
-            # rotations commute, so the lower slot is taken first
-            a, b = min(slot, other), max(slot, other)
-            products = J.row_products
-            for k, v in self.coeffs.items():
-                head, mid, tail = k[:a], k[a + 1 : b], k[b + 1 :]
-                for j, i, w, n in products[k[a]][k[b]]:
-                    key = head + (j,) + mid + (i,) + tail
-                    if n:
-                        add(key, v, None, n)
-                    else:
-                        add(key, w, v)
-            return Tensor.of_nonzero(self.dim, self.rank, acc.result(J.den * J.den))
-        rows = J.rows
-        for s, f in [(slot, -1)] if other is None else [(slot, -1), (other, -sign)]:
-            for k, v in self.coeffs.items():
-                for j, (w, n) in rows[k[s]].items():
-                    key = k[:s] + (j,) + k[s + 1 :]
-                    if n:
-                        add(key, v, None, f * n)
-                    else:
-                        add(key, w, v, f)
-        return Tensor.of_nonzero(self.dim, self.rank, acc.result(J.den))
+            terms = [(1, self.coeffs, (slot, other))]
+        else:
+            terms = [(1, self.coeffs, (slot,))] + ([(sign, self.coeffs, (other,))] if sign else [])
+        return Tensor.of_nonzero(self.dim, self.rank, linear_combination(terms, J))
 
     def trace_J(self, slot_a: int, slot_b: int, J: "Endomorphism",
                 increasing: bool = False) -> "Tensor":
@@ -543,36 +521,110 @@ def _sum_entries(a: dict, b: dict, sign: int) -> dict:
     return acc.result()
 
 
-def linear_combination(terms) -> dict:
-    """The entries of the sum of c * t over (coefficient, coefficient map) terms.
+def add_rotated(add, coeffs: dict, f: int, slots: Tuple[int, ...],
+                J: Optional[Endomorphism]) -> int:
+    """Adds f times J_(a) t (slots (a,)), J_(a) J_(b) t (slots (a, b)) or t,
+    t stored on ``coeffs``, through ``add`` as ``Accumulator.add`` takes its
+    terms, and returns D^len(slots) for the caller to divide out: each J
+    weight enters times D, an integer one n as the factor f * n."""
+    if not slots:
+        for k, v in coeffs.items():
+            add(k, v, None, f)
+        return 1
+    if len(slots) == 1:
+        s = slots[0]
+        rows = J.rows
+        f = -f
+        for k, v in coeffs.items():
+            head, tail = k[:s], k[s + 1 :]
+            for j, (w, n) in rows[k[s]].items():
+                if n:
+                    add(head + (j,) + tail, v, None, f * n)
+                else:
+                    add(head + (j,) + tail, w, v, f)
+        return J.den
+    # the two minus signs cancel: t's entry times the product of the two
+    # weights, read from the table J prepares once; the two rotations
+    # commute, so the lower slot is taken first
+    a, b = sorted(slots)
+    products = J.row_products
+    for k, v in coeffs.items():
+        head, mid, tail = k[:a], k[a + 1 : b], k[b + 1 :]
+        for j, i, w, n in products[k[a]][k[b]]:
+            key = head + (j,) + mid + (i,) + tail
+            if n:
+                add(key, v, None, f * n)
+            else:
+                add(key, w, v, f)
+    return J.den * J.den
 
-    The rational coefficients enter as integer factors over their lcm D,
-    which is divided out once per output entry; any other c enters as the
-    product c * D.
+
+def linear_combination(terms, J: Optional[Endomorphism] = None) -> dict:
+    """The entries of the sum over (c, t) terms of c * t and over (c, t, slots)
+    terms of c * J_(slots) t, each t a coefficient map (``add_rotated``).
+
+    Rational c and J's weights enter as integer factors over lcm(denominators
+    of c) * D^k, k the most slots of a term, divided out once per output
+    entry; any other c enters as the product c * D^k, on a plain term only.
     """
     # (numerator, denominator) of each rational c, None for any other Scalar
-    ratios = [c.ratio() if type(c) is Scalar else (c.numerator, c.denominator) for c, _ in terms]
+    ratios = [c.ratio() if type(c) is Scalar else (c.numerator, c.denominator)
+              for c, *_ in terms]
     den = math.lcm(*(r[1] for r in ratios if r))
+    k = max(len(term[2]) if len(term) > 2 else 0 for term in terms)
+    D = J.den if k else 1
     acc = Accumulator()
     add = acc.add
-    for r, (c, t) in zip(ratios, terms):
+    for r, (c, t, *slots) in zip(ratios, terms):
+        slots = slots[0] if slots else ()
         if r is None:
-            c = c * den
-            for k, v in t.items():
-                add(k, c, v)
+            if slots:
+                raise GeometryError("a rotated term needs a rational coefficient")
+            c = c * (den * D**k)
+            for key, v in t.items():
+                add(key, c, v)
         elif r[0]:
-            n = r[0] * (den // r[1])
-            for k, v in t.items():
-                add(k, v, None, n)
-    return acc.result(den)
+            add_rotated(add, t, r[0] * (den // r[1]) * D ** (k - len(slots)), slots, J)
+    return acc.result(den * D**k)
 
 
-def _combine(*terms: Tuple[Union[Scalar, RatLike], "Tensor"]) -> "Tensor":
-    """The sum of c * t over (coefficient, tensor) terms of one rank
-    (``linear_combination``)."""
+def _combine(*terms, J: Optional[Endomorphism] = None) -> "Tensor":
+    """The sum over terms of one rank, each (c, t) for c * t or (c, t, slots)
+    for c times t rotated by J on ``slots`` (``linear_combination``)."""
     first = terms[0][1]
-    return Tensor.of_nonzero(first.dim, first.rank,
-                             linear_combination([(c, t.coeffs) for c, t in terms]))
+    return Tensor.of_nonzero(first.dim, first.rank, linear_combination(
+        [(term[0], term[1].coeffs) + tuple(term[2:]) for term in terms], J))
+
+
+def _pair_xi(a: Tensor, b: Tensor, slot: int = 1, sign: int = 1,
+             J: Optional[Endomorphism] = None) -> Tensor:
+    """(j, k) -> ``sign`` times a and b contracted on ``slot`` and on their
+    last slot; with J, b is J_(slot) b, whose rotation is not built.
+
+    ``slot`` is 0 or 1; the other of the first two slots carries j in a and k
+    in b.  With the default slot this is <a_{e_j} e_i, b_{e_k} e_i> summed
+    over i, with slot 0 it is <a_{e_i} e_j, b_{e_i} e_k>.
+    """
+    free = 1 - slot
+    acc = Accumulator()
+    add = acc.add
+    if J is None:
+        by_pair = b.group_by(slot, 2)
+        for idx, v in a.coeffs.items():
+            for kidx, u in by_pair.get((idx[slot], idx[2]), ()):
+                add((idx[free], kidx[free]), v, u, sign)
+        return Tensor.of_nonzero(a.dim, 2, acc.result())
+    # b's entry at m in ``slot`` enters J_(slot) b at each i with weight
+    # -J[m][i] * D, and meets a's entries with i there and b's last index
+    by_pair = a.group_by(slot, 2)
+    rows = J.rows
+    for kidx, u in b.coeffs.items():
+        k, last = kidx[free], kidx[2]
+        for i, (w, n) in rows[kidx[slot]].items():
+            x, f = (u, -sign * n) if n else (w * u, -sign)
+            for idx, v in by_pair.get((i, last), ()):
+                add((idx[free], k), v, x, f)
+    return Tensor.of_nonzero(a.dim, 2, acc.result(J.den))
 
 
 def _difference(a: dict, b: dict) -> dict:

@@ -780,8 +780,10 @@ def parse_scalar(text: str, d: int = 0, parameters: Iterable[str] = ()) -> Scala
             i += 1
             c = parse_signed_coeff()
             kind, val = peek()
-            if kind != "op" or val != ")":
-                raise ScalarError("unbalanced parenthesis in scalar literal")
+            if kind is None:
+                raise ScalarError(f"unbalanced parenthesis in scalar literal {text!r}")
+            if val != ")":
+                raise ScalarError(f"only a signed rational may stand in parentheses in {text!r}")
             i += 1
             return c
         if kind != "num":

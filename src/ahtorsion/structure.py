@@ -237,8 +237,8 @@ def nijenhuis(S: AlmostHermitianStructure) -> Tensor:
     """N(X, Y) = [X, Y] + J[JX, Y] + J[X, JY] - [JX, JY], as N_ijk = <N(e_i,e_j), e_k>."""
     # with C_ijk = <[e_i, e_j], e_k>: <J[JX, Y], Z> = -C(JX, Y, JZ), which is
     # -(J_(1) J_(3) C)(X, Y, Z), and likewise for the other three terms
-    C, J = S.L.C, S.J
-    return _combine((1, C), *((-1, C.apply_J(a, J, b)) for a, b in ((0, 2), (1, 2), (0, 1))))
+    C = S.L.C
+    return _combine((1, C), *((-1, C, ab) for ab in ((0, 2), (1, 2), (0, 1))), J=S.J)
 
 
 def levi_civita(S: AlmostHermitianStructure) -> Connection:
@@ -255,7 +255,7 @@ def intrinsic_torsion(S: AlmostHermitianStructure, nabla: Connection) -> Tensor:
         raise StructureError("intrinsic torsion must be taken from Levi-Civita")
     # xi_ijk = -1/2 sum_m J_km (D_i J)^m_j = 1/2 (J_(3) (J_(2) + J_(3)) Gamma)_ijk
     # by ``derive_endomorphism``, that is 1/2 (J_(2) J_(3) Gamma - Gamma)_ijk
-    return _combine((HALF, nabla.gamma.apply_J(1, S.J, 2)), (-HALF, nabla.gamma))
+    return _combine((HALF, nabla.gamma, (1, 2)), (-HALF, nabla.gamma), J=S.J)
 
 
 def check_torsion_tensor(S: AlmostHermitianStructure, xi: Tensor) -> Optional[str]:

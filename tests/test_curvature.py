@@ -8,6 +8,7 @@ formulas and the identity audit).
 
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from ahtorsion import curvature
 from ahtorsion.audit import random_rotation, rotated_structure
 from ahtorsion.catalog import ENTRIES, get, names, structure_from_data
-from ahtorsion.curvature import analyze
+from ahtorsion.curvature import analyze, three_form_pure_part
 from ahtorsion.decomposition import lee_form, split_torsion
 from ahtorsion.multilinear import Tensor, exterior_derivative, transform_algebra
 from ahtorsion.render import format_bilinear, format_form
@@ -309,6 +310,45 @@ def test_analyze_builds_no_chern_connection_without_integrability(monkeypatch):
     assert calls == [] and A.curvature.chern is None
     assert analyze(get("example-5.1").build()).curvature.chern is not None
     assert len(calls) == 1
+
+
+# -- the pure part of d omega is the image of xi1 ------------------------------
+
+
+def n3_structures():
+    """(id, structure) for every n = 3 structure below: the catalog, the
+    first eight samples of audit seeds 3, 7 and 11, the six-dimensional
+    parametric files of benchmark seeds 7 and 11, and the W2 + W4 family."""
+    bases = [e.build() for e in ENTRIES]
+    cases = [(S.name, S) for S in bases]
+    for seed in (3, 7, 11):
+        rng = random.Random(seed)  # drawn as ``audit.random_audits`` draws them
+        cases += [(f"seed{seed}-{k}", rotated_structure(bases[k % len(bases)], rng, str(k)))
+                  for k in range(8)]
+    cases += [(doc["name"], structure_from_data(doc))
+              for seed in (7, 11) for doc in generate.documents(seed)]
+    cases.append(("w2w4-3", structure_from_data(antisymmetric_plus_lee(3))))
+    return [(ident, S) for ident, S in cases if S.n == 3]
+
+
+def test_pure_part_of_domega_vanishes_exactly_with_xi1():
+    seen = Counter()
+    for ident, S in n3_structures():
+        A = analyze(S)
+        xi1_zero = A.torsion.xi1.is_zero()
+        assert three_form_pure_part(S, A.domega).is_zero() == xi1_zero, ident
+        seen[xi1_zero] += 1
+    assert seen == {False: 10, True: 18}  # both sides of the claim are reached
+
+
+def test_su_refinement_projects_d_omega_only_with_a_W1_part(monkeypatch):
+    calls = []
+    monkeypatch.setattr(curvature, "three_form_pure_part",
+                        lambda *args: calls.append(args) or three_form_pure_part(*args))
+    assert analyze(structure_from_data(antisymmetric_plus_lee(3))).su is None
+    assert calls == []
+    A = analyze(get("nearly-kaehler-s3s3").build())
+    assert A.su is not None and len(calls) == 1
 
 
 # -- oracles: scaling the brackets, and direct sums ------------------------------

@@ -21,8 +21,8 @@ import pytest
 from ahtorsion import audit
 from ahtorsion.catalog import ENTRIES, get, structure_from_data
 from ahtorsion.curvature import analyze
-from ahtorsion.decomposition import _pair_xi, _xi_at_vector, split_two_form
-from ahtorsion.multilinear import Tensor, exterior_derivative
+from ahtorsion.decomposition import _xi_at_vector, split_two_form
+from ahtorsion.multilinear import Tensor, _pair_xi, exterior_derivative
 from ahtorsion.scalars import ZERO, Fraction, Scalar
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))

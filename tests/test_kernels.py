@@ -38,9 +38,9 @@ from ahtorsion.cli import report_data
 from ahtorsion.curvature import (
     analyze, ricci_form, riemann, three_form_pure_part, transposed_ricci_form,
 )
-from ahtorsion.decomposition import _pair_xi, _t_involution, _xi_at_vector
+from ahtorsion.decomposition import _t_involution, _xi_at_vector, domega_from_torsion
 from ahtorsion.multilinear import (
-    Endomorphism, Form, Tensor, exterior_derivative, gram_schmidt, sort_with_sign,
+    Endomorphism, Form, Tensor, _pair_xi, exterior_derivative, gram_schmidt, sort_with_sign,
 )
 from ahtorsion.scalars import ONE, ZERO, Accumulator, Scalar
 from ahtorsion.structure import (
@@ -50,6 +50,7 @@ from ahtorsion.structure import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import generate  # noqa: E402
+from test_audit import SUM_AUDITS, SUM_IDS, direct_sum  # noqa: E402
 
 R = Scalar.rational
 
@@ -834,6 +835,98 @@ def test_apply_J_refuses_to_act_twice_on_one_slot():
     S = get("example-5.4").build()
     with pytest.raises(multilinear.GeometryError):
         S.L.C.apply_J(1, S.J, 1)
+
+
+# -- J inside the accumulator: fused forms against the two-step ones ------------
+
+
+def ref_combine(terms, J) -> Tensor:
+    """An ``apply_J`` copy of each rotated term first, then ``_combine`` of
+    plain terms."""
+    copies = []
+    for c, t, *slots in terms:
+        for s in slots:
+            t = t.apply_J(s[0], J) if len(s) == 1 else t.apply_J(s[0], J, s[1])
+        copies.append((c, t))
+    return multilinear._combine(*copies)
+
+
+def ref_domega_from_torsion(S, xi: Tensor) -> Form:
+    """J_(3) xi copied, its entries summed onto the sorted triple of each even
+    order, and the form scaled by -2."""
+    acc = Accumulator()
+    for idx, v in xi.apply_J(2, S.J).coeffs.items():
+        key, sign = sort_with_sign(idx)
+        if sign == 1:
+            acc.add(key, v)
+    out = Form(S.L.dim, 3)
+    out.coeffs = acc.result()
+    return out.scaled(-2)
+
+
+def _mixed(name: str):
+    S = get(name).build()
+    d = S.L.dim
+    return audit.rotated_structure(S, random.Random(13), "mixed", factors=d * (d - 1) // 2)
+
+
+FUSED = (
+    [(e.name, e.build) for e in ENTRIES]
+    + [(f"{e.name}-mixed", lambda name=e.name: _mixed(name)) for e in ENTRIES]
+    + [(doc["name"], lambda doc=doc: structure_from_data(doc)) for doc in generate.documents(7)]
+    + [(ident, lambda first=first, second=second: structure_from_data(
+        direct_sum(get(first).document, get(second).document)))
+       for (first, second, *_), ident in zip(SUM_AUDITS, SUM_IDS)]
+)
+
+
+@pytest.fixture(scope="module", params=FUSED, ids=[name for name, _ in FUSED])
+def fused(request):
+    return audit.Bundle(analyze(request.param[1]()))
+
+
+def test_fused_cases_cover_signed_permutations_and_irrational_weights():
+    kinds = {name: build().J for name, build in FUSED[:10]}
+    assert kinds["example-5.1"].signed_perm is not None
+    # example-5.4's J has sqrt 3 entries: the product path of every kernel
+    assert any(not n for row in kinds["example-5.4"].rows for _, n in row.values())
+    assert all(kinds[f"{e.name}-mixed"].signed_perm is None for e in ENTRIES)
+
+
+def test_rotated_terms_of_a_combination_match_the_apply_J_copies(fused):
+    S, A, J = fused.S, fused.A, fused.S.J
+    q = Scalar.parameter("q")
+    tensors = [fused.xi, S.L.C, A.nabla.gamma, fused.curv.ric_star, fused.Dxi4vec,
+               fused.omega_t, fused.g, A.domega.to_tensor()]
+    for t in tensors:
+        singles = [(scalars.Fraction(2, 3), t, (s,)) for s in range(t.rank)]
+        pairs = [(scalars.Fraction(-1, 4), t, ab)
+                 for ab in itertools.permutations(range(t.rank), 2)]
+        for terms in ([(1, t)] + singles, [(R(scalars.Fraction(1, 4)), t)] + pairs,
+                      [(ONE + q * q, t)] + singles + pairs):
+            assert multilinear._combine(*terms, J=J).coeffs == ref_combine(terms, J).coeffs
+
+
+def test_pair_kernel_matches_the_pair_of_the_rotated_copy(fused):
+    J = fused.S.J
+    parts = [fused.xi, fused.xi1, fused.xi2, fused.xi3]
+    for a, c in itertools.product(parts, repeat=2):
+        assert _pair_xi(a, c, 1, 1, J).coeffs == _pair_xi(a, c.apply_J(1, J)).coeffs
+        assert fused.pairJ(a, c).coeffs == _pair_xi(a, c.apply_J(1, J), 1, -1).coeffs
+        assert fused.pairE_J(a, c).coeffs == _pair_xi(a, c.apply_J(0, J), 0, -1).coeffs
+
+
+def test_domega_reconstruction_matches_the_sorted_apply_J_copy(fused):
+    for xi in (fused.xi, fused.xi1, fused.xi3, fused.xi4):
+        want = ref_domega_from_torsion(fused.S, xi)
+        assert domega_from_torsion(fused.S, xi).coeffs == want.coeffs
+    assert domega_from_torsion(fused.S, fused.xi) == fused.A.domega
+
+
+def test_a_rotated_term_refuses_a_coefficient_that_is_not_rational():
+    S = get("example-5.4").build()
+    with pytest.raises(multilinear.GeometryError, match="rational coefficient"):
+        multilinear._combine((1, S.L.C), (Scalar.parameter("q"), S.L.C, (0,)), J=S.J)
 
 
 # -- equal operands ------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import os
 import pickle
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -348,6 +349,26 @@ class TestLiteralGrammar:
             parse_scalar("1 +")
         with pytest.raises(ScalarError):
             parse_scalar("1.5")
+
+    def test_readme_literals_parse(self):
+        # the backticked literals of the README's sentence on the grammar
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        start = text.index("Scalar literals use a small grammar:")
+        literals = re.findall(r"`([^`]*)`", text[start : text.index(" where", start)])
+        assert literals == ["-5/2 - 1/2*q^2", "(-1/2)*r*q"]
+        for lit in literals:
+            parse_scalar(lit, d=3, parameters=("q",))
+        assert parse_scalar("(-1/2)*r*q", d=3, parameters=("q",)) == (
+            Scalar.root(3, Fraction(-1, 2)) * Scalar.parameter("q"))
+
+    def test_parentheses_hold_only_a_signed_rational(self):
+        assert parse_scalar("2*(-3/4)") == Scalar.rational(Fraction(-3, 2))
+        only = "only a signed rational may stand in parentheses"
+        for lit in ("2*(1/2*r)", "(1/2 + 1)", "(-1)*(2 q)"):
+            with pytest.raises(ScalarError, match=only):
+                parse_scalar(lit, d=3, parameters=("q",))
+        with pytest.raises(ScalarError, match="unbalanced parenthesis"):
+            parse_scalar("2*(1/2", d=3)
 
 
 class TestRoots:

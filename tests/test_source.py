@@ -82,14 +82,21 @@ def _is_J(node) -> bool:
     )
 
 
+J_TABLES = ("rows", "row_products", "den", "signed_perm")
+
+
 def j_matrix_reads(source: str):
     """Lines that read entries of a J matrix by hand: a subscript of ``J`` or
-    ``x.J`` (``S.J[m]``, ``J[m][k]``), its unpacking (``zip(*J)``), or a call
-    of ``_stored_rows``.  Outside ``multilinear``, J acts only through
-    ``Tensor.apply_J`` and ``Tensor.trace_J``."""
+    ``x.J`` (``S.J[m]``, ``J[m][k]``), its unpacking (``zip(*J)``), a read of
+    one of the tables ``J`` prepares (``S.J.rows``, ``J.den``), or a call of
+    ``_stored_rows``.  Outside ``multilinear``, J acts only through its
+    primitives: ``Tensor.apply_J``, ``Tensor.trace_J``, the rotated terms of
+    ``_combine`` and ``add_rotated``, and ``_pair_xi`` with J."""
     lines = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Subscript, ast.Starred)) and _is_J(node.value):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in J_TABLES and _is_J(node.value):
             lines.add(node.lineno)
         elif isinstance(node, ast.Call) and (
             (isinstance(node.func, ast.Name) and node.func.id == "_stored_rows")
@@ -115,8 +122,14 @@ def test_j_matrix_read_is_found():
         "rows = _stored_rows(M)\n"
         "t = xi.apply_J(1, S.J).trace_J(0, 2, J)\n"
         "x = K[m][k]\n"
+        "rows = S.J.rows\n"
+        "table = J.row_products[m][p]\n"
+        "d = self.S.J.den\n"
+        "if J.signed_perm is None: pass\n"
+        "y = K.rows, b.den, J.dim\n"
+        "z = _combine((1, t, (0, 1)), J=S.J)\n"
     )
-    assert j_matrix_reads(source) == [1, 2, 3, 4]
+    assert j_matrix_reads(source) == [1, 2, 3, 4, 7, 8, 9, 10]
 
 
 def witness_text_outside_the_formatter(source: str):
