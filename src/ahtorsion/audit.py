@@ -139,11 +139,12 @@ class Bundle:
     The checks combine whole tensors: each side of an identity is one linear
     combination of rank-2 tensors built from these fields (``_combine``).
     D^min xi_k enters only through its traces (``trace1`` to ``trace4``,
-    ``div2``, ``div3``), fused from the analysis's xi_k, and D^min xi is never
-    built whole.  These, terms derived from ``Dth`` or ``jth_form``, the
-    curvature gap and the [lambda^{1,1}] parts of
-    2-forms are built on first use, so a field corrupted before a check reads
-    it reaches that check.  Pair contractions, parts at a vector and outer
+    ``div2``, ``div3``), fused from the analysis's xi_k, and D xi is never
+    built whole: the curvature gap and ``torsion_trace_rhs`` scatter D^LC xi,
+    as D^min's quadratic terms cancel theirs.  These, terms derived from
+    ``Dth`` or ``jth_form`` and the [lambda^{1,1}] parts of 2-forms are built
+    on first use, so a field corrupted before a check reads it reaches that
+    check.  Pair contractions, parts at a vector and outer
     products are kept per operand object (``_memoised``): a replaced field is
     contracted afresh, so operands must not change in place.  No rotation is
     kept: J enters pairs and combinations as weights.
@@ -221,19 +222,23 @@ class Bundle:
 
     @cached_property
     def curvature_gap(self) -> Tensor:
-        """F_ackl for a < c: the torsion side of Rm - Rm^{U(n)} in R3.3 and E3.1.
+        """F_ackl for a < c: the torsion side of Rm - Rm^{U(n)} in R3.3 and E3.1,
 
         F = (D xi)_ackl - (D xi)_cakl + <xi_{xi_a e_c - xi_c e_a} e_k, e_l>
-            - <[xi_a, xi_c] e_k, e_l>,
+            - <[xi_a, xi_c] e_k, e_l>,  D = D^min = D^LC + xi.
 
-        built from stored entries only, once per bundle.  D xi is not built:
-        each term of ``covariant_derivative``'s loop goes straight to the
-        (a, c)-sorted key, negated when c < a.
+        Built through Levi-Civita, which stores far fewer coefficients in a
+        rotated frame: (D^min_i xi)_ckl = (D^LC_i xi)_ckl - sum_m (xi_icm xi_mkl
+        + xi_ikm xi_cml + xi_ilm xi_ckm), and its first two sums cancel the
+        explicit terms, so F = (D^LC xi)_ackl - (D^LC xi)_cakl
+        - sum_m (xi_alm xi_ckm - xi_clm xi_akm).  D xi is not built: each term
+        of ``covariant_derivative``'s loop goes straight to the (a, c)-sorted
+        key, negated when c < a.
         """
         xi = self.xi
         acc = Accumulator()
         add = acc.add
-        by_last = self.A.minimal.gamma.group_by(2)
+        by_last = self.A.nabla.gamma.group_by(2)
         for idx, v in xi.coeffs.items():
             for slot, m in enumerate(idx):
                 for (a, j, _), g in by_last.get((m,), ()):
@@ -242,24 +247,14 @@ class Bundle:
                         add((a, c, k, l), g, v, -1)
                     elif c < a:
                         add((c, a, k, l), g, v)
-        # xi_a e_c - xi_c e_a = sum_m w_m e_m: a stored xi_pqm with p != q adds
-        # to w for the pair (p, q), negated when p > q
-        by_first = xi.group_by(0)
-        for (p, q, m), v in xi.coeffs.items():
-            if p == q:
-                continue
-            pair, sign = ((p, q), 1) if p < q else ((q, p), -1)
-            for (_, k, l), u in by_first.get((m,), ()):
-                add(pair + (k, l), v, u, sign)
-        # <xi_q xi_p e_k, e_l> = sum_m xi_pkm xi_qml enters [xi_a, xi_c] with a
-        # plus sign for (a, c) = (q, p) and a minus sign for (a, c) = (p, q)
-        by_mid = xi.group_by(1)
-        for (p, k, m), v in xi.coeffs.items():
-            for (q, _, l), u in by_mid.get((m,), ()):
-                if q < p:
-                    add((q, p, k, l), v, u, -1)
-                elif p < q:
-                    add((p, q, k, l), v, u)
+        # xi_plm xi_qkm enters F_pqkl negated when p < q, and F_qpkl when q < p
+        xi_by_last = xi.group_by(2)
+        for (p, l, m), v in xi.coeffs.items():
+            for (q, k, _), u in xi_by_last[(m,)]:
+                if p < q:
+                    add((p, q, k, l), v, u, -1)
+                elif q < p:
+                    add((q, p, k, l), v, u)
         return Tensor.of_nonzero(self.dim, 4, acc.result())
 
     @cached_property
@@ -319,27 +314,33 @@ class Bundle:
     def torsion_trace_rhs(self) -> Tensor:
         """The torsion-side tensor whose traces reproduce Ric - Ric*:
 
-        2 sum_i (-(D xi)_ijki + (D xi)_jiki) + 2 sum_{i,m} (-xi_ijm + xi_jim) xi_mki.
+        2 sum_i (-(D xi)_ijki + (D xi)_jiki) + 2 sum_{i,m} (-xi_ijm + xi_jim) xi_mki,
 
-        D xi enters through two traces: sum_i (D xi)_ijki, against xi's last
-        slot, and sum_i (D xi)_jiki, D^min of the 1-form sum_i xi_iki as the
-        connection is metric.
+        D = D^min.  Through Levi-Civita, as for ``curvature_gap``, D^min's sums
+        xi_ijm xi_mki and xi_jim xi_mki cancel the explicit term, which leaves
+        2 sum_i (-(D^LC xi)_ijki + (D^LC xi)_jiki) + 2 sum_{i,m} xi_ikm (xi_jmi
+        - xi_jim) + 2 sum_m w_m xi_jkm with w_m = sum_i (xi_iim - xi_imi).  D xi
+        enters through two traces: sum_i (D xi)_ijki, against xi's last slot,
+        and sum_i (D xi)_jiki, D of the 1-form sum_i xi_iki as D is metric.
         """
-        mc = self.A.minimal
-        two = R(2)
+        xi, lc = self.xi, self.A.nabla
         acc = Accumulator()
         add = acc.add
-        for key, v in mc.covariant_trace(self.xi, 2).coeffs.items():
-            add(key, two, v, -1)
-        for key, v in mc.covariant_derivative(self.xi.contract(0, 2)).coeffs.items():
-            add(key, two, v)
-        by_ends = self.xi.group_by(0, 2)
-        for (p, q, m), v in self.xi.coeffs.items():
-            v2 = two * v
-            for (_, k, _), u in by_ends.get((m, p), ()):
-                add((q, k), v2, u, -1)
-            for (_, k, _), u in by_ends.get((m, q), ()):
-                add((p, k), v2, u)
+        for key, v in lc.covariant_trace(xi, 2).coeffs.items():
+            add(key, v, sign=-2)
+        trace = xi.contract(0, 2)
+        for key, v in lc.covariant_derivative(trace).coeffs.items():
+            add(key, v, sign=2)
+        by_tail = xi.group_by(1, 2)
+        for (i, k, m), v in xi.coeffs.items():
+            for (j, _, _), u in by_tail.get((m, i), ()):
+                add((j, k), v, u, 2)
+            for (j, _, _), u in by_tail.get((i, m), ()):
+                add((j, k), v, u, -2)
+        w = (xi.contract(0, 1) - trace).coeffs
+        for (j, k, m), v in xi.coeffs.items():
+            if (m,) in w:
+                add((j, k), w[(m,)], v, 2)
         return Tensor.of_nonzero(self.dim, 2, acc.result())
 
     @cached_property
@@ -490,13 +491,6 @@ def check_l31c(b: Bundle) -> Parts:
     return [(None, rhs)]
 
 
-_PAIRS4 = [
-    (a, bb, *[t for t in range(4) if t not in (a, bb)], (-1) ** (a + bb))
-    for a in range(4)
-    for bb in range(a + 1, 4)
-]
-
-
 def check_e31(b: Bundle) -> Parts:
     """Second exterior derivative of omega expanded through the torsion."""
     # G_acxy = (F_ac omega)(e_x, e_y) = -sum_l F_acxl w_ly - sum_l w_xl F_acyl for
@@ -515,14 +509,12 @@ def check_e31(b: Bundle) -> Parts:
         for (x, _), w in by_col.get((l,), ()):
             if x < k and x != a and x != c:
                 acc.add((a, c, x, k), w, v, -1)
-    G = acc.result()
-    # the signed sum over the pair splittings of each increasing quadruple
+    # the signed sum over the pair splittings of each increasing quadruple: a
+    # stored G_acxy adds to its sorted quadruple with sign (-1)^(pos(a) + pos(c))
     total = Accumulator()
-    for quad in itertools.combinations(range(b.dim), 4):
-        for a, bb, ci, di, sg in _PAIRS4:
-            term = G.get((quad[a], quad[bb], quad[ci], quad[di]))
-            if term is not None:
-                total.add(quad, term, sign=sg)
+    for key, v in acc.result().items():
+        quad = tuple(sorted(key))
+        total.add(quad, v, sign=(-1) ** (quad.index(key[0]) + quad.index(key[1])))
     return [("quadruple {idx}: {value}", Tensor.of_nonzero(b.dim, 4, total.result()))]
 
 

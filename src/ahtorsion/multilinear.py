@@ -125,18 +125,19 @@ class LieAlgebra:
         return dict(self._brackets.get((i, j), {}))
 
     def jacobi_check(self) -> Tuple[bool, Optional[Tuple[int, int, int, int]]]:
-        """Exact Jacobi test; on failure returns the offending (i, j, k, l)."""
-        n = self.dim
-        for i, j, k in itertools.combinations(range(n), 3):
-            acc = Accumulator()
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                for m, v in self.bracket(a, b).items():
-                    for l, w in self.bracket(m, c).items():
-                        acc.add(l, v, w)
-            nonzero = acc.result()
-            if nonzero:
-                return False, (i, j, k, min(nonzero))
-        return True, None
+        """Exact Jacobi test; on failure returns the offending (i, j, k, l):
+        the least triple i < j < k with an e_l component, and its least l.
+        Only stored c^m_ab c^l_mc enter: each (a, b, c) that is an even order
+        of its sorted triple adds to that triple's cyclic sum."""
+        by_first = self.C.group_by(0)
+        acc = Accumulator()
+        for (a, b, m), v in self.C.coeffs.items():
+            for (_, c, l), w in by_first.get((m,), ()):
+                # an even order ascends twice around its cycle, a repeated index once
+                if (a < b) + (b < c) + (c < a) == 2:
+                    acc.add(tuple(sorted((a, b, c))) + (l,), v, w)
+        nonzero = acc.result()
+        return (False, min(nonzero)) if nonzero else (True, None)
 
 
 class Form:

@@ -171,6 +171,42 @@ class TestDirectSums:
             direct_sum(get("example-5.4").document, other)
 
 
+def standard_form(d: int) -> list:
+    """The ``kaehler_form`` entries of omega = e12 + e34 + ... in dimension d."""
+    return [{"i": i, "j": i + 1, "c": "1"} for i in range(1, d, 2)]
+
+
+# (i, j) -> (c7, c8) for [e_i, e_j] = c7 e7 + c8 e8, i < j <= 6 (1-based)
+NIL8_KAPPA = {
+    (1, 2): (1, 1), (1, 3): (-1, -1), (1, 4): (-1, 1), (1, 5): (-1, -1), (1, 6): (-1, 1),
+    (2, 3): (-1, 1), (2, 4): (1, 1), (2, 5): (-1, 1), (2, 6): (1, 1),
+    (3, 4): (1, 1), (3, 5): (-1, -1), (3, 6): (-1, 1),
+    (4, 5): (-1, 1), (4, 6): (1, 1), (5, 6): (1, 1),
+}
+
+
+def test_p43i_reads_its_dtheta_coefficient_at_n4():
+    # P4.3i multiplies dtheta^{2,0} by (n+1)/6, which no direct sum pins past
+    # n = 3: there the term vanishes in P4.3i's classes.  This 2-step
+    # nilpotent algebra with centre <e7, e8> and omega = e12 + e34 + e56 + e78
+    # is W1 + W2 + W4 with dtheta^{2,0} != 0, so a kappa(n) that agrees only
+    # at n = 2 and 3 fails P4.3i here.
+    S = structure_from_data({
+        "name": "nil8-kappa",
+        "dimension": 8,
+        "brackets": [{"i": i, "j": j, "coeffs": {"7": str(c7), "8": str(c8)}}
+                     for (i, j), (c7, c8) in NIL8_KAPPA.items()],
+        "kaehler_form": standard_form(8),
+    })
+    A = analyze(S)
+    assert S.n == 4 and A.gh_class.nonzero == ("W1", "W2", "W4")
+    assert not A.dtheta.split.lambda20_part.is_zero()
+    rep = run_suite(S, A)
+    assert rep.ok, [(c.identifier, c.detail) for c in rep.failures]
+    assert rep.counts() == {"pass": 27, "fail": 0, "skip": 12}
+    assert next(c for c in rep.checks if c.identifier == "P4.3i").status == "pass"
+
+
 def antisymmetric_plus_lee(n: int) -> dict:
     """The structure file of the almost abelian R^{2n-1} x| R with
     [e_{2k-1}, e_{2n}] = e_{2k-1} for k < n and omega = e12 + e34 + ...,
@@ -202,21 +238,47 @@ class TestAntisymmetricPlusLee:
         assert next(c for c in rep.checks if c.identifier == "P3.6i").status == "pass"
 
 
-def test_flat_torus_in_dimension_64_audits_ok():
-    # building takes no volume form, so it is polynomial in the dimension
-    d = 64
+def assert_flat_torus_audits_ok(d: int):
     S = structure_from_data({
         "name": f"flat-torus-{d}",
         "dimension": d,
         "brackets": [],
-        "kaehler_form": [{"i": i, "j": i + 1, "c": "1"} for i in range(1, d, 2)],
+        "kaehler_form": standard_form(d),
     })
-    assert S.n == 32
+    assert S.n == d // 2
     A = analyze(S)
     assert A.gh_class.nonzero == () and A.theta.is_zero()
     rep = run_suite(S)
     assert rep.ok, [(c.identifier, c.detail) for c in rep.failures]
     assert rep.counts() == {"pass": 34, "fail": 0, "skip": 5}
+
+
+def test_flat_torus_in_dimension_64_audits_ok():
+    # building takes no volume form, so it is polynomial in the dimension
+    assert_flat_torus_audits_ok(64)
+
+
+def test_flat_torus_in_dimension_256_audits_ok():
+    # Jacobi reads only stored brackets and E3.1 only stored entries, so a
+    # bracket-free algebra costs little whatever its dimension
+    assert_flat_torus_audits_ok(256)
+
+
+def test_sparse_almost_abelian_in_dimension_128_audits_ok():
+    # R^127 x| R with e_128 acting diagonally by 1, 2, 3, 1, 2, 3, ...: the
+    # audit's sums scatter from stored entries, and E3.1 reads the stored
+    # entries of its 4-tensor, not the C(128, 4) quadruples
+    d = 128
+    S = structure_from_data({
+        "name": f"almost-abelian-{d}",
+        "dimension": d,
+        "brackets": [{"i": i, "j": d, "coeffs": {str(i): str(1 + i % 3)}} for i in range(1, d)],
+        "kaehler_form": standard_form(d),
+    })
+    assert analyze(S).gh_class.nonzero == ("W2", "W3", "W4")
+    rep = run_suite(S)
+    assert rep.ok, [(c.identifier, c.detail) for c in rep.failures]
+    assert rep.counts() == {"pass": 26, "fail": 0, "skip": 13}
 
 
 class TestReporting:

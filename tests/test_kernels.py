@@ -593,12 +593,33 @@ def test_dxi_is_the_sum_of_the_component_derivatives(bundle):
     assert bundle.A.minimal.covariant_derivative(bundle.xi) == D1 + D2 + D3 + D4
 
 
-def test_bundle_reads_dxi_through_the_sums_of_the_whole_derivative(bundle):
-    # the curvature gap scatters D^min xi itself, and the torsion trace tensor
-    # reads it through two traces; both against D^min xi built here
-    Dxi = bundle.A.minimal.covariant_derivative(bundle.xi)
-    assert bundle.curvature_gap == ref_curvature_gap(bundle, Dxi)
-    assert bundle.torsion_trace_rhs == ref_torsion_trace_rhs(bundle, Dxi)
+def _generated(seed: int, dim: int):
+    """A ``bench/generate.py`` file of dimension ``dim``, drawn here."""
+    doc = generate.structure_document(random.Random(seed), dim, f"generated-{dim}-{seed}")
+    return structure_from_data(doc)
+
+
+# the kernel structures, a catalog entry in a frame of d(d-1)/2 Givens
+# factors, and a six- and a four-dimensional generated file
+GAP_STRUCTURES = STRUCTURES + [
+    ("example-5.4-mixed", lambda: _mixed("example-5.4")),
+    ("generated-6-21", lambda: _generated(21, 6)),
+    ("generated-4-22", lambda: _generated(22, 4)),
+]
+
+
+@pytest.fixture(scope="module", params=GAP_STRUCTURES, ids=[name for name, _ in GAP_STRUCTURES])
+def gap_bundle(request):
+    return audit.Bundle(analyze(request.param[1]()))
+
+
+def test_bundle_reads_dxi_through_the_sums_of_the_whole_derivative(gap_bundle):
+    # the curvature gap and the torsion trace tensor are built through
+    # Levi-Civita, where D^min's quadratic terms cancel the explicit ones;
+    # both against the paper's D^min form, with D^min xi built here
+    Dxi = gap_bundle.A.minimal.covariant_derivative(gap_bundle.xi)
+    assert gap_bundle.curvature_gap == ref_curvature_gap(gap_bundle, Dxi)
+    assert gap_bundle.torsion_trace_rhs == ref_torsion_trace_rhs(gap_bundle, Dxi)
 
 
 # -- one-pass J kernels ----------------------------------------------------------

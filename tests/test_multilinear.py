@@ -1,5 +1,6 @@
 """Exterior algebra, differentials, and Hodge duality on Lie algebras."""
 
+import itertools
 import math
 import random
 
@@ -18,7 +19,7 @@ from ahtorsion.multilinear import (
     sort_with_sign,
     transform_algebra,
 )
-from ahtorsion.scalars import ONE, Fraction, Scalar
+from ahtorsion.scalars import ONE, Accumulator, Fraction, Scalar
 from ahtorsion.structure import build_structure, transform_form
 from test_audit import SUM_AUDITS, SUM_IDS, direct_sum
 
@@ -166,6 +167,21 @@ def test_kaehler_volume_sign_cancels_in_the_codifferential(S):
         assert codifferential(L, a) == -star_on(exterior_derivative(L, star_on(a, vol)), vol)
 
 
+def ref_jacobi_check(L):
+    """The triple loop ``jacobi_check`` replaced: the first failing triple
+    i < j < k in increasing order, with its least failing component l."""
+    for i, j, k in itertools.combinations(range(L.dim), 3):
+        acc = Accumulator()
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, v in L.bracket(a, b).items():
+                for l, w in L.bracket(m, c).items():
+                    acc.add(l, v, w)
+        nonzero = acc.result()
+        if nonzero:
+            return False, (i, j, k, min(nonzero))
+    return True, None
+
+
 class TestLieAlgebra:
     def test_jacobi_failure_has_witness(self):
         # "anti" sphere relations do not close into a Lie algebra
@@ -179,6 +195,32 @@ class TestLieAlgebra:
         )
         ok, witness = L.jacobi_check()
         assert not ok and witness is not None
+        assert witness == ref_jacobi_check(L)[1]
+
+    def test_jacobi_witness_matches_the_triple_loop(self):
+        # random sparse tables, most failing, some pairs given in both orders,
+        # some coefficients in a parameter; and tables that satisfy Jacobi:
+        # the catalog's algebras, and almost abelian and 2-step nilpotent ones
+        rng = random.Random(21)
+        q = Scalar.parameter("q")
+        coefficients = [R(1), R(-1), R(2), R(Fraction(1, 3)), q]
+        tables = [get(name).build().L for name in names()]
+        for _ in range(300):
+            d = rng.choice((4, 6, 8))
+            brackets = {}
+            for _ in range(rng.randint(1, 6)):
+                i, j = rng.sample(range(d), 2)
+                brackets[(i, j)] = {k: rng.choice(coefficients) for k in rng.sample(range(d), 2)}
+            tables.append(LieAlgebra(d, brackets))
+        for d in (4, 6, 8):
+            tables.append(LieAlgebra(d, {(i, d - 1): {k: rng.choice(coefficients)
+                                                      for k in rng.sample(range(d - 1), 2)}
+                                         for i in range(d - 1)}))
+            tables.append(LieAlgebra(d, {(i, j): {k: rng.choice(coefficients) for k in (d - 2, d - 1)}
+                                         for i in range(d - 2) for j in range(i + 1, d - 2)}))
+        outcomes = [L.jacobi_check() for L in tables]
+        assert outcomes == [ref_jacobi_check(L) for L in tables]
+        assert sum(ok for ok, _ in outcomes) >= 10 and sum(not ok for ok, _ in outcomes) >= 100
 
     def test_bracket_antisymmetry(self):
         L = get("nearly-kaehler-s3s3").build().L

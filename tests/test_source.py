@@ -279,3 +279,40 @@ def test_scalar_birth_elsewhere_is_found():
     )
     assert scalar_births(source) == [
         ("_make", 3), ("_make", 4), ("other", 7), ("other", 8), ("other", 9), ("K.f", 12)]
+
+
+def index_cube_scans(source: str):
+    """Lines that walk every k-subset of an index range with k >= 3, or with
+    a k that is not a literal: ``combinations(range(...), k)``, which costs
+    C(d, k) whatever the structure stores.  Kernels scatter from stored
+    entries instead."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and node.args
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "combinations"):
+            continue
+        first = node.args[0]
+        if not (isinstance(first, ast.Call) and getattr(first.func, "id", None) == "range"):
+            continue
+        sizes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "r"]
+        if not (sizes and isinstance(sizes[0], ast.Constant) and sizes[0].value < 3):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_walks_no_index_subsets(path):
+    assert index_cube_scans(path.read_text()) == []
+
+
+def test_index_cube_scan_is_found():
+    source = (
+        "for quad in itertools.combinations(range(b.dim), 4): pass\n"
+        "for t in combinations(range(n), 3): pass\n"
+        "pairs = itertools.combinations(range(4), 2)\n"
+        "subsets = combinations(range(d), r=3)\n"
+        "chosen = itertools.combinations(range(d), k)\n"
+        "parts = itertools.combinations(comps, 3)\n"
+        "other = itertools.permutations(range(d), 3)\n"
+    )
+    assert index_cube_scans(source) == [1, 2, 4, 5]
