@@ -27,6 +27,7 @@ from .decomposition import (
     _xi_at_vector,
     contract_trace_vector,
     domega_from_torsion,
+    lambda11_part,
     split_bilinear,
     split_two_form,
 )
@@ -146,8 +147,9 @@ class Bundle:
     on first use, so a field corrupted before a check reads it reaches that
     check.  Pair contractions, parts at a vector and outer
     products are kept per operand object (``_memoised``): a replaced field is
-    contracted afresh, so operands must not change in place.  No rotation is
-    kept: J enters pairs and combinations as weights.
+    contracted afresh, so operands must not change in place.  J enters pairs
+    and combinations as weights; the one rotation kept, Dth(J., J.), is read
+    twice.
     """
 
     # (j, k) -> sum_i <(D^min_{e_i} xi_k)_{e_i} e_j, e_k>
@@ -202,7 +204,7 @@ class Bundle:
 
     def pairJ(self, a: Tensor, b: Tensor) -> Tensor:
         """(j, k) -> <a_{e_j} e_i, b_{e_k} J e_i> summed over i."""
-        return self._memoised("pairJ", (a, b), lambda: _pair_xi(a, b, 1, -1, self.S.J))
+        return self._memoised("pairJ", (a, b), lambda: _pair_xi(a, b, 1, self.S.J))
 
     def pairE(self, a: Tensor, b: Tensor) -> Tensor:
         """(j, k) -> <a_{e_i} e_j, b_{e_i} e_k> summed over i."""
@@ -210,7 +212,7 @@ class Bundle:
 
     def pairE_J(self, a: Tensor, b: Tensor) -> Tensor:
         """(j, k) -> <a_{e_i} e_j, b_{J e_i} e_k> summed over i."""
-        return self._memoised("pairE_J", (a, b), lambda: _pair_xi(a, b, 0, -1, self.S.J))
+        return self._memoised("pairE_J", (a, b), lambda: _pair_xi(a, b, 0, self.S.J))
 
     def at_vector(self, part: Tensor, vec: List[Scalar], slot: int = 0) -> Tensor:
         """(j, k) -> ``part`` with ``vec`` in ``slot`` (``_xi_at_vector``)."""
@@ -260,7 +262,7 @@ class Bundle:
     @cached_property
     def dth_rotated(self) -> Tensor:
         """Dth(J., J.)."""
-        return self.S.rotate_bilinear(self.Dth)
+        return _combine((1, self.Dth, (0, 1)), J=self.S.J)
 
     @cached_property
     def dth_mixed(self) -> Tensor:
@@ -279,12 +281,6 @@ class Bundle:
         D^min of the trace taken as a 1-form, as the connection is metric."""
         return self.A.minimal.covariant_derivative(self.xi4.contract(0, 1))
 
-    def _lam11(self, alpha: Form) -> Form:
-        """The [lambda^{1,1}] part (alpha + alpha(J., J.)) / 2 of a 2-form, in
-        one pass: alpha(J., J.) is J_(1) J_(2) alpha."""
-        t = alpha.to_tensor()
-        return _combine((HALF, t), (HALF, t, (0, 1)), J=self.S.J).antisymmetrize_to_form()
-
     @cached_property
     def dJth(self) -> Form:
         return exterior_derivative(self.S.L, self.jth_form)
@@ -292,17 +288,17 @@ class Bundle:
     @cached_property
     def dJth11(self) -> Form:
         """[lambda^{1,1}] part of d(J theta)."""
-        return self._lam11(self.dJth)
+        return lambda11_part(self.S, self.dJth)
 
     @cached_property
     def rho11(self) -> Form:
         """[lambda^{1,1}] part of the Levi-Civita first Ricci form."""
-        return self._lam11(self.curv.rho)
+        return lambda11_part(self.S, self.curv.rho)
 
     @cached_property
     def rmin11(self) -> Form:
         """[lambda^{1,1}] part of the minimal connection's second Ricci form."""
-        return self._lam11(self.r_min)
+        return lambda11_part(self.S, self.r_min)
 
     @cached_property
     def ric_star_skew(self) -> Tensor:

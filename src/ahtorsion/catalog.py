@@ -109,7 +109,7 @@ def structure_from_data(data: dict, source: str = "<data>") -> AlmostHermitianSt
             row[k] = _scalar(lit, ctx, d, params, parsed)
         brackets[(i, j)] = row
     try:
-        L = LieAlgebra(dim, brackets, parameters=params, extension_d=d)
+        L = LieAlgebra(dim, brackets, extension_d=d)
     except (StructureError, ScalarError, ValueError) as exc:
         raise FileFormatError(f"{source}: {exc}") from exc
 

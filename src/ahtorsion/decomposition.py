@@ -48,14 +48,6 @@ def lee_form(S: AlmostHermitianStructure) -> Form:
 # -- Gray-Hervella split ----------------------------------------------------
 
 
-def _t_involution(S: AlmostHermitianStructure, xi: Tensor) -> Tensor:
-    """(T xi)_X Y = -J xi_{JX} Y; the +1 eigenspace is the Hermitian half.
-
-    (T xi)_ijk = sum_{l,m} J_li J_mk xi_ljm, which is J_(1) J_(3) xi.
-    """
-    return xi.apply_J(0, S.J, 2)
-
-
 def _xi4_tensor(S: AlmostHermitianStructure, theta: Form) -> Tensor:
     """Closed-form W4 component:
 
@@ -103,7 +95,10 @@ def split_torsion(
     intrinsic-torsion tensor, they are pairwise orthogonal, and W1 and W3
     vanish in dimension four.
     """
-    t_xi = _t_involution(S, xi)
+    # T xi, (T xi)_X Y = -J xi_{JX} Y, is J_(1) J_(3) xi: (T xi)_ijk =
+    # sum_{l,m} J_li J_mk xi_ljm.  Its +1 eigenspace is the Hermitian half;
+    # read twice below, it is built once
+    t_xi = _combine((1, xi, (0, 2)), J=S.J)
     xi4 = _xi4_tensor(S, theta)
     # xi3 is the Hermitian half (xi + T xi) / 2 less xi4; xi1 and xi2 split
     # the other half
@@ -176,26 +171,25 @@ def classify(dec: TorsionDecomposition) -> GHClass:
 # -- U(n)-splits of 2-forms and bilinear forms ------------------------------
 
 
+def lambda11_part(S: AlmostHermitianStructure, alpha: Form) -> Form:
+    """The [lambda^{1,1}] part (alpha + alpha(J., J.)) / 2 of a 2-form, in
+    one pass: alpha(J., J.) is J_(1) J_(2) alpha."""
+    t = alpha.to_tensor()
+    return _combine((HALF, t), (HALF, t, (0, 1)), J=S.J).antisymmetrize_to_form()
+
+
 @dataclass
 class TwoFormSplit:
     r_omega_part: Form
     lambda0_part: Form
     lambda20_part: Form
 
-    def pieces(self) -> List[Tuple[str, Form]]:
-        return [
-            ("R omega", self.r_omega_part),
-            ("lambda_0^{1,1}", self.lambda0_part),
-            ("[[lambda^{2,0}]]", self.lambda20_part),
-        ]
-
 
 def split_two_form(S: AlmostHermitianStructure, alpha: Form) -> TwoFormSplit:
     if alpha.degree != 2:
         raise DecompositionError("split_two_form expects a 2-form")
-    rotated = S.rotate_two_form(alpha)
-    invariant = (alpha + rotated).scaled(HALF)
-    anti = (alpha - rotated).scaled(HALF)
+    invariant = lambda11_part(S, alpha)
+    anti = alpha - invariant
     trace = form_inner(alpha, S.omega) * Scalar.rational(Fraction(1, S.n))
     r_part = S.omega.scaled(trace)
     return TwoFormSplit(r_part, invariant - r_part, anti)
@@ -211,7 +205,7 @@ class BilinearSplit:
     def _rotated_half(self, c: Scalar) -> Tuple[Tensor, Tensor]:
         """(h, h(J., J.)) for h the symmetric (c = 1/2) or skew (c = -1/2) half of b."""
         h = _combine((HALF, self.b), (c, self.b.transpose((1, 0))))
-        return h, self.S.rotate_bilinear(h)
+        return h, _combine((1, h, (0, 1)), J=self.S.J)
 
     def _mean(self, half: Tuple[Tensor, Tensor], c: Scalar) -> Tensor:
         """1/2 h + c h(J., J.) for half = (h, h(J., J.))."""

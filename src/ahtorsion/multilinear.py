@@ -13,21 +13,23 @@ kernel joins two tensors on a slot, it first groups one operand's entries by
 that slot (``Tensor.group_by``).  Constant rational weights enter as integer
 factors over the lcm of their denominators, divided out once per entry.
 The almost complex structure J acts only through four primitives here:
-``Tensor.apply_J`` (on one slot, or on two in one pass: J_(a) J_(b) t or
-J_(a) t +- J_(b) t), ``Tensor.trace_J`` (a J-weighted trace over two
-slots), the rotated terms of ``_combine`` and ``linear_combination``, whose
-J weights enter the sum as factors (``add_rotated``), and the pair kernel
-``_pair_xi`` with J; no other code reads J's tables, and no rotated copy is
-built only to be summed or contracted once.  ``S.J`` is an
-``Endomorphism``: it indexes as the matrix and carries its stored rows,
-scaled to integers over one denominator where rational, and the products
-of pairs of row entries, built on first use.  When J is a signed
-permutation (each row one +-1 entry), ``apply_J`` moves each stored entry
-to its new index instead of summing.  Tensors built from
-``Accumulator.result()`` are taken as they are (``Tensor.of_nonzero``),
-since those maps never hold a zero.  The difference of two tensors or forms
-with equal entries is the empty one, found by comparing the maps, with no
-arithmetic: canonical entries are equal exactly when their values are.
+``Tensor.apply_J`` (J_(a) t, on one slot), ``Tensor.trace_J`` (a J-weighted
+trace over two slots), the rotated terms of ``_combine`` and
+``linear_combination``, whose J weights enter the sum as factors
+(``add_rotated``), and the pair kernel ``_pair_xi`` with J; no other code
+reads J's tables.  A composite J_(a) J_(b) t or a signed sum
+J_(a) t +- J_(b) t is a sum of rotated terms: a rotation read once goes into
+its consumer's sum, and one read twice is built once, as
+``_combine((1, t, (a, b)), J=J)``.  ``S.J`` is an ``Endomorphism``: it
+indexes as the matrix and carries its stored rows, scaled to integers over
+one denominator where rational, and the products of pairs of row entries,
+built on first use.  When J is a signed permutation (each row one +-1
+entry), ``apply_J`` moves each stored entry to its new index instead of
+summing.  Tensors built from ``Accumulator.result()`` are taken as they are
+(``Tensor.of_nonzero``), since those maps never hold a zero.  The
+difference of two tensors or forms with equal entries is the empty one,
+found by comparing the maps, with no arithmetic: canonical entries are
+equal exactly when their values are.
 """
 
 from __future__ import annotations
@@ -77,16 +79,12 @@ class LieAlgebra:
         self,
         dim: int,
         brackets: Dict[Tuple[int, int], Dict[int, Scalar]],
-        basis_names: Optional[List[str]] = None,
         extension_d: int = 0,
-        parameters: Sequence[str] = (),
     ):
         if dim <= 0 or dim % 2 != 0:
             raise GeometryError(f"dimension must be even and positive, got {dim}")
         self.dim = dim
         self.extension_d = extension_d
-        self.parameters = tuple(parameters)
-        self.basis_names = basis_names or [f"e{i+1}" for i in range(dim)]
         acc = Accumulator()
         for (i, j), coeffs in brackets.items():
             if not (0 <= i < dim and 0 <= j < dim):
@@ -334,40 +332,24 @@ class Tensor:
                 acc.add(k[:a] + k[a + 1 : b] + k[b + 1 :], v)
         return Tensor.of_nonzero(self.dim, r - 2, acc.result())
 
-    def apply_J(self, slot: int, J: "Endomorphism", other: Optional[int] = None,
-                sign: int = 0) -> "Tensor":
+    def apply_J(self, slot: int, J: "Endomorphism") -> "Tensor":
         """The J_(i) operator: (J_(i) t)(..., X_i, ...) = -t(..., J X_i, ...).
 
-        With a second slot ``other``, J acts on both in one pass: the
-        composite J_(slot) J_(other) t when ``sign`` is 0, and the signed sum
-        J_(slot) t + sign * J_(other) t when ``sign`` is +-1.
+        J acts on one slot; a composite or a signed sum over two slots is a
+        sum of rotated terms of ``_combine``.
         """
-        if other == slot:
-            raise GeometryError(f"J acts twice on slot {slot}")
         # t has index m in this slot; J X with X = e_j hits m with weight J[m][j].
         perm = J.signed_perm
-        if perm is not None:
-            if other is not None and sign:
-                # each reindexed copy is exact; __sub__ of equal copies is free
-                first, second = self.apply_J(slot, J), self.apply_J(other, J)
-                return first + second if sign == 1 else first - second
-            # one weight -+1 per m, each in its own column: every stored entry
-            # moves to its own new index, as itself or negated
-            coeffs = {}
-            for k, v in self.coeffs.items():
-                j, s = perm[k[slot]]
-                key = k[:slot] + (j,) + k[slot + 1 :]
-                if other is not None:
-                    j, u = perm[k[other]]
-                    key = key[:other] + (j,) + key[other + 1 :]
-                    s *= u
-                coeffs[key] = v if s == 1 else -v
-            return Tensor.of_nonzero(self.dim, self.rank, coeffs)
-        if other is not None and not sign:
-            terms = [(1, self.coeffs, (slot, other))]
-        else:
-            terms = [(1, self.coeffs, (slot,))] + ([(sign, self.coeffs, (other,))] if sign else [])
-        return Tensor.of_nonzero(self.dim, self.rank, linear_combination(terms, J))
+        if perm is None:
+            return Tensor.of_nonzero(self.dim, self.rank,
+                                     linear_combination([(1, self.coeffs, (slot,))], J))
+        # one weight -+1 per m, each in its own column: every stored entry
+        # moves to its own new index, as itself or negated
+        coeffs = {}
+        for k, v in self.coeffs.items():
+            j, s = perm[k[slot]]
+            coeffs[k[:slot] + (j,) + k[slot + 1 :]] = v if s == 1 else -v
+        return Tensor.of_nonzero(self.dim, self.rank, coeffs)
 
     def trace_J(self, slot_a: int, slot_b: int, J: "Endomorphism",
                 increasing: bool = False) -> "Tensor":
@@ -478,8 +460,8 @@ class Endomorphism:
     def row_products(self) -> List[List[List[Tuple[int, int, Scalar, int]]]]:
         """``row_products[m][p]``: (j, i, x * y * D^2, n) for each stored entry
         x of row m, in column j, and y of row p, in column i, n being the
-        integer x * y * D^2 when that is one and 0 otherwise; ``Tensor.apply_J``
-        reads it to act on two slots in one pass."""
+        integer x * y * D^2 when that is one and 0 otherwise; ``add_rotated``
+        reads it to add a term rotated on two slots in one pass."""
         table = []
         for row_m in self.rows:
             line = []
@@ -567,6 +549,7 @@ def linear_combination(terms, J: Optional[Endomorphism] = None) -> dict:
     Rational c and J's weights enter as integer factors over lcm(denominators
     of c) * D^k, k the most slots of a term, divided out once per output
     entry; any other c enters as the product c * D^k, on a plain term only.
+    J acts at most once on each slot of a term.
     """
     # (numerator, denominator) of each rational c, None for any other Scalar
     ratios = [c.ratio() if type(c) is Scalar else (c.numerator, c.denominator)
@@ -578,6 +561,8 @@ def linear_combination(terms, J: Optional[Endomorphism] = None) -> dict:
     add = acc.add
     for r, (c, t, *slots) in zip(ratios, terms):
         slots = slots[0] if slots else ()
+        if len(set(slots)) < len(slots):
+            raise GeometryError(f"J acts twice on slot {slots[0]}")
         if r is None:
             if slots:
                 raise GeometryError("a rotated term needs a rational coefficient")
@@ -597,14 +582,15 @@ def _combine(*terms, J: Optional[Endomorphism] = None) -> "Tensor":
         [(term[0], term[1].coeffs) + tuple(term[2:]) for term in terms], J))
 
 
-def _pair_xi(a: Tensor, b: Tensor, slot: int = 1, sign: int = 1,
+def _pair_xi(a: Tensor, b: Tensor, slot: int = 1,
              J: Optional[Endomorphism] = None) -> Tensor:
-    """(j, k) -> ``sign`` times a and b contracted on ``slot`` and on their
-    last slot; with J, b is J_(slot) b, whose rotation is not built.
+    """(j, k) -> a and b contracted on ``slot`` and on their last slot; with
+    J, b's index i in ``slot`` is J e_i, whose rotation of b is not built.
 
     ``slot`` is 0 or 1; the other of the first two slots carries j in a and k
     in b.  With the default slot this is <a_{e_j} e_i, b_{e_k} e_i> summed
-    over i, with slot 0 it is <a_{e_i} e_j, b_{e_i} e_k>.
+    over i, or <a_{e_j} e_i, b_{e_k} J e_i> with J; with slot 0 it is
+    <a_{e_i} e_j, b_{e_i} e_k>, or <a_{e_i} e_j, b_{J e_i} e_k> with J.
     """
     free = 1 - slot
     acc = Accumulator()
@@ -613,16 +599,16 @@ def _pair_xi(a: Tensor, b: Tensor, slot: int = 1, sign: int = 1,
         by_pair = b.group_by(slot, 2)
         for idx, v in a.coeffs.items():
             for kidx, u in by_pair.get((idx[slot], idx[2]), ()):
-                add((idx[free], kidx[free]), v, u, sign)
+                add((idx[free], kidx[free]), v, u)
         return Tensor.of_nonzero(a.dim, 2, acc.result())
-    # b's entry at m in ``slot`` enters J_(slot) b at each i with weight
-    # -J[m][i] * D, and meets a's entries with i there and b's last index
+    # b's entry at m in ``slot`` enters b(..., J e_i, ...) at each i with
+    # weight J[m][i] * D, and meets a's entries with i there and b's last index
     by_pair = a.group_by(slot, 2)
     rows = J.rows
     for kidx, u in b.coeffs.items():
         k, last = kidx[free], kidx[2]
         for i, (w, n) in rows[kidx[slot]].items():
-            x, f = (u, -sign * n) if n else (w * u, -sign)
+            x, f = (u, n) if n else (w * u, 1)
             for idx, v in by_pair.get((i, last), ()):
                 add((idx[free], k), v, x, f)
     return Tensor.of_nonzero(a.dim, 2, acc.result(J.den))
@@ -682,7 +668,7 @@ def transform_algebra(L: LieAlgebra, M: Matrix) -> LieAlgebra:
     brackets: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
     for (a, b, c), v in acc.result().items():
         brackets.setdefault((a, b), {})[c] = v
-    return LieAlgebra(n, brackets, extension_d=L.extension_d, parameters=L.parameters)
+    return LieAlgebra(n, brackets, extension_d=L.extension_d)
 
 
 # -- exterior calculus ---------------------------------------------------------

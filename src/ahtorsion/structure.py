@@ -68,23 +68,11 @@ class AlmostHermitianStructure:
         self.name = name
         self.n = L.dim // 2
 
-    # -- J action helpers ------------------------------------------------
-
     def J_oneform(self, alpha: Form) -> Form:
         """(J a)(X) = -a(JX)."""
         if alpha.degree != 1:
             raise StructureError("J_oneform expects a 1-form")
         return alpha.to_tensor().apply_J(0, self.J).antisymmetrize_to_form()
-
-    def rotate_two_form(self, alpha: Form) -> Form:
-        """alpha(J., J.) as a 2-form."""
-        if alpha.degree != 2:
-            raise StructureError("rotate_two_form expects a 2-form")
-        return alpha.to_tensor().apply_J(0, self.J, 1).antisymmetrize_to_form()
-
-    def rotate_bilinear(self, b: Tensor) -> Tensor:
-        """b(J., J.)."""
-        return b.apply_J(0, self.J, 1)
 
 
 def build_structure(
@@ -230,7 +218,7 @@ class Connection:
         (D_i A)^k_j = sum_m A^m_j Gamma_imk - Gamma_ijm A^k_m, which for skew A
         is -(A_(2) Gamma + A_(3) Gamma)_ijk, A acting as in ``apply_J``.
         """
-        return -self.gamma.apply_J(1, A, 2, sign=1).transpose((0, 2, 1))
+        return _combine((-1, self.gamma, (1,)), (-1, self.gamma, (2,)), J=A).transpose((0, 2, 1))
 
 
 def nijenhuis(S: AlmostHermitianStructure) -> Tensor:
@@ -264,7 +252,7 @@ def check_torsion_tensor(S: AlmostHermitianStructure, xi: Tensor) -> Optional[st
         return "xi_ijk is not antisymmetric in the last two slots"
     # J xi_X Y + xi_X (JY) = 0  <=>  sum_m xi_ijm J_km + J_mj xi_imk = 0, that is
     # J_(2) xi = J_(3) xi, tested as one signed sum
-    if not xi.apply_J(1, S.J, 2, sign=-1).is_zero():
+    if not _combine((1, xi, (1,)), (-1, xi, (2,)), J=S.J).is_zero():
         return "xi does not anticommute with J in the target slot"
     return None
 

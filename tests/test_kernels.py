@@ -2,22 +2,23 @@
 
 The kernels in ``structure``, ``curvature``, ``decomposition`` and ``audit``
 iterate stored entries only, and every J contraction among them goes through
-``Tensor.apply_J`` or ``Tensor.trace_J``.  The references below are the
-straightforward loops over every index tuple, or the hand-written J loops,
-that those kernels replaced; on every catalog entry, two seeded rotated
-samples and one generated single-parameter file, both must give identical
-exact results.  ``Connection.covariant_trace`` must equal the contraction of
-the full derivative there and on random sparse tensors over Q(sqrt 3).  The
-one-pass J kernels (``apply_J`` on two slots, as a composite or a signed
-sum, and ``trace_J`` on increasing keys) must equal entry-by-entry loops on
-the catalog, on rotated samples and on random tensors over Q(sqrt 3), and
-dense folds of + and * where J's rows become integers over one denominator:
-J with rational Givens entries, with sqrt 3, with a parameter, and with
-integers beside non-integer rationals.  The
-audit bundle never builds D^min xi; the tests build it here, and the curvature
-gap and the torsion trace tensor must equal the sums read off it.  The
-audit's curvature-transfer checks are also pinned on corrupted input: their
-witnesses must be the ones the dense loops reported.
+``Tensor.apply_J``, ``Tensor.trace_J`` or a rotated term of ``_combine``.
+The references below are the straightforward loops over every index tuple,
+or the hand-written J loops, that those kernels replaced; on every catalog
+entry, two seeded rotated samples and one generated single-parameter file,
+both must give identical exact results.  ``Connection.covariant_trace`` must
+equal the contraction of the full derivative there and on random sparse
+tensors over Q(sqrt 3).  The one-pass J kernels (rotated terms of
+``_combine`` on two slots, as a composite or a signed sum, and ``trace_J``
+on increasing keys) must equal entry-by-entry loops on the catalog, on
+rotated samples and on random tensors over Q(sqrt 3), and dense folds of +
+and * where J's rows become integers over one denominator: J with rational
+Givens entries, with sqrt 3, with a parameter, and with integers beside
+non-integer rationals.  The audit bundle never builds D^min xi; the tests
+build it here, and the curvature gap and the torsion trace tensor must equal
+the sums read off it.  The audit's curvature-transfer checks are also pinned
+on corrupted input: their witnesses must be the ones the dense loops
+reported.
 """
 
 from __future__ import annotations
@@ -38,11 +39,13 @@ from ahtorsion.cli import report_data
 from ahtorsion.curvature import (
     analyze, ricci_form, riemann, three_form_pure_part, transposed_ricci_form,
 )
-from ahtorsion.decomposition import _t_involution, _xi_at_vector, domega_from_torsion
+from ahtorsion.decomposition import (
+    _xi_at_vector, domega_from_torsion, lambda11_part, split_torsion,
+)
 from ahtorsion.multilinear import (
     Endomorphism, Form, Tensor, _pair_xi, exterior_derivative, gram_schmidt, sort_with_sign,
 )
-from ahtorsion.scalars import ONE, ZERO, Accumulator, Scalar
+from ahtorsion.scalars import HALF, ONE, ZERO, Accumulator, Scalar
 from ahtorsion.structure import (
     Connection, check_torsion_tensor, chern_connection, intrinsic_torsion, levi_civita,
     nijenhuis, transform_form,
@@ -462,7 +465,8 @@ def test_anticommutation_residual_matches_the_scatter(bundle):
     S = bundle.S
     for t in (bundle.xi, bundle.xi3, bundle.A.nabla.gamma, bundle.A.minimal.gamma):
         assert t.apply_J(2, S.J) - t.apply_J(1, S.J) == ref_anticommutator(S, t)
-        assert -t.apply_J(1, S.J, 2, sign=-1) == ref_anticommutator(S, t)
+        residual = multilinear._combine((1, t, (1,)), (-1, t, (2,)), J=S.J)
+        assert -residual == ref_anticommutator(S, t)
 
 
 def test_nijenhuis_matches_the_bracket_vector_loop(bundle):
@@ -667,13 +671,15 @@ def ref_ricci_forms(S, Rm: Tensor):
 
 
 def assert_one_pass_rotations(t: Tensor, J) -> None:
-    """Every two-slot J action on t against the entry loop, for composites,
-    and the sum of two single-slot loops, for signed sums."""
+    """Every two-slot J action on t, as rotated terms of ``_combine``, against
+    the entry loop, for composites, and the sum of two single-slot loops, for
+    signed sums."""
+    combine = multilinear._combine
     for a, b in itertools.permutations(range(t.rank), 2):
-        assert t.apply_J(a, J, b) == ref_rotate_twice(t, J, a, b)
+        assert combine((1, t, (a, b)), J=J) == ref_rotate_twice(t, J, a, b)
         first, second = ref_apply_J(t, J, a), ref_apply_J(t, J, b)
-        assert t.apply_J(a, J, b, sign=1) == first + second
-        assert t.apply_J(a, J, b, sign=-1) == first - second
+        assert combine((1, t, (a,)), (1, t, (b,)), J=J) == first + second
+        assert combine((1, t, (a,)), (-1, t, (b,)), J=J) == first - second
 
 
 def test_one_pass_rotations_match_entry_loops(bundle):
@@ -681,12 +687,14 @@ def test_one_pass_rotations_match_entry_loops(bundle):
     for t in (bundle.xi, A.minimal.gamma, S.L.C, bundle.curv.ric_star, bundle.Dth):
         assert_one_pass_rotations(t, S.J)
     # the kernels that act on two slots at once
-    for b in (bundle.curv.ric, bundle.curv.ric_star, bundle.Dth):
-        assert S.rotate_bilinear(b) == ref_rotate_twice(b, S.J, 0, 1)
+    assert bundle.dth_rotated == ref_rotate_twice(bundle.Dth, S.J, 0, 1)
     for alpha in (S.omega, bundle.curv.rho, bundle.dJth):
-        want = ref_rotate_twice(alpha.to_tensor(), S.J, 0, 1).antisymmetrize_to_form()
-        assert S.rotate_two_form(alpha) == want
-    assert _t_involution(S, bundle.xi) == ref_rotate_twice(bundle.xi, S.J, 0, 2)
+        rotated = ref_rotate_twice(alpha.to_tensor(), S.J, 0, 1).antisymmetrize_to_form()
+        assert lambda11_part(S, alpha) == (alpha + rotated).scaled(HALF)
+    t_xi = ref_rotate_twice(bundle.xi, S.J, 0, 2)
+    dec = split_torsion(S, bundle.xi, bundle.theta)
+    assert dec.xi3 + dec.xi4 == multilinear._combine((HALF, bundle.xi), (HALF, t_xi))
+    assert dec.xi1 + dec.xi2 == multilinear._combine((HALF, bundle.xi), (-HALF, t_xi))
     if bundle.dim == 6:
         t = A.domega.to_tensor()
         terms = [t] + [-ref_rotate_twice(t, S.J, a, b) for a, b in ((0, 1), (0, 2), (1, 2))]
@@ -844,30 +852,31 @@ def test_weighted_J_kernels_match_dense_loops(name, t):
     single = [dense_apply_J(t, J, slot) for slot in range(t.rank)]
     for slot in range(t.rank):
         assert t.apply_J(slot, J) == single[slot]
+    combine = multilinear._combine
     for a, b in itertools.permutations(range(t.rank), 2):
-        assert t.apply_J(a, J, b) == ref_rotate_twice(t, J, a, b)
-        assert t.apply_J(a, J, b, sign=1) == single[a] + single[b]
-        assert t.apply_J(a, J, b, sign=-1) == single[a] - single[b]
+        assert combine((1, t, (a, b)), J=J) == ref_rotate_twice(t, J, a, b)
+        assert combine((1, t, (a,)), (1, t, (b,)), J=J) == single[a] + single[b]
+        assert combine((1, t, (a,)), (-1, t, (b,)), J=J) == single[a] - single[b]
         for increasing in (False, True):
             assert t.trace_J(a, b, J, increasing) == dense_trace_J(t, J, a, b, increasing)
 
 
 def test_apply_J_refuses_to_act_twice_on_one_slot():
     S = get("example-5.4").build()
-    with pytest.raises(multilinear.GeometryError):
-        S.L.C.apply_J(1, S.J, 1)
+    with pytest.raises(multilinear.GeometryError, match="J acts twice on slot 1"):
+        multilinear._combine((1, S.L.C, (1, 1)), J=S.J)
 
 
 # -- J inside the accumulator: fused forms against the two-step ones ------------
 
 
 def ref_combine(terms, J) -> Tensor:
-    """An ``apply_J`` copy of each rotated term first, then ``_combine`` of
-    plain terms."""
+    """A copy of each rotated term first, by the one-slot loop on each of its
+    slots, then ``_combine`` of plain terms."""
     copies = []
     for c, t, *slots in terms:
-        for s in slots:
-            t = t.apply_J(s[0], J) if len(s) == 1 else t.apply_J(s[0], J, s[1])
+        for slot in slots[0] if slots else ():
+            t = ref_apply_J(t, J, slot)
         copies.append((c, t))
     return multilinear._combine(*copies)
 
@@ -932,9 +941,9 @@ def test_pair_kernel_matches_the_pair_of_the_rotated_copy(fused):
     J = fused.S.J
     parts = [fused.xi, fused.xi1, fused.xi2, fused.xi3]
     for a, c in itertools.product(parts, repeat=2):
-        assert _pair_xi(a, c, 1, 1, J).coeffs == _pair_xi(a, c.apply_J(1, J)).coeffs
-        assert fused.pairJ(a, c).coeffs == _pair_xi(a, c.apply_J(1, J), 1, -1).coeffs
-        assert fused.pairE_J(a, c).coeffs == _pair_xi(a, c.apply_J(0, J), 0, -1).coeffs
+        # b(..., J e_i, ...) is -J_(slot) b
+        assert fused.pairJ(a, c).coeffs == (-_pair_xi(a, c.apply_J(1, J))).coeffs
+        assert fused.pairE_J(a, c).coeffs == (-_pair_xi(a, c.apply_J(0, J), 0)).coeffs
 
 
 def test_domega_reconstruction_matches_the_sorted_apply_J_copy(fused):

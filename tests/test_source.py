@@ -178,7 +178,8 @@ def test_witness_text_outside_the_formatter_is_found():
 def chained_rotations(source: str):
     """Lines with a ``.apply_J(...).apply_J(...)`` chain, which rotates twice
     through two accumulators.  Outside ``multilinear``, J acts on two slots
-    through one call, ``apply_J(a, J, b)``, which makes one pass."""
+    through a rotated term of ``_combine``, ``(c, t, (a, b))``, which makes
+    one pass."""
     lines = set()
     for node in ast.walk(ast.parse(source)):
         if (
@@ -201,7 +202,7 @@ def test_module_rotates_two_slots_in_one_pass(path):
 def test_chained_rotation_is_found():
     source = (
         "t = b.apply_J(0, S.J).apply_J(1, S.J)\n"
-        "u = b.apply_J(0, S.J, 1)\n"
+        "u = _combine((1, b, (0, 1)), J=S.J)\n"
         "v = (\n"
         "    xi.apply_J(0, J)\n"
         "    .apply_J(2, J)\n"
