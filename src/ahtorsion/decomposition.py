@@ -196,23 +196,18 @@ def split_two_form(S: AlmostHermitianStructure, alpha: Form) -> TwoFormSplit:
 
 
 class BilinearSplit:
-    """The U(n)-split of a rank-2 tensor b, not necessarily symmetric.  Each part is
-    computed on first read and kept; the reports and the audit read only symmetric ones."""
+    """The U(n)-split of the symmetric half of a rank-2 tensor b, not necessarily
+    symmetric.  Each part is computed on first read and kept.  The skew half of
+    b is a 2-form, and ``split_two_form`` splits it."""
 
     def __init__(self, S: AlmostHermitianStructure, b: Tensor):
         self.S, self.b = S, b
 
-    def _rotated_half(self, c: Scalar) -> Tuple[Tensor, Tensor]:
-        """(h, h(J., J.)) for h the symmetric (c = 1/2) or skew (c = -1/2) half of b."""
-        h = _combine((HALF, self.b), (c, self.b.transpose((1, 0))))
+    @cached_property
+    def _sym(self) -> Tuple[Tensor, Tensor]:
+        """(h, h(J., J.)) for h the symmetric half of b."""
+        h = _combine((HALF, self.b), (HALF, self.b.transpose((1, 0))))
         return h, _combine((1, h, (0, 1)), J=self.S.J)
-
-    def _mean(self, half: Tuple[Tensor, Tensor], c: Scalar) -> Tensor:
-        """1/2 h + c h(J., J.) for half = (h, h(J., J.))."""
-        return _combine((HALF, half[0]), (c, half[1]))
-
-    _sym = cached_property(lambda self: self._rotated_half(HALF))
-    _skew = cached_property(lambda self: self._rotated_half(_MINUS_HALF))
 
     @cached_property
     def trace_part(self) -> Tensor:
@@ -227,10 +222,11 @@ class BilinearSplit:
         sym, rot = self._sym
         return _combine((HALF, sym), (HALF, rot), (-1, self.trace_part))
 
-    # [[sigma^{2,0}]], then [lambda^{1,1}] as a 2-form-shaped tensor and [[lambda^{2,0}]]
-    sym_anti_part = cached_property(lambda self: self._mean(self._sym, _MINUS_HALF))
-    skew_invariant_part = cached_property(lambda self: self._mean(self._skew, HALF))
-    skew_anti_part = cached_property(lambda self: self._mean(self._skew, _MINUS_HALF))
+    @cached_property
+    def sym_anti_part(self) -> Tensor:
+        """[[sigma^{2,0}]]."""
+        sym, rot = self._sym
+        return _combine((HALF, sym), (_MINUS_HALF, rot))
 
 
 def split_bilinear(S: AlmostHermitianStructure, b: Tensor) -> BilinearSplit:

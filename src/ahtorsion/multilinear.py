@@ -158,10 +158,6 @@ class Form:
                     acc.add(key, val, sign=sign)
             self.coeffs = acc.result()
 
-    @classmethod
-    def basis(cls, dim: int, indices: Sequence[int], coeff: Scalar = ONE) -> "Form":
-        return cls(dim, len(indices), {tuple(indices): coeff})
-
     def __call__(self, *indices: int) -> Scalar:
         if len(indices) != self.degree:
             raise GeometryError("wrong number of arguments for form evaluation")
@@ -178,7 +174,7 @@ class Form:
     def __add__(self, other: "Form") -> "Form":
         self._check_like(other)
         f = Form(self.dim, self.degree)
-        f.coeffs = _sum_entries(self.coeffs, other.coeffs, 1)
+        f.coeffs = linear_combination([(1, self.coeffs), (1, other.coeffs)])
         return f
 
     def __neg__(self) -> "Form":
@@ -291,7 +287,8 @@ class Tensor:
 
     def __add__(self, other: "Tensor") -> "Tensor":
         self._check_like(other)
-        return Tensor.of_nonzero(self.dim, self.rank, _sum_entries(self.coeffs, other.coeffs, 1))
+        return Tensor.of_nonzero(self.dim, self.rank,
+                                 linear_combination([(1, self.coeffs), (1, other.coeffs)]))
 
     def __neg__(self) -> "Tensor":
         return Tensor.of_nonzero(self.dim, self.rank, {k: -v for k, v in self.coeffs.items()})
@@ -494,16 +491,6 @@ def _dot(a: dict, b: dict) -> Scalar:
     return acc.result().get((), ZERO)
 
 
-def _sum_entries(a: dict, b: dict, sign: int) -> dict:
-    """Entry-wise a + sign * b of two sparse coefficient maps."""
-    acc = Accumulator()
-    for k, v in a.items():
-        acc.add(k, v)
-    for k, v in b.items():
-        acc.add(k, v, None, sign)
-    return acc.result()
-
-
 def add_rotated(add, coeffs: dict, f: int, slots: Tuple[int, ...],
                 J: Optional[Endomorphism]) -> int:
     """Adds f times J_(a) t (slots (a,)), J_(a) J_(b) t (slots (a, b)) or t,
@@ -551,17 +538,22 @@ def linear_combination(terms, J: Optional[Endomorphism] = None) -> dict:
     entry; any other c enters as the product c * D^k, on a plain term only.
     J acts at most once on each slot of a term.
     """
-    # (numerator, denominator) of each rational c, None for any other Scalar
-    ratios = [c.ratio() if type(c) is Scalar else (c.numerator, c.denominator)
-              for c, *_ in terms]
-    den = math.lcm(*(r[1] for r in ratios if r))
-    k = max(len(term[2]) if len(term) > 2 else 0 for term in terms)
+    # ratios: (numerator, denominator) of each rational c, None for any other
+    # Scalar; k: the most slots of a term (one plain loop costs the least)
+    ratios, k = [], 0
+    for term in terms:
+        c = term[0]
+        ratios.append(c.ratio() if type(c) is Scalar else (c.numerator, c.denominator))
+        if len(term) > 2 and len(term[2]) > k:
+            k = len(term[2])
+    den = math.lcm(*[r[1] for r in ratios if r])
     D = J.den if k else 1
     acc = Accumulator()
     add = acc.add
-    for r, (c, t, *slots) in zip(ratios, terms):
-        slots = slots[0] if slots else ()
-        if len(set(slots)) < len(slots):
+    for r, term in zip(ratios, terms):
+        c, t = term[0], term[1]
+        slots = term[2] if len(term) > 2 else ()
+        if slots and len(set(slots)) < len(slots):
             raise GeometryError(f"J acts twice on slot {slots[0]}")
         if r is None:
             if slots:
@@ -618,7 +610,7 @@ def _difference(a: dict, b: dict) -> dict:
     """Entry-wise a - b; an empty map when the two are equal, which for
     canonical entries means equal in value, so a residual that cancels is
     never summed."""
-    return {} if a == b else _sum_entries(a, b, -1)
+    return {} if a == b else linear_combination([(1, a), (-1, b)])
 
 
 def identity_matrix(dim: int) -> Matrix:

@@ -10,16 +10,16 @@ bit, and a process-wide append-only table gives each parameter name its
 field in order of first use.  A monomial product is one integer addition; a
 guard bit it sets is an exponent overflow, a ScalarError.  The public form of
 a monomial, a tuple of (name, exponent) pairs sorted by name, appears only at
-the edges: ``terms``, ``parameters()``, ``evaluate``, ``format_scalar``,
-``rational_roots`` and ``Scalar(terms, d)``.  Pickling goes through
-``terms``, so field numbers never leave the process.
+the edges: ``terms``, ``parameters()``, ``format_scalar``, ``rational_roots``
+and ``Scalar(terms, d)``.  Pickling goes through ``terms``, so field numbers
+never leave the process.
 
 Coefficients are integers over one common denominator, as in FLINT's
 ``fmpq_poly``: ``_a`` maps each monomial to the numerator of its rational
 part and ``_b`` to the numerator of its sqrt(d) part, both over one positive
 integer ``_den``.  Each ring operation works on the integers and normalises
 its result once, so ``Fraction`` objects appear only at the public edges
-(``terms``, ``constant_pair``, ``as_fraction`` and the literal grammar).
+(``terms``, ``constant_pair`` and the literal grammar).
 
 A Scalar is immutable, and ``_make`` is its one birth: plain slot stores fill
 an instance of the slot class ``_Body``, which then becomes a Scalar, whose
@@ -253,11 +253,6 @@ class Scalar(_Body):
             i += 1
         return names
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ScalarError(f"not a plain rational: {self}")
-        return Fraction(self._a.get(0, 0), self._den)
-
     def ratio(self) -> Optional[tuple]:
         """(numerator, denominator) of a plain rational, in lowest terms; else None."""
         return (self._a.get(0, 0), self._den) if self.is_rational() else None
@@ -385,24 +380,6 @@ class Scalar(_Body):
 
     def __bool__(self) -> bool:
         return bool(self._a or self._b)
-
-    # -- evaluation ------------------------------------------------------
-
-    def evaluate(self, bindings: Mapping[str, RatLike]) -> "Scalar":
-        missing = self.parameters() - set(bindings)
-        if missing:
-            raise ScalarError(f"unbound parameters: {sorted(missing)}")
-
-        def value(part: dict) -> Fraction:
-            total = Fraction(0)
-            for m, c in part.items():
-                factor = Fraction(1)
-                for name, e in _unpack(m):
-                    factor *= Fraction(bindings[name]) ** e
-                total += c * factor
-            return total / self._den
-
-        return Scalar({(): (value(self._a), value(self._b))}, d=self.d)
 
     # -- presentation ------------------------------------------------------
 
@@ -913,40 +890,92 @@ def format_scalar(s: Scalar) -> str:
 # -- univariate root listing ---------------------------------------------------
 
 
+def _divmod_poly(a: list, b: list) -> tuple:
+    """Quotient and remainder of a by b over Q, each a coefficient list from the
+    constant term up; a and b end in nonzero entries, and so do both results."""
+    r = [Fraction(c) for c in a]
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        shift = len(r) - len(b)
+        c = q[shift] = r[-1] / b[-1]
+        for i, x in enumerate(b):
+            r[shift + i] -= c * x
+        while r and not r[-1]:
+            r.pop()
+    return q, r
+
+
+def _primitive(p: list) -> list:
+    """The positive rational multiple of ``p`` with coprime integer coefficients."""
+    den = math.lcm(*(Fraction(c).denominator for c in p))
+    ints = [int(c * den) for c in p]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _sign_at(p: list, x: Fraction) -> int:
+    """The sign of p(x), read from the integer v^deg p(u/v) for x = u/v."""
+    u, v = x.numerator, x.denominator
+    h, w = p[-1], 1
+    for c in reversed(p[:-1]):
+        w *= v
+        h = h * u + c * w
+    return (h > 0) - (h < 0)
+
+
+def _variations(sturm: list, x: Fraction) -> int:
+    """Sign changes along the Sturm sequence at x, zeros skipped."""
+    signs = [s for s in (_sign_at(p, x) for p in sturm) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def _rational_roots_of(coeffs: dict) -> Optional[set]:
-    """Rational roots of sum(coeffs[e] * x^e) with integer coefficients."""
-    coeffs = {e: c for e, c in coeffs.items() if c != 0}
+    """Rational roots of sum(coeffs[e] * x^e) with integer coefficients.
+
+    The square-free part p = f / gcd(f, f') has f's roots, each simple, and
+    its Sturm sequence counts them on (lo, hi] as V(lo) - V(hi).  Bisecting
+    within Cauchy's bound isolates each real root in an interval narrower than
+    1/(2 a^2), a the leading coefficient of p over Z.  A rational root's
+    denominator divides a, and two fractions with denominators at most a lie
+    at least 1/a^2 apart, so the nearest of them to the interval's end is the
+    one candidate, checked exactly.  The cost is polynomial in the degree and
+    in the coefficients' bit length (Collins and Akritas, SYMSAC 1976,
+    isolate by Descartes' rule instead).
+    """
+    coeffs = {e: c for e, c in coeffs.items() if c}
     if not coeffs:
         return None  # identically zero: every value is a root
-    # Dividing out the content keeps the candidate divisor lists short.
-    g = math.gcd(*coeffs.values())
-    coeffs = {e: c // g for e, c in coeffs.items()}
-    roots = set()
     low = min(coeffs)
-    if low > 0:
-        roots.add(Fraction(0))
-        coeffs = {e - low: c for e, c in coeffs.items()}
-    deg = max(coeffs)
-    if deg == 0:
+    f = [coeffs.get(e, 0) for e in range(low, max(coeffs) + 1)]  # f / x^low
+    roots = {Fraction(0)} if low else set()
+    if len(f) == 1:
         return roots
-    a0 = abs(coeffs[0])
-    an = abs(coeffs[deg])
-
-    def divisors(m: int):
-        out = []
-        k = 1
-        while k * k <= m:
-            if m % k == 0:
-                out.append(k)
-                out.append(m // k)
-            k += 1
-        return out
-
-    for pnum in divisors(a0):
-        for pden in divisors(an):
-            for cand in (Fraction(pnum, pden), Fraction(-pnum, pden)):
-                if sum(c * cand**e for e, c in coeffs.items()) == 0:
-                    roots.add(cand)
+    g, h = f, [e * c for e, c in enumerate(f)][1:]
+    while h:
+        g, h = h, _divmod_poly(g, h)[1]
+    p = _primitive(_divmod_poly(f, g)[0])
+    sturm = [p, _primitive([e * c for e, c in enumerate(p)][1:])]
+    while True:
+        r = _divmod_poly(sturm[-2], sturm[-1])[1]
+        if not r:
+            break
+        sturm.append(_primitive([-c for c in r]))
+    a = abs(p[-1])
+    narrow = Fraction(1, 2 * a * a)
+    bound = Fraction(2 + max(abs(c) for c in p[:-1]) // a)
+    intervals = [(-bound, _variations(sturm, -bound), bound, _variations(sturm, bound))]
+    while intervals:
+        lo, v_lo, hi, v_hi = intervals.pop()
+        if v_lo == v_hi:
+            continue
+        if v_lo - v_hi == 1 and hi - lo < narrow:
+            x = hi.limit_denominator(a)
+            if not _sign_at(p, x):
+                roots.add(x)
+            continue
+        mid = (lo + hi) / 2
+        v_mid = _variations(sturm, mid)
+        intervals += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
     return roots
 
 

@@ -423,7 +423,7 @@ class TestCheckOwners:
 
     def test_f7_reports_a_lee_form_off_the_torsion_trace(self, monkeypatch):
         real = curvature.lee_form
-        monkeypatch.setattr(curvature, "lee_form", lambda S: real(S) + Form.basis(4, (0,)))
+        monkeypatch.setattr(curvature, "lee_form", lambda S: real(S) + Form(4, 1, {(0,): ONE}))
         S = get("example-5.1").build()
         rep = run_suite(S, analyze(S))
         f7 = next(c for c in rep.checks if c.identifier == "F7")

@@ -300,6 +300,29 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "broken.json FAIL" in out
 
+    @pytest.mark.parametrize("sign, listed", [
+        ("+", {}),
+        ("-", {"-1000000": ["W2"], "1000000": ["W2"]}),
+    ])
+    def test_root_listing_finishes_on_a_large_constant_term(self, tmp_path, sign, listed):
+        # W2's squared norm has the constant term 10^24 / 2: root listing
+        # must not walk that term's divisors
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(minimal_file(
+            parameters=["q"],
+            brackets=[{"i": 1, "j": 4, "coeffs": {"2": f"q^2 {sign} 1000000000000"}}],
+        )))
+        env = dict(os.environ, PYTHONPATH=str(Path(ahtorsion.__file__).resolve().parents[1]))
+        start = time.perf_counter()
+        out = subprocess.run(
+            [sys.executable, "-m", "ahtorsion.cli", "analyze", str(path), "--report", "json"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        classification = json.loads(out.stdout)["classification"]
+        assert classification["nonzero_components"] == ["W2"]
+        assert classification["special_parameters"] == listed
+        assert time.perf_counter() - start < 30
+
     def test_two_parameter_file_analyzes_and_audits_ok(self, tmp_path, capsys):
         path = tmp_path / "two-parameter.json"
         path.write_text(

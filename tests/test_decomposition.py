@@ -99,14 +99,14 @@ class TestClassification:
         })
 
     @pytest.fixture
-    def no_trial_division(self, monkeypatch):
+    def no_norm_roots(self, monkeypatch):
         def refuse(coeffs):
-            raise AssertionError("trial division of a norm")
+            raise AssertionError("root listing from the norm")
         monkeypatch.setattr(scalars, "_rational_roots_of", refuse)
 
-    def test_30_bit_coefficients_are_read_from_the_entries(self, no_trial_division):
-        # the squared norms have 60-bit coefficients, which trial division
-        # of the norm does not factor in any reasonable time
+    def test_30_bit_coefficients_are_read_from_the_entries(self, no_norm_roots):
+        # the squared norms have 60-bit coefficients; the entries give the
+        # roots with one division each
         big = "998244353 + 1000000007*q"
         gh = analyze(self._solvable_file([(1, {"1": big, "2": "1"}), (3, {"1": "1"})])).gh_class
         assert gh.nonzero == ("W2", "W4")
@@ -115,7 +115,7 @@ class TestClassification:
         assert gh.special_parameters == {"-998244353/1000000007": ["W2", "W4"]}
 
     @pytest.mark.parametrize("factors", [6, 15])
-    def test_mixed_rotations_are_read_from_the_entries(self, no_trial_division, factors):
+    def test_mixed_rotations_are_read_from_the_entries(self, no_norm_roots, factors):
         base = get("example-5.2").build()
         S = audit.rotated_structure(base, random.Random(3), "mixed", factors=factors)
         gh = analyze(S).gh_class
@@ -150,9 +150,10 @@ class TestTwoFormSplit:
 
 def eager_split(S, b):
     """The five parts (trace, sym invariant, sym anti, skew invariant, skew
-    anti) computed all at once, each symmetric half rotated once: the
-    reference for the parts ``split_bilinear`` computes on demand.  Each half
-    is rotated here, on one slot at a time."""
+    anti) computed all at once, each half rotated once: the reference for
+    the symmetric parts ``split_bilinear`` computes on demand and for the
+    split of the skew half by ``split_two_form``.  Each half is rotated
+    here, on one slot at a time."""
     dim = S.L.dim
     flipped = b.transpose((1, 0))
     sym = _combine((HALF, b), (HALF, flipped))
@@ -175,8 +176,18 @@ def eager_split(S, b):
     return trace_part, sym_inv0, sym_anti, skew_inv, skew_anti
 
 
-PARTS = ("trace_part", "sym_invariant_part", "sym_anti_part", "skew_invariant_part",
-         "skew_anti_part")
+PARTS = ("trace_part", "sym_invariant_part", "sym_anti_part")
+
+
+def split_parts(S, b):
+    """``split_bilinear``'s three symmetric parts, then the [lambda^{1,1}] and
+    [[lambda^{2,0}]] parts of b's skew half as ``split_two_form`` splits that
+    2-form, as tensors in ``eager_split``'s order."""
+    sp = split_bilinear(S, b)
+    skew = _combine((HALF, b), (-HALF, b.transpose((1, 0)))).antisymmetrize_to_form()
+    two = split_two_form(S, skew)
+    return tuple(getattr(sp, name) for name in PARTS) + (
+        (two.r_omega_part + two.lambda0_part).to_tensor(), two.lambda20_part.to_tensor())
 
 
 def dense_bilinear(dim: int, rng: random.Random) -> Tensor:
@@ -192,18 +203,12 @@ class TestBilinearSplit:
         rng = random.Random(31)
         S = get("example-5.4").build()
         b = dense_bilinear(S.L.dim, rng)
-        sp = split_bilinear(S, b)
-        assert tuple(getattr(sp, name) for name in PARTS) == eager_split(S, b)
-        total = (
-            sp.trace_part
-            + sp.sym_invariant_part
-            + sp.sym_anti_part
-            + sp.skew_invariant_part
-            + sp.skew_anti_part
-        )
-        assert total == b
-        assert sp.sym_invariant_part == sp.sym_invariant_part.transpose((1, 0))
-        assert sp.skew_anti_part == sp.skew_anti_part.transpose((1, 0)).scaled(R(-1))
+        parts = split_parts(S, b)
+        assert parts == eager_split(S, b)
+        assert sum(parts[1:], parts[0]) == b
+        sym_inv, skew_anti = parts[1], parts[4]
+        assert sym_inv == sym_inv.transpose((1, 0))
+        assert skew_anti == skew_anti.transpose((1, 0)).scaled(R(-1))
 
     @pytest.fixture(scope="class")
     def rotated(self):
@@ -232,22 +237,20 @@ class TestBilinearSplit:
         assert len(calls) == 1
         # read again, or read the other symmetric parts: no further rotation
         assert sp.sym_anti_part is anti
-        for name in ("trace_part", "sym_invariant_part"):
-            getattr(sp, name)
-        assert len(calls) == 1
         parts = tuple(getattr(sp, name) for name in PARTS)
-        assert len(calls) == 2
-        assert parts == eager_split(S, b)
+        assert len(calls) == 1
+        assert parts == eager_split(S, b)[:3]
 
     def test_parts_reassemble_over_a_rotated_frame(self, rotated):
         S, b = rotated
-        sp = split_bilinear(S, b)
-        assert sum((getattr(sp, name) for name in PARTS[1:]), sp.trace_part) == b
+        parts = split_parts(S, b)
+        assert sum(parts[1:], parts[0]) == b
+        assert parts[3:] == eager_split(S, b)[3:]
 
     @pytest.mark.parametrize("which", ["diff_split", "comb_split"])
     def test_curvature_splits_match_the_reference(self, analysis, which):
         sp = getattr(analysis.curvature, which)
-        assert tuple(getattr(sp, name) for name in PARTS) == eager_split(analysis.structure, sp.b)
+        assert split_parts(analysis.structure, sp.b) == eager_split(analysis.structure, sp.b)
 
 
 class TestDThetaReport:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import ahtorsion
 from ahtorsion.scalars import (
@@ -29,6 +29,7 @@ from ahtorsion.scalars import (
     _EMPTY,
     _canonical,
     _negated,
+    _rational_roots_of,
 )
 
 PARAMS = ("p", "q", "s")  # three parameters; r is the grammar's sqrt(d)
@@ -386,13 +387,6 @@ class TestRoots:
         assert rational_roots(poly) == {Fraction(2), Fraction(-1, 3)}
         assert rational_roots(ZERO) is None
 
-    def test_evaluate(self):
-        q = Scalar.parameter("q")
-        s = q * q + Scalar.rational(1)
-        assert s.evaluate({"q": Fraction(2)}) == Scalar.rational(5)
-        with pytest.raises(ScalarError):
-            s.evaluate({})
-
 
 class TestPackedMonomials:
     def test_exponent_overflow_in_a_product_raises(self):
@@ -508,3 +502,90 @@ class TestAffineRoots:
         assert affine_roots([q * q - 1]) is None
         assert affine_roots([q - 1, Scalar.parameter("p")]) is None
         assert affine_roots([ZERO * q]) is None
+
+
+def trial_division_roots(coeffs: dict):
+    """Rational roots of sum(coeffs[e] * x^e) with integer coefficients, by
+    trying every p/q with p dividing the constant term and q the leading
+    coefficient: the reference for ``_rational_roots_of``, cheap only
+    while those two coefficients are small."""
+    coeffs = {e: c for e, c in coeffs.items() if c != 0}
+    if not coeffs:
+        return None
+    roots = set()
+    low = min(coeffs)
+    if low > 0:
+        roots.add(Fraction(0))
+        coeffs = {e - low: c for e, c in coeffs.items()}
+    deg = max(coeffs)
+    if deg == 0:
+        return roots
+
+    def divisors(m: int):
+        out = []
+        k = 1
+        while k * k <= m:
+            if m % k == 0:
+                out += [k, m // k]
+            k += 1
+        return out
+
+    for p in divisors(abs(coeffs[0])):
+        for q in divisors(abs(coeffs[deg])):
+            for u in (p, -p):
+                # q^deg times the value at u/q
+                if sum(c * u**e * q ** (deg - e) for e, c in coeffs.items()) == 0:
+                    roots.add(Fraction(u, q))
+    return roots
+
+
+def _times(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def root_polynomials(draw):
+    """Exponent -> integer coefficient maps, coefficients up to 2^16: random
+    ones, or a constant times a power of x and linear and quadratic factors,
+    each once or twice."""
+    if draw(st.booleans()):
+        return dict(enumerate(draw(st.lists(coefficients, min_size=1, max_size=6))))
+    p = [draw(st.integers(-6, 6).filter(bool))]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            f = [draw(st.integers(-16, 16)), draw(st.integers(1, 16))]
+        else:
+            f = [draw(st.integers(-6, 6)), draw(st.integers(-6, 6)), draw(st.integers(1, 6))]
+        for _ in range(draw(st.integers(1, 2))):
+            p = _times(p, f)
+    assume(max(map(abs, p)) <= 1 << 16)
+    shift = draw(st.integers(0, 2))
+    return {e + shift: c for e, c in enumerate(p)}
+
+
+class TestRationalRoots:
+    @settings(max_examples=150, deadline=None)
+    @given(root_polynomials())
+    def test_agrees_with_trial_division(self, coeffs):
+        assert _rational_roots_of(coeffs) == trial_division_roots(coeffs)
+
+    def test_a_large_constant_term_is_no_obstacle(self):
+        # trial division would run to the square root of 10^24
+        q = Scalar.parameter("q")
+        big = Scalar.rational(10**12)
+        assert rational_roots((q * q + big) * (q * q + big)) == set()
+        assert rational_roots((q * q - big) * (q * q - big)) == {Fraction(10**6), Fraction(-10**6)}
+        assert rational_roots((3 * q - 10**12) * (q * q + 2)) == {Fraction(10**12, 3)}
+
+    def test_irrational_and_repeated_roots(self):
+        q = Scalar.parameter("q")
+        assert rational_roots(q * q - 3) == set()
+        assert rational_roots((q - Scalar.root(3)) * (q + Scalar.root(3))) == set()
+        assert rational_roots((q - 1) * (q + Scalar.root(3))) == {Fraction(1)}
+        half = 2 * q - 1
+        assert rational_roots(q * q * half * half * half * (q + 5)) == {
+            Fraction(0), Fraction(1, 2), Fraction(-5)}
