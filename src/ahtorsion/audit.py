@@ -180,7 +180,7 @@ class Bundle:
         self.curv = curv
         self.dstar_theta = curv.dstar_theta
         self.tn = curv.theta_norm2
-        self.diff = curv.ric - curv.ric_star
+        self.diff = curv.diff_split.b  # Ric - Ric*
         self.dtheta_lam20 = analysis.dtheta.split.lambda20_part.to_tensor()
         self.xi4vec = contract_trace_vector(dec.xi4)
         self.r_min = curv.minimal.r

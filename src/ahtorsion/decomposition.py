@@ -14,11 +14,8 @@ from typing import Dict, List, Tuple
 
 from .multilinear import (
     Form, Tensor, _combine, add_rotated, codifferential, exterior_derivative, form_inner,
-    metric_tensor,
 )
-from .scalars import (
-    HALF, ZERO, Accumulator, Fraction, Scalar, affine_roots, format_scalar, rational_roots,
-)
+from .scalars import HALF, ZERO, Accumulator, Fraction, Scalar, format_scalar, rational_roots
 from .structure import AlmostHermitianStructure, StructureError
 
 _MINUS_HALF = -HALF
@@ -54,13 +51,22 @@ def _xi4_tensor(S: AlmostHermitianStructure, theta: Form) -> Tensor:
     4 xi_(4)X Y = <X,Y> theta# - theta(Y) X - <JX,Y> J theta# + (J theta)(Y) JX,
 
     that is A - A^T in the last two slots for A = g (x) theta - J^T (x) J theta,
-    where -J^T = J_(1) g.
+    where -J^T = J_(1) g.  g (x) v stores v_k at (i, i, k) for every i, its
+    transpose at (i, k, i), and J_(1) rotates them inside the one sum.
     """
-    th = theta.to_tensor().scaled(Fraction(1, 4))
-    jth = S.J_oneform(theta).to_tensor().scaled(Fraction(1, 4))
-    g = metric_tensor(S.L.dim)
-    A = g.tensor(th) + g.apply_J(0, S.J).tensor(jth)
-    return A - A.transpose((0, 2, 1))
+    dim = S.L.dim
+
+    def entries(v: Form) -> Tuple[Tensor, Tensor]:
+        """v_k at (i, i, k) and at (i, k, i), for every i."""
+        c = v.coeffs.items()
+        return (Tensor.of_nonzero(dim, 3, {(i, i, k): x for (k,), x in c for i in range(dim)}),
+                Tensor.of_nonzero(dim, 3, {(i, k, i): x for (k,), x in c for i in range(dim)}))
+
+    a, a_t = entries(theta)
+    b, b_t = entries(S.J_oneform(theta))
+    quarter = Fraction(1, 4)
+    return _combine((quarter, a), (-quarter, a_t), (quarter, b, (0,)), (-quarter, b_t, (0,)),
+                    J=S.J)
 
 
 def _cyclic_part(t: Tensor) -> Tensor:
@@ -115,8 +121,8 @@ def split_torsion(
 class GHClass:
     nonzero: Tuple[str, ...]
     label: str
-    special_parameters: Dict[str, List[Fraction]]
-    # components whose norm has several parameters, so no values were listed
+    special_parameters: Dict[str, List[str]]  # value -> components vanishing there
+    # components whose entries name several parameters, so no values were listed
     special_unlisted: Tuple[str, ...] = ()
 
 
@@ -138,34 +144,27 @@ def classify(dec: TorsionDecomposition) -> GHClass:
         label = " + ".join(nonzero)
         if "W1" not in nonzero and "W2" not in nonzero:
             label += " (Hermitian)"
-    # Rational parameter values at which a nonzero component vanishes.  It
-    # vanishes where all its entries do, and its norm is the sum of their
-    # squares, so the entries and the norm give the same rational values.
-    # When every entry is affine in the parameter they are read from the
-    # entries, one division each; otherwise they are the rational roots of
-    # the norm.  Only rational values are listed, so the listing is complete
-    # when every entry is affine in the parameter with rational coefficients;
-    # otherwise a real root can be missed ((q^2 - 3)^2 / 2 and q - sqrt(3)
-    # vanish at q = sqrt(3), which is not listed).  Root listing is
-    # univariate: a norm in several parameters is named in
-    # ``special_unlisted`` instead.
-    special: Dict[str, List[Fraction]] = {}
+    # Rational parameter values at which a nonzero component vanishes, that
+    # is where all its entries do (``rational_roots``), in ascending order.
+    # Only rational values are listed, so the listing is complete when every
+    # entry is affine in the parameter with rational coefficients; otherwise
+    # a real root can be missed (q^2 - 3 and q - sqrt(3) vanish at q =
+    # sqrt(3), which is not listed).  Root listing is univariate: a component
+    # whose entries name several parameters is named in ``special_unlisted``
+    # instead.
+    special: Dict[Fraction, List[str]] = {}
     unlisted: List[str] = []
-    parts = dict(dec.parts())
-    for name, norm in dec.norms.items():
-        if norm.is_zero():
+    for name, part in dec.parts():
+        if part.is_zero():
             continue
-        if len(norm.parameters()) > 1:
+        roots = rational_roots(part.coeffs.values())
+        if roots is None:
             unlisted.append(name)
             continue
-        roots = affine_roots(parts[name].coeffs.values())
-        if roots is None:
-            roots = rational_roots(norm)
-        if roots:
-            for r in roots:
-                special.setdefault(format_scalar(Scalar.rational(r)), []).append(name)
-    merged = {k: sorted(v) for k, v in special.items()}
-    return GHClass(nonzero, label, merged, tuple(sorted(unlisted)))
+        for r in roots:
+            special.setdefault(r, []).append(name)
+    listed = {format_scalar(Scalar.rational(r)): special[r] for r in sorted(special)}
+    return GHClass(nonzero, label, listed, tuple(unlisted))
 
 
 # -- U(n)-splits of 2-forms and bilinear forms ------------------------------

@@ -10,8 +10,8 @@ bit, and a process-wide append-only table gives each parameter name its
 field in order of first use.  A monomial product is one integer addition; a
 guard bit it sets is an exponent overflow, a ScalarError.  The public form of
 a monomial, a tuple of (name, exponent) pairs sorted by name, appears only at
-the edges: ``terms``, ``parameters()``, ``format_scalar``, ``rational_roots``
-and ``Scalar(terms, d)``.  Pickling goes through ``terms``, so field numbers
+the edges: ``terms``, ``parameters()``, ``format_scalar`` and
+``Scalar(terms, d)``.  Pickling goes through ``terms``, so field numbers
 never leave the process.
 
 Coefficients are integers over one common denominator, as in FLINT's
@@ -932,15 +932,17 @@ def _variations(sturm: list, x: Fraction) -> int:
 def _rational_roots_of(coeffs: dict) -> Optional[set]:
     """Rational roots of sum(coeffs[e] * x^e) with integer coefficients.
 
-    The square-free part p = f / gcd(f, f') has f's roots, each simple, and
-    its Sturm sequence counts them on (lo, hi] as V(lo) - V(hi).  Bisecting
-    within Cauchy's bound isolates each real root in an interval narrower than
-    1/(2 a^2), a the leading coefficient of p over Z.  A rational root's
-    denominator divides a, and two fractions with denominators at most a lie
-    at least 1/a^2 apart, so the nearest of them to the interval's end is the
-    one candidate, checked exactly.  The cost is polynomial in the degree and
-    in the coefficients' bit length (Collins and Akritas, SYMSAC 1976,
-    isolate by Descartes' rule instead).
+    A factor x^k gives the root 0, and what is left of degree 1, f0 + f1*x,
+    its one root -f0/f1.  Above degree 1, the square-free part p = f /
+    gcd(f, f') has f's roots, each simple, and its Sturm sequence counts them
+    on (lo, hi] as V(lo) - V(hi).  Bisecting within Cauchy's bound isolates
+    each real root in an interval narrower than 1/(2 a^2), a the leading
+    coefficient of p over Z.  A rational root's denominator divides a, and
+    two fractions with denominators at most a lie at least 1/a^2 apart, so
+    the nearest of them to the interval's end is the one candidate, checked
+    exactly.  The cost is polynomial in the degree and in the coefficients'
+    bit length (Collins and Akritas, SYMSAC 1976, isolate by Descartes' rule
+    instead).
     """
     coeffs = {e: c for e, c in coeffs.items() if c}
     if not coeffs:
@@ -950,6 +952,8 @@ def _rational_roots_of(coeffs: dict) -> Optional[set]:
     roots = {Fraction(0)} if low else set()
     if len(f) == 1:
         return roots
+    if len(f) == 2:
+        return roots | {Fraction(-f[0], f[1])}
     g, h = f, [e * c for e, c in enumerate(f)][1:]
     while h:
         g, h = h, _divmod_poly(g, h)[1]
@@ -979,69 +983,34 @@ def _rational_roots_of(coeffs: dict) -> Optional[set]:
     return roots
 
 
-def _exponent(m: int) -> int:
-    """The exponent of a packed monomial in at most one parameter."""
-    mono = _unpack(m)
-    return mono[0][1] if mono else 0
+def rational_roots(entries: Iterable[Scalar]) -> Optional[set]:
+    """Rational values of the one parameter at which every entry vanishes.
 
-
-def rational_roots(s: Scalar) -> Optional[set]:
-    """Rational values of the single parameter at which ``s`` vanishes.
-
-    Returns None when ``s`` is identically zero.  Requires at most one
-    parameter name in ``s``.
+    At a rational value an entry vanishes where both its rational and its
+    sqrt(d) part do, and the common denominator does not move the roots, so
+    each part's integer numerators serve.  The candidates are the rational
+    roots of the first part read (``_rational_roots_of``); each later part
+    keeps those at which it vanishes, read exactly by ``_sign_at``, and the
+    reading stops as soon as none is left.  Returns None when the entries
+    name more than one parameter and when no entry is nonzero.
     """
-    names = s.parameters()
-    if len(names) > 1:
-        raise ScalarError("root listing is univariate only")
-    if s.is_zero():
+    parts = [part for s in entries for part in (s._a, s._b) if part]
+    m = 0
+    for part in parts:
+        for k in part:
+            m |= k
+    # one parameter: each monomial is a power of it, k >> shift its exponent
+    shift = (m.bit_length() - 1) // _BITS * _BITS if m else 0
+    if not parts or m & ((1 << shift) - 1):
         return None
-    if not names:
-        return set()
-    # One parameter: each monomial is a distinct power of it.  The common
-    # denominator does not move the roots, so the integer numerators serve.
-    p_poly = {_exponent(m): c for m, c in s._a.items()}
-    q_poly = {_exponent(m): c for m, c in s._b.items()}
-    rp = _rational_roots_of(p_poly)
-    rq = _rational_roots_of(q_poly)
-    if rp is None:
-        return rq
-    if rq is None:
-        return rp
-    return rp & rq
-
-
-def affine_roots(entries: Iterable[Scalar]) -> Optional[set]:
-    """Rational values of one parameter q at which every entry vanishes, read
-    from the coefficients of entries affine in q.
-
-    At a rational q an entry vanishes where both its rational and its
-    sqrt(d) part, each c0 + c1*q, do: a part with c1 != 0 only at -c0/c1, a
-    nonzero constant part nowhere, a zero part everywhere.  The intersection
-    of these sets holds at most one value; it is returned as soon as it is
-    empty, else once every entry is read.  Returns None when an entry read is
-    not affine in one parameter shared by all, and when no entry bounds q.
-    """
-    unit = 0  # the packed monomial q^1
-    root = None  # (-c0, c1) of the first part that names a value
-    for s in entries:
-        for part in (s._a, s._b):
-            if not part:
-                continue
-            c0 = c1 = 0
-            for m, c in part.items():
-                if not m:
-                    c0 = c
-                elif m == unit:
-                    c1 = c
-                elif unit or [e for _, e in _unpack(m)] != [1]:
-                    return None
-                else:
-                    unit, c1 = m, c
-            if not c1:
-                return set()
-            if root is None:
-                root = (-c0, c1)
-            elif root[0] * c1 != -c0 * root[1]:
-                return set()
-    return None if root is None else {Fraction(*root)}
+    roots = None
+    for part in parts:
+        poly = {k >> shift: c for k, c in part.items()}
+        if roots is None:
+            roots = list(_rational_roots_of(poly))
+        else:
+            p = [poly.get(e, 0) for e in range(max(poly) + 1)]
+            roots = [x for x in roots if not _sign_at(p, x)]
+        if not roots:
+            break
+    return set(roots)

@@ -305,8 +305,8 @@ class TestCommands:
         ("-", {"-1000000": ["W2"], "1000000": ["W2"]}),
     ])
     def test_root_listing_finishes_on_a_large_constant_term(self, tmp_path, sign, listed):
-        # W2's squared norm has the constant term 10^24 / 2: root listing
-        # must not walk that term's divisors
+        # W2's entries have the constant term 10^12: root listing must not
+        # walk that term's divisors
         path = tmp_path / "large.json"
         path.write_text(json.dumps(minimal_file(
             parameters=["q"],
@@ -320,7 +320,8 @@ class TestCommands:
         assert out.returncode == 0, out.stderr
         classification = json.loads(out.stdout)["classification"]
         assert classification["nonzero_components"] == ["W2"]
-        assert classification["special_parameters"] == listed
+        # in ascending order, as the text report prints them
+        assert list(classification["special_parameters"].items()) == list(listed.items())
         assert time.perf_counter() - start < 30
 
     def test_two_parameter_file_analyzes_and_audits_ok(self, tmp_path, capsys):

@@ -99,14 +99,13 @@ class TestClassification:
         })
 
     @pytest.fixture
-    def no_norm_roots(self, monkeypatch):
-        def refuse(coeffs):
-            raise AssertionError("root listing from the norm")
-        monkeypatch.setattr(scalars, "_rational_roots_of", refuse)
+    def no_bisection(self, monkeypatch):
+        def refuse(sturm, x):
+            raise AssertionError("Sturm bisection")
+        monkeypatch.setattr(scalars, "_variations", refuse)
 
-    def test_30_bit_coefficients_are_read_from_the_entries(self, no_norm_roots):
-        # the squared norms have 60-bit coefficients; the entries give the
-        # roots with one division each
+    def test_30_bit_coefficients_are_read_from_the_entries(self, no_bisection):
+        # every entry is affine in q: each gives its root with one division
         big = "998244353 + 1000000007*q"
         gh = analyze(self._solvable_file([(1, {"1": big, "2": "1"}), (3, {"1": "1"})])).gh_class
         assert gh.nonzero == ("W2", "W4")
@@ -115,14 +114,14 @@ class TestClassification:
         assert gh.special_parameters == {"-998244353/1000000007": ["W2", "W4"]}
 
     @pytest.mark.parametrize("factors", [6, 15])
-    def test_mixed_rotations_are_read_from_the_entries(self, no_norm_roots, factors):
+    def test_mixed_rotations_are_read_from_the_entries(self, no_bisection, factors):
         base = get("example-5.2").build()
         S = audit.rotated_structure(base, random.Random(3), "mixed", factors=factors)
         gh = analyze(S).gh_class
         assert gh.nonzero == ("W2", "W4")
         assert gh.special_parameters == {}
 
-    def test_entries_not_affine_fall_back_to_the_norm(self):
+    def test_entries_not_affine_are_listed_by_bisection(self):
         gh = analyze(self._solvable_file([(1, {"1": "q^2 - 1"})])).gh_class
         assert gh.special_parameters == {"-1": ["W2", "W4"], "1": ["W2", "W4"]}
 

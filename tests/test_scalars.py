@@ -21,7 +21,6 @@ from ahtorsion.scalars import (
     Scalar,
     ScalarError,
     ZERO,
-    affine_roots,
     format_scalar,
     parse_scalar,
     rational_roots,
@@ -190,7 +189,7 @@ class TestIntegerRepresentation:
         q = Scalar.parameter("q")
         poly = (q - 2) * (q + Scalar.rational(Fraction(1, 3)))
         for factor in (Scalar.rational(Fraction(7, 5)), Scalar.root(3, 4) + 6):
-            assert rational_roots(poly * factor) == {Fraction(2), Fraction(-1, 3)}
+            assert rational_roots([poly * factor]) == {Fraction(2), Fraction(-1, 3)}
 
     def test_terms_is_read_only(self):
         s = Scalar.root(3, Fraction(1, 2)) + Scalar.parameter("q")
@@ -381,11 +380,12 @@ class TestRoots:
     def test_scalar_sqrt_missing(self):
         assert scalar_sqrt(Scalar.rational(2)) is None
 
-    def test_rational_roots_of_norm_polynomial(self):
+    def test_rational_roots_of_one_entry(self):
         q = Scalar.parameter("q")
         poly = (q - Scalar.rational(2)) * (q + Scalar.rational(Fraction(1, 3)))
-        assert rational_roots(poly) == {Fraction(2), Fraction(-1, 3)}
-        assert rational_roots(ZERO) is None
+        assert rational_roots([poly]) == {Fraction(2), Fraction(-1, 3)}
+        assert rational_roots([ZERO]) is None
+        assert rational_roots([]) is None
 
 
 class TestPackedMonomials:
@@ -480,7 +480,7 @@ def affine_entries(draw):
     return [e for e in entries if e]
 
 
-class TestAffineRoots:
+class TestRootsFromEntries:
     @settings(max_examples=60, deadline=None)
     @given(affine_entries())
     def test_entries_give_the_roots_of_the_norm(self, entries):
@@ -488,20 +488,32 @@ class TestAffineRoots:
         for e in entries:
             norm = norm + e * e
         if norm.is_zero():
-            assert affine_roots(entries) is None
+            assert rational_roots(entries) is None
             return
-        assert affine_roots(entries) == rational_roots(norm)
+        assert rational_roots(entries) == rational_roots([norm])
 
     def test_examples(self):
         q = Scalar.parameter("q")
-        assert affine_roots([3 * q - 2, 6 * q - 4]) == {Fraction(2, 3)}
-        assert affine_roots([3 * q - 2, q]) == set()
-        assert affine_roots([q - 1, Scalar.root(3) * (q - 1)]) == {Fraction(1)}
-        assert affine_roots([q - 1 + Scalar.root(3)]) == set()  # vanishes at 1 - sqrt(3)
-        assert affine_roots([q - 1, ONE]) == set()
-        assert affine_roots([q * q - 1]) is None
-        assert affine_roots([q - 1, Scalar.parameter("p")]) is None
-        assert affine_roots([ZERO * q]) is None
+        assert rational_roots([3 * q - 2, 6 * q - 4]) == {Fraction(2, 3)}
+        assert rational_roots([3 * q - 2, q]) == set()
+        assert rational_roots([q - 1, Scalar.root(3) * (q - 1)]) == {Fraction(1)}
+        assert rational_roots([q - 1 + Scalar.root(3)]) == set()  # vanishes at 1 - sqrt(3)
+        assert rational_roots([q - 1, ONE]) == set()
+        assert rational_roots([q * q - 1]) == {Fraction(1), Fraction(-1)}
+        assert rational_roots([q - 1, Scalar.parameter("p")]) is None
+        assert rational_roots([ZERO * q]) is None
+
+    def test_mixed_degrees(self):
+        q = Scalar.parameter("q")
+        assert rational_roots([q - 1, q * q - 1]) == {Fraction(1)}
+        assert rational_roots([q * q - 1, q - 1]) == {Fraction(1)}
+        assert rational_roots([q * q - 1, q * q * q - 1]) == {Fraction(1)}
+
+    def test_a_second_parameter_after_the_candidates_run_out(self):
+        # the candidates are gone after ONE, but the entries name p and q
+        q, p = Scalar.parameter("q"), Scalar.parameter("p")
+        assert rational_roots([q - 1, ONE, p]) is None
+        assert rational_roots([q - 1, ONE]) == set()
 
 
 def trial_division_roots(coeffs: dict):
@@ -577,15 +589,15 @@ class TestRationalRoots:
         # trial division would run to the square root of 10^24
         q = Scalar.parameter("q")
         big = Scalar.rational(10**12)
-        assert rational_roots((q * q + big) * (q * q + big)) == set()
-        assert rational_roots((q * q - big) * (q * q - big)) == {Fraction(10**6), Fraction(-10**6)}
-        assert rational_roots((3 * q - 10**12) * (q * q + 2)) == {Fraction(10**12, 3)}
+        assert rational_roots([(q * q + big) * (q * q + big)]) == set()
+        assert rational_roots([(q * q - big) * (q * q - big)]) == {Fraction(10**6), Fraction(-10**6)}
+        assert rational_roots([(3 * q - 10**12) * (q * q + 2)]) == {Fraction(10**12, 3)}
 
     def test_irrational_and_repeated_roots(self):
         q = Scalar.parameter("q")
-        assert rational_roots(q * q - 3) == set()
-        assert rational_roots((q - Scalar.root(3)) * (q + Scalar.root(3))) == set()
-        assert rational_roots((q - 1) * (q + Scalar.root(3))) == {Fraction(1)}
+        assert rational_roots([q * q - 3]) == set()
+        assert rational_roots([(q - Scalar.root(3)) * (q + Scalar.root(3))]) == set()
+        assert rational_roots([(q - 1) * (q + Scalar.root(3))]) == {Fraction(1)}
         half = 2 * q - 1
-        assert rational_roots(q * q * half * half * half * (q + 5)) == {
+        assert rational_roots([q * q * half * half * half * (q + 5)]) == {
             Fraction(0), Fraction(1, 2), Fraction(-5)}

@@ -317,3 +317,35 @@ def test_index_cube_scan_is_found():
         "other = itertools.permutations(range(d), 3)\n"
     )
     assert index_cube_scans(source) == [1, 2, 4, 5]
+
+
+SCALAR_MAPS = ("_a", "_b", "_den")
+
+
+def scalar_map_reads(source: str):
+    """Lines that read or write a Scalar's private maps, ``x._a``, ``x._b``
+    or ``x._den``.  Outside ``scalars``, a Scalar is read through its public
+    methods (``terms``, ``parameters()``, ``ratio()``, ``rational_roots``)."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and node.attr in SCALAR_MAPS})
+
+
+SCALAR_CLIENTS = [p for p in MODULES if p.name != "scalars.py"]
+
+
+@pytest.mark.parametrize("path", SCALAR_CLIENTS, ids=[p.name for p in SCALAR_CLIENTS])
+def test_module_reads_scalars_through_their_public_methods(path):
+    assert scalar_map_reads(path.read_text()) == []
+
+
+def test_scalar_map_read_is_found():
+    source = (
+        "p = {m: c for m, c in s._a.items()}\n"
+        "if x._b:\n"
+        "    pass\n"
+        "den = self.coeff._den * 2\n"
+        "t._a = {}\n"
+        "k = J.den, s.a, s._ab, s.terms\n"
+        "getattr(s, '_a')\n"
+    )
+    assert scalar_map_reads(source) == [1, 2, 4, 5]
