@@ -39,7 +39,6 @@ from .multilinear import (
     _combine,
     _pair_xi,
     exterior_derivative,
-    form_inner,
     identity_matrix,
     metric_tensor,
 )
@@ -861,7 +860,7 @@ def check_p410(b: Bundle) -> Parts:
 
 def check_c411(b: Bundle) -> Parts:
     n = b.n
-    rw = form_inner(b.r_min, b.S.omega)
+    rw = b.r_min.inner(b.S.omega)
     rhs = (
         R(8) * rw
         + R(2 * (n - 1)) * b.dstar_theta

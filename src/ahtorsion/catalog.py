@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .multilinear import Form, GeometryError, LieAlgebra, Matrix, sort_with_sign
-from .scalars import Scalar, ScalarError, parse_scalar
+from .scalars import MAX_EXTENSION, Scalar, ScalarError, is_square_free, parse_scalar
 from .structure import AlmostHermitianStructure, StructureError, build_structure
 
 
@@ -80,6 +80,9 @@ def structure_from_data(data: dict, source: str = "<data>") -> AlmostHermitianSt
     d = data.get("sqrt_extension", 0)
     if not _is_int(d) or d < 0:
         raise FileFormatError(f"{source}: sqrt_extension must be a nonnegative integer")
+    if d and not (d < MAX_EXTENSION and is_square_free(d)):
+        raise FileFormatError(
+            f"{source}: sqrt_extension must be 0 or a square-free integer in [2, 2^40)")
     parsed: Dict[str, Scalar] = {}
 
     brackets_data = data.get("brackets", [])

@@ -29,7 +29,6 @@ from .multilinear import (
     _combine,
     codifferential,
     exterior_derivative,
-    form_inner,
     hodge_star,
 )
 from .scalars import HALF, ONE, ZERO, Accumulator, Fraction, Scalar, scalar_sqrt
@@ -163,7 +162,7 @@ def scalar_curvatures_from_torsion(
     |xi4|^2 = (n-1)/2 |theta|^2; both are checked by the identity audit.
     """
     n = S.n
-    rw = form_inner(r_minimal, S.omega)
+    rw = r_minimal.inner(S.omega)
     n1, n2_, n3 = dec.norms["W1"], dec.norms["W2"], dec.norms["W3"]
     s = (
         Scalar.rational(2) * rw
@@ -202,7 +201,7 @@ def curvature_report(
 
     dstar_theta_form = codifferential(S.L, dec.theta)
     dstar_theta = dstar_theta_form.coeffs.get((), ZERO)
-    theta_norm2 = form_inner(dec.theta, dec.theta)
+    theta_norm2 = dec.theta.inner(dec.theta)
     s_t, s_star_t = scalar_curvatures_from_torsion(S, dec, min_cc.r, dstar_theta, theta_norm2)
 
     diff = ric - ric_star
@@ -231,7 +230,7 @@ def curvature_report(
 
 def three_form_pure_part(S: AlmostHermitianStructure, alpha: Form) -> Form:
     """[[lambda^{3,0}]] part: 1/4 (alpha - sum over slot pairs of alpha(J., J.))."""
-    if alpha.degree != 3:
+    if alpha.rank != 3:
         raise CurvatureError("pure-part projection expects a 3-form")
     t = alpha.to_tensor()
     quarter = Fraction(1, 4)
@@ -269,7 +268,7 @@ def su_refinement(
         pure = three_form_pure_part(S, domega)
         if pure.is_zero():
             return None
-        norm = scalar_sqrt(form_inner(pure, pure))
+        norm = scalar_sqrt(pure.inner(pure))
         if norm is None:
             return None
         # d omega = 3 w1+ psi+ + ... with |psi+|^2 = 4, so |pure| = 6 w1+
@@ -281,7 +280,7 @@ def su_refinement(
     assert psi_plus is not None and psi_minus is not None
 
     if n == 3:
-        w1p = form_inner(domega, psi_plus) * Scalar.rational(Fraction(1, 12))
+        w1p = domega.inner(psi_plus) * Scalar.rational(Fraction(1, 12))
     else:
         w1p = ZERO
 

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Tuple
 
-from .multilinear import (
-    Form, Tensor, _combine, add_rotated, codifferential, exterior_derivative, form_inner,
-)
+from .multilinear import Form, Tensor, _combine, add_rotated, codifferential, exterior_derivative
 from .scalars import HALF, ZERO, Accumulator, Fraction, Scalar, format_scalar, rational_roots
 from .structure import AlmostHermitianStructure, StructureError
 
@@ -185,11 +183,11 @@ class TwoFormSplit:
 
 
 def split_two_form(S: AlmostHermitianStructure, alpha: Form) -> TwoFormSplit:
-    if alpha.degree != 2:
+    if alpha.rank != 2:
         raise DecompositionError("split_two_form expects a 2-form")
     invariant = lambda11_part(S, alpha)
     anti = alpha - invariant
-    trace = form_inner(alpha, S.omega) * Scalar.rational(Fraction(1, S.n))
+    trace = alpha.inner(S.omega) * Scalar.rational(Fraction(1, S.n))
     r_part = S.omega.scaled(trace)
     return TwoFormSplit(r_part, invariant - r_part, anti)
 
@@ -294,6 +292,4 @@ def domega_from_torsion(S: AlmostHermitianStructure, xi: Tensor) -> Form:
             acc.add(tuple(sorted(key)), x, y, f)
 
     den = add_rotated(add_cyclic, xi.coeffs, -2, (2,), S.J)
-    out = Form(S.L.dim, 3)
-    out.coeffs = acc.result(den)
-    return out
+    return Form.of_nonzero(S.L.dim, 3, acc.result(den))

@@ -3,7 +3,10 @@
 Everything is expressed in a fixed basis that is declared orthonormal for the
 metric; forms are stored on strictly increasing index tuples and tensors as
 sparse maps from index tuples to their nonzero Scalars (the stored entries).
-Indices are 0-based internally.
+Indices are 0-based internally.  Forms and tensors share one base,
+``_Entries``, which holds ``dim``, ``rank`` and the stored entries and
+defines their linear algebra once: sums, differences, scaling, equality and
+the inner product.  A form's rank is its degree.
 
 Kernels that contract tensors iterate stored entries only: they never sweep
 the full index cube reading absent entries.  Each adds its products into one
@@ -25,8 +28,8 @@ indexes as the matrix and carries its stored rows, scaled to integers over
 one denominator where rational, and the products of pairs of row entries,
 built on first use.  When J is a signed permutation (each row one +-1
 entry), ``apply_J`` moves each stored entry to its new index instead of
-summing.  Tensors built from ``Accumulator.result()`` are taken as they are
-(``Tensor.of_nonzero``), since those maps never hold a zero.  The
+summing.  Forms and tensors built from ``Accumulator.result()`` are taken as
+they are (``of_nonzero``), since those maps never hold a zero.  The
 difference of two tensors or forms with equal entries is the empty one,
 found by comparing the maps, with no arithmetic: canonical entries are
 equal exactly when their values are.
@@ -138,8 +141,74 @@ class LieAlgebra:
         return (False, min(nonzero)) if nonzero else (True, None)
 
 
-class Form:
-    """Invariant p-form stored on strictly increasing index tuples."""
+class _Entries:
+    """Stored entries over ``dim`` basis vectors with ``rank`` slots: the
+    sparse linear algebra that forms and tensors share.
+
+    ``coeffs`` maps index tuples to nonzero Scalars.  Operands of ``+``,
+    ``-`` and ``inner`` must be of one class, dimension and rank.
+    """
+
+    @classmethod
+    def of_nonzero(cls, dim: int, rank: int, coeffs: Dict[Tuple[int, ...], Scalar]):
+        """The object stored on ``coeffs`` itself, whose keys are the class's
+        own index tuples and whose values are all nonzero, as
+        ``Accumulator.result()`` returns: no entry is checked again."""
+        t = cls.__new__(cls)
+        t.dim, t.rank, t.coeffs = dim, rank, coeffs
+        return t
+
+    def _check_like(self, other: "_Entries"):
+        if type(other) is not type(self) or self.dim != other.dim or self.rank != other.rank:
+            raise GeometryError(
+                f"operand is not a {type(self).__name__} of rank {self.rank} in dimension {self.dim}")
+
+    def __add__(self, other):
+        self._check_like(other)
+        return self.of_nonzero(self.dim, self.rank,
+                               linear_combination([(1, self.coeffs), (1, other.coeffs)]))
+
+    def __neg__(self):
+        return self.of_nonzero(self.dim, self.rank, {k: -v for k, v in self.coeffs.items()})
+
+    def __sub__(self, other):
+        """Entry-wise difference; the empty map when the two are equal, which
+        for canonical entries means equal in value, so a residual that
+        cancels is never summed."""
+        self._check_like(other)
+        a, b = self.coeffs, other.coeffs
+        return self.of_nonzero(self.dim, self.rank,
+                               {} if a == b else linear_combination([(1, a), (-1, b)]))
+
+    def scaled(self, s):
+        return self.of_nonzero(self.dim, self.rank, linear_combination([(s, self.coeffs)]))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.dim == other.dim and self.rank == other.rank and self.coeffs == other.coeffs
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def inner(self, other) -> Scalar:
+        """Full index-wise contraction: sum t_I u_I over the stored I, which
+        for forms is the sum over sorted tuples, <a, b> (orthonormal frame)."""
+        self._check_like(other)
+        a, b = self.coeffs, other.coeffs
+        if len(b) < len(a):
+            a, b = b, a
+        acc = Accumulator()
+        for k, v in a.items():
+            w = b.get(k)
+            if w is not None:
+                acc.add((), v, w)
+        return acc.result().get((), ZERO)
+
+
+class Form(_Entries):
+    """Invariant p-form stored on strictly increasing index tuples; its
+    degree p is its ``rank``."""
 
     def __init__(self, dim: int, degree: int, coeffs: Optional[Dict[Tuple[int, ...], Scalar]] = None):
         # degree > dim is allowed as a representation of the zero form
@@ -148,18 +217,16 @@ class Form:
         if degree > dim and coeffs:
             raise GeometryError(f"nonzero form of degree {degree} in dimension {dim}")
         self.dim = dim
-        self.degree = degree
-        self.coeffs: Dict[Tuple[int, ...], Scalar] = {}
-        if coeffs:
-            acc = Accumulator()
-            for idx, val in coeffs.items():
-                key, sign = sort_with_sign(idx)
-                if sign:
-                    acc.add(key, val, sign=sign)
-            self.coeffs = acc.result()
+        self.rank = degree
+        acc = Accumulator()
+        for idx, val in (coeffs or {}).items():
+            key, sign = sort_with_sign(idx)
+            if sign:
+                acc.add(key, val, sign=sign)
+        self.coeffs = acc.result()
 
     def __call__(self, *indices: int) -> Scalar:
-        if len(indices) != self.degree:
+        if len(indices) != self.rank:
             raise GeometryError("wrong number of arguments for form evaluation")
         key, sign = sort_with_sign(indices)
         if sign == 0:
@@ -167,69 +234,28 @@ class Form:
         val = self.coeffs.get(key, ZERO)
         return val if sign == 1 else -val
 
-    def _check_like(self, other: "Form"):
-        if self.dim != other.dim or self.degree != other.degree:
-            raise GeometryError("degree mismatch")
-
-    def __add__(self, other: "Form") -> "Form":
-        self._check_like(other)
-        f = Form(self.dim, self.degree)
-        f.coeffs = linear_combination([(1, self.coeffs), (1, other.coeffs)])
-        return f
-
-    def __neg__(self) -> "Form":
-        f = Form(self.dim, self.degree)
-        f.coeffs = {k: -v for k, v in self.coeffs.items()}
-        return f
-
-    def __sub__(self, other: "Form") -> "Form":
-        self._check_like(other)
-        f = Form(self.dim, self.degree)
-        f.coeffs = _difference(self.coeffs, other.coeffs)
-        return f
-
-    def scaled(self, s) -> "Form":
-        f = Form(self.dim, self.degree)
-        f.coeffs = linear_combination([(s, self.coeffs)])
-        return f
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Form):
-            return NotImplemented
-        return self.dim == other.dim and self.degree == other.degree and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.dim, self.degree, frozenset(self.coeffs.items())))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def wedge(self, other: "Form") -> "Form":
         if self.dim != other.dim:
             raise GeometryError("dimension mismatch in wedge")
-        deg = self.degree + other.degree
-        if deg > self.dim:
-            return Form(self.dim, deg)
+        # above degree dim every key repeats an index, so none is stored
         acc = Accumulator()
         for i1, v1 in self.coeffs.items():
             for i2, v2 in other.coeffs.items():
                 key, sign = sort_with_sign(i1 + i2)
                 if sign:
                     acc.add(key, v1, v2, sign)
-        f = Form(self.dim, deg)
-        f.coeffs = acc.result()
-        return f
+        return Form.of_nonzero(self.dim, self.rank + other.rank, acc.result())
 
     def to_tensor(self) -> "Tensor":
         # the sign of each slot permutation, found once rather than per entry
         perms = [(_picker(perm), sort_with_sign(perm)[1] == 1)
-                 for perm in itertools.permutations(range(self.degree))]
+                 for perm in itertools.permutations(range(self.rank))]
         coeffs: Dict[Tuple[int, ...], Scalar] = {}
         for key, val in self.coeffs.items():
             neg = -val
             for pick, even in perms:
                 coeffs[pick(key)] = val if even else neg
-        return Tensor.of_nonzero(self.dim, self.degree, coeffs)
+        return Tensor.of_nonzero(self.dim, self.rank, coeffs)
 
     def __repr__(self) -> str:
         from .render import format_form
@@ -237,7 +263,7 @@ class Form:
         return f"Form({format_form(self)})"
 
 
-class Tensor:
+class Tensor(_Entries):
     """Covariant tensor over the fixed orthonormal basis, stored sparsely.
 
     ``coeffs`` holds only the nonzero entries; an absent index tuple reads as
@@ -247,20 +273,7 @@ class Tensor:
     def __init__(self, dim: int, rank: int, coeffs: Optional[Dict[Tuple[int, ...], Scalar]] = None):
         self.dim = dim
         self.rank = rank
-        self.coeffs: Dict[Tuple[int, ...], Scalar] = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                if not v.is_zero():
-                    self.coeffs[tuple(k)] = v
-
-    @classmethod
-    def of_nonzero(cls, dim: int, rank: int, coeffs: Dict[Tuple[int, ...], Scalar]) -> "Tensor":
-        """The tensor stored on ``coeffs`` itself, whose keys are tuples and
-        whose values are all nonzero, as ``Accumulator.result()`` returns:
-        no entry is checked again."""
-        t = cls.__new__(cls)
-        t.dim, t.rank, t.coeffs = dim, rank, coeffs
-        return t
+        self.coeffs = {tuple(k): v for k, v in (coeffs or {}).items() if not v.is_zero()}
 
     def __call__(self, *indices: int) -> Scalar:
         if len(indices) != self.rank:
@@ -280,33 +293,6 @@ class Tensor:
         for k, v in self.coeffs.items():
             out.setdefault(key(k), []).append((k, v))
         return out
-
-    def _check_like(self, other: "Tensor"):
-        if self.dim != other.dim or self.rank != other.rank:
-            raise GeometryError("rank mismatch")
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        self._check_like(other)
-        return Tensor.of_nonzero(self.dim, self.rank,
-                                 linear_combination([(1, self.coeffs), (1, other.coeffs)]))
-
-    def __neg__(self) -> "Tensor":
-        return Tensor.of_nonzero(self.dim, self.rank, {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        self._check_like(other)
-        return Tensor.of_nonzero(self.dim, self.rank, _difference(self.coeffs, other.coeffs))
-
-    def scaled(self, s) -> "Tensor":
-        return Tensor.of_nonzero(self.dim, self.rank, linear_combination([(s, self.coeffs)]))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return self.dim == other.dim and self.rank == other.rank and self.coeffs == other.coeffs
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def tensor(self, other: "Tensor") -> "Tensor":
         if self.dim != other.dim:
@@ -396,19 +382,12 @@ class Tensor:
                 return False
         return True
 
-    def inner(self, other: "Tensor") -> Scalar:
-        """Full index-wise contraction <t, u> = sum t_I u_I."""
-        self._check_like(other)
-        return _dot(self.coeffs, other.coeffs)
-
     def antisymmetrize_to_form(self) -> Form:
         """The form of a fully antisymmetric tensor: its entries on strictly
         increasing indices.  Antisymmetry is the caller's to ensure; it is not
         checked here."""
-        f = Form(self.dim, self.rank)
-        f.coeffs = {k: v for k, v in self.coeffs.items()
-                    if all(a < c for a, c in zip(k, k[1:]))}
-        return f
+        return Form.of_nonzero(self.dim, self.rank, {
+            k: v for k, v in self.coeffs.items() if all(a < c for a, c in zip(k, k[1:]))})
 
 
 Matrix = List[List[Scalar]]
@@ -477,18 +456,6 @@ class Endomorphism:
 
     def __iter__(self):
         return iter(self._matrix)
-
-
-def _dot(a: dict, b: dict) -> Scalar:
-    """sum over the keys k of both maps of a[k] * b[k]."""
-    if len(b) < len(a):
-        a, b = b, a
-    acc = Accumulator()
-    for k, v in a.items():
-        w = b.get(k)
-        if w is not None:
-            acc.add((), v, w)
-    return acc.result().get((), ZERO)
 
 
 def add_rotated(add, coeffs: dict, f: int, slots: Tuple[int, ...],
@@ -606,13 +573,6 @@ def _pair_xi(a: Tensor, b: Tensor, slot: int = 1,
     return Tensor.of_nonzero(a.dim, 2, acc.result(J.den))
 
 
-def _difference(a: dict, b: dict) -> dict:
-    """Entry-wise a - b; an empty map when the two are equal, which for
-    canonical entries means equal in value, so a residual that cancels is
-    never summed."""
-    return {} if a == b else linear_combination([(1, a), (-1, b)])
-
-
 def identity_matrix(dim: int) -> Matrix:
     return [[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)]
 
@@ -673,11 +633,6 @@ def exterior_derivative(L: LieAlgebra, alpha: Form) -> Form:
     targeting K_s adds c^{K_s}_ij a_K e^{K[:s] ij K[s+1:]}, which is
     -(-1)^s sigma times the sorted basis form (sigma the sorting sign).
     """
-    p = alpha.degree
-    n = L.dim
-    out = Form(n, p + 1)
-    if p >= n:
-        return out
     acc = Accumulator()
     for K, v in alpha.coeffs.items():
         for s, k in enumerate(K):
@@ -685,15 +640,7 @@ def exterior_derivative(L: LieAlgebra, alpha: Form) -> Form:
                 key, sign = sort_with_sign(K[:s] + (i, j) + K[s + 1 :])
                 if sign:
                     acc.add(key, c, v, sign if s % 2 else -sign)
-    out.coeffs = acc.result()
-    return out
-
-
-def form_inner(alpha: Form, beta: Form) -> Scalar:
-    """<a, b> = (1/p!) sum over tuples, i.e. sum over sorted tuples (orthonormal)."""
-    if alpha.degree != beta.degree or alpha.dim != beta.dim:
-        raise GeometryError("degree mismatch in form inner product")
-    return _dot(alpha.coeffs, beta.coeffs)
+    return Form.of_nonzero(L.dim, alpha.rank + 1, acc.result())
 
 
 def hodge_star(alpha: Form) -> Form:
@@ -703,20 +650,18 @@ def hodge_star(alpha: Form) -> Form:
     twice (d* = -*d*, and *(*d psi ^ psi)), so its sign cancels.
     """
     n = alpha.dim
-    out = Form(n, n - alpha.degree)
     full = set(range(n))
     acc = Accumulator()
     for idx, val in alpha.coeffs.items():
         comp = tuple(sorted(full - set(idx)))
         _, sign = sort_with_sign(idx + comp)
         acc.add(comp, val, None, sign)
-    out.coeffs = acc.result()
-    return out
+    return Form.of_nonzero(n, n - alpha.rank, acc.result())
 
 
 def codifferential(L: LieAlgebra, alpha: Form) -> Form:
     """d* = -*d* on all degrees in even dimension."""
-    if alpha.degree == 0:
+    if alpha.rank == 0:
         raise GeometryError("codifferential needs degree >= 1")
     return -hodge_star(exterior_derivative(L, hodge_star(alpha)))
 

@@ -38,7 +38,7 @@ def _join_signed(chunks) -> str:
 def format_form(form: Form) -> str:
     if form.is_zero():
         return "0"
-    if form.degree == 0:
+    if form.rank == 0:
         return format_scalar(form.coeffs.get((), Scalar()))
     chunks = []
     for idx in sorted(form.coeffs):

@@ -53,17 +53,18 @@ class ExtensionMismatch(ScalarError):
     pass
 
 
+# trial division up to sqrt(d), at most 2^19 odd divisors, stays prompt
+MAX_EXTENSION = 1 << 40
+
+
 def is_square_free(d: int) -> bool:
+    if d >= MAX_EXTENSION:
+        raise ScalarError(f"extension {d} is not below 2^40")
     if d < 0:
         return False
     if d in (0, 1):
         return d == 0  # d = 1 would be a disguised rational; reject
-    k = 2
-    while k * k <= d:
-        if d % (k * k) == 0:
-            return False
-        k += 1
-    return True
+    return d % 4 != 0 and all(d % (k * k) for k in range(3, math.isqrt(d) + 1, 2))
 
 
 def _join_d(da: int, db: int) -> int:
@@ -989,10 +990,11 @@ def rational_roots(entries: Iterable[Scalar]) -> Optional[set]:
     At a rational value an entry vanishes where both its rational and its
     sqrt(d) part do, and the common denominator does not move the roots, so
     each part's integer numerators serve.  The candidates are the rational
-    roots of the first part read (``_rational_roots_of``); each later part
-    keeps those at which it vanishes, read exactly by ``_sign_at``, and the
-    reading stops as soon as none is left.  Returns None when the entries
-    name more than one parameter and when no entry is nonzero.
+    roots of a part of least degree (``_rational_roots_of``), so a quadratic
+    part read before an affine one costs no bisection; each later part keeps
+    those at which it vanishes, read exactly by ``_sign_at``, and the reading
+    stops as soon as none is left.  Returns None when the entries name more
+    than one parameter and when no entry is nonzero.
     """
     parts = [part for s in entries for part in (s._a, s._b) if part]
     m = 0
@@ -1003,6 +1005,7 @@ def rational_roots(entries: Iterable[Scalar]) -> Optional[set]:
     shift = (m.bit_length() - 1) // _BITS * _BITS if m else 0
     if not parts or m & ((1 << shift) - 1):
         return None
+    parts.sort(key=max)  # by degree: a monomial's key grows with its exponent
     roots = None
     for part in parts:
         poly = {k >> shift: c for k, c in part.items()}

@@ -43,9 +43,7 @@ def transform_form(alpha: Form, M: Matrix) -> Form:
             e_K = e_K.wedge(columns[s])
         for key, w in e_K.coeffs.items():
             acc.add(key, v, w)
-    out = Form(n, alpha.degree)
-    out.coeffs = acc.result()
-    return out
+    return Form.of_nonzero(n, alpha.rank, acc.result())
 
 
 class AlmostHermitianStructure:
@@ -70,7 +68,7 @@ class AlmostHermitianStructure:
 
     def J_oneform(self, alpha: Form) -> Form:
         """(J a)(X) = -a(JX)."""
-        if alpha.degree != 1:
+        if alpha.rank != 1:
             raise StructureError("J_oneform expects a 1-form")
         return alpha.to_tensor().apply_J(0, self.J).antisymmetrize_to_form()
 
@@ -123,7 +121,7 @@ def build_structure(
 def su_partner(S: AlmostHermitianStructure, psi_plus: Form) -> Form:
     """psi_- = J_(1) psi_+, once psi_+ + i psi_- is validated as a complex volume form."""
     n = S.n
-    if psi_plus.degree != n:
+    if psi_plus.rank != n:
         raise StructureError(f"psi_plus must have degree {n}")
     # J_(1) psi_+ is a form exactly when psi_+ has type (n,0)+(0,n)
     rotated = psi_plus.to_tensor().apply_J(0, S.J)

@@ -32,6 +32,9 @@ def minimal_file(**overrides):
     return data
 
 
+SQRT_EXTENSION = "sqrt_extension must be 0 or a square-free integer in [2, 2^40)"
+
+
 def structure_file(name: str) -> str:
     return json.dumps(get(name).document, indent=2) + "\n"
 
@@ -261,9 +264,17 @@ class TestCommands:
         ({"parameters": ["q"],
           "kaehler_form": [{"i": 1, "j": 2, "c": "q^32768"}, {"i": 3, "j": 4, "c": "1"}]},
          "kaehler_form[0]: exponent 32768 exceeds 32767"),
+        ({"sqrt_extension": 1000000000000000003,
+          "brackets": [{"i": 1, "j": 4, "coeffs": {"1": "r"}}]}, SQRT_EXTENSION),
+        ({"sqrt_extension": 1000000000000000003}, SQRT_EXTENSION),
+        ({"sqrt_extension": 1 << 40}, SQRT_EXTENSION),
+        ({"sqrt_extension": 12}, SQRT_EXTENSION),
+        ({"sqrt_extension": 1}, SQRT_EXTENSION),
     ], ids=["brackets", "parameters", "psi_plus", "zero-denominator", "sqrt_extension-true",
             "dimension-true", "index-true", "bracket-index-true", "psi_plus-index-false",
-            "overlong-number", "exponent-bound"])
+            "overlong-number", "exponent-bound", "sqrt_extension-huge-with-r",
+            "sqrt_extension-huge", "sqrt_extension-bound", "sqrt_extension-square-factor",
+            "sqrt_extension-one"])
     def test_analyze_mistyped_field_names_it(self, tmp_path, capsys, overrides, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(minimal_file(**overrides)))

@@ -15,7 +15,7 @@ from ahtorsion.decomposition import (
     split_bilinear,
     split_two_form,
 )
-from ahtorsion.multilinear import Form, Tensor, form_inner
+from ahtorsion.multilinear import Form, Tensor
 from ahtorsion.scalars import HALF, Fraction, Scalar, ZERO
 
 R = Scalar.rational
@@ -55,7 +55,7 @@ class TestTorsionSplit:
     def test_lee_component_norm_relation(self, analysis):
         dec = analysis.torsion
         n = analysis.structure.n
-        tn = form_inner(dec.theta, dec.theta)
+        tn = dec.theta.inner(dec.theta)
         assert dec.norms["W4"] == R(Fraction(n - 1, 2)) * tn
 
     def test_dimension_four_kills_w1_w3(self):

@@ -163,7 +163,7 @@ def ref_apply_J(t: Tensor, J, slot: int) -> Tensor:
 def ref_transform_form(alpha: Form, M) -> Form:
     """Each target p-subset's coefficient as a sum of p x p minors of M, each
     minor expanded over all p! permutations."""
-    n, p = alpha.dim, alpha.degree
+    n, p = alpha.dim, alpha.rank
     out = Form(n, p)
     for target in itertools.combinations(range(n), p):
         acc = ZERO
@@ -209,7 +209,7 @@ def ref_anticommutator(S, xi: Tensor) -> Tensor:
 def ref_exterior_derivative(L, alpha: Form) -> Form:
     """d a(X_0..X_p) = sum_{i<j} (-1)^(i+j) a([X_i, X_j], ..hats..) on every
     sorted (p+1)-tuple."""
-    p, n = alpha.degree, L.dim
+    p, n = alpha.rank, L.dim
     out = Form(n, p + 1)
     if p >= n:
         return out
@@ -968,9 +968,9 @@ def test_difference_of_equal_operands_is_empty_and_stores_no_zero(bundle):
         for diff in (t - t, t - copy):
             assert diff.coeffs == {} and diff.rank == t.rank and diff.is_zero()
     for alpha in (bundle.S.omega, bundle.curv.rho, bundle.A.domega):
-        copy = Form(alpha.dim, alpha.degree, dict(alpha.coeffs))
+        copy = Form(alpha.dim, alpha.rank, dict(alpha.coeffs))
         for diff in (alpha - alpha, alpha - copy):
-            assert diff.coeffs == {} and diff.degree == alpha.degree and diff.is_zero()
+            assert diff.coeffs == {} and diff.rank == alpha.rank and diff.is_zero()
 
 
 def test_difference_of_unequal_operands_sums_every_entry():

@@ -12,9 +12,9 @@ from ahtorsion.multilinear import (
     Form,
     GeometryError,
     LieAlgebra,
+    Tensor,
     codifferential,
     exterior_derivative,
-    form_inner,
     hodge_star,
     sort_with_sign,
     transform_algebra,
@@ -94,7 +94,7 @@ class TestHodge:
         for degree in (1, 2):
             a = random_form(L, degree, rng)
             b = random_form(L, degree, rng)
-            assert a.wedge(hodge_star(b)) == vol.scaled(form_inner(a, b))
+            assert a.wedge(hodge_star(b)) == vol.scaled(a.inner(b))
 
     def test_star_is_involutive_up_to_sign(self, structure):
         rng = random.Random(16)
@@ -131,7 +131,7 @@ def star_on(alpha, vol):
     for idx, val in alpha.coeffs.items():
         comp = tuple(k for k in range(alpha.dim) if k not in idx)
         out[comp] = v * val * R(sort_with_sign(idx + comp)[1])
-    return Form(alpha.dim, alpha.dim - alpha.degree, out)
+    return Form(alpha.dim, alpha.dim - alpha.rank, out)
 
 
 def volume_cases():
@@ -247,4 +247,43 @@ class TestTensor:
         L = get("example-5.1").build().L
         a = random_form(L, 1, rng)
         b = random_form(L, 1, rng)
-        assert a.to_tensor().inner(b.to_tensor()) == form_inner(a, b)
+        assert a.to_tensor().inner(b.to_tensor()) == a.inner(b)
+
+
+class TestSharedEntries:
+    """Forms and tensors share one base; its operations take operands of one
+    class, dimension and rank."""
+
+    FORM = Form(4, 2, {(0, 1): ONE, (2, 3): R(2)})
+    MISMATCHED = [
+        (FORM, FORM.to_tensor()),
+        (FORM.to_tensor(), FORM),
+        (FORM, Form(4, 1, {(0,): ONE})),
+        (FORM, Form(6, 2, {(0, 1): ONE})),
+        (FORM.to_tensor(), Tensor(4, 3, {(0, 1, 2): ONE})),
+        (FORM.to_tensor(), Tensor(6, 2, {(0, 1): ONE})),
+    ]
+    OPERATIONS = {
+        "add": lambda a, b: a + b,
+        "sub": lambda a, b: a - b,
+        "inner": lambda a, b: a.inner(b),
+    }
+
+    @pytest.mark.parametrize("op", OPERATIONS.values(), ids=OPERATIONS.keys())
+    @pytest.mark.parametrize("a, b", MISMATCHED, ids=[
+        "form-tensor", "tensor-form", "form-rank", "form-dim", "tensor-rank", "tensor-dim"])
+    def test_mismatched_operands_raise(self, op, a, b):
+        with pytest.raises(GeometryError):
+            op(a, b)
+
+    def test_a_form_never_equals_a_tensor(self):
+        for f, t in ((Form(4, 2), Tensor(4, 2)), (self.FORM, self.FORM.to_tensor())):
+            assert (f == t) is False and (t == f) is False and f != t
+
+    def test_arithmetic_keeps_the_class_and_rank(self):
+        f, t = self.FORM, self.FORM.to_tensor()
+        for x in (f, t):
+            for y in (x + x, x - x, -x, x.scaled(R(3))):
+                assert type(y) is type(x) and (y.dim, y.rank) == (4, 2)
+        assert (f + f) == f.scaled(R(2)) and (f - f).is_zero() and -f + f == Form(4, 2)
+        assert f.inner(f) == R(5) and t.inner(t) == R(10)

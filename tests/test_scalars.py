@@ -5,6 +5,7 @@ import pickle
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 import ahtorsion
 from ahtorsion.scalars import (
     MAX_EXPONENT,
+    MAX_EXTENSION,
     Accumulator,
     ExtensionMismatch,
     ONE,
@@ -319,6 +321,16 @@ class TestExtension:
         with pytest.raises(ScalarError):
             Scalar.root(12)
 
+    def test_extension_at_the_bound_is_refused_promptly(self):
+        # trial division is bounded: an 18-digit radicand is refused at once
+        start = time.perf_counter()
+        with pytest.raises(ScalarError, match=r"extension 1000000000000000003 is not below 2\^40"):
+            Scalar.root(1000000000000000003)
+        with pytest.raises(ScalarError):
+            Scalar.root(MAX_EXTENSION)
+        assert Scalar.root(MAX_EXTENSION - 2).d == MAX_EXTENSION - 2  # square-free
+        assert time.perf_counter() - start < 10
+
     def test_pure_rational_forgets_extension(self):
         r = Scalar.root(3)
         assert (r * r).d == 0
@@ -508,6 +520,19 @@ class TestRootsFromEntries:
         assert rational_roots([q - 1, q * q - 1]) == {Fraction(1)}
         assert rational_roots([q * q - 1, q - 1]) == {Fraction(1)}
         assert rational_roots([q * q - 1, q * q * q - 1]) == {Fraction(1)}
+
+    @pytest.fixture
+    def no_bisection(self, monkeypatch):
+        def refuse(sturm, x):
+            raise AssertionError("Sturm bisection")
+        monkeypatch.setattr(ahtorsion.scalars, "_variations", refuse)
+
+    def test_candidates_come_from_a_part_of_least_degree(self, no_bisection):
+        # the affine part lists the candidates, whatever order the parts come in
+        q = Scalar.parameter("q")
+        assert rational_roots([q * q - 1, q - 1]) == {Fraction(1)}
+        assert rational_roots([q * q * q - 1, ONE, q * q - 1]) == set()
+        assert rational_roots([q * q - 1 + Scalar.root(3) * (q - 1)]) == {Fraction(1)}
 
     def test_a_second_parameter_after_the_candidates_run_out(self):
         # the candidates are gone after ONE, but the entries name p and q

@@ -349,3 +349,59 @@ def test_scalar_map_read_is_found():
         "getattr(s, '_a')\n"
     )
     assert scalar_map_reads(source) == [1, 2, 4, 5]
+
+
+def coeffs_assignments(source: str):
+    """(function, line) of each place that binds or deletes a ``.coeffs``
+    attribute, in any assignment target or through ``setattr``/``delattr``.
+    Functions are named by their qualified name, the module level by
+    ``<module>``.  A form or tensor gets its stored entries in its
+    constructor or in ``of_nonzero`` and nowhere else; writing entries into
+    the map, ``t.coeffs[k] = v``, is no rebinding."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
+        if (isinstance(node, ast.Attribute) and node.attr == "coeffs"
+                and isinstance(node.ctx, (ast.Store, ast.Del))):
+            found.add((scope, node.lineno))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("setattr", "delattr") and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant) and node.args[1].value == "coeffs"):
+            found.add((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found, key=lambda f: f[1])
+
+
+def test_stored_entries_are_bound_only_by_constructors():
+    bindings = {(path.name, scope) for path in MODULES
+                for scope, _ in coeffs_assignments(path.read_text())}
+    assert bindings == {("multilinear.py", "Form.__init__"), ("multilinear.py", "Tensor.__init__"),
+                        ("multilinear.py", "_Entries.of_nonzero")}
+
+
+def test_coeffs_assignment_is_found():
+    source = (
+        "class Form:\n"
+        "    def __init__(self):\n"
+        "        self.coeffs = {}\n"
+        "    @classmethod\n"
+        "    def of_nonzero(cls, c):\n"
+        "        t.dim, t.coeffs = 1, c\n"
+        "def wedge(a, v):\n"
+        "    out = Form(4, 2)\n"
+        "    out.coeffs = acc.result()\n"
+        "    out.coeffs[(0, 1)] = v\n"
+        "    setattr(out, 'coeffs', {})\n"
+        "    for out.coeffs in maps: pass\n"
+        "    x = out.coeffs\n"
+        "out.coeffs |= other\n"
+        "del out.coeffs\n"
+    )
+    assert coeffs_assignments(source) == [
+        ("Form.__init__", 3), ("Form.of_nonzero", 6), ("wedge", 9), ("wedge", 11),
+        ("wedge", 12), ("<module>", 14), ("<module>", 15)]
