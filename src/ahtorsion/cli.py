@@ -35,19 +35,13 @@ ProcessPoolExecutor = concurrent.futures.ProcessPoolExecutor
 
 
 def _form_terms(f: Form) -> List[dict]:
-    return [
-        {"indices": [i + 1 for i in idx], "c": format_scalar(f.coeffs[idx])}
-        for idx in sorted(f.coeffs)
-        if not f.coeffs[idx].is_zero()
-    ]
+    return [{"indices": [i + 1 for i in idx], "c": format_scalar(v)}
+            for idx, v in sorted(f.coeffs.items())]
 
 
 def _bilinear_terms(t: Tensor) -> List[dict]:
-    return [
-        {"i": i + 1, "j": j + 1, "c": format_scalar(v)}
-        for (i, j), v in sorted(t.coeffs.items())
-        if not v.is_zero()
-    ]
+    return [{"i": i + 1, "j": j + 1, "c": format_scalar(v)}
+            for (i, j), v in sorted(t.coeffs.items())]
 
 
 def _connection_forms(cc) -> Optional[dict]:
@@ -148,7 +142,7 @@ def report_text(analysis: Analysis, audit: AuditReport) -> str:
     if gh.special_unlisted:
         lines.append(
             f"  special values not listed for {', '.join(gh.special_unlisted)}:"
-            " norm has more than one parameter"
+            " entries name more than one parameter"
         )
     lines.append(f"theta = {format_form(analysis.theta)}")
     lines.append(f"d omega = {format_form(analysis.domega)}")

@@ -24,9 +24,9 @@ reads J's tables.  A composite J_(a) J_(b) t or a signed sum
 J_(a) t +- J_(b) t is a sum of rotated terms: a rotation read once goes into
 its consumer's sum, and one read twice is built once, as
 ``_combine((1, t, (a, b)), J=J)``.  ``S.J`` is an ``Endomorphism``: it
-indexes as the matrix and carries its stored rows, scaled to integers over
-one denominator where rational, and the products of pairs of row entries,
-built on first use.  When J is a signed permutation (each row one +-1
+indexes as the matrix and carries its stored rows alone, each weight scaled
+to one denominator in one form, an integer factor or a Scalar one; there is
+no table of pair products.  When J is a signed permutation (each row one +-1
 entry), ``apply_J`` moves each stored entry to its new index instead of
 summing.  Forms and tensors built from ``Accumulator.result()`` are taken as
 they are (``of_nonzero``), since those maps never hold a zero.  The
@@ -280,12 +280,6 @@ class Tensor(_Entries):
             raise GeometryError("wrong number of tensor arguments")
         return self.coeffs.get(tuple(indices), ZERO)
 
-    def set(self, indices: Tuple[int, ...], value: Scalar):
-        if value.is_zero():
-            self.coeffs.pop(tuple(indices), None)
-        else:
-            self.coeffs[tuple(indices)] = value
-
     def group_by(self, *slots: int) -> Dict[Tuple[int, ...], List[Tuple[Tuple[int, ...], Scalar]]]:
         """Stored entries (index, value) keyed by their indices in ``slots``."""
         out: Dict[Tuple[int, ...], List[Tuple[Tuple[int, ...], Scalar]]] = {}
@@ -352,14 +346,10 @@ class Tensor(_Entries):
         for k, v in self.coeffs.items():
             hit = rows[k[slot_b]].get(k[slot_a])
             if hit is not None:
-                w, n = hit
                 key = k[:a] + k[a + 1 : b] + k[b + 1 :]
                 if increasing and not all(x < y for x, y in zip(key, key[1:])):
                     continue
-                if n:
-                    acc.add(key, v, None, n)
-                else:
-                    acc.add(key, w, v)
+                acc.add(key, v, *hit)
         return Tensor.of_nonzero(self.dim, r - 2, acc.result(J.den))
 
     def transpose(self, perm: Sequence[int]) -> "Tensor":
@@ -398,12 +388,11 @@ def _stored_rows(M: Matrix) -> List[List[Tuple[int, Scalar]]]:
     return [[(j, w) for j, w in enumerate(row) if w] for row in M]
 
 
-def _weight(w: Scalar, den: int, r: Optional[Tuple[int, int]]) -> Tuple[Scalar, int]:
-    """(w * den, n) for w of ratio r: n is w * den if that is an integer, else 0."""
-    if r is None or den % r[1]:
-        return (w * den if den != 1 else w), 0
-    n = r[0] * (den // r[1])
-    return (w if den == 1 else Scalar.rational(n)), n
+def _weight(w: Scalar, den: int, r: Optional[Tuple[int, int]]) -> Tuple[Optional[Scalar], int]:
+    """w * den in its one form, r being w's ratio or None: (None, n) when w * den
+    is the integer n, as for every rational w; (w * den, 1) otherwise.  An
+    entry v of t enters times the weight and an integer f as add(key, v, w, f * n)."""
+    return (None, r[0] * (den // r[1])) if r else (w * den, 1)
 
 
 class Endomorphism:
@@ -411,45 +400,26 @@ class Endomorphism:
 
     It indexes as the matrix, ``A[i][j]``.  ``den`` is D, the lcm of the
     denominators of its plain-rational entries.  ``rows[m]`` maps the column
-    j of each stored entry w of row m to (w * D, n), n being the integer
-    w * D, or 0 when that is none and the kernels take the product with
-    w * D.  ``signed_perm`` is None unless every row holds a single +-1 in a
-    column of its own; then ``signed_perm[m]`` is that row's (column, -w),
-    the sign ``Tensor.apply_J`` gives the moved entry.
+    j of each stored entry w of row m to w * D in its one form (``_weight``),
+    and no table of pair products is kept.  ``signed_perm`` is None unless
+    every row holds a single +-1 in a column of its own; then
+    ``signed_perm[m]`` is that row's (column, -w), the sign
+    ``Tensor.apply_J`` gives the moved entry.
     """
 
     def __init__(self, matrix: Matrix):
         self._matrix = [list(row) for row in matrix]
         stored = [[(j, w, w.ratio()) for j, w in row] for row in _stored_rows(self._matrix)]
         self.den = math.lcm(*(r[1] for row in stored for _, _, r in row if r))
-        self.rows: List[Dict[int, Tuple[Scalar, int]]] = [
+        self.rows: List[Dict[int, Tuple[Optional[Scalar], int]]] = [
             {j: _weight(w, self.den, r) for j, w, r in row} for row in stored
         ]
         single = [next(iter(row.items())) for row in self.rows if len(row) == 1]
-        columns = {j for j, (_, n) in single if n in (1, -1)}
+        columns = {j for j, (w, n) in single if w is None and n in (1, -1)}
         self.signed_perm: Optional[List[Tuple[int, int]]] = (
             [(j, -n) for j, (_, n) in single] if self.den == 1 and len(columns) == len(self.rows)
             else None
         )
-
-    @cached_property
-    def row_products(self) -> List[List[List[Tuple[int, int, Scalar, int]]]]:
-        """``row_products[m][p]``: (j, i, x * y * D^2, n) for each stored entry
-        x of row m, in column j, and y of row p, in column i, n being the
-        integer x * y * D^2 when that is one and 0 otherwise; ``add_rotated``
-        reads it to add a term rotated on two slots in one pass."""
-        table = []
-        for row_m in self.rows:
-            line = []
-            for row_p in self.rows:
-                cell = []
-                for j, (x, nx) in row_m.items():
-                    for i, (y, ny) in row_p.items():
-                        w = Scalar.rational(nx * ny) if nx and ny else x * y
-                        cell.append((j, i, *_weight(w, 1, w.ratio())))
-                line.append(cell)
-            table.append(line)
-        return table
 
     def __getitem__(self, i: int) -> List[Scalar]:
         return self._matrix[i]
@@ -463,36 +433,30 @@ def add_rotated(add, coeffs: dict, f: int, slots: Tuple[int, ...],
     """Adds f times J_(a) t (slots (a,)), J_(a) J_(b) t (slots (a, b)) or t,
     t stored on ``coeffs``, through ``add`` as ``Accumulator.add`` takes its
     terms, and returns D^len(slots) for the caller to divide out: each J
-    weight enters times D, an integer one n as the factor f * n."""
+    weight enters times D, in its one form (``_weight``)."""
     if not slots:
         for k, v in coeffs.items():
             add(k, v, None, f)
         return 1
+    rows = J.rows
     if len(slots) == 1:
         s = slots[0]
-        rows = J.rows
         f = -f
         for k, v in coeffs.items():
             head, tail = k[:s], k[s + 1 :]
             for j, (w, n) in rows[k[s]].items():
-                if n:
-                    add(head + (j,) + tail, v, None, f * n)
-                else:
-                    add(head + (j,) + tail, w, v, f)
+                add(head + (j,) + tail, v, w, f * n)
         return J.den
-    # the two minus signs cancel: t's entry times the product of the two
-    # weights, read from the table J prepares once; the two rotations
-    # commute, so the lower slot is taken first
+    # the two minus signs cancel: t's entry times the two weights, read from
+    # their rows, whose Scalar parts are multiplied only when both have one;
+    # the two rotations commute, so the lower slot is taken first
     a, b = sorted(slots)
-    products = J.row_products
     for k, v in coeffs.items():
-        head, mid, tail = k[:a], k[a + 1 : b], k[b + 1 :]
-        for j, i, w, n in products[k[a]][k[b]]:
-            key = head + (j,) + mid + (i,) + tail
-            if n:
-                add(key, v, None, f * n)
-            else:
-                add(key, w, v, f)
+        mid, tail, row_b = k[a + 1 : b], k[b + 1 :], rows[k[b]].items()
+        for j, (x, nx) in rows[k[a]].items():
+            head, fx = k[:a] + (j,) + mid, f * nx
+            for i, (y, ny) in row_b:
+                add(head + (i,) + tail, v, y if x is None else x if y is None else x * y, fx * ny)
     return J.den * J.den
 
 
@@ -567,9 +531,9 @@ def _pair_xi(a: Tensor, b: Tensor, slot: int = 1,
     for kidx, u in b.coeffs.items():
         k, last = kidx[free], kidx[2]
         for i, (w, n) in rows[kidx[slot]].items():
-            x, f = (u, n) if n else (w * u, 1)
+            x = u if w is None else w * u
             for idx, v in by_pair.get((i, last), ()):
-                add((idx[free], k), v, x, f)
+                add((idx[free], k), v, x, n)
     return Tensor.of_nonzero(a.dim, 2, acc.result(J.den))
 
 

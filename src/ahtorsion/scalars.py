@@ -53,7 +53,7 @@ class ExtensionMismatch(ScalarError):
     pass
 
 
-# trial division up to sqrt(d), at most 2^19 odd divisors, stays prompt
+# trial division up to the cube root of d, at most about 5,200 divisors, stays prompt
 MAX_EXTENSION = 1 << 40
 
 
@@ -64,7 +64,17 @@ def is_square_free(d: int) -> bool:
         return False
     if d in (0, 1):
         return d == 0  # d = 1 would be a disguised rational; reject
-    return d % 4 != 0 and all(d % (k * k) for k in range(3, math.isqrt(d) + 1, 2))
+    # each prime p with p^3 <= what is left is divided out once, and divides
+    # again exactly when p^2 divides d; what is left then has at most two
+    # prime factors, above its cube root: square-free unless it is a square
+    p = 2
+    while p * p * p <= d:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return False
+        p += 2 if p > 2 else 1
+    return math.isqrt(d) ** 2 != d
 
 
 def _join_d(da: int, db: int) -> int:

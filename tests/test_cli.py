@@ -13,7 +13,7 @@ import pytest
 import ahtorsion
 from ahtorsion.catalog import ENTRIES, get, structure_from_data
 from ahtorsion.cli import FileFormatError, load_structure, main
-from ahtorsion.scalars import parse_scalar
+from ahtorsion.scalars import MAX_EXTENSION, Scalar, parse_scalar
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "catalog"
 
@@ -43,6 +43,18 @@ class TestParsing:
     def test_minimal_file_builds_flat_torus(self):
         S = structure_from_data(minimal_file())
         assert S.L.dim == 4 and S.n == 2
+
+    def test_many_root_terms_at_the_largest_extension_load_promptly(self, tmp_path):
+        # each term holding r checks that the extension is square-free
+        d = MAX_EXTENSION - 2
+        path = tmp_path / "roots.json"
+        literal = " + ".join(f"{k}*r" for k in range(1, 51))
+        path.write_text(json.dumps(minimal_file(
+            sqrt_extension=d, brackets=[{"i": 1, "j": 4, "coeffs": {"1": literal}}])))
+        start = time.perf_counter()
+        S = load_structure(str(path))
+        assert time.perf_counter() - start < 2
+        assert S.L.bracket(0, 3) == {0: Scalar.rational(1275) * Scalar.root(d)}
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(FileFormatError, match="dimension"):
@@ -355,7 +367,8 @@ class TestCommands:
         assert classification["special_parameters"] == {}
         assert classification["special_parameters_unlisted"] == ["W2", "W4"]
         assert main(["analyze", str(path), "--report", "text"]) == 0
-        assert "special values not listed for W2, W4" in capsys.readouterr().out
+        assert ("  special values not listed for W2, W4: entries name more than one parameter"
+                in capsys.readouterr().out.splitlines())
         assert main(["audit", str(path)]) == 0
         assert "test: ok" in capsys.readouterr().out
 

@@ -162,11 +162,8 @@ def eager_split(S, b):
     sym_inv = _combine((HALF, sym), (HALF, sym_rot))
     sym_anti = _combine((HALF, sym), (-HALF, sym_rot))
     tr = sum((sym_inv(i, i) for i in range(dim)), ZERO)
-    trace_part = Tensor(dim, 2)
     coeff = tr * Scalar.rational(Fraction(1, dim))
-    if not coeff.is_zero():
-        for i in range(dim):
-            trace_part.set((i, i), coeff)
+    trace_part = Tensor(dim, 2, {(i, i): coeff for i in range(dim)})
     sym_inv0 = sym_inv - trace_part
 
     skew_rot = skew.apply_J(0, S.J).apply_J(1, S.J)
@@ -190,11 +187,8 @@ def split_parts(S, b):
 
 
 def dense_bilinear(dim: int, rng: random.Random) -> Tensor:
-    b = Tensor(dim, 2)
-    for i in range(dim):
-        for j in range(dim):
-            b.set((i, j), R(rng.randrange(-3, 4)))
-    return b
+    return Tensor(dim, 2, {
+        (i, j): R(rng.randrange(-3, 4)) for i in range(dim) for j in range(dim)})
 
 
 class TestBilinearSplit:
@@ -216,7 +210,7 @@ class TestBilinearSplit:
         S = rotated_structure(get("example-5.4").build(), rng, "lazy")
         assert S.J.signed_perm is None
         b = dense_bilinear(S.L.dim, rng)
-        b.set((0, 1), b(0, 1) + Scalar.parameter("q"))
+        b = Tensor(b.dim, 2, {**b.coeffs, (0, 1): b(0, 1) + Scalar.parameter("q")})
         return S, b
 
     def test_parts_are_computed_on_first_read(self, rotated, monkeypatch):

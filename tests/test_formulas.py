@@ -35,13 +35,7 @@ R = Scalar.rational
 
 
 def _tensor_from(fun, dim: int) -> Tensor:
-    out = Tensor(dim, 2)
-    for j in range(dim):
-        for k in range(dim):
-            v = fun(j, k)
-            if not v.is_zero():
-                out.set((j, k), v)
-    return out
+    return Tensor(dim, 2, {(j, k): fun(j, k) for j in range(dim) for k in range(dim)})
 
 
 def lam11(b, alpha):
@@ -429,9 +423,7 @@ def bundle(request):
 def corrupt(b, field: str, key, value: int = 2) -> None:
     """Replace a bundle field by a copy with ``value`` added at ``key``."""
     t = getattr(b, field)
-    c = Tensor(t.dim, t.rank, dict(t.coeffs))
-    c.set(key, c(*key) + R(value))
-    setattr(b, field, c)
+    setattr(b, field, Tensor(t.dim, t.rank, {**t.coeffs, key: t(*key) + R(value)}))
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,10 @@
 """Ring axioms, literal grammar, and root handling of the scalar type."""
 
+import bisect
+import math
 import os
 import pickle
+import random
 import re
 import subprocess
 import sys
@@ -24,6 +27,7 @@ from ahtorsion.scalars import (
     ScalarError,
     ZERO,
     format_scalar,
+    is_square_free,
     parse_scalar,
     rational_roots,
     scalar_sqrt,
@@ -308,6 +312,29 @@ class TestNegation:
             assert (x + y).is_zero() is want, (x, y)
 
 
+def _odd_primes(limit: int) -> list:
+    sieve = bytearray([1]) * (limit + 1)
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return [p for p in range(3, limit + 1, 2) if sieve[p]]
+
+
+ODD_PRIME_SQUARES = [p * p for p in _odd_primes(math.isqrt(MAX_EXTENSION))]
+
+
+def square_free_by_trial_division(d: int) -> bool:
+    """The former rule: neither 4 nor any odd k^2 with k <= sqrt(d) divides d.
+    k runs over the odd primes only, as an odd composite's square divides d
+    only where a prime's square does."""
+    if d < 0:
+        return False
+    if d in (0, 1):
+        return d == 0
+    squares = ODD_PRIME_SQUARES[: bisect.bisect_right(ODD_PRIME_SQUARES, d)]
+    return d % 4 != 0 and all(map(d.__mod__, squares))
+
+
 class TestExtension:
     def test_root_squares_to_radicand(self):
         r = Scalar.root(5)
@@ -330,6 +357,14 @@ class TestExtension:
             Scalar.root(MAX_EXTENSION)
         assert Scalar.root(MAX_EXTENSION - 2).d == MAX_EXTENSION - 2  # square-free
         assert time.perf_counter() - start < 10
+
+    def test_square_free_agrees_with_trial_division_to_the_square_root(self):
+        rng = random.Random(40)
+        primes = (1048573, 1000003, 999983)
+        inputs = [*range(-3, 20000), *(rng.randrange(MAX_EXTENSION) for _ in range(300)),
+                  *primes, *(p * p for p in primes), *(2 * p for p in primes)]
+        for d in inputs:
+            assert is_square_free(d) is square_free_by_trial_division(d), d
 
     def test_pure_rational_forgets_extension(self):
         r = Scalar.root(3)

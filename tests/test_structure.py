@@ -77,12 +77,7 @@ class TestConnections:
         conn = levi_civita(structure)
 
         def random_vector_tensor():
-            t = Tensor(dim, 1)
-            for k in range(dim):
-                c = R(rng.randrange(-3, 4))
-                if not c.is_zero():
-                    t.set((k,), c)
-            return t
+            return Tensor(dim, 1, {(k,): R(rng.randrange(-3, 4)) for k in range(dim)})
 
         a = random_vector_tensor()
         b = random_vector_tensor()
