@@ -268,7 +268,7 @@ def su_refinement(
         pure = three_form_pure_part(S, domega)
         if pure.is_zero():
             return None
-        norm = scalar_sqrt(pure.inner(pure))
+        norm = scalar_sqrt(pure.inner(pure), S.L.extension_d)
         if norm is None:
             return None
         # d omega = 3 w1+ psi+ + ... with |psi+|^2 = 4, so |pure| = 6 w1+

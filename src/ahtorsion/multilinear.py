@@ -43,7 +43,7 @@ import operator
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .scalars import ONE, ZERO, Accumulator, Scalar, scalar_sqrt
+from .scalars import ONE, ZERO, Accumulator, Scalar, constant_sign, scalar_sqrt
 
 
 class GeometryError(ValueError):
@@ -546,32 +546,11 @@ def metric_tensor(dim: int) -> Tensor:
     return Tensor(dim, 2, {(i, i): ONE for i in range(dim)})
 
 
-def mat_inverse(a: Matrix) -> Matrix:
-    """Exact inverse by Gaussian elimination; entries must be parameter-free."""
-    n = len(a)
-    m = [[a[i][j] for j in range(n)] + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not m[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            raise GeometryError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv = ONE / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and not m[r][col].is_zero():
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
-
-
-def transform_algebra(L: LieAlgebra, M: Matrix) -> LieAlgebra:
-    """Structure constants in the frame f_a = sum_j M[a][j] e_j."""
+def transform_algebra(L: LieAlgebra, M: Matrix, inverse: Matrix) -> LieAlgebra:
+    """Structure constants in the frame f_a = sum_j M[a][j] e_j, given the
+    inverse of M: e_k = sum_c inverse[k][c] f_c."""
     n = L.dim
-    rows, inv = _stored_rows(M), _stored_rows(mat_inverse(M))
+    rows, inv = _stored_rows(M), _stored_rows(inverse)
     acc = Accumulator()
     for a in range(n):
         for b in range(a + 1, n):
@@ -630,11 +609,14 @@ def codifferential(L: LieAlgebra, alpha: Form) -> Form:
     return -hodge_star(exterior_derivative(L, hodge_star(alpha)))
 
 
-def gram_schmidt(G: Matrix, ambient_d: int = 0) -> Matrix:
-    """Rows P[i] of the result express an orthonormal basis in the input basis.
+def gram_schmidt(G: Matrix, ambient_d: int = 0) -> Tuple[Matrix, Matrix]:
+    """(P, R): rows P[i] give an orthonormal basis f_i in the input basis
+    e_i, and R = P^-1, that is e_i = sum_j R[i][j] f_j.
 
-    Requires every square root encountered to lie in Q(sqrt(d)); otherwise the
-    metric is rejected.
+    R is filled as f_i is built: the projection subtracted from e_i along
+    f_j is g(e_i, f_j), the parts removed before being orthogonal to f_j,
+    and the norm left is g(e_i, f_i).  The metric must be positive definite
+    with every norm in Q(sqrt(d)).
     """
     n = len(G)
     for i in range(n):
@@ -654,20 +636,23 @@ def gram_schmidt(G: Matrix, ambient_d: int = 0) -> Matrix:
         return acc
 
     basis: List[List[Scalar]] = []
+    inverse = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         u = [ONE if j == i else ZERO for j in range(n)]
-        for prev in basis:
-            proj = g(u, prev)
+        for j, prev in enumerate(basis):
+            proj = inverse[i][j] = g(u, prev)
             if not proj.is_zero():
                 u = [x - proj * y for x, y in zip(u, prev)]
         norm2 = g(u, u)
         if norm2.is_zero():
             raise GeometryError("metric is degenerate")
-        norm = scalar_sqrt(norm2, ambient_d)
+        if constant_sign(norm2) < 0:
+            raise GeometryError("metric is not positive definite")
+        norm = inverse[i][i] = scalar_sqrt(norm2, ambient_d)
         if norm is None:
             raise GeometryError(
                 f"orthonormalization requires sqrt({norm2}) outside the scalar ring"
             )
         inv = ONE / norm
         basis.append([inv * x for x in u])
-    return basis
+    return basis, inverse

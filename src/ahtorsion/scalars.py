@@ -670,44 +670,38 @@ def fraction_sqrt(f: Fraction) -> Optional[Fraction]:
     return None
 
 
-def scalar_sqrt(s: Scalar, ambient_d: int = 0) -> Optional[Scalar]:
-    """Square root of a nonnegative parameter-free scalar inside Q(sqrt(d)), or None.
-
-    Solves (x + y*sqrt(d))^2 = p + q*sqrt(d) exactly.  ``ambient_d`` lets a
-    plain rational use the extension of the surrounding ring (for instance
-    sqrt(3/4) = sqrt(3)/2 when the ring is Q(sqrt(3))).
-    """
-    if not s.is_constant():
-        return None
-    if s.is_zero():
-        return ZERO
+def constant_sign(s: Scalar) -> int:
+    """The exact sign of a parameter-free p + q*sqrt(d): where p and q differ
+    in sign, the larger of p^2 and d*q^2 decides."""
     p, q = s.constant_pair()
-    d = s.d if s.d else ambient_d
-    if q == 0:
-        r = fraction_sqrt(p)
-        if r is not None:
-            return Scalar.rational(r)
-        if d:
-            r = fraction_sqrt(p / d)
-            if r is not None:
-                return Scalar.root(d, r)
+    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    if sp * sq >= 0:
+        return sp or sq
+    return sp if p * p > s.d * q * q else sq
+
+
+def scalar_sqrt(s: Scalar, ambient_d: int = 0) -> Optional[Scalar]:
+    """The nonnegative square root of a parameter-free scalar in Q(sqrt(d)), or None.
+
+    (x + y*sqrt(d))^2 = p + q*sqrt(d) means that x^2 and d*y^2 are the roots
+    (p +- sqrt(p^2 - d*q^2))/2 of t^2 - p*t + d*q^2/4, and that y has the
+    sign of q when x >= 0.  ``ambient_d`` lets a plain rational use the
+    ring's extension (sqrt(3/4) = sqrt(3)/2 in Q(sqrt(3))).
+    """
+    if not s.is_constant() or constant_sign(s) < 0:
         return None
-    # x^2 + d y^2 = p, 2xy = q; x^2 is a root of t^2 - p t + d q^2 / 4 = 0
+    p, q = s.constant_pair()
+    d = s.d or ambient_d
     disc = fraction_sqrt(p * p - d * q * q)
     if disc is None:
         return None
-    for t in ((p + disc) / 2, (p - disc) / 2):
-        x = fraction_sqrt(t)
-        if x is not None and x != 0:
-            y = q / (2 * x)
-            cand = Scalar({(): (x, y)}, d=d)
-            if cand * cand == s and (x > 0 or (x == 0 and y > 0)):
-                return cand
-            cand = -cand
-            if cand * cand == s:
-                px, qx = cand.constant_pair()
-                if px > 0 or (px == 0 and qx > 0):
-                    return cand
+    for x2 in ((p + disc) / 2, (p - disc) / 2):
+        x, dy2 = fraction_sqrt(x2), p - x2
+        # over Q (d = 0) only y = 0 is available
+        y = fraction_sqrt(dy2 / d) if d else (Fraction(0) if dy2 == 0 else None)
+        if x is not None and y is not None:
+            root = Scalar({(): (x, y if q >= 0 else -y)}, d=d)
+            return root if constant_sign(root) >= 0 else -root
     return None
 
 

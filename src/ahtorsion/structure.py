@@ -94,8 +94,8 @@ def build_structure(
             f"Jacobi identity fails at indices {tuple(i + 1 for i in witness)}"
         )
     if metric is not None:
-        P = gram_schmidt(metric, L.extension_d)
-        L = transform_algebra(L, P)
+        P, inverse = gram_schmidt(metric, L.extension_d)
+        L = transform_algebra(L, P, inverse)
         omega = transform_form(omega, P)
         if psi_plus is not None:
             psi_plus = transform_form(psi_plus, P)

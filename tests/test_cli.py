@@ -679,8 +679,11 @@ class TestCommands:
             ([["1", "1", "0", "0"], ["1", "1", "0", "0"],
               ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
              "metric is degenerate"),
+            ([["1", "0", "0", "0"], ["0", "-4", "0", "0"],
+              ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+             "metric is not positive definite"),
         ],
-        ids=["parametric", "degenerate"],
+        ids=["parametric", "degenerate", "indefinite"],
     )
     def test_rejected_metric_is_a_file_error(self, tmp_path, capsys, metric, message):
         path = tmp_path / "bad-metric.json"

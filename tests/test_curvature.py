@@ -260,10 +260,30 @@ def test_isomorphic_copy_has_the_same_invariants(name):
     for i in range(d):
         for j in range(d):
             assert sum((P[i][k] * P[j][k] for k in range(d)), ZERO) == (ONE if i == j else ZERO)
-    copy = build_structure(transform_algebra(S.L, P), transform_form(S.omega, P),
+    Pt = [list(col) for col in zip(*P)]
+    copy = build_structure(transform_algebra(S.L, P, Pt), transform_form(S.omega, P),
                            name=f"{name}-copy")
     assert copy.omega != S.omega
-    assert invariants(analyze(copy)) == invariants(analyze(S))
+    A, B = analyze(S), analyze(copy)
+    assert invariants(B) == invariants(A)
+    # the tensors themselves are the originals moved into the new frame
+    assert B.xi == moved(A.xi, P)
+    for field in ("Rm", "ric", "ric_star"):
+        assert getattr(B.curvature, field) == moved(getattr(A.curvature, field), P), field
+
+
+def moved(t: Tensor, P) -> Tensor:
+    """t in the frame f_a = sum_i P[a][i] e_i of an orthogonal P, moved one
+    slot at a time: T'_{a...} = sum_i P[a][i] T_{i...}."""
+    coeffs = t.coeffs
+    for slot in range(t.rank):
+        out = {}
+        for idx, v in coeffs.items():
+            for a in range(t.dim):
+                key = idx[:slot] + (a,) + idx[slot + 1:]
+                out[key] = out.get(key, ZERO) + P[a][idx[slot]] * v
+        coeffs = {k: v for k, v in out.items() if not v.is_zero()}
+    return Tensor(t.dim, t.rank, coeffs)
 
 
 # -- the Chern connection is built for integrable structures only ---------------
@@ -354,24 +374,32 @@ def test_su_refinement_projects_d_omega_only_with_a_W1_part(monkeypatch):
 # -- oracles: scaling the brackets, and direct sums ------------------------------
 
 
-def scaled_document(doc: dict, lam: Fraction) -> dict:
-    """The structure file with every structure constant multiplied by lam."""
-    d, params = doc.get("sqrt_extension", 0), tuple(doc.get("parameters", []))
+def scaled_document(doc: dict, lam: Scalar) -> dict:
+    """The structure file with every structure constant multiplied by lam,
+    over Q(sqrt(3)) where lam needs it."""
+    d = doc.get("sqrt_extension", 0) or lam.d
+    params = tuple(doc.get("parameters", []))
 
     def scaled(c: str) -> str:
-        return format_scalar(parse_scalar(c, d=d, parameters=params) * R(lam))
+        return format_scalar(parse_scalar(c, d=d, parameters=params) * lam)
 
     brackets = [{**e, "coeffs": {k: scaled(c) for k, c in e["coeffs"].items()}}
                 for e in doc.get("brackets", [])]
-    return {**doc, "name": f"{doc['name']}-scaled", "brackets": brackets}
+    return {**doc, "name": f"{doc['name']}-scaled", "sqrt_extension": d, "brackets": brackets}
 
 
-@pytest.mark.parametrize("lam", [Fraction(2), Fraction(-1, 3)], ids=["2", "-1/3"])
+@pytest.mark.parametrize("lam, size", [("2", "2"), ("-1/3", "1/3"), ("r", "r"),
+                                       ("-1 + r", "-1 + r")],
+                         ids=["2", "-1/3", "r", "-1+r"])
 @pytest.mark.parametrize("name", names())
-def test_scaling_the_brackets_scales_torsion_by_lambda_and_curvature_by_its_square(name, lam):
+def test_scaling_the_brackets_scales_torsion_by_lambda_and_curvature_by_its_square(
+        name, lam, size):
+    # size is |lam|; the last two lie in Q(sqrt(3)), where the nearly Kaehler
+    # entry's |pure part of d omega| = 2 sqrt(3) |lam| has its root
+    one, size = parse_scalar(lam, d=3), parse_scalar(size, d=3)
     A = analyze(get(name).build())
-    B = analyze(structure_from_data(scaled_document(get(name).document, lam)))
-    one, two = R(lam), R(lam * lam)
+    B = analyze(structure_from_data(scaled_document(get(name).document, one)))
+    two = one * one
     assert B.xi == A.xi.scaled(one) and B.theta == A.theta.scaled(one)
     ca, cb = A.curvature, B.curvature
     for field in ("Rm", "ric", "ric_star"):
@@ -381,6 +409,9 @@ def test_scaling_the_brackets_scales_torsion_by_lambda_and_curvature_by_its_squa
     assert B.torsion.norms == {k: v * two for k, v in A.torsion.norms.items()}
     assert B.gh_class.label == A.gh_class.label
     assert B.gh_class.special_parameters == A.gh_class.special_parameters
+    assert (B.su is None) == (A.su is None)
+    if A.su is not None:
+        assert B.su.w1_plus == size * A.su.w1_plus
 
 
 def block_sum(a: Tensor, b: Tensor) -> Tensor:

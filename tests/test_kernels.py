@@ -45,7 +45,7 @@ from ahtorsion.decomposition import (
 from ahtorsion.multilinear import (
     Endomorphism, Form, Tensor, _pair_xi, exterior_derivative, gram_schmidt, sort_with_sign,
 )
-from ahtorsion.scalars import HALF, ONE, ZERO, Accumulator, Scalar
+from ahtorsion.scalars import HALF, ONE, ZERO, Accumulator, Scalar, parse_scalar
 from ahtorsion.structure import (
     Connection, check_torsion_tensor, chern_connection, intrinsic_torsion, levi_civita,
     nijenhuis, transform_form,
@@ -523,11 +523,32 @@ def test_transform_form_matches_the_minor_expansion(monkeypatch):
     # a rational Gram-Schmidt frame (G = L L^T, L lower triangular with
     # diagonal 2, 2, 1, 3), on basis forms of every degree
     G = [[R(x) for x in row] for row in ((4, 2, 0, 2), (2, 5, 2, 1), (0, 2, 2, 2), (2, 1, 2, 14))]
-    Q = gram_schmidt(G)
+    Q, _ = gram_schmidt(G)
     cases += [(Form(4, p, {K: R(p + 2)}), Q) for p in range(5)
               for K in itertools.combinations(range(4), p)]
     for alpha, M in cases:
         assert transform_form(alpha, M) == ref_transform_form(alpha, M)
+
+
+def _product(A, B):
+    return [[sum((A[i][k] * B[k][j] for k in range(len(B))), ZERO) for j in range(len(B[0]))]
+            for i in range(len(A))]
+
+
+@pytest.mark.parametrize("frame", ["rational", "catalog"])
+def test_gram_schmidt_returns_the_inverse_of_its_frame(frame):
+    if frame == "rational":  # the frame G = L L^T of the test above
+        G, d = [[R(x) for x in row] for row in
+                ((4, 2, 0, 2), (2, 5, 2, 1), (0, 2, 2, 2), (2, 1, 2, 14))], 0
+    else:
+        doc = get("nearly-kaehler-s3s3").document
+        d = doc["sqrt_extension"]
+        G = [[parse_scalar(c, d=d) for c in row] for row in doc["metric"]]
+    P, inverse = gram_schmidt(G, d)
+    n = len(G)
+    identity = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    assert _product(inverse, P) == identity
+    assert _product(_product(P, G), [list(col) for col in zip(*P)]) == identity
 
 
 def test_trace_J_matches_the_stored_entry_loop(bundle):

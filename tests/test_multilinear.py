@@ -15,6 +15,7 @@ from ahtorsion.multilinear import (
     Tensor,
     codifferential,
     exterior_derivative,
+    gram_schmidt,
     hodge_star,
     sort_with_sign,
     transform_algebra,
@@ -143,7 +144,8 @@ def volume_cases():
         d = S.L.dim
         P = random_rotation(d, random.Random(11), d * (d - 1) // 2)
         yield f"{name}-copy", build_structure(
-            transform_algebra(S.L, P), transform_form(S.omega, P))
+            transform_algebra(S.L, P, [list(col) for col in zip(*P)]),
+            transform_form(S.omega, P))
     for (first, second, _, _, _), sum_id in zip(SUM_AUDITS, SUM_IDS):
         yield sum_id, structure_from_data(direct_sum(get(first).document,
                                                      get(second).document))
@@ -233,6 +235,17 @@ class TestLieAlgebra:
     def test_odd_dimension_rejected(self):
         with pytest.raises(GeometryError):
             LieAlgebra(3, {})
+
+
+class TestGramSchmidt:
+    @pytest.mark.parametrize("entry, d", [(Scalar.rational(-4), 0),
+                                          (ONE - Scalar.root(3), 3)], ids=["-4", "1-r"])
+    def test_indefinite_metric_is_not_positive_definite(self, entry, d):
+        # diag(1, entry, 1, 1); 1 - sqrt(3) < 0 is read exactly, not as a missing root
+        diagonal = [ONE, entry, ONE, ONE]
+        G = [[diagonal[i] if i == j else Scalar.rational(0) for j in range(4)] for i in range(4)]
+        with pytest.raises(GeometryError, match="metric is not positive definite"):
+            gram_schmidt(G, d)
 
 
 class TestTensor:

@@ -26,6 +26,7 @@ from ahtorsion.scalars import (
     Scalar,
     ScalarError,
     ZERO,
+    constant_sign,
     format_scalar,
     is_square_free,
     parse_scalar,
@@ -426,6 +427,35 @@ class TestRoots:
 
     def test_scalar_sqrt_missing(self):
         assert scalar_sqrt(Scalar.rational(2)) is None
+
+    @pytest.mark.parametrize("text, d, root", [
+        ("4 - 2*r", 3, "-1 + r"),
+        ("7 - 4*r", 3, "2 - r"),
+        ("3/4", 3, "1/2*r"),
+        ("2", 0, None),
+        ("-4 + 2*r", 3, None),
+    ])
+    def test_scalar_sqrt_is_the_nonnegative_root(self, text, d, root):
+        got = scalar_sqrt(parse_scalar(text, d=d), ambient_d=d)
+        assert (None if got is None else format_scalar(got)) == root
+
+    def test_scalar_sqrt_of_seeded_squares_is_nonnegative(self):
+        def nonnegative(z: Scalar) -> bool:  # x + y sqrt(d) >= 0, exactly
+            x, y = z.constant_pair()
+            if x >= 0 and y >= 0:
+                return True
+            if x <= 0 and y <= 0:
+                return False
+            return (x * x > z.d * y * y) == (x > 0)
+
+        rng = random.Random(7)
+        for _ in range(400):
+            d = rng.choice([2, 3, 5, 7])
+            x, y = (Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2))
+            z = Scalar({(): (x, y)}, d=d)
+            root = scalar_sqrt(z * z, ambient_d=d)
+            assert root in (z, -z) and nonnegative(root), (z, root)
+            assert constant_sign(z) == (1 if nonnegative(z) and z else -1 if z else 0)
 
     def test_rational_roots_of_one_entry(self):
         q = Scalar.parameter("q")

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from ahtorsion.catalog import get
+
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "ahtorsion"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
 
@@ -82,7 +84,7 @@ def _is_J(node) -> bool:
     )
 
 
-J_TABLES = ("rows", "row_products", "den", "signed_perm")
+J_TABLES = ("rows", "den", "signed_perm")
 
 
 def j_matrix_reads(source: str):
@@ -123,13 +125,17 @@ def test_j_matrix_read_is_found():
         "t = xi.apply_J(1, S.J).trace_J(0, 2, J)\n"
         "x = K[m][k]\n"
         "rows = S.J.rows\n"
-        "table = J.row_products[m][p]\n"
         "d = self.S.J.den\n"
         "if J.signed_perm is None: pass\n"
         "y = K.rows, b.den, J.dim\n"
         "z = _combine((1, t, (0, 1)), J=S.J)\n"
     )
-    assert j_matrix_reads(source) == [1, 2, 3, 4, 7, 8, 9, 10]
+    assert j_matrix_reads(source) == [1, 2, 3, 4, 7, 8, 9]
+
+
+def test_j_tables_are_what_J_prepares():
+    J = get("nearly-kaehler-s3s3").build().J
+    assert [name for name in J_TABLES if not hasattr(J, name)] == []
 
 
 def witness_text_outside_the_formatter(source: str):
