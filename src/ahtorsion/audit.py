@@ -392,7 +392,6 @@ def check_f4(b: Bundle) -> Parts:
     """Intrinsic torsion invariants and its connection difference."""
     msg = check_torsion_tensor(b.S, b.xi)
     return [
-        ("xi not skew in the last two slots", b.xi.is_antisymmetric_pair(1, 2)),
         (msg, msg is None),
         (None, b.A.minimal.gamma - b.A.nabla.gamma - b.xi),
     ]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .multilinear import Form, GeometryError, LieAlgebra, Matrix, sort_with_sign
-from .scalars import MAX_EXTENSION, Scalar, ScalarError, is_square_free, parse_scalar
+from .scalars import MAX_EXTENSION, NAME, Scalar, ScalarError, is_square_free, parse_scalar
 from .structure import AlmostHermitianStructure, StructureError, build_structure
 
 
@@ -76,6 +76,11 @@ def structure_from_data(data: dict, source: str = "<data>") -> AlmostHermitianSt
     params = data.get("parameters", [])
     if not isinstance(params, list) or not all(isinstance(p, str) for p in params):
         raise FileFormatError(f"{source}: parameters must be a list of names")
+    for p in params:
+        if p == "r":
+            raise FileFormatError(f"{source}: parameters: 'r' is reserved for sqrt(d)")
+        if not NAME.fullmatch(p):
+            raise FileFormatError(f"{source}: parameters: {p!r} is not a name")
     params = tuple(params)
     d = data.get("sqrt_extension", 0)
     if not _is_int(d) or d < 0:

@@ -644,9 +644,7 @@ def gram_schmidt(G: Matrix, ambient_d: int = 0) -> Tuple[Matrix, Matrix]:
             if not proj.is_zero():
                 u = [x - proj * y for x, y in zip(u, prev)]
         norm2 = g(u, u)
-        if norm2.is_zero():
-            raise GeometryError("metric is degenerate")
-        if constant_sign(norm2) < 0:
+        if constant_sign(norm2) <= 0:
             raise GeometryError("metric is not positive definite")
         norm = inverse[i][i] = scalar_sqrt(norm2, ambient_d)
         if norm is None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .multilinear import Form, Tensor
-from .scalars import Scalar, format_scalar
+from .scalars import Scalar, format_scalar, join_signed
 
 
 def _indices_label(indices, dim: int) -> str:
@@ -27,14 +27,6 @@ def _signed_chunk(value: Scalar, body: str) -> tuple:
     return negative, f"{text}*{body}"
 
 
-def _join_signed(chunks) -> str:
-    neg, body = chunks[0]
-    out = ("-" if neg else "") + body
-    for neg, body in chunks[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
-
-
 def format_form(form: Form) -> str:
     if form.is_zero():
         return "0"
@@ -45,7 +37,7 @@ def format_form(form: Form) -> str:
         chunks.append(
             _signed_chunk(form.coeffs[idx], f"e^{_indices_label(idx, form.dim)}")
         )
-    return _join_signed(chunks)
+    return join_signed(chunks)
 
 
 def format_bilinear(t: Tensor) -> str:
@@ -56,7 +48,7 @@ def format_bilinear(t: Tensor) -> str:
     chunks = []
     for (i, j) in sorted(t.coeffs):
         chunks.append(_signed_chunk(t.coeffs[(i, j)], f"e^{i+1}(x)e^{j+1}"))
-    return _join_signed(chunks)
+    return join_signed(chunks)
 
 
 def format_torsion(t: Tensor) -> str:
@@ -73,4 +65,4 @@ def format_torsion(t: Tensor) -> str:
         chunks.append(
             _signed_chunk(v, f"e^{i+1}(x)e^{_indices_label((j, k), t.dim)}")
         )
-    return _join_signed(chunks) if chunks else "0"
+    return join_signed(chunks) if chunks else "0"

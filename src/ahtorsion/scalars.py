@@ -707,38 +707,42 @@ def scalar_sqrt(s: Scalar, ambient_d: int = 0) -> Optional[Scalar]:
 
 # -- literal grammar ----------------------------------------------------------
 #
-# scalar  := term (('+' | '-') term)*
-# term    := ['-'] factor ('*' factor)*
-# factor  := int | int '/' int | '(' coeff ')' | 'r' | name ['^' int]
+# scalar := ['+' | '-'] term (('+' | '-') term)*
+# term   := factor ('*' factor)*
+# factor := int ['/' int] | '(' ['+' | '-'] int ['/' int] ')' | 'r' | name ['^' int]
+#
+# The grammar is regular, so parse_scalar is one flat loop: a factor is one
+# match of _FACTOR and a separator one match of _SEP.  No two \s* of a pattern
+# can share one run of whitespace, so a failed match backtracks in linear time.
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
+NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_FACTOR = re.compile(
+    r"\s*(?:(?:(?P<open>\(\s*)(?:(?P<sign>[-+])\s*)?)?(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?"
+    rf"(?(open)\s*\))|(?P<name>{NAME.pattern})(?:\s*\^\s*(?P<exp>\d+))?)"
 )
+_SIGN = re.compile(r"\s*([-+]?)")
+_SEP = re.compile(r"\s*([-+*]?)")
 
 
-def _tokenize(text: str):
-    pos = 0
-    toks = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ScalarError(f"bad scalar literal near {text[pos:]!r}")
-            break
-        pos = m.end()
-        digits = m.group("num")
-        if digits:
-            try:
-                toks.append(("num", int(digits)))
-            except ValueError:  # longer than the interpreter's int-string limit
-                raise ScalarError(
-                    f"number of {len(digits)} digits in scalar literal is too long"
-                ) from None
-        elif m.group("name"):
-            toks.append(("name", m.group("name")))
-        else:
-            toks.append(("op", m.group("op")))
-    return toks
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # longer than the interpreter's int-string limit
+        raise ScalarError(
+            f"number of {len(digits)} digits in scalar literal is too long"
+        ) from None
+
+
+def _factor_error(text: str, pos: int) -> ScalarError:
+    rest = text[pos:].lstrip()
+    if rest.startswith("("):
+        if ")" in rest:
+            return ScalarError(f"only a signed rational may stand in parentheses in {text!r}")
+        return ScalarError(f"unbalanced parenthesis in scalar literal {text!r}")
+    if rest:
+        return ScalarError(f"bad scalar literal near {rest!r}")
+    return ScalarError(f"scalar literal {text!r} ends before a factor" if text.strip()
+                       else "empty scalar literal")
 
 
 def parse_scalar(text: str, d: int = 0, parameters: Iterable[str] = ()) -> Scalar:
@@ -747,119 +751,50 @@ def parse_scalar(text: str, d: int = 0, parameters: Iterable[str] = ()) -> Scala
     ``r`` denotes sqrt(d); parameter names must be declared in ``parameters``.
     """
     params = set(parameters)
-    toks = _tokenize(text)
-    if not toks:
-        raise ScalarError("empty scalar literal")
-    i = 0
-
-    def peek():
-        return toks[i] if i < len(toks) else (None, None)
-
-    def parse_coeff() -> Fraction:
-        nonlocal i
-        kind, val = peek()
-        if kind == "op" and val == "(":
-            i += 1
-            c = parse_signed_coeff()
-            kind, val = peek()
-            if kind is None:
-                raise ScalarError(f"unbalanced parenthesis in scalar literal {text!r}")
-            if val != ")":
-                raise ScalarError(f"only a signed rational may stand in parentheses in {text!r}")
-            i += 1
-            return c
-        if kind != "num":
-            raise ScalarError(f"expected number in scalar literal {text!r}")
-        i += 1
-        num = val
-        kind, val = peek()
-        if kind == "op" and val == "/":
-            i += 1
-            kind, val = peek()
-            if kind != "num":
-                raise ScalarError(f"expected denominator in {text!r}")
-            if val == 0:
-                raise ScalarError(f"zero denominator in {text!r}")
-            i += 1
-            return Fraction(num, val)
-        return Fraction(num)
-
-    def parse_signed_coeff() -> Fraction:
-        nonlocal i
-        sign = 1
-        kind, val = peek()
-        if kind == "op" and val in "+-":
-            i += 1
-            sign = -1 if val == "-" else 1
-        return sign * parse_coeff()
-
-    def parse_term() -> Scalar:
-        nonlocal i
-        coeff: Optional[Fraction] = None
-        has_root = False
-        exps: dict = {}
-        while True:
-            kind, val = peek()
-            if kind == "num" or (kind == "op" and val == "("):
-                c = parse_coeff()
-                coeff = c if coeff is None else coeff * c
-            elif kind == "name":
-                i += 1
-                e = 1
-                kind2, val2 = peek()
-                if kind2 == "op" and val2 == "^":
-                    i += 1
-                    kind2, val2 = peek()
-                    if kind2 != "num":
-                        raise ScalarError(f"expected exponent in {text!r}")
-                    i += 1
-                    e = val2
-                    if e > MAX_EXPONENT:
-                        raise ScalarError(f"exponent {e} exceeds {MAX_EXPONENT}")
-                if val == "r":
-                    if e != 1:
-                        raise ScalarError("powers of r are not part of the grammar")
-                    if has_root:
-                        raise ScalarError("repeated r factor in one term")
-                    has_root = True
-                else:
-                    if val not in params:
-                        raise ScalarError(f"undeclared parameter {val!r}")
-                    exps[val] = exps.get(val, 0) + e
-            else:
-                raise ScalarError(f"unexpected token in scalar literal {text!r}")
-            kind, val = peek()
-            if kind == "op" and val == "*":
-                i += 1
-                continue
-            break
-        c = Fraction(1) if coeff is None else coeff
-        m = _pack(exps.items())
-        if has_root:
-            if d == 0:
-                raise ScalarError("r used but no sqrt extension declared")
-            if not is_square_free(d):
-                raise ScalarError(f"extension {d} is not square-free")
-            return _make({}, {m: c.numerator}, c.denominator, d) if c else ZERO
-        return _make({m: c.numerator}, _EMPTY, c.denominator, 0) if c else ZERO
-
     result = ZERO
-    sign = 1
-    kind, val = peek()
-    if kind == "op" and val in "+-":
-        i += 1
-        sign = -1 if val == "-" else 1
-    while True:
-        t = parse_term()
-        result = result + (t if sign == 1 else -t)
-        kind, val = peek()
-        if kind is None:
-            break
-        if kind == "op" and val in "+-":
-            i += 1
-            sign = -1 if val == "-" else 1
+    lead = _SIGN.match(text)
+    op, pos = lead.group(1) or "+", lead.end()
+    while op:
+        if op != "*":  # a term starts: its sign goes into the numerator
+            num, den, has_root, exps = -1 if op == "-" else 1, 1, False, {}
+        f = _FACTOR.match(text, pos)
+        if f is None:
+            raise _factor_error(text, pos)
+        _, sign, p, q, name, e = f.groups()
+        if name is None:
+            q = _int(q) if q else 1
+            if q == 0:
+                raise ScalarError(f"zero denominator in {text!r}")
+            num, den = num * (-_int(p) if sign == "-" else _int(p)), den * q
         else:
-            raise ScalarError(f"trailing junk in scalar literal {text!r}")
+            e = _int(e) if e else 1
+            if e > MAX_EXPONENT:
+                raise ScalarError(f"exponent {e} exceeds {MAX_EXPONENT}")
+            if name != "r":
+                if name not in params:
+                    raise ScalarError(f"undeclared parameter {name!r}")
+                exps[name] = exps.get(name, 0) + e
+            elif e != 1:
+                raise ScalarError("powers of r are not part of the grammar")
+            elif has_root:
+                raise ScalarError("repeated r factor in one term")
+            elif d == 0:
+                raise ScalarError("r used but no sqrt extension declared")
+            elif not is_square_free(d):
+                raise ScalarError(f"extension {d} is not square-free")
+            else:
+                has_root = True
+        sep = _SEP.match(text, f.end())
+        op, pos = sep.group(1), sep.end()
+        if op != "*":  # the term ends
+            m = _pack(exps.items())
+            if num:
+                g = math.gcd(num, den)
+                num, den = num // g, den // g
+                result = result + (
+                    _make({}, {m: num}, den, d) if has_root else _make({m: num}, _EMPTY, den, 0))
+    if pos < len(text):
+        raise ScalarError(f"trailing junk in scalar literal {text!r}")
     return result
 
 
@@ -886,6 +821,11 @@ def format_scalar(s: Scalar) -> str:
                 coeff = [] if num == q == 1 and (root or names) else [
                     str(num) if q == 1 else f"{num}/{q}"]
                 pieces.append((c < 0, "*".join(coeff + root + names)))
+    return join_signed(pieces)
+
+
+def join_signed(pieces) -> str:
+    """The sum of (is_negative, text) pieces, as "-a + b - c"."""
     out = ("-" if pieces[0][0] else "") + pieces[0][1]
     for neg, text in pieces[1:]:
         out += (" - " if neg else " + ") + text

@@ -282,11 +282,18 @@ class TestCommands:
         ({"sqrt_extension": 1 << 40}, SQRT_EXTENSION),
         ({"sqrt_extension": 12}, SQRT_EXTENSION),
         ({"sqrt_extension": 1}, SQRT_EXTENSION),
+        ({"parameters": ["r"], "sqrt_extension": 3,
+          "brackets": [{"i": 1, "j": 4, "coeffs": {"1": "-r"}}]},
+         "parameters: 'r' is reserved for sqrt(d)"),
+        ({"parameters": ["q q"]}, "parameters: 'q q' is not a name"),
+        ({"parameters": [""]}, "parameters: '' is not a name"),
+        ({"parameters": ["1a"]}, "parameters: '1a' is not a name"),
     ], ids=["brackets", "parameters", "psi_plus", "zero-denominator", "sqrt_extension-true",
             "dimension-true", "index-true", "bracket-index-true", "psi_plus-index-false",
             "overlong-number", "exponent-bound", "sqrt_extension-huge-with-r",
             "sqrt_extension-huge", "sqrt_extension-bound", "sqrt_extension-square-factor",
-            "sqrt_extension-one"])
+            "sqrt_extension-one", "parameter-r", "parameter-with-space", "parameter-empty",
+            "parameter-digit-first"])
     def test_analyze_mistyped_field_names_it(self, tmp_path, capsys, overrides, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(minimal_file(**overrides)))
@@ -294,6 +301,18 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.err == f"{path}: {message}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["analyze", "batch"])
+    def test_deeply_nested_literal_names_its_field(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.json"
+        literal = "(" * 3000 + "1" + ")" * 3000
+        path.write_text(json.dumps(minimal_file(
+            kaehler_form=[{"i": 1, "j": 2, "c": literal}, {"i": 3, "j": 4, "c": "1"}])))
+        assert main([command, str(path if command == "analyze" else tmp_path)]) == 1
+        captured = capsys.readouterr()
+        report = captured.err if command == "analyze" else captured.out
+        assert "deep.json: kaehler_form[0]: only a signed rational may stand in parentheses" in report
+        assert "RecursionError" not in captured.err + captured.out
 
     @pytest.mark.parametrize("command", ["analyze", "audit"])
     def test_unknown_catalog_entry_prints_the_plain_message(self, command, capsys):
@@ -678,12 +697,15 @@ class TestCommands:
              "metric matrix must be parameter-free"),
             ([["1", "1", "0", "0"], ["1", "1", "0", "0"],
               ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
-             "metric is degenerate"),
+             "metric is not positive definite"),
             ([["1", "0", "0", "0"], ["0", "-4", "0", "0"],
               ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
              "metric is not positive definite"),
+            ([["0", "1", "0", "0"], ["1", "0", "0", "0"],
+              ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+             "metric is not positive definite"),
         ],
-        ids=["parametric", "degenerate", "indefinite"],
+        ids=["parametric", "degenerate", "indefinite", "hyperbolic"],
     )
     def test_rejected_metric_is_a_file_error(self, tmp_path, capsys, metric, message):
         path = tmp_path / "bad-metric.json"

@@ -373,7 +373,79 @@ class TestExtension:
         assert r * r + Scalar.root(5) == Scalar.rational(3) + Scalar.root(5)
 
 
+@st.composite
+def literals(draw, d=3, params=PARAMS):
+    """A literal drawn term by term from the grammar, with random whitespace,
+    and the Scalar its factors multiply and its terms add up to."""
+    def ws():
+        return draw(st.sampled_from(["", "", " ", "  ", "\t"]))
+
+    text, value = ws(), Scalar()
+    for k in range(draw(st.integers(1, 3))):
+        sign = draw(st.sampled_from(["+", "-"] if k else ["", "+", "-"]))
+        term, factors = Scalar.rational(-1 if sign == "-" else 1), []
+        for kind in draw(st.lists(st.sampled_from(["rational", "parenthesised", "parameter"]),
+                                  min_size=1, max_size=4)):
+            if kind == "parameter":
+                name, e = draw(st.sampled_from(params)), draw(st.integers(1, 3))
+                spelt_out = e > 1 or draw(st.booleans())
+                factors.append(name + (f"{ws()}^{ws()}{e}" if spelt_out else ""))
+                for _ in range(e):
+                    term = term * Scalar.parameter(name)
+                continue
+            c = draw(fractions)
+            body = str(abs(c.numerator))
+            if c.denominator > 1 or draw(st.booleans()):
+                body += f"{ws()}/{ws()}{c.denominator}"
+            if kind == "parenthesised" or c < 0:
+                sign_in = "-" if c < 0 else draw(st.sampled_from(["", "+"]))
+                body = f"({ws()}{sign_in}{ws()}{body}{ws()})"
+            factors.append(body)
+            term = term * Scalar.rational(c)
+        if draw(st.booleans()):
+            factors.insert(draw(st.integers(0, len(factors))), "r")
+            term = term * Scalar.root(d)
+        text += (f"{sign}{ws()}" if sign else "") + f"{ws()}*{ws()}".join(factors) + ws()
+        value = value + term
+    return text, value
+
+
 class TestLiteralGrammar:
+    @given(literals())
+    def test_literal_denotes_the_arithmetic_of_its_factors(self, drawn):
+        text, value = drawn
+        assert parse_scalar(text, d=3, parameters=PARAMS) == value
+
+    @given(literals(), st.data())
+    def test_one_character_mutation_parses_or_is_a_scalar_error(self, drawn, data):
+        text = drawn[0]
+        pos = data.draw(st.integers(0, len(text)))
+        char = data.draw(st.sampled_from("0123456789rpqx_()+-*/^ .$\t"))
+        edit = data.draw(st.sampled_from(["insert", "replace", "delete"]))
+        mutant = text[:pos] + ("" if edit == "delete" else char) + text[pos + (edit != "insert"):]
+        try:
+            parse_scalar(mutant, d=3, parameters=PARAMS)
+        except ScalarError:
+            pass
+
+    def test_nested_parentheses_are_not_a_factor(self):
+        for lit in ("((1))", "(-(-1))", "(" * 3000 + "1" + ")" * 3000):
+            with pytest.raises(ScalarError, match="only a signed rational may stand in parentheses"):
+                parse_scalar(lit)
+
+    def test_whitespace_in_parentheses_is_read_in_linear_time(self):
+        start = time.perf_counter()
+        with pytest.raises(ScalarError, match="only a signed rational may stand in parentheses"):
+            parse_scalar("(" + " " * 10 ** 5 + "q)", parameters=("q",))
+        assert time.perf_counter() - start < 1
+
+    def test_signs_stand_at_the_start_and_between_terms(self):
+        assert parse_scalar("+1") == ONE
+        assert parse_scalar("- 1 - 1") == Scalar.rational(-2)
+        for lit in ("1 + -2", "--1", "2*-1", "*1", "1 *", "1 2"):
+            with pytest.raises(ScalarError):
+                parse_scalar(lit)
+
     @given(scalars())
     def test_format_parse_round_trip(self, s):
         assert parse_scalar(format_scalar(s), d=3, parameters=PARAMS) == s
