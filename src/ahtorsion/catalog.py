@@ -109,7 +109,9 @@ def structure_from_data(data: dict, source: str = "<data>") -> AlmostHermitianSt
             raise FileFormatError(f"{ctx}: coeffs must be a nonempty object")
         row: Dict[int, Scalar] = {}
         for key, lit in coeffs.items():
-            try:
+            try:  # ASCII digits only: int() also reads " 2 ", "0_2" and Arabic-Indic digits
+                if not (key.isascii() and key.isdigit()):
+                    raise ValueError(key)
                 k = int(key)
             except ValueError:
                 raise FileFormatError(f"{ctx}: coefficient key {key!r} is not an index")

@@ -548,18 +548,27 @@ def metric_tensor(dim: int) -> Tensor:
 
 def transform_algebra(L: LieAlgebra, M: Matrix, inverse: Matrix) -> LieAlgebra:
     """Structure constants in the frame f_a = sum_j M[a][j] e_j, given the
-    inverse of M: e_k = sum_c inverse[k][c] f_c."""
+    inverse of M: e_k = sum_c inverse[k][c] f_c.  Each stored [e_i, e_j],
+    i < j, is rewritten in the new frame once and enters [f_a, f_b], a != b,
+    with weight M[a][i] * M[b][j], negated when b < a."""
     n = L.dim
-    rows, inv = _stored_rows(M), _stored_rows(inverse)
+    columns = [[(a, row[i]) for a, row in enumerate(M) if row[i]] for i in range(n)]
+    inv = _stored_rows(inverse)
     acc = Accumulator()
-    for a in range(n):
-        for b in range(a + 1, n):
-            for i, x in rows[a]:
-                for j, y in rows[b]:
-                    for k, v in L.bracket(i, j).items():
-                        w = x * y * v
-                        for c, u in inv[k]:
-                            acc.add((a, b, c), w, u)
+    for (i, j), row in L._brackets.items():
+        if i > j:
+            continue
+        image = Accumulator()
+        for k, v in row.items():
+            for c, u in inv[k]:
+                image.add(c, v, u)
+        image = image.result()
+        for a, x in columns[i]:
+            for b, y in columns[j]:
+                if a != b:
+                    w, key, sign = x * y, (a, b) if a < b else (b, a), 1 if a < b else -1
+                    for c, u in image.items():
+                        acc.add(key + (c,), w, u, sign)
     brackets: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
     for (a, b, c), v in acc.result().items():
         brackets.setdefault((a, b), {})[c] = v
@@ -613,44 +622,45 @@ def gram_schmidt(G: Matrix, ambient_d: int = 0) -> Tuple[Matrix, Matrix]:
     """(P, R): rows P[i] give an orthonormal basis f_i in the input basis
     e_i, and R = P^-1, that is e_i = sum_j R[i][j] f_j.
 
-    R is filled as f_i is built: the projection subtracted from e_i along
-    f_j is g(e_i, f_j), the parts removed before being orthogonal to f_j,
-    and the norm left is g(e_i, f_i).  The metric must be positive definite
-    with every norm in Q(sqrt(d)).
+    Only G's stored entries and each f_j's nonzero coordinates enter.  R is
+    filled as f_i is built: the projection along f_j is g(e_i, f_j), one
+    sum from row i of G over the f_j that meet it, and the norm left is
+    g(e_i, f_i), the root of G_ii minus the squared projections.  The metric
+    must be positive definite with every norm in Q(sqrt(d)).
     """
     n = len(G)
-    for i in range(n):
-        for j in range(n):
-            if G[i][j] != G[j][i]:
+    rows = _stored_rows(G)
+    for i, row in enumerate(rows):
+        for j, w in row:
+            if G[j][i] != w:
                 raise GeometryError("metric matrix must be symmetric")
-            if G[i][j].parameters():
+            if w.parameters():
                 raise GeometryError("metric matrix must be parameter-free")
-
-    def g(u: Sequence[Scalar], w: Sequence[Scalar]) -> Scalar:
-        acc = ZERO
-        for a in range(n):
-            if u[a].is_zero():
-                continue
-            for b in range(n):
-                acc = acc + u[a] * w[b] * G[a][b]
-        return acc
-
-    basis: List[List[Scalar]] = []
+    basis: List[Dict[int, Scalar]] = []  # f_j by its nonzero coordinates
+    meets: List[List[int]] = [[] for _ in range(n)]  # k -> each j with f_j[k] != 0
     inverse = [[ZERO] * n for _ in range(n)]
     for i in range(n):
-        u = [ONE if j == i else ZERO for j in range(n)]
-        for j, prev in enumerate(basis):
-            proj = inverse[i][j] = g(u, prev)
-            if not proj.is_zero():
-                u = [x - proj * y for x, y in zip(u, prev)]
-        norm2 = g(u, u)
+        acc = Accumulator()
+        for k, w in rows[i]:
+            for j in meets[k]:
+                acc.add(j, w, basis[j][k])
+        # u = e_i - sum_j g(e_i, f_j) f_j, and |u|^2 = G_ii - sum_j g(e_i, f_j)^2
+        u, norm2 = Accumulator(), Accumulator()
+        u.add(i, ONE)
+        norm2.add(i, G[i][i])
+        for j, proj in acc.result().items():
+            inverse[i][j] = proj
+            for k, v in basis[j].items():
+                u.add(k, proj, v, -1)
+            norm2.add(i, proj, proj, -1)
+        norm2 = norm2.result().get(i, ZERO)
         if constant_sign(norm2) <= 0:
             raise GeometryError("metric is not positive definite")
         norm = inverse[i][i] = scalar_sqrt(norm2, ambient_d)
         if norm is None:
-            raise GeometryError(
-                f"orthonormalization requires sqrt({norm2}) outside the scalar ring"
-            )
+            raise GeometryError(f"orthonormalization requires sqrt({norm2}) outside the scalar ring")
         inv = ONE / norm
-        basis.append([inv * x for x in u])
-    return basis, inverse
+        basis.append({k: inv * x for k, x in u.result().items()})
+        for k in basis[i]:
+            meets[k].append(i)
+    return [[f.get(k, ZERO) for k in range(n)] for f in basis], inverse

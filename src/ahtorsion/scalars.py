@@ -660,48 +660,50 @@ def _product_has_root(xa: dict, xb: dict, ya: dict, yb: dict, d: int) -> bool:
     return any(b.values())
 
 
-def fraction_sqrt(f: Fraction) -> Optional[Fraction]:
-    if f < 0:
-        return None
-    n, m = f.numerator, f.denominator
-    rn, rm = math.isqrt(n), math.isqrt(m)
-    if rn * rn == n and rm * rm == m:
-        return Fraction(rn, rm)
-    return None
-
-
-def constant_sign(s: Scalar) -> int:
-    """The exact sign of a parameter-free p + q*sqrt(d): where p and q differ
-    in sign, the larger of p^2 and d*q^2 decides."""
-    p, q = s.constant_pair()
+def _sign(p: int, q: int, d: int) -> int:
+    """The exact sign of p + q*sqrt(d): where p and q differ in sign, the
+    larger of p^2 and d*q^2 decides."""
     sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
     if sp * sq >= 0:
         return sp or sq
-    return sp if p * p > s.d * q * q else sq
+    return sp if p * p > d * q * q else sq
+
+
+def constant_sign(s: Scalar) -> int:
+    """The exact sign of a parameter-free scalar, read from its numerators."""
+    if not s.is_constant():
+        raise ScalarError(f"not parameter-free: {s}")
+    return _sign(s._a.get(0, 0), s._b.get(0, 0), s.d)
 
 
 def scalar_sqrt(s: Scalar, ambient_d: int = 0) -> Optional[Scalar]:
     """The nonnegative square root of a parameter-free scalar in Q(sqrt(d)), or None.
 
-    (x + y*sqrt(d))^2 = p + q*sqrt(d) means that x^2 and d*y^2 are the roots
-    (p +- sqrt(p^2 - d*q^2))/2 of t^2 - p*t + d*q^2/4, and that y has the
-    sign of q when x >= 0.  ``ambient_d`` lets a plain rational use the
+    s = (P + Q*sqrt(d)) / den^2 with P = a*den and Q = b*den, and as d is
+    square-free a root is (x + y*sqrt(d)) / den for integers x and y with
+    x^2 + d*y^2 = P and 2*x*y = Q: x^2 and d*y^2 are (P +- isqrt(P^2 - d*Q^2))/2,
+    and y has the sign of Q when x >= 0.  ``ambient_d`` lets a plain rational use the
     ring's extension (sqrt(3/4) = sqrt(3)/2 in Q(sqrt(3))).
     """
-    if not s.is_constant() or constant_sign(s) < 0:
+    if not s.is_constant():
         return None
-    p, q = s.constant_pair()
+    a, b, den = s._a.get(0, 0), s._b.get(0, 0), s._den
     d = s.d or ambient_d
-    disc = fraction_sqrt(p * p - d * q * q)
-    if disc is None:
+    P, Q = a * den, b * den
+    disc = P * P - d * Q * Q
+    if _sign(a, b, d) < 0 or disc < 0:
         return None
-    for x2 in ((p + disc) / 2, (p - disc) / 2):
-        x, dy2 = fraction_sqrt(x2), p - x2
+    r = math.isqrt(disc)
+    if r * r != disc or (P - r) % 2:
+        return None
+    for x2 in ((P + r) // 2, (P - r) // 2):
+        x, dy2 = math.isqrt(x2), P - x2
         # over Q (d = 0) only y = 0 is available
-        y = fraction_sqrt(dy2 / d) if d else (Fraction(0) if dy2 == 0 else None)
-        if x is not None and y is not None:
-            root = Scalar({(): (x, y if q >= 0 else -y)}, d=d)
-            return root if constant_sign(root) >= 0 else -root
+        y = math.isqrt(dy2 // d) if d else 0
+        if x * x == x2 and d * y * y == dy2:
+            y = y if Q >= 0 else -y
+            sign = 1 if _sign(x, y, d) >= 0 else -1
+            return _canonical({0: sign * x}, {0: sign * y}, den, d)
     return None
 
 
@@ -714,14 +716,23 @@ def scalar_sqrt(s: Scalar, ambient_d: int = 0) -> Optional[Scalar]:
 # The grammar is regular, so parse_scalar is one flat loop: a factor is one
 # match of _FACTOR and a separator one match of _SEP.  No two \s* of a pattern
 # can share one run of whitespace, so a failed match backtracks in linear time.
+# Digits and whitespace are ASCII only.  A diagnostic quotes _QUOTE characters.
 
 NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _FACTOR = re.compile(
     r"\s*(?:(?:(?P<open>\(\s*)(?:(?P<sign>[-+])\s*)?)?(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?"
-    rf"(?(open)\s*\))|(?P<name>{NAME.pattern})(?:\s*\^\s*(?P<exp>\d+))?)"
+    rf"(?(open)\s*\))|(?P<name>{NAME.pattern})(?:\s*\^\s*(?P<exp>\d+))?)", re.ASCII
 )
-_SIGN = re.compile(r"\s*([-+]?)")
-_SEP = re.compile(r"\s*([-+*]?)")
+_SIGN = re.compile(r"\s*([-+]?)", re.ASCII)
+_SEP = re.compile(r"\s*([-+*]?)", re.ASCII)
+_QUOTE = 40
+
+
+def _quote(text: str, pos: int = 0) -> str:
+    """text quoted, cut to _QUOTE characters from just before pos, "..." marking a cut."""
+    start = max(0, min(pos - 10, len(text) - _QUOTE))
+    end = start + _QUOTE
+    return "..." * (start > 0) + repr(text[start:end]) + "..." * (end < len(text))
 
 
 def _int(digits: str) -> int:
@@ -737,12 +748,13 @@ def _factor_error(text: str, pos: int) -> ScalarError:
     rest = text[pos:].lstrip()
     if rest.startswith("("):
         if ")" in rest:
-            return ScalarError(f"only a signed rational may stand in parentheses in {text!r}")
-        return ScalarError(f"unbalanced parenthesis in scalar literal {text!r}")
+            return ScalarError(
+                f"only a signed rational may stand in parentheses in {_quote(text, pos)}")
+        return ScalarError(f"unbalanced parenthesis in scalar literal {_quote(text, pos)}")
     if rest:
-        return ScalarError(f"bad scalar literal near {rest!r}")
-    return ScalarError(f"scalar literal {text!r} ends before a factor" if text.strip()
-                       else "empty scalar literal")
+        return ScalarError(f"bad scalar literal near {_quote(rest)}")
+    return ScalarError(f"scalar literal {_quote(text, pos)} ends before a factor"
+                       if text.strip() else "empty scalar literal")
 
 
 def parse_scalar(text: str, d: int = 0, parameters: Iterable[str] = ()) -> Scalar:
@@ -764,7 +776,7 @@ def parse_scalar(text: str, d: int = 0, parameters: Iterable[str] = ()) -> Scala
         if name is None:
             q = _int(q) if q else 1
             if q == 0:
-                raise ScalarError(f"zero denominator in {text!r}")
+                raise ScalarError(f"zero denominator in {_quote(text, pos)}")
             num, den = num * (-_int(p) if sign == "-" else _int(p)), den * q
         else:
             e = _int(e) if e else 1
@@ -772,7 +784,7 @@ def parse_scalar(text: str, d: int = 0, parameters: Iterable[str] = ()) -> Scala
                 raise ScalarError(f"exponent {e} exceeds {MAX_EXPONENT}")
             if name != "r":
                 if name not in params:
-                    raise ScalarError(f"undeclared parameter {name!r}")
+                    raise ScalarError(f"undeclared parameter {_quote(name)}")
                 exps[name] = exps.get(name, 0) + e
             elif e != 1:
                 raise ScalarError("powers of r are not part of the grammar")
@@ -794,7 +806,7 @@ def parse_scalar(text: str, d: int = 0, parameters: Iterable[str] = ()) -> Scala
                 result = result + (
                     _make({}, {m: num}, den, d) if has_root else _make({m: num}, _EMPTY, den, 0))
     if pos < len(text):
-        raise ScalarError(f"trailing junk in scalar literal {text!r}")
+        raise ScalarError(f"trailing junk in scalar literal {_quote(text, pos)}")
     return result
 
 

@@ -4,6 +4,7 @@ import copy
 import itertools
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional
@@ -24,8 +25,8 @@ from ahtorsion.audit import (
 from ahtorsion.catalog import ENTRIES, get, structure_from_data
 from ahtorsion.curvature import analyze
 from ahtorsion.decomposition import TwoFormSplit
-from ahtorsion.multilinear import Form, Tensor
-from ahtorsion.scalars import ONE, Scalar, ZERO
+from ahtorsion.multilinear import Form, Tensor, gram_schmidt
+from ahtorsion.scalars import ONE, Accumulator, Scalar, ZERO
 from ahtorsion.structure import Connection
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -238,13 +239,19 @@ class TestAntisymmetricPlusLee:
         assert next(c for c in rep.checks if c.identifier == "P3.6i").status == "pass"
 
 
-def assert_flat_torus_audits_ok(d: int):
-    S = structure_from_data({
+def assert_flat_torus_audits_ok(d: int, metric: Optional[int] = None):
+    """With ``metric`` c, the torus takes the metric c*I and omega = c*(e12 +
+    e34 + ...), which Gram-Schmidt brings to the standard frame."""
+    doc = {
         "name": f"flat-torus-{d}",
         "dimension": d,
         "brackets": [],
         "kaehler_form": standard_form(d),
-    })
+    }
+    if metric is not None:
+        doc["metric"] = [[str(metric) if i == j else "0" for j in range(d)] for i in range(d)]
+        doc["kaehler_form"] = [dict(entry, c=str(metric)) for entry in doc["kaehler_form"]]
+    S = structure_from_data(doc)
     assert S.n == d // 2
     A = analyze(S)
     assert A.gh_class.nonzero == () and A.theta.is_zero()
@@ -262,6 +269,31 @@ def test_flat_torus_in_dimension_256_audits_ok():
     # Jacobi reads only stored brackets and E3.1 only stored entries, so a
     # bracket-free algebra costs little whatever its dimension
     assert_flat_torus_audits_ok(256)
+
+
+def test_flat_torus_with_a_metric_in_dimension_128_audits_ok():
+    # Gram-Schmidt reads the metric's stored entries, so the diagonal 4*I
+    # costs little more than the identity
+    assert_flat_torus_audits_ok(128, metric=4)
+
+
+def test_gram_schmidt_of_a_diagonal_metric_works_on_stored_entries(monkeypatch):
+    # each f_i meets no earlier f_j, so no projection is summed: a few
+    # products and adds per vector, not a sweep of the d x d metric
+    d = 128
+    four = Scalar.rational(4)
+    G = [[four if i == j else ZERO for j in range(d)] for i in range(d)]
+    calls = []
+    real_mul, real_add = Scalar.__mul__, Accumulator.add
+    monkeypatch.setattr(Scalar, "__mul__", lambda x, y: calls.append(1) or real_mul(x, y))
+    monkeypatch.setattr(Accumulator, "add",
+                        lambda acc, *args: calls.append(1) or real_add(acc, *args))
+    P, inverse = gram_schmidt(G)
+    monkeypatch.undo()
+    half, two = Scalar.rational(Fraction(1, 2)), Scalar.rational(2)
+    assert P == [[half if i == j else ZERO for j in range(d)] for i in range(d)]
+    assert inverse == [[two if i == j else ZERO for j in range(d)] for i in range(d)]
+    assert len(calls) <= 4 * d * d
 
 
 def test_sparse_almost_abelian_in_dimension_128_audits_ok():

@@ -288,12 +288,21 @@ class TestCommands:
         ({"parameters": ["q q"]}, "parameters: 'q q' is not a name"),
         ({"parameters": [""]}, "parameters: '' is not a name"),
         ({"parameters": ["1a"]}, "parameters: '1a' is not a name"),
+        ({"brackets": [{"i": 1, "j": 4, "coeffs": {"\u0662": "1"}}]},
+         "brackets[0]: coefficient key '\u0662' is not an index"),
+        ({"brackets": [{"i": 1, "j": 4, "coeffs": {" 2 ": "1"}}]},
+         "brackets[0]: coefficient key ' 2 ' is not an index"),
+        ({"brackets": [{"i": 1, "j": 4, "coeffs": {"0_2": "1"}}]},
+         "brackets[0]: coefficient key '0_2' is not an index"),
+        ({"kaehler_form": [{"i": 1, "j": 2, "c": "\u0663\u0663"}, {"i": 3, "j": 4, "c": "1"}]},
+         "kaehler_form[0]: bad scalar literal near '\u0663\u0663'"),
     ], ids=["brackets", "parameters", "psi_plus", "zero-denominator", "sqrt_extension-true",
             "dimension-true", "index-true", "bracket-index-true", "psi_plus-index-false",
             "overlong-number", "exponent-bound", "sqrt_extension-huge-with-r",
             "sqrt_extension-huge", "sqrt_extension-bound", "sqrt_extension-square-factor",
             "sqrt_extension-one", "parameter-r", "parameter-with-space", "parameter-empty",
-            "parameter-digit-first"])
+            "parameter-digit-first", "key-arabic-indic-digit", "key-spaces", "key-underscore",
+            "literal-arabic-indic-digits"])
     def test_analyze_mistyped_field_names_it(self, tmp_path, capsys, overrides, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(minimal_file(**overrides)))
@@ -313,6 +322,9 @@ class TestCommands:
         report = captured.err if command == "analyze" else captured.out
         assert "deep.json: kaehler_form[0]: only a signed rational may stand in parentheses" in report
         assert "RecursionError" not in captured.err + captured.out
+        # the diagnostic quotes a few characters of the literal, not all 6,001
+        [line] = [line for line in report.splitlines() if "kaehler_form[0]" in line]
+        assert len(line.replace(str(tmp_path), "")) < 200
 
     @pytest.mark.parametrize("command", ["analyze", "audit"])
     def test_unknown_catalog_entry_prints_the_plain_message(self, command, capsys):

@@ -506,6 +506,8 @@ class TestRoots:
         ("3/4", 3, "1/2*r"),
         ("2", 0, None),
         ("-4 + 2*r", 3, None),
+        ("2", 3, None),  # sqrt(2) is not in Q(sqrt(3))
+        ("1 + r", 3, None),  # positive, of norm -2
     ])
     def test_scalar_sqrt_is_the_nonnegative_root(self, text, d, root):
         got = scalar_sqrt(parse_scalar(text, d=d), ambient_d=d)
@@ -528,6 +530,25 @@ class TestRoots:
             root = scalar_sqrt(z * z, ambient_d=d)
             assert root in (z, -z) and nonnegative(root), (z, root)
             assert constant_sign(z) == (1 if nonnegative(z) and z else -1 if z else 0)
+
+    @staticmethod
+    def exact_sign(x: Fraction, y: Fraction, d: int) -> int:
+        """The sign of x + y*sqrt(d), from x against -y*sqrt(d) by their squares."""
+        u, v = x, -y  # x + y*sqrt(d) > 0 exactly when u > v*sqrt(d)
+        if u >= 0 >= v or u <= 0 <= v:
+            return (u > 0) - (u < 0) or (v < 0) - (v > 0)
+        return 1 if (u * u > d * v * v) == (u > 0) else -1
+
+    @given(fractions, fractions, st.sampled_from([0, 2, 3, 5]))
+    def test_scalar_sqrt_of_a_square_is_its_absolute_value(self, x, y, d):
+        z = Scalar({(): (x, y if d else 0)}, d=d)
+        root = scalar_sqrt(z * z, ambient_d=d)
+        assert root == (-z if constant_sign(z) < 0 else z)
+
+    @given(fractions, fractions, st.sampled_from([0, 2, 3, 5]))
+    def test_constant_sign_is_the_exact_sign(self, x, y, d):
+        y = y if d else Fraction(0)
+        assert constant_sign(Scalar({(): (x, y)}, d=d)) == self.exact_sign(x, y, d)
 
     def test_rational_roots_of_one_entry(self):
         q = Scalar.parameter("q")
